@@ -44,11 +44,13 @@ from .pipeline import (
     ArrayFrame,
     ClassRow,
     EvalReport,
+    PooledSplit,
     ScatterExport,
     ece,
     evaluate_split,
     filter_and_aggregate,
     per_frame_class_ause,
+    pool_split,
     scatter_export,
 )
 from .segmetrics import (
@@ -101,6 +103,7 @@ __all__ = [
     "LogitTensor",
     "MEASURES",
     "Manifest",
+    "PooledSplit",
     "ProbabilityStack",
     "ScatterExport",
     "ScenarioSpec",
@@ -127,6 +130,7 @@ __all__ = [
     "oracle_curve",
     "per_class_ause",
     "per_frame_class_ause",
+    "pool_split",
     "read_manifest",
     "read_report",
     "read_tensor",

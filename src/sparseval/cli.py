@@ -12,12 +12,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io as container_io
-from .core import ClassCatalog, ConfidenceVector, EvalConfig, LabelArray, MEASURES
+from .core import ClassCatalog, EvalConfig, MEASURES
 from .errors import SparsevalError, SpecInvalid
-from .pipeline import evaluate_split, per_frame_class_ause
+from .pipeline import evaluate_split, per_frame_class_ause, pool_split
 from .sparsification import FractionGrid, curve_pair
 from .synth import ScenarioSpec, degenerate_class_scenario, generate, write_dataset
 
@@ -32,6 +30,13 @@ EXIT_INTERNAL = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to status 2; usage errors are 1
         self.exit(EXIT_USAGE, f"{self.prog}: usage error: {message}\n")
+
+
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _add_common_flags(p: argparse.ArgumentParser, *, with_measure: bool = True):
@@ -57,7 +62,7 @@ def _add_common_flags(p: argparse.ArgumentParser, *, with_measure: bool = True):
         help="how equal confidences are ordered",
     )
     p.add_argument("--seed", type=int, help="seed for sampling and tie shuffling")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
 
 
 def _resolved_config(manifest: container_io.Manifest, args) -> EvalConfig:
@@ -88,12 +93,11 @@ def _cmd_evaluate(args) -> int:
     manifest = container_io.read_manifest(args.manifest)
     config = _resolved_config(manifest, args)
     measures = _selected_measures(args.measure)
-    report = evaluate_split(
-        manifest, manifest.catalog, config, measures=measures, threads=args.threads
-    )
+    split = pool_split(manifest, config=config, measures=measures, threads=args.threads)
+    report = evaluate_split(split, config=config, measures=measures)
     if args.per_frame:
         report.provenance["per_frame_ause"] = per_frame_class_ause(
-            manifest, manifest.catalog, config, measures=measures
+            split, config=config, measures=measures
         )
     out_dir = Path(args.out_dir or ".")
     formats = ("json", "csv") if args.format == "both" else (args.format,)
@@ -111,26 +115,13 @@ def _cmd_curves(args) -> int:
     manifest = container_io.read_manifest(args.manifest)
     config = _resolved_config(manifest, args)
     measure = _MEASURE_FLAGS[args.measure]
-    catalog = manifest.catalog
-    class_index = catalog.index_of(args.class_name)
-
-    # pool the split exactly like evaluate does, then keep one class
-    from .pipeline import _reduce_frame
-
-    reduced = [
-        _reduce_frame(src, i, catalog, config) for i, src in enumerate(manifest.frames)
-    ]
-    gt = LabelArray(np.concatenate([item[1] for item in reduced]))
-    pred = LabelArray(np.concatenate([item[2] for item in reduced]))
-    column = 3 if measure == "max_softmax" else 4
-    conf = ConfidenceVector(
-        measure, np.concatenate([item[column] for item in reduced])
-    )
+    class_index = manifest.catalog.index_of(args.class_name)
+    split = pool_split(manifest, config=config, measures=(measure,), threads=args.threads)
     pair = curve_pair(
-        pred,
-        gt,
-        conf,
-        catalog,
+        split.pred,
+        split.gt,
+        split.confidences[measure],
+        split.catalog,
         class_index,
         FractionGrid(config.grid_steps),
         tie_break=config.tie_break,
@@ -212,16 +203,10 @@ def _cmd_synth(args) -> int:
 def _cmd_ece(args) -> int:
     manifest = container_io.read_manifest(args.manifest)
     config = _resolved_config(manifest, args)
-    from .pipeline import _reduce_frame, binned_ece
-
-    reduced = [
-        _reduce_frame(src, i, manifest.catalog, config)
-        for i, src in enumerate(manifest.frames)
-    ]
-    gt = np.concatenate([item[1] for item in reduced])
-    pred = np.concatenate([item[2] for item in reduced])
-    scores = np.concatenate([item[3] for item in reduced])
-    print(repr(binned_ece(scores, pred == gt, config.ece_bins)))
+    split = pool_split(
+        manifest, config=config, measures=("max_softmax",), threads=args.threads
+    )
+    print(repr(split.ece(config.ece_bins)))
     return EXIT_OK
 
 

@@ -5,7 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, LabelOutOfRange, NotADistribution, UnknownClass
+from .errors import (
+    DimensionMismatch,
+    LabelOutOfRange,
+    NonFiniteInput,
+    NotADistribution,
+    UnknownClass,
+)
 
 ROW_SUM_TOL = 1e-5
 DEFAULT_IGNORE_INDEX = 255
@@ -115,8 +121,13 @@ class ConfidenceVector:
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("confidence scores must be one-dimensional")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("confidence scores must stay within [0, 1]")
+        if arr.size:
+            # min and max propagate NaN, so one pair of scans covers both checks
+            lo, hi = arr.min(), arr.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise NonFiniteInput("confidence scores contain NaN or infinite entries")
+            if lo < 0.0 or hi > 1.0:
+                raise ValueError("confidence scores must stay within [0, 1]")
         object.__setattr__(self, "scores", arr)
 
     def __len__(self) -> int:

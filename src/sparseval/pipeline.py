@@ -7,9 +7,10 @@ which makes the result independent of how the split is partitioned.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,7 +33,14 @@ from .core import (
     validate_inputs,
 )
 from .errors import AllClassesFiltered, EmptySplit, SparsevalError
-from .segmetrics import confusion, iou, merge, miou, miou_with_absent_as_zero
+from .segmetrics import (
+    ConfusionMatrix,
+    confusion,
+    iou,
+    merge,
+    miou,
+    miou_with_absent_as_zero,
+)
 from .sparsification import ause, class_curves_by_measure
 
 
@@ -110,48 +118,112 @@ class ScatterExport:
     points: dict[str, list[tuple[str, float, float]]]
 
 
-def _frame_sources(dataset) -> list:
-    frames = getattr(dataset, "frames", None)
-    sources = list(frames) if frames is not None else list(dataset)
-    if not sources:
-        raise EmptySplit("the dataset references no frames")
-    return sources
+@dataclass(frozen=True)
+class PooledSplit:
+    """Every frame of a split reduced once into one point set, ignored points
+    dropped; built by ``pool_split``. Frame ``i`` owns the points
+    ``offsets[i]:offsets[i + 1]``. ``confidences`` has one vector per requested
+    measure and always max-softmax, which the ECE baseline bins."""
+
+    catalog: ClassCatalog
+    gt: LabelArray
+    pred: LabelArray
+    confidences: dict[str, ConfidenceVector]
+    counts: ConfusionMatrix
+    frames: tuple[dict, ...]
+    offsets: tuple[int, ...]
+
+    def ece(self, bins: int) -> float:
+        """Binned calibration error of the pooled max-softmax confidence."""
+        correct = self.pred.values == self.gt.values
+        return binned_ece(self.confidences["max_softmax"].scores, correct, bins)
 
 
-def _frame_name(source, index: int) -> str:
-    return getattr(source, "name", None) or f"frame_{index:04d}"
-
-
-def _reduce_frame(source, index: int, catalog: ClassCatalog, config: EvalConfig):
-    """Load one frame and collapse it to pooled per-point columns."""
-    name = _frame_name(source, index)
+def _reduce_frame(source, index, catalog, config, measures):
+    """Load one frame; return its confusion, non-ignored columns and provenance."""
+    name = getattr(source, "name", None) or f"frame_{index:04d}"
     try:
         payload, labels = source.load()
-        if isinstance(payload, LogitTensor):
-            if payload.stddev is not None:
-                samples = int(getattr(source, "samples", 1))
-                stack = sample_probabilistic_logits(
-                    payload, samples, seed=derive_stream_seed(config.rng_seed, index)
-                )
-                stack = aggregate_samples(stack)
-            else:
-                stack = softmax(payload)
-        else:
-            stack = aggregate_samples(payload)
+        if isinstance(payload, LogitTensor) and payload.stddev is not None:
+            samples = int(getattr(source, "samples", 1))
+            seed = derive_stream_seed(config.rng_seed, index)
+            payload = sample_probabilistic_logits(payload, samples, seed=seed)
+        elif isinstance(payload, LogitTensor):
+            payload = softmax(payload)
+        stack = aggregate_samples(payload)
         validate_inputs(stack, labels, catalog)
         conf_sm, pred = max_softmax_confidence(stack)
-        conf_ent = entropy_confidence(stack)
+        scores = {"max_softmax": conf_sm}
+        if "neg_entropy" in measures:
+            scores["neg_entropy"] = entropy_confidence(stack)
         counts = confusion(pred, labels, catalog)
     except SparsevalError as exc:
         raise type(exc)(f"frame {index} ({name}): {exc}") from exc
     keep = labels.values != catalog.ignore_index
-    return (
-        counts,
-        labels.values[keep].astype(np.int64),
-        pred.values[keep],
-        conf_sm.scores[keep],
-        conf_ent.scores[keep],
-        {"name": name, "digest": source.digest()},
+    columns = {"gt": labels.values[keep].astype(np.int64), "pred": pred.values[keep]}
+    columns.update((m, conf.scores[keep]) for m, conf in scores.items())
+    return counts, columns, {"name": name, "digest": source.digest()}
+
+
+def pool_split(
+    dataset,
+    catalog: ClassCatalog | None = None,
+    config: EvalConfig | None = None,
+    *,
+    measures: tuple[str, ...] = MEASURES,
+    threads: int = 1,
+) -> PooledSplit:
+    """Reduce every frame of a split and pool the results into one point set.
+
+    ``dataset`` is a manifest, any iterable of frame sources (objects with
+    ``load()`` and ``digest()``), or an already pooled split, which is
+    returned unchanged. Frames are reduced on ``threads`` workers; the
+    result does not depend on the count. ``config`` supplies the seed of
+    logit sampling.
+    """
+    for m in measures:
+        if m not in MEASURES:
+            raise ValueError(f"unknown confidence measure {m!r}")
+    if isinstance(dataset, PooledSplit):
+        missing = set(measures) - set(dataset.confidences)
+        if missing:
+            raise ValueError(f"the pooled split lacks measures {sorted(missing)}")
+        return dataset
+    sources = list(getattr(dataset, "frames", dataset))
+    if not sources:
+        raise EmptySplit("the dataset references no frames")
+    catalog = catalog or getattr(dataset, "catalog", None)
+    if catalog is None:
+        raise ValueError("a class catalog is required")
+    config = config or EvalConfig()
+
+    def reduce_one(index):
+        return _reduce_frame(sources[index], index, catalog, config, measures)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            reduced = list(pool.map(reduce_one, range(len(sources))))
+    else:
+        reduced = [reduce_one(i) for i in range(len(sources))]
+
+    counts, columns, infos = zip(*reduced)
+    sizes = [frame["gt"].size for frame in columns]
+    if sum(sizes) == 0:
+        raise EmptySplit("all points in the split carry the ignore label")
+    # each frame's column is dropped as soon as it is pooled, so the split
+    # owns the only copy of the points before the curves run
+    pooled = {
+        key: np.concatenate([frame.pop(key) for frame in columns])
+        for key in list(columns[0])
+    }
+    return PooledSplit(
+        catalog=catalog,
+        gt=LabelArray(pooled.pop("gt")),
+        pred=LabelArray(pooled.pop("pred")),
+        confidences={m: ConfidenceVector(m, scores) for m, scores in pooled.items()},
+        counts=functools.reduce(merge, counts),
+        frames=infos,
+        offsets=tuple(np.cumsum([0] + sizes).tolist()),
     )
 
 
@@ -240,56 +312,19 @@ def evaluate_split(
 ) -> EvalReport:
     """Evaluate a whole validation split into one report.
 
-    ``dataset`` is a manifest or any iterable of frame sources (objects with
-    ``load()`` and ``digest()``). All frames are pooled, ignored points are
-    dropped, and IoU, per-class AUSE under each measure, both mIoU
-    conventions, the ECE baseline, and the outlier filter are computed.
-    Deterministic for a given frame order and config, whatever ``threads`` is.
+    ``dataset`` is anything ``pool_split`` accepts. All frames are pooled,
+    ignored points are dropped, and IoU, per-class AUSE under each measure,
+    both mIoU conventions, the ECE baseline, and the outlier filter are
+    computed. Deterministic for a given frame order and config, whatever
+    ``threads`` is. A pooled split is used as built, so pass the config it
+    was pooled with.
     """
-    sources = _frame_sources(dataset)
-    if catalog is None:
-        catalog = getattr(dataset, "catalog", None)
-    if catalog is None:
-        raise ValueError("a class catalog is required")
+    split = pool_split(dataset, catalog, config, measures=measures, threads=threads)
+    catalog = split.catalog
     config = config or EvalConfig()
-    for m in measures:
-        if m not in MEASURES:
-            raise ValueError(f"unknown confidence measure {m!r}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reduced = list(
-                pool.map(
-                    lambda pair: _reduce_frame(pair[1], pair[0], catalog, config),
-                    enumerate(sources),
-                )
-            )
-    else:
-        reduced = [
-            _reduce_frame(src, i, catalog, config) for i, src in enumerate(sources)
-        ]
-
-    counts = reduced[0][0]
-    for item in reduced[1:]:
-        counts = merge(counts, item[0])
-
-    gt_values = np.concatenate([item[1] for item in reduced])
-    if gt_values.size == 0:
-        raise EmptySplit("all points in the split carry the ignore label")
-    gt_pool = LabelArray(gt_values)
-    pred_pool = LabelArray(np.concatenate([item[2] for item in reduced]))
-    confs: dict[str, ConfidenceVector] = {}
-    if "max_softmax" in measures:
-        confs["max_softmax"] = ConfidenceVector(
-            "max_softmax", np.concatenate([item[3] for item in reduced])
-        )
-    if "neg_entropy" in measures:
-        confs["neg_entropy"] = ConfidenceVector(
-            "neg_entropy", np.concatenate([item[4] for item in reduced])
-        )
-
-    iou_vec = iou(counts)
-    curve_sets = class_curves_by_measure(pred_pool, gt_pool, confs, catalog, config)
+    confs = {m: split.confidences[m] for m in measures}
+    iou_vec = iou(split.counts)
+    curve_sets = class_curves_by_measure(split.pred, split.gt, confs, catalog, config)
 
     rows: list[ClassRow] = []
     for class_index, name in enumerate(catalog.names):
@@ -310,13 +345,6 @@ def evaluate_split(
         vals = [row.ause[m] for row in rows if row.ause[m] is not None]
         overall[m] = float(np.mean(vals)) if vals else None
 
-    # the ECE baseline always bins the max-softmax confidence, whatever
-    # measures were requested for the curves
-    sm_scores = np.concatenate([item[3] for item in reduced])
-    ece_val = binned_ece(
-        sm_scores, pred_pool.values == gt_pool.values, config.ece_bins
-    )
-
     try:
         miou_present = miou(iou_vec)
     except SparsevalError:
@@ -331,21 +359,14 @@ def evaluate_split(
         filtered_ause={m: None for m in measures},
         miou_present=miou_present,
         miou_all_classes=miou_with_absent_as_zero(iou_vec),
-        ece=ece_val,
+        ece=split.ece(config.ece_bins),
         filter_threshold=config.iou_filter_threshold,
-        confusion_counts=[[int(v) for v in row] for row in counts.counts],
+        confusion_counts=[[int(v) for v in row] for row in split.counts.counts],
         provenance={
-            "config": {
-                "grid_steps": config.grid_steps,
-                "iou_filter_threshold": config.iou_filter_threshold,
-                "ece_bins": config.ece_bins,
-                "tie_break": config.tie_break,
-                "rng_seed": config.rng_seed,
-                "ranking_domain": config.ranking_domain,
-            },
+            "config": asdict(config),
             "catalog": {"names": list(catalog.names), "ignore_index": catalog.ignore_index},
-            "frames": [item[5] for item in reduced],
-            "points_evaluated": int(len(gt_pool)),
+            "frames": list(split.frames),
+            "points_evaluated": len(split.gt),
         },
     )
     try:
@@ -363,32 +384,23 @@ def per_frame_class_ause(
     *,
     measures: tuple[str, ...] = MEASURES,
 ) -> list[dict]:
-    """Diagnostic per-frame AUSE values; not part of the headline numbers."""
-    sources = _frame_sources(dataset)
-    if catalog is None:
-        catalog = getattr(dataset, "catalog", None)
-    if catalog is None:
-        raise ValueError("a class catalog is required")
+    """Diagnostic per-frame AUSE values, each frame ranked on its own slice of
+    the pooled split; not part of the headline numbers."""
+    split = pool_split(dataset, catalog, config, measures=measures)
     config = config or EvalConfig()
     out = []
-    for index, source in enumerate(sources):
-        item = _reduce_frame(source, index, catalog, config)
-        _, gt_vals, pred_vals, sm, ent, info = item
-        if gt_vals.size == 0:
-            out.append({"frame": info["name"], "ause": {m: {} for m in measures}})
-            continue
-        gt_arr = LabelArray(gt_vals)
-        pred_arr = LabelArray(pred_vals)
-        confs = {}
-        if "max_softmax" in measures:
-            confs["max_softmax"] = ConfidenceVector("max_softmax", sm)
-        if "neg_entropy" in measures:
-            confs["neg_entropy"] = ConfidenceVector("neg_entropy", ent)
-        curve_sets = class_curves_by_measure(pred_arr, gt_arr, confs, catalog, config)
-        per_measure: dict[str, dict[str, float | None]] = {m: {} for m in confs}
-        for class_index, name in enumerate(catalog.names):
-            pairs = curve_sets[class_index]
-            for m in confs:
-                per_measure[m][name] = None if pairs is None else ause(pairs[m])
+    for info, lo, hi in zip(split.frames, split.offsets, split.offsets[1:]):
+        per_measure: dict[str, dict[str, float | None]] = {m: {} for m in measures}
+        if hi > lo:
+            confs = {
+                m: ConfidenceVector(m, split.confidences[m].scores[lo:hi])
+                for m in measures
+            }
+            gt = LabelArray(split.gt.values[lo:hi])
+            pred = LabelArray(split.pred.values[lo:hi])
+            curve_sets = class_curves_by_measure(pred, gt, confs, split.catalog, config)
+            for name, pairs in zip(split.catalog.names, curve_sets):
+                for m in measures:
+                    per_measure[m][name] = None if pairs is None else ause(pairs[m])
         out.append({"frame": info["name"], "ause": per_measure})
     return out

@@ -117,10 +117,13 @@ def _errors_over_removals(
     removed = grid.removal_counts(tp.size)
     cum_tp = np.concatenate(([0], np.cumsum(tp, dtype=np.int64)))
     cum_err = np.concatenate(([0], np.cumsum(err, dtype=np.int64)))
-    rem_tp = cum_tp[-1] - cum_tp[removed]
-    rem_err = cum_err[-1] - cum_err[removed]
+    return _remaining_error(cum_tp[-1] - cum_tp[removed], cum_err[-1] - cum_err[removed])
+
+
+def _remaining_error(rem_tp: np.ndarray, rem_err: np.ndarray) -> np.ndarray:
+    """IoU error err / (tp + err) of the points left at each grid step."""
     denom = rem_tp + rem_err
-    errors = np.zeros(removed.size, dtype=np.float64)
+    errors = np.zeros(denom.size, dtype=np.float64)
     live = denom > 0
     # err/(tp+err) rather than 1 - tp/(tp+err): one rounding, and rounding is
     # monotone, so oracle dominance holds exactly in floating point
@@ -193,12 +196,12 @@ def oracle_curve(
     """Error curve under the best possible order: incorrect points first."""
     domain = _ranking_indices(pred, gt, catalog, class_index, ranking_domain)
     tp, err = _class_flags(pred, gt, catalog, class_index, domain)
-    # errors, then points irrelevant to the class, then true positives
-    group = np.full(domain.size, 1, dtype=np.int64)
-    group[err] = 0
-    group[tp] = 2
-    order = np.argsort(group, kind="stable")
-    return _errors_over_removals(tp[order], err[order], grid)
+    n, n_tp, n_err = domain.size, np.count_nonzero(tp), np.count_nonzero(err)
+    removed = grid.removal_counts(n)
+    # errors go first, then points irrelevant to the class, then true positives
+    return _remaining_error(
+        n_tp - np.maximum(0, removed - (n - n_tp)), n_err - np.minimum(removed, n_err)
+    )
 
 
 def curve_pair(

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from sparseval import TensorContainer, write_tensor
+from sparseval import TensorContainer, io, write_tensor
 from sparseval.cli import main
 
 
@@ -128,12 +129,20 @@ def test_thread_flag_never_changes_outputs(tmp_path):
         assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
 
-def test_evaluate_per_frame_diagnostics(tmp_path):
+def test_evaluate_per_frame_diagnostics(tmp_path, monkeypatch):
     spec_path = write_spec(tmp_path)
     data_dir = tmp_path / "data"
     run_cli(
         "synth", "--spec", str(spec_path), "--out-dir", str(data_dir), "--frames", "3"
     )
+    loads = []
+    original = io.load_frame
+
+    def counting_load(entry):
+        loads.append(entry.name)
+        return original(entry)
+
+    monkeypatch.setattr(io, "load_frame", counting_load)
     out = tmp_path / "out"
     code = run_cli(
         "evaluate",
@@ -148,6 +157,7 @@ def test_evaluate_per_frame_diagnostics(tmp_path):
     assert code == 0
     payload = json.loads((out / "report.json").read_text())
     assert len(payload["provenance"]["per_frame_ause"]) == 3
+    assert sorted(loads) == [f"frame_{i:04d}.probs.spt" for i in range(3)]
 
 
 def hand_instance_manifest(tmp_path):
@@ -264,6 +274,32 @@ def test_inspect_tensor_and_manifest(tmp_path, capsys):
 def test_usage_error_exits_one():
     assert run_cli("evaluate", "--no-such-flag") == 1
     assert run_cli() == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves", "ece"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_is_usage_error(tmp_path, capsys, command, threads):
+    extra = ["--class", "road"] if command == "curves" else []
+    argv = [command, "--manifest", str(tmp_path / "m.txt"), "--threads", threads]
+    assert run_cli(*argv, *extra) == 1
+    assert "usage error: argument --threads: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves", "ece"])
+def test_all_ignored_split_is_input_error(tmp_path, capsys, command):
+    manifest = hand_instance_manifest(tmp_path)
+    write_tensor(
+        TensorContainer.from_array(np.full(4, 255, dtype=np.uint8)),
+        tmp_path / "f.labels.spt",
+    )
+    extra = {
+        "evaluate": ["--out-dir", str(tmp_path / "out")],
+        "curves": ["--class", "zero"],
+        "ece": [],
+    }[command]
+    assert run_cli(command, "--manifest", str(manifest), *extra) == 2
+    assert "EmptySplit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_corrupt_tensor_is_input_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from sparseval import (
 from sparseval.errors import (
     DimensionMismatch,
     LabelOutOfRange,
+    NonFiniteInput,
     NotADistribution,
     UnknownClass,
 )
@@ -110,6 +111,9 @@ def test_confidence_vector_range():
         ConfidenceVector("max_softmax", np.array([1.2]))
     with pytest.raises(ValueError):
         ConfidenceVector("nonsense", np.array([0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            ConfidenceVector("max_softmax", np.array([0.5, bad, 0.2]))
 
 
 def test_config_invariants():

@@ -106,8 +106,29 @@ def test_split_invariance_over_frame_partitions():
     assert a.miou_present == b.miou_present
 
 
-def test_thread_count_does_not_change_results():
-    frames, catalog, _, _ = scenario_frames(parts=7)
+def logit_frames(parts=5, n=1500, samples=4):
+    rng = np.random.default_rng(4)
+    gt = rng.integers(0, 3, size=n)
+    values = rng.normal(size=(n, 3)) + 2.0 * np.eye(3)[gt]
+    stddev = rng.uniform(0.1, 1.0, size=(n, 3))
+    bounds = [(n * i) // parts for i in range(parts + 1)]
+    frames = [
+        ArrayFrame(
+            LabelArray(gt[lo:hi]),
+            logits=LogitTensor(values[lo:hi], stddev[lo:hi]),
+            samples=samples,
+            name=f"part{i}",
+        )
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    return frames, ClassCatalog(("a", "b", "c"))
+
+
+@pytest.mark.parametrize(
+    "make_frames", [lambda: scenario_frames(parts=7)[:2], logit_frames], ids=["probs", "logits"]
+)
+def test_thread_count_does_not_change_results(make_frames):
+    frames, catalog = make_frames()
     serial = evaluate_split(frames, catalog, threads=1)
     threaded = evaluate_split(frames, catalog, threads=4)
     assert strip_provenance(serial) == strip_provenance(threaded)
@@ -170,6 +191,8 @@ def test_empty_split_errors():
     )
     with pytest.raises(EmptySplit):
         evaluate_split([all_ignored], ClassCatalog(("a", "b")))
+    with pytest.raises(EmptySplit):
+        per_frame_class_ause([all_ignored], ClassCatalog(("a", "b")))
 
 
 def test_filter_marks_and_aggregates():
@@ -271,6 +294,8 @@ def test_per_frame_diagnostics():
     frames, catalog, _, _ = scenario_frames(parts=4)
     diag = per_frame_class_ause(frames, catalog)
     assert len(diag) == 4
-    for entry in diag:
+    for frame, entry in zip(frames, diag):
         assert set(entry["ause"]) == {"max_softmax", "neg_entropy"}
-        assert set(entry["ause"]["max_softmax"]) == set(catalog.names)
+        alone = evaluate_split([frame], catalog)
+        for m, by_class in entry["ause"].items():
+            assert by_class == {row.name: row.ause[m] for row in alone.rows}
