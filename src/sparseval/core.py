@@ -20,7 +20,7 @@ MEASURES = ("max_softmax", "neg_entropy")
 TIE_BREAKS = ("stable_index", "seeded_random")
 RANKING_DOMAINS = ("subset", "global")
 
-_SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
+SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 # points per block when scanning large stacks
 _VALIDATE_CHUNK = 1 << 20
@@ -161,7 +161,7 @@ class EvalConfig:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
         if self.ranking_domain not in RANKING_DOMAINS:
             raise ValueError(f"ranking_domain must be one of {RANKING_DOMAINS}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed) & _SEED_MASK)
+        object.__setattr__(self, "rng_seed", int(self.rng_seed) & SEED_MASK)
 
 
 @dataclass(frozen=True)

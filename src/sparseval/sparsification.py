@@ -6,9 +6,17 @@ order of increasing confidence, and after each removal step the remaining
 IoU_c error (1 - IoU_c) is recorded. The oracle curve removes the incorrect
 points first, which is the best possible order, so the area between the two
 curves measures how close the confidence ranking comes to ground truth.
+
+One engine computes every curve. It drops ignored points once and sorts
+each confidence measure once, stably, over all remaining points. Each class
+then reads its relevant points, already in ranking order, from the labels
+gathered into that order: restricting the one order to a class is the same
+as sorting the class on its own. The oracle curve is closed-form in the
+class's true-positive and error counts, so it needs no sort.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,7 @@ from .core import (
     LabelArray,
     ProbabilityStack,
     RANKING_DOMAINS,
+    SEED_MASK,
     TIE_BREAKS,
     validate_inputs,
 )
@@ -98,26 +107,16 @@ def relevant_subset(
     return np.flatnonzero(mask)
 
 
-def _class_flags(
-    pred: LabelArray, gt: LabelArray, catalog: ClassCatalog, class_index: int, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(is_tp, is_error) for class_index over the points listed in idx."""
-    g = gt.values[idx]
-    p = pred.values[idx]
-    relevant = (g != catalog.ignore_index) & ((g == class_index) | (p == class_index))
-    tp = relevant & (g == p)
-    err = relevant & (g != p)
-    return tp, err
+def _errors_over_removals(tp: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Remaining-IoU error after removing each count of ranked relevant points.
 
-
-def _errors_over_removals(
-    tp: np.ndarray, err: np.ndarray, grid: FractionGrid
-) -> np.ndarray:
-    """Remaining-IoU error after removing each grid prefix of the given order."""
-    removed = grid.removal_counts(tp.size)
+    ``tp`` flags the class's relevant points in ranking order (every other
+    relevant point is an error); ``removed`` holds how many of them are gone
+    at each grid step.
+    """
     cum_tp = np.concatenate(([0], np.cumsum(tp, dtype=np.int64)))
-    cum_err = np.concatenate(([0], np.cumsum(err, dtype=np.int64)))
-    return _remaining_error(cum_tp[-1] - cum_tp[removed], cum_err[-1] - cum_err[removed])
+    n_tp, removed_tp = cum_tp[-1], cum_tp[removed]
+    return _remaining_error(n_tp - removed_tp, (tp.size - n_tp) - (removed - removed_tp))
 
 
 def _remaining_error(rem_tp: np.ndarray, rem_err: np.ndarray) -> np.ndarray:
@@ -131,23 +130,164 @@ def _remaining_error(rem_tp: np.ndarray, rem_err: np.ndarray) -> np.ndarray:
     return errors
 
 
-def _ranking_indices(
+def _oracle_error(n: int, n_tp: int, n_err: int, grid: FractionGrid) -> np.ndarray:
+    """Error curve over a domain of n points when the best order removes them."""
+    removed = grid.removal_counts(n)
+    # errors go first, then points irrelevant to the class, then true positives
+    return _remaining_error(
+        n_tp - np.maximum(0, removed - (n - n_tp)), n_err - np.minimum(removed, n_err)
+    )
+
+
+# ranked positions per block when neighbouring scores are compared for ties
+_TIE_BLOCK = 1 << 16
+
+
+def _stable_order(scores: np.ndarray) -> np.ndarray:
+    """``np.argsort(scores, kind="stable")`` for NaN-free scores, bit for bit.
+
+    numpy's default argsort is a SIMD sort several times faster than the
+    stable one, but it leaves equal scores in arbitrary order. Each run of
+    equal scores is put back in point-index order by one sort of
+    ``run * n + index`` keys over the tied positions only.
+    """
+    n = scores.size
+    order = np.argsort(scores)
+    if n < 2:
+        return order
+    # tied[i]: ranked positions i and i + 1 hold equal scores (-0.0 == 0.0);
+    # comparing block by block never holds a ranked copy of all the scores
+    tied = np.empty(n - 1, dtype=bool)
+    for lo in range(0, n - 1, _TIE_BLOCK):
+        block = scores[order[lo : lo + _TIE_BLOCK + 1]]
+        np.equal(block[1:], block[:-1], out=tied[lo : lo + _TIE_BLOCK])
+    in_run = np.zeros(n, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    pos = np.flatnonzero(in_run)
+    del in_run
+    if pos.size == 0:
+        return order
+    opens = np.ones(pos.size, dtype=bool)
+    opens[1:] = ~tied[pos[1:] - 1]
+    del tied
+    keys = np.cumsum(opens, dtype=np.int64)
+    del opens
+    keys *= n
+    keys += order[pos]
+    keys.sort()
+    np.remainder(keys, n, out=keys)
+    order[pos] = keys
+    return order
+
+
+def _label_codes(values: np.ndarray, keep: np.ndarray | None, k: int) -> np.ndarray:
+    """Labels of the kept points in the smallest unsigned type that holds k.
+
+    Labels that type cannot hold, negative or too large, are left in their
+    own type, so every comparison with a class index stays exact.
+    """
+    if keep is not None:
+        values = values[keep]
+    dtype = np.min_scalar_type(k)
+    if values.size and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
+        return values
+    return values.astype(dtype, copy=False)
+
+
+def _class_curves(
     pred: LabelArray,
     gt: LabelArray,
+    confs: dict[str, ConfidenceVector],
     catalog: ClassCatalog,
-    class_index: int,
-    ranking_domain: str,
-) -> np.ndarray:
+    grid: FractionGrid,
+    classes: Sequence[int],
+    *,
+    tie_break: str = "stable_index",
+    seed: int = 0,
+    ranking_domain: str = "subset",
+) -> list[tuple[int, np.ndarray, dict[str, np.ndarray]] | None]:
+    """(relevant count, oracle error, {measure: sparsification error}) per class.
+
+    The single curve engine behind every public entry point; a class with
+    no relevant point gives None. Memory beyond the inputs stays near one
+    int64 ranking plus a few one-byte columns: labels are cast to the
+    smallest type holding k, and each ranking is dropped once its labels
+    are gathered.
+    """
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     if ranking_domain not in RANKING_DOMAINS:
         raise ValueError(f"ranking_domain must be one of {RANKING_DOMAINS}")
-    rel = relevant_subset(pred, gt, catalog, class_index)
-    if rel.size == 0:
-        raise EmptySubset(
-            f"class {class_index} has no ground-truth or predicted points"
+    if len(pred) != len(gt):
+        raise DimensionMismatch(
+            f"predictions cover {len(pred)} points but labels cover {len(gt)}"
         )
-    if ranking_domain == "subset":
-        return rel
-    return np.flatnonzero(gt.values != catalog.ignore_index)
+    for conf in confs.values():
+        if len(conf) != len(gt):
+            raise DimensionMismatch(
+                f"confidence covers {len(conf)} points but labels cover {len(gt)}"
+            )
+    keep = gt.values != catalog.ignore_index
+    keep = None if keep.all() else keep
+    g = _label_codes(gt.values, keep, catalog.k)
+    p = _label_codes(pred.values, keep, catalog.k)
+    n = g.size
+    same = g == p
+    counts = []  # (relevant points, true positives) per class
+    for c in classes:
+        of_c = g == c
+        counts.append(
+            (int(np.count_nonzero(of_c | (p == c))), int(np.count_nonzero(of_c & same)))
+        )
+    del same
+    perm = None
+    if tie_break == "seeded_random":
+        # one shuffle of the whole ranking domain, shared by every class and
+        # measure; restricted to one class it is a uniform shuffle of that class
+        perm = np.random.default_rng(int(seed) & SEED_MASK).permutation(n)
+    spars = [{} for _ in counts]
+    for measure, conf in confs.items():
+        scores = conf.scores if keep is None else conf.scores[keep]
+        order = _stable_order(scores) if perm is None else perm[_stable_order(scores[perm])]
+        del scores
+        ranked_g, ranked_p = g[order], p[order]
+        del order
+        for curves, c, (n_rel, _) in zip(spars, classes, counts):
+            if n_rel == 0:
+                continue
+            # the class's relevant points, as positions in the ranking
+            pos = np.flatnonzero((ranked_g == c) | (ranked_p == c))
+            if ranking_domain == "subset":
+                removed = grid.removal_counts(n_rel)
+            else:
+                # a cut after r ranked points removes the class points before r
+                removed = np.searchsorted(pos, grid.removal_counts(n))
+            curves[measure] = _errors_over_removals(ranked_g[pos] == ranked_p[pos], removed)
+    out = []
+    for curves, (n_rel, n_tp) in zip(spars, counts):
+        if n_rel == 0:
+            out.append(None)
+            continue
+        domain = n_rel if ranking_domain == "subset" else n
+        out.append((n_rel, _oracle_error(domain, n_tp, n_rel - n_tp, grid), curves))
+    return out
+
+
+def _single_class(
+    pred: LabelArray,
+    gt: LabelArray,
+    confs: dict[str, ConfidenceVector],
+    catalog: ClassCatalog,
+    class_index: int,
+    grid: FractionGrid,
+    **ranking,
+) -> tuple[int, np.ndarray, dict[str, np.ndarray]]:
+    """The engine's result for one class; EmptySubset if it has no points."""
+    curves = _class_curves(pred, gt, confs, catalog, grid, (class_index,), **ranking)[0]
+    if curves is None:
+        raise EmptySubset(f"class {class_index} has no ground-truth or predicted points")
+    return curves
 
 
 def sparsification_curve(
@@ -166,22 +306,24 @@ def sparsification_curve(
 
     Depends on the ranking only: any strictly increasing transform of the
     scores leaves the curve unchanged. Ties keep point-index order by
-    default; "seeded_random" shuffles the ranked points before the stable
-    sort so tie-induced bias can be measured.
+    default. "seeded_random" shuffles all non-ignored points with one
+    permutation drawn from ``seed`` (masked to 64 bits, as
+    ``EvalConfig.rng_seed`` is) before the stable sort, so tie-induced bias
+    can be measured; every class shares that permutation, which makes this
+    curve equal to the one ``class_curves_by_measure`` gives the class.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    if len(conf) != len(gt):
-        raise DimensionMismatch(
-            f"confidence covers {len(conf)} points but labels cover {len(gt)}"
-        )
-    domain = _ranking_indices(pred, gt, catalog, class_index, ranking_domain)
-    if tie_break == "seeded_random":
-        rng = np.random.default_rng(seed)
-        domain = domain[rng.permutation(domain.size)]
-    order = domain[np.argsort(conf.scores[domain], kind="stable")]
-    tp, err = _class_flags(pred, gt, catalog, class_index, order)
-    return _errors_over_removals(tp, err, grid)
+    _, _, spars = _single_class(
+        pred,
+        gt,
+        {conf.measure: conf},
+        catalog,
+        class_index,
+        grid,
+        tie_break=tie_break,
+        seed=seed,
+        ranking_domain=ranking_domain,
+    )
+    return spars[conf.measure]
 
 
 def oracle_curve(
@@ -194,14 +336,9 @@ def oracle_curve(
     ranking_domain: str = "subset",
 ) -> np.ndarray:
     """Error curve under the best possible order: incorrect points first."""
-    domain = _ranking_indices(pred, gt, catalog, class_index, ranking_domain)
-    tp, err = _class_flags(pred, gt, catalog, class_index, domain)
-    n, n_tp, n_err = domain.size, np.count_nonzero(tp), np.count_nonzero(err)
-    removed = grid.removal_counts(n)
-    # errors go first, then points irrelevant to the class, then true positives
-    return _remaining_error(
-        n_tp - np.maximum(0, removed - (n - n_tp)), n_err - np.minimum(removed, n_err)
-    )
+    return _single_class(
+        pred, gt, {}, catalog, class_index, grid, ranking_domain=ranking_domain
+    )[1]
 
 
 def curve_pair(
@@ -217,10 +354,10 @@ def curve_pair(
     ranking_domain: str = "subset",
 ) -> CurvePair:
     """Both curves of one class over a shared grid."""
-    spars = sparsification_curve(
+    relevant, orac, spars = _single_class(
         pred,
         gt,
-        conf,
+        {conf.measure: conf},
         catalog,
         class_index,
         grid,
@@ -228,11 +365,7 @@ def curve_pair(
         seed=seed,
         ranking_domain=ranking_domain,
     )
-    orac = oracle_curve(
-        pred, gt, catalog, class_index, grid, ranking_domain=ranking_domain
-    )
-    rel = relevant_subset(pred, gt, catalog, class_index)
-    return CurvePair(class_index, grid, spars, orac, int(rel.size))
+    return CurvePair(class_index, grid, spars[conf.measure], orac, relevant)
 
 
 def ause(curves: CurvePair) -> float:
@@ -296,39 +429,31 @@ def class_curves_by_measure(
 ) -> list[dict[str, CurvePair] | None]:
     """CurvePairs for every catalog class under each supplied confidence.
 
-    The oracle curve does not depend on the measure and is computed once per
-    class. Classes with empty relevant subsets yield None.
+    Each measure is ranked once for all classes, and the oracle curve, which
+    does not depend on the measure, once per class. Classes with empty
+    relevant subsets yield None.
     """
     grid = FractionGrid(config.grid_steps)
+    curves = _class_curves(
+        pred,
+        gt,
+        confs,
+        catalog,
+        grid,
+        range(catalog.k),
+        tie_break=config.tie_break,
+        seed=config.rng_seed,
+        ranking_domain=config.ranking_domain,
+    )
     out: list[dict[str, CurvePair] | None] = []
-    for class_index in range(catalog.k):
-        rel = relevant_subset(pred, gt, catalog, class_index)
-        if rel.size == 0:
+    for class_index, found in enumerate(curves):
+        if found is None:
             out.append(None)
             continue
-        orac = oracle_curve(
-            pred,
-            gt,
-            catalog,
-            class_index,
-            grid,
-            ranking_domain=config.ranking_domain,
+        relevant, orac, spars = found
+        out.append(
+            {m: CurvePair(class_index, grid, s, orac, relevant) for m, s in spars.items()}
         )
-        pairs: dict[str, CurvePair] = {}
-        for measure, conf in confs.items():
-            spars = sparsification_curve(
-                pred,
-                gt,
-                conf,
-                catalog,
-                class_index,
-                grid,
-                tie_break=config.tie_break,
-                seed=config.rng_seed,
-                ranking_domain=config.ranking_domain,
-            )
-            pairs[measure] = CurvePair(class_index, grid, spars, orac, int(rel.size))
-        out.append(pairs)
     return out
 
 

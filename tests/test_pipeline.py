@@ -142,6 +142,27 @@ def test_report_is_deterministic():
     assert a == b
 
 
+def test_seeded_random_tie_break_reaches_the_report():
+    # the top probability takes three values, so nearly every point ties
+    rng = np.random.default_rng(4)
+    n, k = 3000, 3
+    gt = rng.integers(0, k, size=n)
+    pred = np.where(rng.random(n) < 0.7, gt, rng.integers(0, k, size=n))
+    top = rng.choice([0.5, 0.7, 0.9], size=n)
+    rows = np.repeat(((1.0 - top) / (k - 1))[:, None], k, axis=1)
+    rows[np.arange(n), pred] = top
+    frames = [ArrayFrame(LabelArray(gt), ProbabilityStack(rows[None]))]
+    catalog = ClassCatalog(("a", "b", "c"))
+
+    def ause_rows(**config):
+        report = evaluate_split(frames, catalog, EvalConfig(**config))
+        return [row.ause for row in report.rows]
+
+    seeded = ause_rows(tie_break="seeded_random", rng_seed=5)
+    assert seeded == ause_rows(tie_break="seeded_random", rng_seed=5)
+    assert seeded != ause_rows(tie_break="stable_index")
+
+
 def test_probability_stack_frames_are_aggregated():
     rng = np.random.default_rng(0)
     raw = rng.random((30, 400, 3)) + 1e-3

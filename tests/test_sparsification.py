@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_error_curve, pattern_instance, random_instance
 from sparseval import (
@@ -20,7 +22,9 @@ from sparseval import (
     relevant_subset,
     sparsification_curve,
 )
-from sparseval.errors import EmptySubset, SubsetTooLarge
+from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
+from sparseval.errors import DimensionMismatch, EmptySubset, SubsetTooLarge
+from sparseval.sparsification import _stable_order, class_curves_by_measure
 
 CAT2 = ClassCatalog(("zero", "one"))
 GRID4 = FractionGrid(4)
@@ -100,7 +104,13 @@ def test_empty_subset_raises():
     with pytest.raises(EmptySubset):
         oracle_curve(pred, gt, CAT2, 0, GRID4)
     with pytest.raises(EmptySubset):
+        curve_pair(pred, gt, conf, CAT2, 0, GRID4)
+    with pytest.raises(EmptySubset):
         brute_force_ause(pred, gt, conf, CAT2, 0)
+    # the whole-catalog entry point reports the empty class as None instead
+    pairs = class_curves_by_measure(pred, gt, {"max_softmax": conf}, CAT2, EvalConfig())
+    assert pairs[0] is None
+    assert pairs[1]["max_softmax"].relevant_count == 2
 
 
 def test_brute_force_size_cap():
@@ -198,6 +208,15 @@ def test_seeded_random_tie_break_is_deterministic():
         for s in range(8)
     }
     assert len(seen) > 1
+    # negative seeds are masked to 64 bits, as EvalConfig.rng_seed is
+    c = sparsification_curve(
+        pred, gt, conf, catalog, 0, GRID4, tie_break="seeded_random", seed=-1
+    )
+    d = sparsification_curve(
+        pred, gt, conf, catalog, 0, GRID4, tie_break="seeded_random", seed=2**64 - 1
+    )
+    assert np.array_equal(c, d)
+    assert EvalConfig(rng_seed=-1).rng_seed == 2**64 - 1
 
 
 def test_removal_direction_on_counts():
@@ -295,3 +314,179 @@ def test_per_class_ause_requires_single_sample():
     probs = ProbabilityStack(np.full((2, 2, 2), 0.5))
     with pytest.raises(ValueError):
         per_class_ause(probs, LabelArray(np.array([0, 1])), CAT2, "max_softmax")
+
+
+def test_curve_inputs_are_checked():
+    pred, gt, conf, catalog = hand_instance()
+    short_conf = ConfidenceVector("max_softmax", conf.scores[:3])
+    short_pred = LabelArray(pred.values[:3])
+    with pytest.raises(DimensionMismatch):
+        sparsification_curve(pred, gt, short_conf, catalog, 0, GRID4)
+    with pytest.raises(DimensionMismatch):
+        curve_pair(pred, gt, short_conf, catalog, 0, GRID4)
+    with pytest.raises(DimensionMismatch):
+        class_curves_by_measure(pred, gt, {"max_softmax": short_conf}, catalog, EvalConfig())
+    with pytest.raises(DimensionMismatch):
+        sparsification_curve(short_pred, gt, conf, catalog, 0, GRID4)
+    with pytest.raises(DimensionMismatch):
+        oracle_curve(short_pred, gt, catalog, 0, GRID4)
+    with pytest.raises(DimensionMismatch):
+        class_curves_by_measure(short_pred, gt, {"max_softmax": conf}, catalog, EvalConfig())
+    with pytest.raises(ValueError, match="tie_break"):
+        sparsification_curve(pred, gt, conf, catalog, 0, GRID4, tie_break="random")
+    with pytest.raises(ValueError, match="tie_break"):
+        curve_pair(pred, gt, conf, catalog, 0, GRID4, tie_break="random")
+    with pytest.raises(ValueError, match="ranking_domain"):
+        sparsification_curve(pred, gt, conf, catalog, 0, GRID4, ranking_domain="frame")
+    with pytest.raises(ValueError, match="ranking_domain"):
+        oracle_curve(pred, gt, catalog, 0, GRID4, ranking_domain="frame")
+
+
+# The per-class path the single engine replaced, kept as the reference for
+# stable_index ties: scan the relevant subset (or take every non-ignored
+# point), stable-sort that domain by confidence, and accumulate TP and error
+# counts over the order. The oracle is sorted too (errors, then irrelevant
+# points, then TPs).
+
+
+def _reference_errors(tp, err, grid):
+    removed = grid.removal_counts(tp.size)
+    cum_tp = np.concatenate(([0], np.cumsum(tp, dtype=np.int64)))
+    cum_err = np.concatenate(([0], np.cumsum(err, dtype=np.int64)))
+    rem_tp = cum_tp[-1] - cum_tp[removed]
+    rem_err = cum_err[-1] - cum_err[removed]
+    denom = rem_tp + rem_err
+    return np.where(denom > 0, rem_err / np.maximum(denom, 1), 0.0)
+
+
+def reference_class_curves(pred, gt, confs, catalog, config):
+    grid = FractionGrid(config.grid_steps)
+    g, p = gt.values, pred.values
+    kept = np.flatnonzero(g != catalog.ignore_index)
+    out = []
+    for c in range(catalog.k):
+        rel = relevant_subset(pred, gt, catalog, c)
+        if rel.size == 0:
+            out.append(None)
+            continue
+        domain = rel if config.ranking_domain == "subset" else kept
+        dg, dp = g[domain], p[domain]
+        relevant = (dg == c) | (dp == c)
+        tp, err = relevant & (dg == dp), relevant & (dg != dp)
+        oracle_order = np.argsort(np.where(err, 0, np.where(tp, 2, 1)), kind="stable")
+        orac = _reference_errors(tp[oracle_order], err[oracle_order], grid)
+        pairs = {}
+        for m, conf in confs.items():
+            order = np.argsort(conf.scores[domain], kind="stable")
+            pairs[m] = (_reference_errors(tp[order], err[order], grid), orac, rel.size)
+        out.append(pairs)
+    return out
+
+
+# few levels, both zeros, and a few free values: most scores tie
+_scores = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def labeled_instances(draw):
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 40))
+    # class 0 may be left out entirely; 255 is the ignore label
+    gt = draw(st.lists(st.integers(1, k - 1) | st.just(255), min_size=n, max_size=n))
+    pred = draw(st.lists(st.integers(1, k - 1), min_size=n, max_size=n))
+    confs = {
+        m: ConfidenceVector(m, np.array(draw(st.lists(_scores, min_size=n, max_size=n))))
+        for m in ("max_softmax", "neg_entropy")
+    }
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    return LabelArray(np.array(pred)), LabelArray(np.array(gt)), confs, catalog
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instance=labeled_instances(),
+    grid_steps=st.integers(2, 30),
+    ranking_domain=st.sampled_from(RANKING_DOMAINS),
+)
+def test_engine_equals_per_class_reference(instance, grid_steps, ranking_domain):
+    pred, gt, confs, catalog = instance
+    config = EvalConfig(grid_steps=grid_steps, ranking_domain=ranking_domain)
+    got = class_curves_by_measure(pred, gt, confs, catalog, config)
+    want = reference_class_curves(pred, gt, confs, catalog, config)
+    assert [c is None for c in got] == [c is None for c in want]
+    assert got[0] is None  # no point has label or prediction 0
+    for pairs, ref in zip(got, want):
+        if pairs is None:
+            continue
+        assert list(pairs) == list(ref)
+        for m, pair in pairs.items():
+            spars, orac, relevant = ref[m]
+            assert pair.sparsification_error.tobytes() == spars.tobytes()
+            assert pair.oracle_error.tobytes() == orac.tobytes()
+            assert pair.relevant_count == relevant
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=labeled_instances())
+def test_engine_equals_brute_force_on_small_subsets(instance):
+    pred, gt, confs, catalog = instance
+    for c in range(catalog.k):
+        relevant = relevant_subset(pred, gt, catalog, c).size
+        if not 2 <= relevant <= 20:
+            continue
+        config = EvalConfig(grid_steps=relevant)
+        pairs = class_curves_by_measure(pred, gt, confs, catalog, config)[c]
+        for m, pair in pairs.items():
+            assert ause(pair) == pytest.approx(
+                brute_force_ause(pred, gt, confs[m], catalog, c), abs=1e-12
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(_scores, min_size=1, max_size=60))
+def test_stable_order_equals_stable_argsort(scores):
+    arr = np.array(scores)
+    assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 3 * (1 << 16) + 7])
+def test_stable_order_edge_shapes(n):
+    rng = np.random.default_rng(n)
+    # all equal, and runs crossing the blocks in which ties are detected
+    for arr in (np.full(n, 0.5), rng.integers(0, 4, size=n) / 4.0, rng.random(n)):
+        assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
+
+
+def tie_heavy_instance(seed=3, n=400, k=4):
+    rng = np.random.default_rng(seed)
+    gt = rng.integers(0, k, size=n)
+    gt[rng.random(n) < 0.1] = 255
+    pred = np.where(rng.random(n) < 0.6, np.clip(gt, 0, k - 1), rng.integers(0, k, size=n))
+    confs = {
+        "max_softmax": ConfidenceVector("max_softmax", rng.integers(0, 5, size=n) / 4.0),
+        "neg_entropy": ConfidenceVector("neg_entropy", rng.integers(0, 3, size=n) / 2.0),
+    }
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    return LabelArray(pred), LabelArray(gt), confs, catalog
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
+def test_single_class_wrappers_match_whole_catalog(tie_break, ranking_domain):
+    pred, gt, confs, catalog = tie_heavy_instance()
+    config = EvalConfig(
+        grid_steps=23, tie_break=tie_break, rng_seed=9, ranking_domain=ranking_domain
+    )
+    grid = FractionGrid(config.grid_steps)
+    ranking = dict(tie_break=tie_break, seed=9, ranking_domain=ranking_domain)
+    every = class_curves_by_measure(pred, gt, confs, catalog, config)
+    for c, pairs in enumerate(every):
+        orac = oracle_curve(pred, gt, catalog, c, grid, ranking_domain=ranking_domain)
+        for m, pair in pairs.items():
+            single = curve_pair(pred, gt, confs[m], catalog, c, grid, **ranking)
+            spars = sparsification_curve(pred, gt, confs[m], catalog, c, grid, **ranking)
+            assert single.sparsification_error.tobytes() == pair.sparsification_error.tobytes()
+            assert spars.tobytes() == pair.sparsification_error.tobytes()
+            assert single.oracle_error.tobytes() == pair.oracle_error.tobytes()
+            assert orac.tobytes() == pair.oracle_error.tobytes()
+            assert single.relevant_count == pair.relevant_count
