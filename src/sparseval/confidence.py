@@ -3,19 +3,26 @@
 Confidence is always computed on an aggregated stack (samples == 1): multi
 sample stacks are averaged into one predictive distribution first, matching
 how ensembles of stochastic forward passes are consumed.
+
+Every score is computed block by block, ``core.BLOCK_POINTS`` points at a
+time: ``predictive_blocks`` yields a frame's predictive distribution in
+blocks (sampled logits are averaged per block, so the full samples x points
+x classes stack is never built), and one block kernel, behind
+``reduce_blocks``, takes each block's argmax, max-softmax and entropy while
+the block is in cache. ``max_softmax_confidence`` and
+``entropy_confidence`` are thin wrappers over it.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import ConfidenceVector, LabelArray, ProbabilityStack
+from .core import BLOCK_POINTS, MEASURES, ConfidenceVector, LabelArray, ProbabilityStack
 from .errors import MissingStddev, NonFiniteInput
-
-_ENTROPY_CHUNK = 1 << 20
 
 # SplitMix64 finalizer constants plus one odd multiplier per index axis;
 # the noise value at (sample, point, class) depends only on the seed and
@@ -62,9 +69,13 @@ class LogitTensor:
 
 
 def _mix64(z: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 finalizer; an array argument is mixed in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_stream_seed(seed: int, stream: int) -> int:
@@ -75,26 +86,33 @@ def derive_stream_seed(seed: int, stream: int) -> int:
     return int(z)
 
 
-def _normal_field(seed: int, samples: int, points: int, classes: int) -> np.ndarray:
-    """Standard-normal noise addressable by (seed, sample, point, class)."""
+def _normal_field(
+    seed: int, samples: int, points: int, classes: int, start: int = 0
+) -> np.ndarray:
+    """Standard-normal noise addressable by (seed, sample, point, class),
+    for the points ``start .. start + points - 1``."""
     with np.errstate(over="ignore"):
         z = _mix64(np.uint64(seed & 0xFFFF_FFFF_FFFF_FFFF) + _GAMMA)
         si = np.arange(samples, dtype=np.uint64).reshape(samples, 1, 1)
-        pi = np.arange(points, dtype=np.uint64).reshape(1, points, 1)
+        pi = np.arange(start, start + points, dtype=np.uint64).reshape(1, points, 1)
         ci = np.arange(classes, dtype=np.uint64).reshape(1, 1, classes)
         z = _mix64(z ^ (si * _AX_SAMPLE + _GAMMA))
         z = _mix64(z ^ (pi * _AX_POINT + _GAMMA))
         z = _mix64(z ^ (ci * _AX_CLASS + _GAMMA))
     # top 53 bits give a uniform draw strictly inside (0, 1)
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return ndtri(u, out=u)
 
 
 def _stabilized_softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=-1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
-    return shifted
+    """Row-wise softmax of a float64 array, computed in place."""
+    values -= values.max(axis=-1, keepdims=True)
+    np.exp(values, out=values)
+    values /= values.sum(axis=-1, keepdims=True)
+    return values
 
 
 def softmax(logits: LogitTensor) -> ProbabilityStack:
@@ -109,6 +127,36 @@ def softmax(logits: LogitTensor) -> ProbabilityStack:
     return ProbabilityStack(_stabilized_softmax(values)[None])
 
 
+def _gaussian_logits(logits: LogitTensor, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checked mean and stddev of logits that are to be sampled."""
+    if logits.stddev is None:
+        raise MissingStddev("probabilistic sampling needs a stddev tensor")
+    if samples < 1:
+        raise ValueError("sample count must be at least 1")
+    mean, scale = logits.values, logits.stddev
+    if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
+        raise NonFiniteInput("logit mean or stddev contains NaN or infinite entries")
+    return mean, scale
+
+
+def _sampled_blocks(
+    mean: np.ndarray, scale: np.ndarray, samples: int, seed: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """softmax(mean + stddev * noise) a block of points at a time.
+
+    Yields ``(start, block)`` in point order, each block a (samples, r,
+    classes) array of about ``BLOCK_POINTS`` rows over all its samples, so
+    that the noise and its temporaries stay in cache.
+    """
+    step = max(1, BLOCK_POINTS // samples)
+    for lo in range(0, mean.shape[0], step):
+        block_mean = mean[lo : lo + step]
+        noise = _normal_field(seed, samples, block_mean.shape[0], mean.shape[1], lo)
+        noise *= scale[lo : lo + step]
+        noise += block_mean
+        yield lo, _stabilized_softmax(noise)
+
+
 def sample_probabilistic_logits(
     logits: LogitTensor, samples: int, seed: int = 0
 ) -> ProbabilityStack:
@@ -117,18 +165,11 @@ def sample_probabilistic_logits(
     Deterministic for a given seed; sample s of point i and class c sees a
     noise value that depends only on (seed, s, i, c).
     """
-    if logits.stddev is None:
-        raise MissingStddev("probabilistic sampling needs a stddev tensor")
-    if samples < 1:
-        raise ValueError("sample count must be at least 1")
-    mean = logits.values.astype(np.float64, copy=False)
-    scale = logits.stddev.astype(np.float64, copy=False)
-    if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
-        raise NonFiniteInput("logit mean or stddev contains NaN or infinite entries")
-    noise = _normal_field(seed, samples, logits.points, logits.classes)
-    noise *= scale[None]
-    noise += mean[None]
-    return ProbabilityStack(_stabilized_softmax(noise))
+    mean, scale = _gaussian_logits(logits, samples)
+    out = np.empty((samples, logits.points, logits.classes))
+    for lo, block in _sampled_blocks(mean, scale, samples, seed):
+        out[:, lo : lo + block.shape[1]] = block
+    return ProbabilityStack(out)
 
 
 def aggregate_samples(stack: ProbabilityStack) -> ProbabilityStack:
@@ -139,10 +180,77 @@ def aggregate_samples(stack: ProbabilityStack) -> ProbabilityStack:
     return ProbabilityStack(mean.astype(stack.data.dtype, copy=False)[None])
 
 
-def _require_aggregated(probs: ProbabilityStack) -> np.ndarray:
+def predictive_blocks(
+    payload: ProbabilityStack | LogitTensor, samples: int = 1, seed: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """A frame's predictive distribution, ``BLOCK_POINTS`` points at a time.
+
+    Yields ``(start, block)`` in point order, each block a (1, r, classes)
+    array. A stack's samples are averaged (``aggregate_samples``) and logits
+    go through ``softmax``. Logits with a stddev are sampled ``samples``
+    times with ``seed``: each block's samples are drawn and averaged in
+    sample order before the next block is drawn, which gives the bits of
+    ``aggregate_samples(sample_probabilistic_logits(...))`` without building
+    the full stack. Input errors raise when this is called, before any
+    block is drawn.
+    """
+    if isinstance(payload, LogitTensor) and payload.stddev is not None:
+        mean, scale = _gaussian_logits(payload, samples)
+        # each block's samples are summed in sample order, as mean(axis=0) sums
+        return (
+            (lo, np.add.reduce(block, axis=0, keepdims=True) / samples)
+            for lo, block in _sampled_blocks(mean, scale, samples, seed)
+        )
+    stack = softmax(payload) if isinstance(payload, LogitTensor) else aggregate_samples(payload)
+    data = stack.data
+    return ((lo, data[:, lo : lo + BLOCK_POINTS]) for lo in range(0, stack.points, BLOCK_POINTS))
+
+
+def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:
+    """Write one block's argmax into ``pred`` and its confidences into ``scores``.
+
+    The kernel of every confidence score. The argmax takes the first
+    maximum, so ties break to the lowest class index, and max-softmax is
+    read at it. Entropy treats 0 * log 0 as 0 by taking the log of 1 there,
+    which is exactly 0.
+    """
+    top = rows.argmax(axis=1)
+    pred[:] = top
+    scores["max_softmax"][:] = rows[np.arange(rows.shape[0]), top]
+    if "neg_entropy" in scores:
+        p = rows.astype(np.float64)
+        logs = np.where(p > 0.0, p, 1.0)
+        np.log(logs, out=logs)
+        entropy = -np.einsum("ij,ij->i", p, logs)
+        out = scores["neg_entropy"]
+        np.subtract(1.0, entropy * (1.0 / math.log(rows.shape[1])), out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+
+
+def reduce_blocks(
+    blocks: Iterable[tuple[int, np.ndarray]],
+    points: int,
+    measures: tuple[str, ...] = ("max_softmax",),
+    label_dtype=np.intp,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Argmax predictions and confidence columns of a blocked stack.
+
+    ``blocks`` yields ``(start, block)`` as ``predictive_blocks`` does, for
+    a stack of ``points`` points. Returns the predictions as ``label_dtype``
+    and a float64 score column per measure: max-softmax always, which the
+    predictions come with, then the other ``measures``.
+    """
+    pred = np.empty(points, dtype=label_dtype)
+    columns = {m: np.empty(points) for m in MEASURES if m == "max_softmax" or m in measures}
+    for lo, block in blocks:
+        hi = lo + block.shape[1]
+        _reduce_block(block[0], pred[lo:hi], {m: col[lo:hi] for m, col in columns.items()})
+    return pred, columns
+
+
+def _require_aggregated(probs: ProbabilityStack) -> None:
     if probs.samples != 1:
         raise ValueError("confidence expects an aggregated stack (samples == 1)")
-    return probs.data[0]
 
 
 def max_softmax_confidence(
@@ -152,10 +260,9 @@ def max_softmax_confidence(
 
     Ties break to the lowest class index so reports are reproducible.
     """
-    rows = _require_aggregated(probs)
-    scores = rows.max(axis=1).astype(np.float64)
-    preds = rows.argmax(axis=1)
-    return ConfidenceVector("max_softmax", scores), LabelArray(preds)
+    _require_aggregated(probs)
+    preds, columns = reduce_blocks(predictive_blocks(probs), probs.points)
+    return ConfidenceVector("max_softmax", columns["max_softmax"]), LabelArray(preds)
 
 
 def entropy_confidence(probs: ProbabilityStack) -> ConfidenceVector:
@@ -164,20 +271,11 @@ def entropy_confidence(probs: ProbabilityStack) -> ConfidenceVector:
     The normalization by the maximum entropy makes the logarithm base cancel;
     0 * log 0 counts as 0.
     """
-    rows = _require_aggregated(probs)
-    n, k = rows.shape
-    if k < 2:
+    _require_aggregated(probs)
+    if probs.classes < 2:
         raise ValueError("entropy confidence needs at least two classes")
-    inv_log_k = 1.0 / math.log(k)
-    scores = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _ENTROPY_CHUNK):
-        block = rows[start : start + _ENTROPY_CHUNK].astype(np.float64, copy=True)
-        logs = np.zeros_like(block)
-        np.log(block, out=logs, where=block > 0.0)
-        entropy = -np.einsum("ij,ij->i", block, logs)
-        scores[start : start + block.shape[0]] = 1.0 - entropy * inv_log_k
-    np.clip(scores, 0.0, 1.0, out=scores)
-    return ConfidenceVector("neg_entropy", scores)
+    _, columns = reduce_blocks(predictive_blocks(probs), probs.points, ("neg_entropy",))
+    return ConfidenceVector("neg_entropy", columns["neg_entropy"])
 
 
 def confidence_for_measure(

@@ -1,6 +1,7 @@
 """Domain types, input validation, and the shared evaluation configuration."""
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,9 @@ RANKING_DOMAINS = ("subset", "global")
 
 SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
-# points per block when scanning large stacks
-_VALIDATE_CHUNK = 1 << 20
+# points per block wherever a stack is scanned or reduced: 2^11 points of 19
+# float64 classes take about 300 KiB, so one block's temporaries stay in cache
+BLOCK_POINTS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -187,18 +189,46 @@ def validate_inputs(
     and dropped later by the metric stages.
     """
     data = probs.data
-    n_samples, n_points, k = data.shape
-    if len(gt) != n_points:
+    blocks = (
+        (start, data[:, start : start + BLOCK_POINTS])
+        for start in range(0, data.shape[1], BLOCK_POINTS)
+    )
+    checked = checked_blocks(
+        blocks, data.shape[1], data.shape[2], gt, catalog, row_sum_tol=row_sum_tol
+    )
+    for _ in checked:
+        pass
+    return EvalBundle(probs, gt, catalog)
+
+
+def checked_blocks(
+    blocks: Iterable[tuple[int, np.ndarray]],
+    points: int,
+    classes: int,
+    gt: LabelArray,
+    catalog: ClassCatalog,
+    *,
+    row_sum_tol: float = ROW_SUM_TOL,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The checks of ``validate_inputs`` on a stack that arrives in blocks.
+
+    ``blocks`` yields ``(start, block)`` in point order, each block a
+    (samples, r, classes) array holding points ``start .. start + r - 1`` of
+    a stack of ``points`` x ``classes``. The shapes are checked before the
+    first block is drawn, each block's values and row sums before the block
+    is passed on, and the labels after the last block, so a stack fed in
+    blocks raises the same error as ``validate_inputs`` on the whole stack.
+    """
+    if len(gt) != points:
         raise DimensionMismatch(
-            f"probabilities cover {n_points} points but labels cover {len(gt)}"
+            f"probabilities cover {points} points but labels cover {len(gt)}"
         )
-    if k != catalog.k:
+    if classes != catalog.k:
         raise DimensionMismatch(
-            f"probabilities have {k} classes but the catalog has {catalog.k}"
+            f"probabilities have {classes} classes but the catalog has {catalog.k}"
         )
 
-    for start in range(0, n_points, _VALIDATE_CHUNK):
-        block = data[:, start : start + _VALIDATE_CHUNK, :]
+    for start, block in blocks:
         lo, hi = float(block.min()), float(block.max())
         if lo < 0.0 or hi > 1.0:
             bad = np.argwhere((block < 0.0) | (block > 1.0))[0]
@@ -216,14 +246,13 @@ def validate_inputs(
             raise NotADistribution(
                 f"row sum {sums[s, i]!r} at sample {s}, point {i + start}"
             )
+        yield start, block
 
     vals = gt.values
-    bad = (vals != catalog.ignore_index) & ((vals < 0) | (vals >= k))
+    bad = (vals != catalog.ignore_index) & ((vals < 0) | (vals >= classes))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise LabelOutOfRange(
             f"label {int(vals[i])} at point {i} is neither a class index "
-            f"below {k} nor the ignore index {catalog.ignore_index}"
+            f"below {classes} nor the ignore index {catalog.ignore_index}"
         )
-
-    return EvalBundle(probs, gt, catalog)

@@ -112,42 +112,64 @@ def write_tensor(container: TensorContainer, path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+def _field(raw: bytearray, start: int, size: int, what: str) -> int:
+    """The end of the ``size`` bytes of a file field that begins at ``start``."""
+    end = start + size
+    if len(raw) < end:
         raise TruncatedFile(f"file ends inside the {what}")
-    return data
+    return end
+
+
+def _read_tensor(path: str | Path) -> tuple[TensorContainer, bytearray]:
+    """Parse and verify a container file, read in one piece; also return the
+    file's bytes, which back the container's array without a copy."""
+    with open(path, "rb") as fh:
+        # one byte more than the file holds, so that a file that grew since
+        # the size was taken shows as trailing bytes
+        raw = bytearray(os.fstat(fh.fileno()).st_size + 1)
+        del raw[fh.readinto(raw) :]
+    pos = _field(raw, 0, len(MAGIC), "magic")
+    if raw[:pos] != MAGIC:
+        raise BadMagic(f"{path} does not start with {MAGIC!r}")
+    start, pos = pos, _field(raw, pos, 8, "header")
+    dtype_tag, rank = struct.unpack_from("<II", raw, start)
+    if dtype_tag not in _TAG_TO_DTYPE:
+        raise BadHeader(f"unknown dtype tag {dtype_tag}")
+    if not 1 <= rank <= _MAX_RANK:
+        raise BadHeader(f"rank {rank} outside 1..{_MAX_RANK}")
+    start, pos = pos, _field(raw, pos, 4 * rank, "dimensions")
+    dims = struct.unpack_from(f"<{rank}I", raw, start)
+    if min(dims) < 1:
+        raise BadHeader(f"zero-sized dimension in {dims}")
+    n_elements = 1
+    for d in dims:
+        n_elements *= d
+    if n_elements > _MAX_ELEMENTS:
+        raise BadHeader(f"element count {n_elements} is implausibly large")
+    dtype = _TAG_TO_DTYPE[dtype_tag]
+    start, pos = pos, _field(raw, pos, n_elements * dtype.itemsize, "payload")
+    payload = memoryview(raw)[start:pos]
+    stored = raw[pos : _field(raw, pos, 8, "checksum")]
+    if len(raw) > pos + 8:
+        raise BadHeader(f"{path} carries trailing bytes past the checksum")
+    if _payload_checksum(payload) != stored:
+        raise ChecksumMismatch(f"payload checksum of {path} does not verify")
+    data = np.frombuffer(raw, dtype=dtype, count=n_elements, offset=start)
+    return TensorContainer(dtype_tag, data.reshape(dims)), raw
 
 
 def read_tensor(path: str | Path) -> TensorContainer:
     """Parse and verify a container file."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise BadMagic(f"{path} does not start with {MAGIC!r}")
-        dtype_tag, rank = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if dtype_tag not in _TAG_TO_DTYPE:
-            raise BadHeader(f"unknown dtype tag {dtype_tag}")
-        if not 1 <= rank <= _MAX_RANK:
-            raise BadHeader(f"rank {rank} outside 1..{_MAX_RANK}")
-        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dimensions"))
-        if min(dims) < 1:
-            raise BadHeader(f"zero-sized dimension in {dims}")
-        n_elements = 1
-        for d in dims:
-            n_elements *= d
-        if n_elements > _MAX_ELEMENTS:
-            raise BadHeader(f"element count {n_elements} is implausibly large")
-        dtype = _TAG_TO_DTYPE[dtype_tag]
-        payload = _read_exact(fh, n_elements * dtype.itemsize, "payload")
-        stored = _read_exact(fh, 8, "checksum")
-        if fh.read(1):
-            raise BadHeader(f"{path} carries trailing bytes past the checksum")
-    if _payload_checksum(payload) != stored:
-        raise ChecksumMismatch(f"payload checksum of {path} does not verify")
-    data = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    return TensorContainer(dtype_tag, data)
+    return _read_tensor(path)[0]
+
+
+def _files_digest(files) -> str:
+    """SHA-256 over each file's name and bytes, given as (path, bytes) pairs."""
+    h = hashlib.sha256()
+    for path, raw in files:
+        h.update(path.name.encode())
+        h.update(raw)
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -182,11 +204,15 @@ class FrameEntry:
         return load_frame(self)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for p in self.paths():
-            h.update(p.name.encode())
-            h.update(p.read_bytes())
-        return h.hexdigest()
+        """SHA-256 over each file's name and bytes, in ``paths()`` order.
+
+        After a load it describes the bytes that load read, even if a file
+        has been replaced since; before any load the files are read for it.
+        """
+        loaded = self.__dict__.get("_loaded_digest")
+        if loaded is not None:
+            return loaded
+        return _files_digest((p, p.read_bytes()) for p in self.paths())
 
 
 def _dequantized_probabilities(raw: np.ndarray) -> np.ndarray:
@@ -199,8 +225,18 @@ def _dequantized_probabilities(raw: np.ndarray) -> np.ndarray:
 
 
 def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
-    """Materialize a manifest frame into validated-shape in-memory types."""
-    labels_box = read_tensor(entry.labels_path)
+    """Materialize a manifest frame into validated-shape in-memory types.
+
+    Each file is read once. The digest of the bytes read is kept on the
+    entry, where ``FrameEntry.digest`` finds it.
+    """
+    files: dict[Path, bytearray] = {}
+
+    def read(path: str | Path) -> TensorContainer:
+        box, files[Path(path)] = _read_tensor(path)
+        return box
+
+    labels_box = read(entry.labels_path)
     if labels_box.dtype_tag not in (DTYPE_UINT8, DTYPE_UINT16) or labels_box.data.ndim != 1:
         raise ShapeMismatch(
             f"{entry.labels_path} must hold a rank-1 uint8 or uint16 label array"
@@ -208,51 +244,52 @@ def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, Label
     labels = LabelArray(labels_box.data.astype(np.int64))
 
     if entry.probs_path is not None:
-        box = read_tensor(entry.probs_path)
+        box = read(entry.probs_path)
         if box.data.ndim != 3:
             raise ShapeMismatch(
                 f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
             )
         if box.dtype_tag == DTYPE_FLOAT32:
-            stack = ProbabilityStack(box.data)
+            payload = ProbabilityStack(box.data)
         elif box.dtype_tag == DTYPE_UINT16:
-            stack = ProbabilityStack(_dequantized_probabilities(box.data))
+            payload = ProbabilityStack(_dequantized_probabilities(box.data))
         else:
             raise ShapeMismatch(
                 f"{entry.probs_path}: probabilities must be float32 or uint16"
             )
-        if entry.samples != 1 and entry.samples != stack.samples:
+        if entry.samples != 1 and entry.samples != payload.samples:
             raise ShapeMismatch(
                 f"manifest declares {entry.samples} samples but "
-                f"{entry.probs_path} holds {stack.samples}"
+                f"{entry.probs_path} holds {payload.samples}"
             )
-        if stack.points != len(labels):
+        if payload.points != len(labels):
             raise ShapeMismatch(
-                f"{entry.probs_path} covers {stack.points} points but "
+                f"{entry.probs_path} covers {payload.points} points but "
                 f"{entry.labels_path} covers {len(labels)}"
             )
-        return stack, labels
-
-    box = read_tensor(entry.logits_path)
-    if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
-        raise ShapeMismatch(
-            f"{entry.logits_path} must hold a rank-2 float32 points x classes tensor"
-        )
-    stddev = None
-    if entry.stddev_path is not None:
-        sd_box = read_tensor(entry.stddev_path)
-        if sd_box.dtype_tag != DTYPE_FLOAT32 or sd_box.data.shape != box.data.shape:
+    else:
+        box = read(entry.logits_path)
+        if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
             raise ShapeMismatch(
-                f"{entry.stddev_path} must match the logits shape {box.data.shape}"
+                f"{entry.logits_path} must hold a rank-2 float32 points x classes tensor"
             )
-        stddev = sd_box.data
-    logits = LogitTensor(box.data, stddev)
-    if logits.points != len(labels):
-        raise ShapeMismatch(
-            f"{entry.logits_path} covers {logits.points} points but "
-            f"{entry.labels_path} covers {len(labels)}"
-        )
-    return logits, labels
+        stddev = None
+        if entry.stddev_path is not None:
+            sd_box = read(entry.stddev_path)
+            if sd_box.dtype_tag != DTYPE_FLOAT32 or sd_box.data.shape != box.data.shape:
+                raise ShapeMismatch(
+                    f"{entry.stddev_path} must match the logits shape {box.data.shape}"
+                )
+            stddev = sd_box.data
+        payload = LogitTensor(box.data, stddev)
+        if payload.points != len(labels):
+            raise ShapeMismatch(
+                f"{entry.logits_path} covers {payload.points} points but "
+                f"{entry.labels_path} covers {len(labels)}"
+            )
+    digest = _files_digest((p, files[p]) for p in entry.paths())
+    object.__setattr__(entry, "_loaded_digest", digest)
+    return payload, labels
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,10 @@ import numpy as np
 
 from .confidence import (
     LogitTensor,
-    aggregate_samples,
     derive_stream_seed,
-    entropy_confidence,
     max_softmax_confidence,
-    sample_probabilistic_logits,
-    softmax,
+    predictive_blocks,
+    reduce_blocks,
 )
 from .core import (
     ClassCatalog,
@@ -30,7 +28,7 @@ from .core import (
     LabelArray,
     MEASURES,
     ProbabilityStack,
-    validate_inputs,
+    checked_blocks,
 )
 from .errors import AllClassesFiltered, EmptySplit, SparsevalError
 from .segmetrics import (
@@ -140,28 +138,30 @@ class PooledSplit:
 
 
 def _reduce_frame(source, index, catalog, config, measures):
-    """Load one frame; return its confusion, non-ignored columns and provenance."""
+    """Load one frame; return its confusion, non-ignored columns and provenance.
+
+    The frame is reduced block by block (``core.BLOCK_POINTS`` points): each
+    block of the predictive distribution is drawn, checked as
+    ``validate_inputs`` checks it, and reduced to predictions and scores
+    while it is in cache. Checking, reducing and sampling logits build no
+    full-frame temporary besides the output columns. Labels are kept in the
+    smallest unsigned type that holds a class index.
+    """
     name = getattr(source, "name", None) or f"frame_{index:04d}"
+    label_dtype = np.min_scalar_type(catalog.k - 1)
     try:
         payload, labels = source.load()
-        if isinstance(payload, LogitTensor) and payload.stddev is not None:
-            samples = int(getattr(source, "samples", 1))
-            seed = derive_stream_seed(config.rng_seed, index)
-            payload = sample_probabilistic_logits(payload, samples, seed=seed)
-        elif isinstance(payload, LogitTensor):
-            payload = softmax(payload)
-        stack = aggregate_samples(payload)
-        validate_inputs(stack, labels, catalog)
-        conf_sm, pred = max_softmax_confidence(stack)
-        scores = {"max_softmax": conf_sm}
-        if "neg_entropy" in measures:
-            scores["neg_entropy"] = entropy_confidence(stack)
-        counts = confusion(pred, labels, catalog)
+        samples = int(getattr(source, "samples", 1))
+        seed = derive_stream_seed(config.rng_seed, index)
+        blocks = predictive_blocks(payload, samples, seed)
+        blocks = checked_blocks(blocks, payload.points, payload.classes, labels, catalog)
+        pred, scores = reduce_blocks(blocks, payload.points, measures, label_dtype)
+        counts = confusion(LabelArray(pred), labels, catalog)
     except SparsevalError as exc:
         raise type(exc)(f"frame {index} ({name}): {exc}") from exc
     keep = labels.values != catalog.ignore_index
-    columns = {"gt": labels.values[keep].astype(np.int64), "pred": pred.values[keep]}
-    columns.update((m, conf.scores[keep]) for m, conf in scores.items())
+    columns = {"gt": labels.values[keep].astype(label_dtype), "pred": pred[keep]}
+    columns.update((m, col[keep]) for m, col in scores.items())
     return counts, columns, {"name": name, "digest": source.digest()}
 
 
@@ -180,6 +180,13 @@ def pool_split(
     returned unchanged. Frames are reduced on ``threads`` workers; the
     result does not depend on the count. ``config`` supplies the seed of
     logit sampling.
+
+    Each frame is checked and reduced block by block, ``core.BLOCK_POINTS``
+    points at a time, into its kept points' columns; the columns are then
+    concatenated. The pooled split holds about 18 bytes per kept point:
+    ``gt`` and ``pred`` in the smallest unsigned type that holds a class
+    index (one byte each up to 256 classes), and a float64 score per
+    measure.
     """
     for m in measures:
         if m not in MEASURES:

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from sparseval import (
+    ArrayFrame,
+    ClassCatalog,
+    LabelArray,
     LogitTensor,
     ProbabilityStack,
     aggregate_samples,
@@ -13,9 +17,11 @@ from sparseval import (
     entropy_confidence,
     max_softmax_confidence,
     sample_probabilistic_logits,
+    pool_split,
     softmax,
 )
-from sparseval.confidence import _normal_field
+from sparseval.confidence import _normal_field, predictive_blocks
+from sparseval.core import BLOCK_POINTS
 from sparseval.errors import MissingStddev, NonFiniteInput
 
 
@@ -96,6 +102,7 @@ def test_noise_addressable_by_indices():
     full = _normal_field(5, 4, 6, 5)
     assert np.array_equal(full[:2, :3, :2], _normal_field(5, 2, 3, 2))
     assert np.array_equal(full, _normal_field(5, 4, 6, 5))
+    assert np.array_equal(full[:, 2:5], _normal_field(5, 4, 3, 5, start=2))
 
 
 def test_aggregate_two_point_mean():
@@ -205,3 +212,129 @@ def test_logit_tensor_invariants():
         LogitTensor(np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         LogitTensor(np.zeros((2, 2)), -np.ones((2, 2)))
+
+
+# Reference copies of the whole-frame computations that the block kernel
+# replaced; the kernel must reproduce them bit for bit.
+
+
+def reference_max_softmax(rows):
+    return rows.max(axis=1).astype(np.float64), rows.argmax(axis=1)
+
+
+def reference_entropy(rows):
+    inv_log_k = 1.0 / math.log(rows.shape[1])
+    block = rows.astype(np.float64, copy=True)
+    logs = np.zeros_like(block)
+    np.log(block, out=logs, where=block > 0.0)
+    entropy = -np.einsum("ij,ij->i", block, logs)
+    return np.clip(1.0 - entropy * inv_log_k, 0.0, 1.0)
+
+
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_AXES = (
+    np.uint64(0xA0761D6478BD642F),
+    np.uint64(0xE7037ED1A0B428DB),
+    np.uint64(0x8EBC6AF09C88C6E3),
+)
+
+
+def reference_samples(logits, samples, seed):
+    """The full samples x points x classes stack, built in one piece."""
+
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+    n, k = logits.values.shape
+    with np.errstate(over="ignore"):
+        z = mix(np.uint64(seed) + _GAMMA)
+        for axis, (size, mult) in enumerate(zip((samples, n, k), _AXES)):
+            shape = [1, 1, 1]
+            shape[axis] = size
+            z = mix(z ^ (np.arange(size, dtype=np.uint64).reshape(shape) * mult + _GAMMA))
+    noise = ndtri((z >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54)
+    noise *= logits.stddev.astype(np.float64)[None]
+    noise += logits.values.astype(np.float64)[None]
+    shifted = noise - noise.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
+def leveled_rows(rng, n, k, dtype, levels, zero_share):
+    """Rows of a few probability levels: tied maxima, zeros and -0.0."""
+    raw = rng.integers(1, levels + 1, size=(n, k)).astype(np.float64)
+    raw[rng.random((n, k)) < zero_share] = 0.0
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    rows = (raw / raw.sum(axis=1, keepdims=True)).astype(dtype)
+    rows[(rows == 0.0) & (rng.random((n, k)) < 0.5)] = -0.0
+    return rows
+
+
+BLOCK_EDGES = [1, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 3 * BLOCK_POINTS + 7]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from(BLOCK_EDGES),
+    k=st.sampled_from([2, 19]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    levels=st.integers(1, 4),
+    zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+)
+def test_block_kernel_matches_whole_frame_reference(seed, n, k, dtype, levels, zero_share):
+    rng = np.random.default_rng(seed)
+    rows = leveled_rows(rng, n, k, dtype, levels, zero_share)
+    probs = ProbabilityStack(rows[None])
+    ref_scores, ref_pred = reference_max_softmax(rows)
+    ref_entropy = reference_entropy(rows)
+
+    conf, pred = max_softmax_confidence(probs)
+    assert conf.scores.tobytes() == ref_scores.tobytes()
+    assert pred.values.dtype == ref_pred.dtype
+    assert np.array_equal(pred.values, ref_pred)
+    assert entropy_confidence(probs).scores.tobytes() == ref_entropy.tobytes()
+
+    # the pipeline's pooled columns are the same bits, minus ignored points
+    labels = rng.integers(0, k, size=n)
+    labels[rng.random(n) < 0.2] = 255
+    keep = labels != 255
+    if not keep.any():
+        return
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    split = pool_split([ArrayFrame(LabelArray(labels), probs)], catalog)
+    assert split.confidences["max_softmax"].scores.tobytes() == ref_scores[keep].tobytes()
+    assert split.confidences["neg_entropy"].scores.tobytes() == ref_entropy[keep].tobytes()
+    assert np.array_equal(split.pred.values, ref_pred[keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    samples=st.sampled_from([1, 2, 30]),
+    edge=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]),
+    k=st.sampled_from([2, 19]),
+)
+def test_streamed_sampler_matches_whole_stack_reference(seed, samples, edge, k):
+    # sampled logits are drawn in blocks of BLOCK_POINTS // samples points;
+    # n sits on, next to or well past a block edge
+    step = BLOCK_POINTS // samples
+    n = edge[0] * step + edge[1]
+    rng = np.random.default_rng(seed % 2**32)
+    logits = LogitTensor(
+        (rng.normal(size=(n, k)) * 4.0).astype(np.float32),
+        rng.uniform(0.0, 2.0, size=(n, k)).astype(np.float32),
+    )
+    reference = reference_samples(logits, samples, seed)
+
+    stack = sample_probabilistic_logits(logits, samples, seed=seed)
+    assert stack.data.tobytes() == reference.tobytes()
+    mean = reference.mean(axis=0, dtype=np.float64)[None]
+    assert aggregate_samples(stack).data.tobytes() == mean.tobytes()
+    streamed = np.concatenate([b for _, b in predictive_blocks(logits, samples, seed)], axis=1)
+    assert streamed.tobytes() == mean.tobytes()

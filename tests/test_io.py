@@ -1,6 +1,10 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparseval.io
 from sparseval import (
     ArrayFrame,
     ClassCatalog,
@@ -13,6 +17,7 @@ from sparseval import (
     evaluate_split,
     generate,
     load_frame,
+    pool_split,
     read_manifest,
     read_report,
     read_tensor,
@@ -169,6 +174,56 @@ def test_load_frame_logits_with_stddev(tmp_path):
     payload, labels = load_frame(entry)
     assert isinstance(payload, LogitTensor)
     assert payload.stddev is not None
+
+
+def _file_digest(entry):
+    h = hashlib.sha256()
+    for path in entry.paths():
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_digest_describes_the_loaded_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    raw = rng.random((1, 50, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=50))
+    before = _file_digest(entry)
+    assert entry.digest() == before
+    payload, _ = entry.load()
+    # the probabilities are replaced after the load: the digest still names
+    # the bytes that were loaded
+    write_tensor(
+        TensorContainer.from_array(np.full((1, 50, 3), 1 / 3, dtype=np.float32)),
+        entry.probs_path,
+    )
+    assert entry.digest() == before
+    assert payload.data.tobytes() == raw.astype(np.float32).tobytes()
+    fresh = FrameEntry(labels_path=entry.labels_path, probs_path=entry.probs_path)
+    assert fresh.digest() == _file_digest(fresh) != before
+
+
+def test_pooling_reads_each_file_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    raw = rng.random((2, 60, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=60))
+    expected = _file_digest(entry)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    def no_reread(self):
+        raise AssertionError(f"{self} was read again")
+
+    monkeypatch.setattr(sparseval.io, "open", counting_open, raising=False)
+    monkeypatch.setattr(Path, "read_bytes", no_reread)
+    split = pool_split([entry], ClassCatalog(("a", "b", "c")))
+    assert sorted(opened) == sorted(p.name for p in entry.paths())
+    assert split.frames[0]["digest"] == expected
 
 
 def test_load_frame_label_length_mismatch(tmp_path):

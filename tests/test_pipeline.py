@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,13 +19,19 @@ from sparseval import (
     generate,
     per_class_ause,
     per_frame_class_ause,
+    pool_split,
     scatter_export,
+    validate_inputs,
 )
+from sparseval.core import BLOCK_POINTS
 from sparseval.errors import (
     AllClassesFiltered,
     EmptySplit,
+    LabelOutOfRange,
     NotADistribution,
 )
+from sparseval.pipeline import binned_ece
+from sparseval.segmetrics import confusion
 
 
 def scenario_frames(seed=11, n=5000, parts=1):
@@ -320,3 +327,108 @@ def test_per_frame_diagnostics():
         alone = evaluate_split([frame], catalog)
         for m, by_class in entry["ause"].items():
             assert by_class == {row.name: row.ause[m] for row in alone.rows}
+
+
+def test_pooled_labels_use_the_narrowest_type():
+    for k, dtype in ((19, np.uint8), (256, np.uint8), (300, np.uint16)):
+        rng = np.random.default_rng(k)
+        n = 2 * BLOCK_POINTS + 3
+        catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)), ignore_index=1000)
+        labels = rng.integers(0, k, size=n)
+        labels[::7] = 1000
+        rows = rng.dirichlet(np.full(k, 0.1), size=n)
+        frames = [
+            ArrayFrame(LabelArray(labels[:BLOCK_POINTS]), ProbabilityStack(rows[None, :BLOCK_POINTS])),
+            ArrayFrame(LabelArray(labels[BLOCK_POINTS:]), ProbabilityStack(rows[None, BLOCK_POINTS:])),
+        ]
+        split = pool_split(frames, catalog)
+        assert split.gt.values.dtype == dtype and split.pred.values.dtype == dtype
+        wide = dataclasses.replace(
+            split,
+            gt=LabelArray(split.gt.values.astype(np.int64)),
+            pred=LabelArray(split.pred.values.astype(np.int64)),
+        )
+        assert np.array_equal(wide.gt.values, labels[labels != 1000])
+        assert np.array_equal(
+            confusion(split.pred, split.gt, catalog).counts, split.counts.counts
+        )
+        correct = wide.pred.values == wide.gt.values
+        scores = split.confidences["max_softmax"].scores
+        assert split.ece(15) == binned_ece(scores, correct, 15)
+        assert evaluate_split(split) == evaluate_split(wide)
+        assert per_frame_class_ause(split) == per_frame_class_ause(wide)
+
+
+# frame 1 of three carries the fault at a point past its first block
+FAULT_AT = BLOCK_POINTS + 37
+
+
+def _faulty_frames(fault):
+    rng = np.random.default_rng(8)
+    frames = []
+    for i in range(3):
+        rows = rng.dirichlet(np.ones(6), size=3 * BLOCK_POINTS).astype(np.float32)
+        labels = rng.integers(0, 6, size=3 * BLOCK_POINTS)
+        if i == 1:
+            fault(rows, labels)
+        frames.append(ArrayFrame(LabelArray(labels), ProbabilityStack(rows[None]), name=f"f{i}"))
+    return frames
+
+
+def _nan(rows, labels):
+    rows[FAULT_AT, 2] = np.nan
+
+
+def _negative(rows, labels):
+    rows[FAULT_AT, 2] = -0.25
+
+
+def _above_one(rows, labels):
+    rows[FAULT_AT, 2] = 1.5
+
+
+def _off_sum(rows, labels):
+    rows[FAULT_AT] *= np.float32(0.9)
+
+
+def _bad_label(rows, labels):
+    labels[FAULT_AT] = 9
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        (_nan, NotADistribution, f"row sum .*nan.* at sample 0, point {FAULT_AT}$"),
+        (_negative, NotADistribution, f"value -0.25 outside .* point {FAULT_AT}, class 2$"),
+        (_above_one, NotADistribution, f"value 1.5 outside .* point {FAULT_AT}, class 2$"),
+        (_off_sum, NotADistribution, f"row sum .*0.8999.* at sample 0, point {FAULT_AT}$"),
+        (_bad_label, LabelOutOfRange, f"label 9 at point {FAULT_AT} is neither"),
+    ],
+)
+def test_block_validation_reports_the_fault_like_validate_inputs(fault, error, message):
+    frames = _faulty_frames(fault)
+    catalog = ClassCatalog(tuple("abcdef"))
+    with pytest.raises(error, match=f"^frame 1 \\(f1\\): {message}") as raised:
+        evaluate_split(frames, catalog)
+    with pytest.raises(error) as direct:
+        validate_inputs(frames[1].probs, frames[1].labels, catalog)
+    assert str(raised.value) == f"frame 1 (f1): {direct.value}"
+
+
+def test_earliest_faulty_block_is_reported_first():
+    catalog = ClassCatalog(tuple("abcdef"))
+
+    def sum_then_range(rows, labels):
+        rows[BLOCK_POINTS + 5] *= np.float32(0.9)
+        rows[2 * BLOCK_POINTS + 9, 0] = 1.5
+
+    def label_then_range(rows, labels):
+        labels[5] = 9
+        rows[FAULT_AT, 1] = 2.0
+
+    # a row-sum fault in an earlier block wins over a range fault in a later one
+    with pytest.raises(NotADistribution, match=f"row sum .* point {BLOCK_POINTS + 5}$"):
+        evaluate_split(_faulty_frames(sum_then_range), catalog)
+    # labels are checked after every probability row, as before
+    with pytest.raises(NotADistribution, match=f"value 2.0 outside .* point {FAULT_AT}, class 1$"):
+        evaluate_split(_faulty_frames(label_then_range), catalog)
