@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as container_io
-from .core import ClassCatalog, EvalConfig, MEASURES
+from .core import MEASURES, RANKING_DOMAINS, TIE_BREAKS, ClassCatalog, EvalConfig
 from .errors import SparsevalError, SpecInvalid
 from .pipeline import evaluate_split, per_frame_class_ause, pool_split
 from .sparsification import FractionGrid, curve_pair
@@ -39,6 +39,19 @@ def _thread_count(text: str) -> int:
     return count
 
 
+def _config_flag(p: argparse.ArgumentParser, flag: str, name: str, help: str):
+    """Add ``flag``, which sets EvalConfig field ``name`` and stores under it.
+    A value the field rejects is a usage error, found before any file is read."""
+
+    def parse(text: str):
+        try:
+            return EvalConfig.parse_field(name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    p.add_argument(flag, dest=name, type=parse, help=help)
+
+
 def _add_common_flags(p: argparse.ArgumentParser, *, with_measure: bool = True):
     p.add_argument("--manifest", required=True, help="dataset manifest path")
     p.add_argument("--out-dir", help="directory for output files")
@@ -49,38 +62,29 @@ def _add_common_flags(p: argparse.ArgumentParser, *, with_measure: bool = True):
             default="both",
             help="confidence measure(s) to evaluate",
         )
-    p.add_argument("--grid-steps", type=int, help="sparsification grid resolution")
-    p.add_argument("--filter-threshold", type=float, help="IoU outlier threshold")
+    _config_flag(p, "--grid-steps", "grid_steps", "sparsification grid resolution")
+    _config_flag(p, "--filter-threshold", "iou_filter_threshold", "IoU outlier threshold")
     p.add_argument(
         "--ranking-domain",
-        choices=("subset", "global"),
+        choices=RANKING_DOMAINS,
         help="rank within the class-relevant subset or the whole point set",
     )
     p.add_argument(
         "--tie-break",
-        choices=("stable_index", "seeded_random"),
+        choices=TIE_BREAKS,
         help="how equal confidences are ordered",
     )
-    p.add_argument("--seed", type=int, help="seed for sampling and tie shuffling")
+    _config_flag(p, "--seed", "rng_seed", "seed for sampling and tie shuffling")
     p.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
 
 
-def _resolved_config(manifest: container_io.Manifest, args) -> EvalConfig:
-    config = manifest.apply_overrides(EvalConfig())
-    updates = {}
-    if getattr(args, "grid_steps", None) is not None:
-        updates["grid_steps"] = args.grid_steps
-    if getattr(args, "filter_threshold", None) is not None:
-        updates["iou_filter_threshold"] = args.filter_threshold
-    if getattr(args, "ranking_domain", None) is not None:
-        updates["ranking_domain"] = args.ranking_domain
-    if getattr(args, "tie_break", None) is not None:
-        updates["tie_break"] = args.tie_break
-    if getattr(args, "seed", None) is not None:
-        updates["rng_seed"] = args.seed
-    if getattr(args, "ece_bins", None) is not None:
-        updates["ece_bins"] = args.ece_bins
-    return replace(config, **updates) if updates else config
+def _manifest_and_config(args) -> tuple[container_io.Manifest, EvalConfig]:
+    """The manifest, and its settings overridden by the flags that were set;
+    each flag stores under the name of the EvalConfig field it sets."""
+    manifest = container_io.read_manifest(args.manifest)
+    names = {f.name for f in fields(EvalConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return manifest, replace(manifest.apply_overrides(EvalConfig()), **flags)
 
 
 def _selected_measures(flag: str) -> tuple[str, ...]:
@@ -90,8 +94,7 @@ def _selected_measures(flag: str) -> tuple[str, ...]:
 
 
 def _cmd_evaluate(args) -> int:
-    manifest = container_io.read_manifest(args.manifest)
-    config = _resolved_config(manifest, args)
+    manifest, config = _manifest_and_config(args)
     measures = _selected_measures(args.measure)
     split = pool_split(manifest, config=config, measures=measures, threads=args.threads)
     report = evaluate_split(split, config=config, measures=measures)
@@ -112,8 +115,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    manifest = container_io.read_manifest(args.manifest)
-    config = _resolved_config(manifest, args)
+    manifest, config = _manifest_and_config(args)
     measure = _MEASURE_FLAGS[args.measure]
     class_index = manifest.catalog.index_of(args.class_name)
     split = pool_split(manifest, config=config, measures=(measure,), threads=args.threads)
@@ -149,36 +151,15 @@ def _spec_from_json(path: str, seed_override: int | None) -> tuple[ScenarioSpec,
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise SpecInvalid("a scenario spec file must hold one JSON object")
-    frames = int(raw.pop("frames", 1))
-    known = {
-        "n",
-        "class_frequencies",
-        "per_class_accuracy",
-        "calibration_mode",
-        "gamma",
-        "confusion_profile",
-        "seed",
-        "confidence_spread",
-        "class_names",
-    }
-    unknown = set(raw) - known
+    frames = raw.pop("frames", 1)
+    unknown = set(raw) - {f.name for f in fields(ScenarioSpec)}
     if unknown:
         raise SpecInvalid(f"unknown scenario fields {sorted(unknown)}")
     if seed_override is not None:
         raw["seed"] = seed_override
     try:
-        spec = ScenarioSpec(
-            n=int(raw["n"]),
-            class_frequencies=tuple(raw["class_frequencies"]),
-            per_class_accuracy=tuple(raw["per_class_accuracy"]),
-            calibration_mode=raw.get("calibration_mode", "calibrated"),
-            gamma=float(raw.get("gamma", 1.0)),
-            confusion_profile=raw.get("confusion_profile"),
-            seed=int(raw.get("seed", 0)),
-            confidence_spread=float(raw.get("confidence_spread", 0.15)),
-            class_names=tuple(raw["class_names"]) if raw.get("class_names") else None,
-        )
-    except (KeyError, TypeError) as exc:
+        spec = ScenarioSpec(**raw)
+    except (TypeError, ValueError) as exc:
         raise SpecInvalid(f"scenario spec is missing or mistypes a field: {exc}") from exc
     return spec, frames
 
@@ -201,8 +182,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ece(args) -> int:
-    manifest = container_io.read_manifest(args.manifest)
-    config = _resolved_config(manifest, args)
+    manifest, config = _manifest_and_config(args)
     split = pool_split(
         manifest, config=config, measures=("max_softmax",), threads=args.threads
     )
@@ -218,9 +198,8 @@ def _cmd_inspect(args) -> int:
         head = fh.read(len(container_io.MAGIC))
     if head == container_io.MAGIC:
         box = container_io.read_tensor(path)
-        dtype_names = {1: "float32", 2: "uint8", 3: "uint16"}
         print(f"tensor: {path}")
-        print(f"dtype: {dtype_names[box.dtype_tag]}")
+        print(f"dtype: {box.data.dtype.name}")
         print(f"shape: {'x'.join(str(d) for d in box.data.shape)}")
         print(f"elements: {box.data.size}")
         print("checksum: ok")
@@ -246,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full-split report with both aggregates")
     _add_common_flags(p)
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--ece-bins", type=int, help="bins for the ECE baseline")
+    _config_flag(p, "--ece-bins", "ece_bins", "bins for the ECE baseline")
     p.add_argument(
         "--per-frame",
         action="store_true",
@@ -276,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ece", help="expected calibration error of the split")
     _add_common_flags(p, with_measure=False)
-    p.add_argument("--bins", dest="ece_bins", type=int, help="bin count")
+    _config_flag(p, "--bins", "ece_bins", "bin count")
     p.set_defaults(func=_cmd_ece)
 
     p = sub.add_parser("inspect", help="describe a tensor container or manifest")
@@ -294,16 +273,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SparsevalError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
-        kind = type(exc).__name__
+    except Exception as exc:  # every failure is reported as one line
         detail = " ".join(str(exc).split())
-        print(f"sparseval: error: {kind}: {detail}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
-        kind = type(exc).__name__
-        detail = " ".join(str(exc).split())
-        print(f"sparseval: error: {kind}: {detail}", file=sys.stderr)
-        return EXIT_INTERNAL
+        print(f"sparseval: error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        bad_input = (SparsevalError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError)
+        return EXIT_INPUT if isinstance(exc, bad_input) else EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,6 +164,18 @@ class EvalConfig:
         if self.ranking_domain not in RANKING_DOMAINS:
             raise ValueError(f"ranking_domain must be one of {RANKING_DOMAINS}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed) & SEED_MASK)
+
+    @classmethod
+    def parse_field(cls, name: str, text: str):
+        """``text`` read as the type of field ``name``'s default and checked
+        as the constructor checks it; raises ValueError saying what is wrong."""
+        parse = type({f.name: f.default for f in fields(cls)}[name])
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ValueError(f"invalid {parse.__name__} value: {text!r}") from None
+        cls(**{name: value})
+        return value
 
 
 @dataclass(frozen=True)

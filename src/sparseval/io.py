@@ -20,13 +20,13 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .confidence import LogitTensor
-from .core import ClassCatalog, LabelArray, ProbabilityStack
+from .core import ClassCatalog, EvalConfig, LabelArray, ProbabilityStack
 from .errors import (
     BadHeader,
     BadMagic,
@@ -54,14 +54,8 @@ _MAX_ELEMENTS = 1 << 40
 
 MANIFEST_HEADER = "sparseval-manifest v1"
 
-_CONFIG_OVERRIDE_KEYS = {
-    "grid_steps": int,
-    "iou_filter_threshold": float,
-    "ece_bins": int,
-    "tie_break": str,
-    "rng_seed": int,
-    "ranking_domain": str,
-}
+# a manifest may override every EvalConfig field under the field's name
+_CONFIG_KEYS = frozenset(f.name for f in fields(EvalConfig))
 
 
 def _payload_checksum(payload: bytes) -> bytes:
@@ -216,11 +210,15 @@ class FrameEntry:
 
 
 def _dequantized_probabilities(raw: np.ndarray) -> np.ndarray:
-    # 16-bit fixed point, value/65535; rows are renormalized after dequantizing
-    scaled = raw.astype(np.float32) / np.float32(65535.0)
+    # 16-bit fixed point, value/65535; rows are renormalized after dequantizing.
+    # Both steps write into the one float32 result: the division by the
+    # float64 row sums runs in float64 and rounds each quotient once to
+    # float32, as a float64 quotient cast to float32 would
+    scaled = raw.astype(np.float32)
+    scaled /= np.float32(65535.0)
     sums = scaled.sum(axis=2, keepdims=True, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = (scaled / sums).astype(np.float32)
+        np.divide(scaled, sums, out=scaled)
     return scaled
 
 
@@ -241,7 +239,7 @@ def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, Label
         raise ShapeMismatch(
             f"{entry.labels_path} must hold a rank-1 uint8 or uint16 label array"
         )
-    labels = LabelArray(labels_box.data.astype(np.int64))
+    labels = LabelArray(labels_box.data)
 
     if entry.probs_path is not None:
         box = read(entry.probs_path)
@@ -301,9 +299,14 @@ class Manifest:
     overrides: dict
 
     def apply_overrides(self, config):
-        from dataclasses import replace
-
         return replace(config, **self.overrides) if self.overrides else config
+
+
+def _manifest_int(path: Path, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ManifestError(f"{path}: {key}: invalid int value: {text!r}") from None
 
 
 def read_manifest(path: str | Path) -> Manifest:
@@ -329,35 +332,39 @@ def read_manifest(path: str | Path) -> Manifest:
         if key == "classes":
             names = tuple(part.strip() for part in rest.split(","))
         elif key == "ignore_index":
-            ignore_index = int(rest)
-        elif key in _CONFIG_OVERRIDE_KEYS:
-            overrides[key] = _CONFIG_OVERRIDE_KEYS[key](rest)
+            ignore_index = _manifest_int(path, key, rest)
+        elif key in _CONFIG_KEYS:
+            try:
+                overrides[key] = EvalConfig.parse_field(key, rest)
+            except ValueError as exc:
+                raise ManifestError(f"{path}: {key}: {exc}") from None
         elif key == "frame":
-            fields: dict[str, str] = {}
+            tokens: dict[str, str] = {}
             for token in rest.split():
                 tk, eq, tv = token.partition("=")
                 if not eq:
                     raise ManifestError(f"malformed frame token {token!r} in {path}")
-                fields[tk] = tv
-            unknown = set(fields) - {"probs", "logits", "stddev", "labels", "samples"}
+                tokens[tk] = tv
+            unknown = set(tokens) - {"probs", "logits", "stddev", "labels", "samples"}
             if unknown:
                 raise ManifestError(f"unknown frame keys {sorted(unknown)} in {path}")
-            if "labels" not in fields:
+            if "labels" not in tokens:
                 raise ManifestError(f"frame without labels in {path}")
+            samples = _manifest_int(path, "samples", tokens.get("samples", "1"))
             try:
                 entries.append(
                     FrameEntry(
-                        labels_path=(base / fields["labels"]).resolve(),
-                        probs_path=(base / fields["probs"]).resolve()
-                        if "probs" in fields
+                        labels_path=(base / tokens["labels"]).resolve(),
+                        probs_path=(base / tokens["probs"]).resolve()
+                        if "probs" in tokens
                         else None,
-                        logits_path=(base / fields["logits"]).resolve()
-                        if "logits" in fields
+                        logits_path=(base / tokens["logits"]).resolve()
+                        if "logits" in tokens
                         else None,
-                        stddev_path=(base / fields["stddev"]).resolve()
-                        if "stddev" in fields
+                        stddev_path=(base / tokens["stddev"]).resolve()
+                        if "stddev" in tokens
                         else None,
-                        samples=int(fields.get("samples", "1")),
+                        samples=samples,
                     )
                 )
             except ManifestError as exc:
@@ -390,7 +397,7 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
     lines.append("classes " + ",".join(manifest.catalog.names))
     lines.append(f"ignore_index {manifest.catalog.ignore_index}")
     for key, value in manifest.overrides.items():
-        if key not in _CONFIG_OVERRIDE_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ManifestError(f"unknown config override {key!r}")
         lines.append(f"{key} {value}")
     for entry in manifest.frames:

@@ -74,7 +74,7 @@ class ArrayFrame:
         for arr in arrays:
             h.update(str(arr.shape).encode())
             h.update(str(arr.dtype).encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
 

@@ -25,6 +25,7 @@ Calibration modes:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +52,8 @@ class ScenarioSpec:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         object.__setattr__(
             self, "class_frequencies", tuple(float(f) for f in self.class_frequencies)
         )
@@ -60,6 +63,8 @@ class ScenarioSpec:
         k = len(self.class_frequencies)
         if self.n < 1:
             raise SpecInvalid("n must be at least 1")
+        if self.seed < 0:
+            raise SpecInvalid("seed must be non-negative")
         if k < 2:
             raise SpecInvalid("at least two classes are required")
         if len(self.per_class_accuracy) != k:
@@ -109,6 +114,14 @@ class ScenarioSpec:
     def catalog(self, ignore_index: int = 255) -> ClassCatalog:
         names = self.class_names or tuple(f"class_{c:02d}" for c in range(self.k))
         return ClassCatalog(names, ignore_index)
+
+
+def _integer(name: str, value) -> int:
+    # an integer is taken as it is, never truncated from a float
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpecInvalid(f"{name} must be an integer, got {value!r}") from None
 
 
 def _default_profile(k: int) -> np.ndarray:
@@ -213,6 +226,7 @@ def write_dataset(
     from . import io as container_io
 
     n = len(gt)
+    frames = _integer("frames", frames)
     if frames < 1:
         raise SpecInvalid("frames must be at least 1")
     if n < frames:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from sparseval import TensorContainer, io, write_tensor
+from sparseval import (
+    EvalConfig,
+    ScenarioSpec,
+    TensorContainer,
+    io,
+    read_manifest,
+    write_tensor,
+)
 from sparseval.cli import main
 
 
@@ -323,3 +331,116 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "manifest:" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--grid-steps", "1"], "argument --grid-steps: grid_steps must be"),
+        (["ece", "--bins", "0"], "argument --bins: ece_bins must be"),
+        (
+            ["evaluate", "--filter-threshold", "2"],
+            "argument --filter-threshold: iou_filter_threshold must",
+        ),
+        (["curves", "--class", "a", "--grid-steps", "ten"], "invalid int value: 'ten'"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, message):
+    # the manifest does not exist: the flag is rejected before any file is read
+    command = argv[0]
+    assert run_cli(*argv, "--manifest", str(tmp_path / "m.txt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparseval {command}: usage error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("grid_steps ten", "grid_steps"),
+        ("grid_steps 1", "grid_steps"),
+        ("tie_break sideways", "tie_break"),
+        ("ignore_index x", "ignore_index"),
+    ],
+)
+def test_bad_manifest_value_is_input_error(tmp_path, capsys, line, key):
+    manifest = hand_instance_manifest(tmp_path)
+    manifest.write_text(manifest.read_text().replace("ignore_index 255", line))
+    out = tmp_path / "out"
+    assert run_cli("evaluate", "--manifest", str(manifest), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sparseval: error: ManifestError: ")
+    assert str(manifest) in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n": 20.5}, "n must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"frames": 2.5}, "frames must be an integer"),
+    ],
+)
+def test_non_integer_spec_field_is_input_error(tmp_path, capsys, overrides, message):
+    spec_path = write_spec(tmp_path, **overrides)
+    code = run_cli("synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "x"))
+    assert code == 2
+    assert f"SpecInvalid: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# a value other than the default for every EvalConfig field: the evaluate flag
+# that sets it, and its text as a flag argument and as a manifest value
+CONFIG_SETTINGS = {
+    "grid_steps": ("--grid-steps", "17"),
+    "iou_filter_threshold": ("--filter-threshold", "0.5"),
+    "ece_bins": ("--ece-bins", "7"),
+    "tie_break": ("--tie-break", "seeded_random"),
+    "rng_seed": ("--seed", "11"),
+    "ranking_domain": ("--ranking-domain", "global"),
+}
+
+
+def test_config_settings_name_every_field():
+    assert set(CONFIG_SETTINGS) == {f.name for f in dataclasses.fields(EvalConfig)}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_SETTINGS))
+def test_every_config_field_is_a_manifest_key_and_an_evaluate_flag(tmp_path, name):
+    flag, text = CONFIG_SETTINGS[name]
+    expected = EvalConfig.parse_field(name, text)
+    assert expected != getattr(EvalConfig(), name)
+    manifest = hand_instance_manifest(tmp_path)
+
+    def evaluated_config(out, *flags):
+        argv = ["evaluate", "--manifest", str(manifest), "--out-dir", str(out), *flags]
+        assert run_cli(*argv) == 0
+        return json.loads((out / "report.json").read_text())["provenance"]["config"]
+
+    assert evaluated_config(tmp_path / "by_flag", flag, text)[name] == expected
+    manifest.write_text(manifest.read_text() + f"{name} {text}\n")
+    assert read_manifest(manifest).overrides == {name: expected}
+    assert evaluated_config(tmp_path / "by_manifest")[name] == expected
+
+
+def test_spec_file_accepts_exactly_the_scenario_fields(tmp_path):
+    spec = {
+        "n": 400,
+        "class_frequencies": [0.6, 0.4],
+        "per_class_accuracy": [0.8, 0.7],
+        "calibration_mode": "overconfident",
+        "gamma": 2,
+        "confusion_profile": [[0.0, 1.0], [1.0, 0.0]],
+        "seed": 3,
+        "confidence_spread": 0.1,
+        "class_names": ["road", "pole"],
+        "frames": 2,
+    }
+    assert set(spec) == {f.name for f in dataclasses.fields(ScenarioSpec)} | {"frames"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("synth", "--spec", str(path), "--out-dir", str(tmp_path / "a")) == 0
+    assert len(read_manifest(tmp_path / "a" / "manifest.txt").frames) == 2
+    path.write_text(json.dumps({**spec, "ignore_index": 0}))
+    assert run_cli("synth", "--spec", str(path), "--out-dir", str(tmp_path / "b")) == 2

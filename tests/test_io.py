@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from sparseval import (
     ClassCatalog,
     EvalConfig,
     FrameEntry,
+    LabelArray,
     LogitTensor,
     ProbabilityStack,
     ScenarioSpec,
@@ -126,7 +128,7 @@ def test_bad_dtype_tag_and_rank(tmp_path):
         read_tensor(path)
 
 
-def _write_frame(tmp_path, probs, labels, *, quantize=False):
+def _write_frame(tmp_path, probs, labels, *, quantize=False, label_dtype=np.uint8):
     probs_path = tmp_path / "f.probs.spt"
     labels_path = tmp_path / "f.labels.spt"
     if quantize:
@@ -134,7 +136,7 @@ def _write_frame(tmp_path, probs, labels, *, quantize=False):
     else:
         arr = probs.astype(np.float32)
     write_tensor(TensorContainer.from_array(arr), probs_path)
-    write_tensor(TensorContainer.from_array(labels.astype(np.uint8)), labels_path)
+    write_tensor(TensorContainer.from_array(labels.astype(label_dtype)), labels_path)
     return FrameEntry(labels_path=labels_path, probs_path=probs_path)
 
 
@@ -416,3 +418,86 @@ def test_corrupted_containers_are_rejected_with_exact_classes(tmp_path):
         path.write_bytes(bytes(blob))
         with pytest.raises(expected):
             read_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("grid_steps ten", "grid_steps"),
+        ("grid_steps 1", "grid_steps"),
+        ("iou_filter_threshold nan", "iou_filter_threshold"),
+        ("ranking_domain everywhere", "ranking_domain"),
+        ("ignore_index x", "ignore_index"),
+        ("frame probs=p.spt labels=l.spt samples=x", "samples"),
+    ],
+)
+def test_bad_manifest_value_raises_manifest_error(tmp_path, line, key):
+    path = tmp_path / "m.txt"
+    path.write_text(f"sparseval-manifest v1\nclasses a,b\n{line}\n")
+    with pytest.raises(ManifestError) as caught:
+        read_manifest(path)
+    assert str(path) in str(caught.value) and key in str(caught.value)
+
+
+def _reference_dequantized(raw):
+    # the float32 copy, float64 quotient and float32 cast that the in-place
+    # dequantisation replaces
+    scaled = raw.astype(np.float32) / np.float32(65535.0)
+    sums = scaled.sum(axis=2, keepdims=True, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (scaled / sums).astype(np.float32)
+
+
+def test_dequantize_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    raw = rng.integers(0, 65536, size=(3, 500, 19)).astype(np.uint16)
+    raw[1, 7] = 0  # an all-zero row: 0/0 gives NaN on both paths
+    out = sparseval.io._dequantized_probabilities(raw)
+    assert out.dtype == np.float32
+    assert np.isnan(out[1, 7]).all()
+    assert out.tobytes() == _reference_dequantized(raw).tobytes()
+
+
+def test_dequantize_peak_stays_near_the_result():
+    raw = np.random.default_rng(13).integers(0, 65536, (20, 5000, 19)).astype(np.uint16)
+    tracemalloc.start()
+    try:
+        out = sparseval.io._dequantized_probabilities(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_load_frame_keeps_the_stored_label_width(tmp_path, dtype):
+    rng = np.random.default_rng(14)
+    raw = rng.random((1, 30, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=30), label_dtype=dtype)
+    _, labels = load_frame(entry)
+    assert labels.values.dtype == dtype
+
+
+@pytest.mark.parametrize(
+    "dtype, ignore_index",
+    [(np.uint8, 255), (np.uint8, -1), (np.uint16, 255), (np.uint16, 1000)],
+)
+def test_stored_label_width_never_changes_the_report(tmp_path, dtype, ignore_index):
+    spec = ScenarioSpec(
+        n=3000,
+        class_frequencies=(0.6, 0.3, 0.1),
+        per_class_accuracy=(0.8, 0.7, 0.6),
+        seed=15,
+        confidence_spread=0.2,
+    )
+    gt, probs = generate(spec)
+    labels = gt.values.copy()
+    if ignore_index >= 0:
+        labels[np.random.default_rng(15).random(labels.size) < 0.1] = ignore_index
+    entry = _write_frame(tmp_path, probs.data, labels, label_dtype=dtype)
+    catalog = ClassCatalog(("a", "b", "c"), ignore_index)
+    stored = evaluate_split([entry], catalog)
+    wide = evaluate_split([ArrayFrame(LabelArray(labels.astype(np.int64)), probs)], catalog)
+    stored.provenance = wide.provenance = {}
+    assert stored == wide

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -432,3 +433,44 @@ def test_earliest_faulty_block_is_reported_first():
     # labels are checked after every probability row, as before
     with pytest.raises(NotADistribution, match=f"value 2.0 outside .* point {FAULT_AT}, class 1$"):
         evaluate_split(_faulty_frames(label_then_range), catalog)
+
+
+def _reference_digest(frame):
+    # the digest as it was defined, with each array copied into bytes
+    h = hashlib.sha256()
+    arrays = [frame.labels.values]
+    if frame.probs is not None:
+        arrays.append(frame.probs.data)
+    else:
+        arrays.append(frame.logits.values)
+        if frame.logits.stddev is not None:
+            arrays.append(frame.logits.stddev)
+    for arr in arrays:
+        h.update(str(arr.shape).encode())
+        h.update(str(arr.dtype).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_array_frame_digest_of_strided_views():
+    _, _, gt, probs = scenario_frames(n=600)
+    rng = np.random.default_rng(16)
+    logits = rng.normal(size=(600, 6)).astype(np.float32)
+    frames = [
+        ArrayFrame(gt, probs),
+        # every other point, and classes in reverse: views that are not contiguous
+        ArrayFrame(
+            LabelArray(gt.values[::2]), ProbabilityStack(probs.data[:, ::2, ::-1])
+        ),
+        ArrayFrame(
+            LabelArray(gt.values[:300]),
+            logits=LogitTensor(logits[::2, :3], np.abs(logits[1::2, 3:])),
+        ),
+    ]
+    assert not frames[1].probs.data.flags.c_contiguous
+    for frame in frames:
+        assert frame.digest() == _reference_digest(frame)
+    contiguous = ArrayFrame(
+        LabelArray(gt.values[::2].copy()), ProbabilityStack(probs.data[:, ::2, ::-1].copy())
+    )
+    assert contiguous.digest() == frames[1].digest()

@@ -131,6 +131,13 @@ def test_spec_validation():
         small_spec(confusion_profile=np.eye(3))
     with pytest.raises(SpecInvalid):
         small_spec(class_names=("a", "b"))
+    # integers are never truncated from a float
+    with pytest.raises(SpecInvalid):
+        small_spec(n=20.5)
+    with pytest.raises(SpecInvalid):
+        small_spec(seed=1.5)
+    with pytest.raises(SpecInvalid):
+        small_spec(seed=-1)
 
 
 def test_confusion_profile_routes_errors():
