@@ -12,7 +12,6 @@ generation, and bit-exact file formats round out the evaluation engine.
 from .confidence import (
     LogitTensor,
     aggregate_samples,
-    confidence_for_measure,
     entropy_confidence,
     max_softmax_confidence,
     sample_probabilistic_logits,
@@ -21,7 +20,6 @@ from .confidence import (
 from .core import (
     ClassCatalog,
     ConfidenceVector,
-    EvalBundle,
     EvalConfig,
     LabelArray,
     MEASURES,
@@ -79,11 +77,10 @@ from .synth import (
     degenerate_class_scenario,
     generate,
     write_dataset,
-    write_scenario,
 )
 from . import errors
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ArrayFrame",
@@ -93,7 +90,6 @@ __all__ = [
     "ConfidenceVector",
     "ConfusionMatrix",
     "CurvePair",
-    "EvalBundle",
     "EvalConfig",
     "EvalReport",
     "FractionGrid",
@@ -111,7 +107,6 @@ __all__ = [
     "aggregate_samples",
     "ause",
     "brute_force_ause",
-    "confidence_for_measure",
     "confusion",
     "curve_pair",
     "degenerate_class_scenario",
@@ -143,6 +138,5 @@ __all__ = [
     "write_dataset",
     "write_manifest",
     "write_report",
-    "write_scenario",
     "write_tensor",
 ]

@@ -169,14 +169,13 @@ def _cmd_synth(args) -> int:
     if args.preset == "degenerate-class":
         gt, probs = degenerate_class_scenario(seed=args.seed or 0)
         catalog = ClassCatalog(("class_00", "class_01", "class_02"))
-        manifest_path = write_dataset(gt, probs, catalog, out_dir, frames=args.frames)
+        frames = 1 if args.frames is None else args.frames
     else:
         spec, spec_frames = _spec_from_json(args.spec, args.seed)
-        frames = args.frames if args.frames != 1 else spec_frames
+        frames = spec_frames if args.frames is None else args.frames
         gt, probs = generate(spec)
-        manifest_path = write_dataset(
-            gt, probs, spec.catalog(), out_dir, frames=frames
-        )
+        catalog = spec.catalog()
+    manifest_path = write_dataset(gt, probs, catalog, out_dir, frames=frames)
     print(f"manifest: {manifest_path}")
     return EXIT_OK
 
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=("degenerate-class",))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, help="overrides the scenario seed")
-    p.add_argument("--frames", type=int, default=1, help="files to split points into")
+    p.add_argument("--frames", type=int, help="files to split points into (default: the spec's)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ece", help="expected calibration error of the split")

@@ -277,14 +277,3 @@ def entropy_confidence(probs: ProbabilityStack) -> ConfidenceVector:
     _, columns = reduce_blocks(predictive_blocks(probs), probs.points, ("neg_entropy",))
     return ConfidenceVector("neg_entropy", columns["neg_entropy"])
 
-
-def confidence_for_measure(
-    probs: ProbabilityStack, measure: str
-) -> tuple[ConfidenceVector, LabelArray]:
-    """Confidence under the named measure together with argmax predictions."""
-    scores, preds = max_softmax_confidence(probs)
-    if measure == "max_softmax":
-        return scores, preds
-    if measure == "neg_entropy":
-        return entropy_confidence(probs), preds
-    raise ValueError(f"unknown confidence measure {measure!r}")

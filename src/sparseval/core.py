@@ -178,23 +178,8 @@ class EvalConfig:
         return value
 
 
-@dataclass(frozen=True)
-class EvalBundle:
-    """Inputs that passed validate_inputs, ready for the metric chain."""
-
-    probs: ProbabilityStack
-    gt: LabelArray
-    catalog: ClassCatalog
-
-
-def validate_inputs(
-    probs: ProbabilityStack,
-    gt: LabelArray,
-    catalog: ClassCatalog,
-    *,
-    row_sum_tol: float = ROW_SUM_TOL,
-) -> EvalBundle:
-    """Check shapes, probability rows, and label ranges; return the bundle.
+def validate_inputs(probs: ProbabilityStack, gt: LabelArray, catalog: ClassCatalog) -> None:
+    """Check shapes, probability rows, and label ranges; raise on the first fault.
 
     Pure and deterministic. The first offending index is reported in the
     error message. Points labeled with the ignore index are accepted here
@@ -205,12 +190,8 @@ def validate_inputs(
         (start, data[:, start : start + BLOCK_POINTS])
         for start in range(0, data.shape[1], BLOCK_POINTS)
     )
-    checked = checked_blocks(
-        blocks, data.shape[1], data.shape[2], gt, catalog, row_sum_tol=row_sum_tol
-    )
-    for _ in checked:
+    for _ in checked_blocks(blocks, data.shape[1], data.shape[2], gt, catalog):
         pass
-    return EvalBundle(probs, gt, catalog)
 
 
 def checked_blocks(
@@ -219,8 +200,6 @@ def checked_blocks(
     classes: int,
     gt: LabelArray,
     catalog: ClassCatalog,
-    *,
-    row_sum_tol: float = ROW_SUM_TOL,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The checks of ``validate_inputs`` on a stack that arrives in blocks.
 
@@ -250,7 +229,7 @@ def checked_blocks(
                 f"sample {s}, point {i}, class {c}"
             )
         sums = block.sum(axis=2, dtype=np.float64)
-        off = np.abs(sums - 1.0) > row_sum_tol
+        off = np.abs(sums - 1.0) > ROW_SUM_TOL
         # NaN payloads compare False above, so test them explicitly
         off |= ~np.isfinite(sums)
         if off.any():

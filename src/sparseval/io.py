@@ -57,6 +57,10 @@ MANIFEST_HEADER = "sparseval-manifest v1"
 # a manifest may override every EvalConfig field under the field's name
 _CONFIG_KEYS = frozenset(f.name for f in fields(EvalConfig))
 
+# the file keys of a manifest frame line, in the order a line lists them and
+# a digest takes them; FrameEntry holds the file of key x as x_path
+_FRAME_FILES = ("probs", "logits", "stddev", "labels")
+
 
 def _payload_checksum(payload: bytes) -> bytes:
     return hashlib.blake2b(payload, digest_size=8).digest()
@@ -189,10 +193,13 @@ class FrameEntry:
         source = self.probs_path or self.logits_path
         return Path(source).name
 
+    def _files(self) -> dict[str, Path]:
+        """The frame's files by manifest key, in ``_FRAME_FILES`` order."""
+        found = {key: getattr(self, f"{key}_path") for key in _FRAME_FILES}
+        return {key: Path(p) for key, p in found.items() if p is not None}
+
     def paths(self) -> list[Path]:
-        out = [p for p in (self.probs_path, self.logits_path, self.stddev_path) if p]
-        out.append(self.labels_path)
-        return [Path(p) for p in out]
+        return list(self._files().values())
 
     def load(self) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
         return load_frame(self)
@@ -345,28 +352,19 @@ def read_manifest(path: str | Path) -> Manifest:
                 if not eq:
                     raise ManifestError(f"malformed frame token {token!r} in {path}")
                 tokens[tk] = tv
-            unknown = set(tokens) - {"probs", "logits", "stddev", "labels", "samples"}
+            unknown = set(tokens) - {*_FRAME_FILES, "samples"}
             if unknown:
                 raise ManifestError(f"unknown frame keys {sorted(unknown)} in {path}")
             if "labels" not in tokens:
                 raise ManifestError(f"frame without labels in {path}")
             samples = _manifest_int(path, "samples", tokens.get("samples", "1"))
+            files = {
+                f"{key}_path": (base / tokens[key]).resolve()
+                for key in _FRAME_FILES
+                if key in tokens
+            }
             try:
-                entries.append(
-                    FrameEntry(
-                        labels_path=(base / tokens["labels"]).resolve(),
-                        probs_path=(base / tokens["probs"]).resolve()
-                        if "probs" in tokens
-                        else None,
-                        logits_path=(base / tokens["logits"]).resolve()
-                        if "logits" in tokens
-                        else None,
-                        stddev_path=(base / tokens["stddev"]).resolve()
-                        if "stddev" in tokens
-                        else None,
-                        samples=samples,
-                    )
-                )
+                entries.append(FrameEntry(**files, samples=samples))
             except ManifestError as exc:
                 raise ManifestError(f"{path}: {exc}") from exc
         else:
@@ -402,13 +400,7 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
         lines.append(f"{key} {value}")
     for entry in manifest.frames:
         parts = ["frame"]
-        if entry.probs_path is not None:
-            parts.append(f"probs={os.path.relpath(entry.probs_path, base)}")
-        if entry.logits_path is not None:
-            parts.append(f"logits={os.path.relpath(entry.logits_path, base)}")
-        if entry.stddev_path is not None:
-            parts.append(f"stddev={os.path.relpath(entry.stddev_path, base)}")
-        parts.append(f"labels={os.path.relpath(entry.labels_path, base)}")
+        parts += [f"{key}={os.path.relpath(p, base)}" for key, p in entry._files().items()]
         if entry.samples != 1:
             parts.append(f"samples={entry.samples}")
         line = " ".join(parts)

@@ -21,17 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import confidence_for_measure
+from .confidence import predictive_blocks, reduce_blocks
 from .core import (
     ClassCatalog,
     ConfidenceVector,
     EvalConfig,
     LabelArray,
+    MEASURES,
     ProbabilityStack,
     RANKING_DOMAINS,
     SEED_MASK,
     TIE_BREAKS,
-    validate_inputs,
+    checked_blocks,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
 
@@ -464,13 +465,20 @@ def per_class_ause(
     measure: str,
     config: EvalConfig | None = None,
 ) -> list[ClassAuse]:
-    """Run the full chain per class: argmax, confidence, subset, curves, area."""
+    """Per-class AUSE of one aggregated stack under one confidence measure.
+
+    The stack is checked and reduced block by block, as each frame of a
+    split is, and every class is then read from the one curve engine.
+    """
     config = config or EvalConfig()
-    validate_inputs(probs, gt, catalog)
+    if measure not in MEASURES:
+        raise ValueError(f"unknown confidence measure {measure!r}")
     if probs.samples != 1:
         raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
-    conf, pred = confidence_for_measure(probs, measure)
-    curves = class_curves_by_measure(pred, gt, {measure: conf}, catalog, config)
+    blocks = checked_blocks(predictive_blocks(probs), probs.points, probs.classes, gt, catalog)
+    pred, scores = reduce_blocks(blocks, probs.points, (measure,))
+    conf = ConfidenceVector(measure, scores[measure])
+    curves = class_curves_by_measure(LabelArray(pred), gt, {measure: conf}, catalog, config)
     results = []
     for class_index, name in enumerate(catalog.names):
         pairs = curves[class_index]

@@ -25,6 +25,8 @@ Calibration modes:
 """
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,12 +56,11 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer("n", self.n))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
-        object.__setattr__(
-            self, "class_frequencies", tuple(float(f) for f in self.class_frequencies)
-        )
-        object.__setattr__(
-            self, "per_class_accuracy", tuple(float(a) for a in self.per_class_accuracy)
-        )
+        for name in ("class_frequencies", "per_class_accuracy"):
+            values = tuple(_real(name, v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        for name in ("gamma", "confidence_spread"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         k = len(self.class_frequencies)
         if self.n < 1:
             raise SpecInvalid("n must be at least 1")
@@ -91,9 +92,10 @@ class ScenarioSpec:
         if not 0.0 <= self.confidence_spread < 0.5:
             raise SpecInvalid("confidence_spread must lie in [0, 0.5)")
         if self.confusion_profile is not None:
-            prof = np.asarray(self.confusion_profile, dtype=np.float64)
+            prof = np.asarray(self.confusion_profile)
             if prof.shape != (k, k):
                 raise SpecInvalid("confusion_profile must be k x k")
+            prof = np.array([_real("confusion_profile", v) for v in prof.flat]).reshape(k, k)
             if prof.min() < 0:
                 raise SpecInvalid("confusion_profile entries must be non-negative")
             if np.abs(np.diag(prof)).max() > 0:
@@ -122,6 +124,13 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise SpecInvalid(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    # a finite number is taken as it is, never parsed from a string
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise SpecInvalid(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _default_profile(k: int) -> np.ndarray:
@@ -259,18 +268,6 @@ def write_dataset(
     manifest_path = out_dir / "manifest.txt"
     container_io.write_manifest(manifest, manifest_path)
     return manifest_path
-
-
-def write_scenario(
-    spec: ScenarioSpec,
-    out_dir,
-    *,
-    frames: int = 1,
-    ignore_index: int = 255,
-):
-    """Generate a scenario and store it; returns the manifest path."""
-    gt, probs = generate(spec)
-    return write_dataset(gt, probs, spec.catalog(ignore_index), out_dir, frames=frames)
 
 
 def degenerate_class_scenario(seed: int = 0) -> tuple[LabelArray, ProbabilityStack]:

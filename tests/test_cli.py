@@ -53,6 +53,28 @@ def test_synth_is_deterministic(tmp_path):
         ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "spec_frames, argv, frames",
+    [(3, [], 3), (3, ["--frames", "1"], 1), (1, ["--frames", "2"], 2), (None, [], 1)],
+)
+def test_synth_frames_flag_overrides_the_spec(tmp_path, spec_frames, argv, frames):
+    overrides = {} if spec_frames is None else {"frames": spec_frames}
+    spec_path = write_spec(tmp_path, **overrides)
+    out = tmp_path / "data"
+    assert run_cli("synth", "--spec", str(spec_path), "--out-dir", str(out), *argv) == 0
+    assert len(read_manifest(out / "manifest.txt").frames) == frames
+
+
+@pytest.mark.parametrize("source", [["--preset", "degenerate-class"], ["--spec"]])
+def test_synth_frames_zero_is_input_error(tmp_path, capsys, source):
+    if source == ["--spec"]:
+        source = ["--spec", str(write_spec(tmp_path, frames=3))]
+    out = tmp_path / "x"
+    assert run_cli("synth", *source, "--out-dir", str(out), "--frames", "0") == 2
+    assert "SpecInvalid: frames must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_rejects_empty_scenario(tmp_path):
     spec_path = write_spec(tmp_path, n=0)
     code = run_cli("synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "x"))

@@ -9,13 +9,15 @@ from scipy.special import ndtri
 from sparseval import (
     ArrayFrame,
     ClassCatalog,
+    EvalConfig,
     LabelArray,
     LogitTensor,
     ProbabilityStack,
     aggregate_samples,
-    confidence_for_measure,
+    ause,
     entropy_confidence,
     max_softmax_confidence,
+    per_class_ause,
     sample_probabilistic_logits,
     pool_split,
     softmax,
@@ -23,6 +25,7 @@ from sparseval import (
 from sparseval.confidence import _normal_field, predictive_blocks
 from sparseval.core import BLOCK_POINTS
 from sparseval.errors import MissingStddev, NonFiniteInput
+from sparseval.sparsification import class_curves_by_measure
 
 
 def test_softmax_symmetry():
@@ -195,14 +198,27 @@ def test_scores_stay_in_unit_interval():
         assert scores.min() >= 0.0 and scores.max() <= 1.0
 
 
-def test_confidence_for_measure_dispatch():
-    probs = ProbabilityStack(np.array([[[0.7, 0.3]]]))
-    sm, pred_a = confidence_for_measure(probs, "max_softmax")
-    ent, pred_b = confidence_for_measure(probs, "neg_entropy")
+def test_measure_dispatch():
+    # per_class_ause ranks by the named measure's confidence function, with
+    # the max-softmax argmax as the predictions of either measure
+    probs = ProbabilityStack(np.array([[[0.7, 0.3], [0.4, 0.6], [0.9, 0.1], [0.45, 0.55]]]))
+    gt = LabelArray(np.array([0, 0, 1, 1]))
+    catalog = ClassCatalog(("a", "b"))
+    sm, pred = max_softmax_confidence(probs)
+    ent = entropy_confidence(probs)
     assert sm.measure == "max_softmax" and ent.measure == "neg_entropy"
-    assert np.array_equal(pred_a.values, pred_b.values)
-    with pytest.raises(ValueError):
-        confidence_for_measure(probs, "brier")
+    for conf in (sm, ent):
+        rows = per_class_ause(probs, gt, catalog, conf.measure)
+        expected = class_curves_by_measure(pred, gt, {conf.measure: conf}, catalog, EvalConfig())
+        for row, pairs in zip(rows, expected, strict=True):
+            pair = pairs[conf.measure]
+            assert row.ause == ause(pair) and row.relevant_count == pair.relevant_count
+            assert np.array_equal(row.curves.sparsification_error, pair.sparsification_error)
+    with pytest.raises(ValueError, match="unknown confidence measure 'brier'"):
+        per_class_ause(probs, gt, catalog, "brier")
+    # a stack of several samples is refused before any of its rows is checked
+    with pytest.raises(ValueError, match="samples == 1"):
+        per_class_ause(ProbabilityStack(np.full((2, 4, 2), 0.9)), gt, catalog, "max_softmax")
 
 
 def test_logit_tensor_invariants():

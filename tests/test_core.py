@@ -24,8 +24,7 @@ def test_valid_minimal_bundle():
     probs = ProbabilityStack(np.tile([0.2, 0.3, 0.5], (1, 4, 1)))
     gt = LabelArray(np.array([1, 0, 2, 255]))
     catalog = ClassCatalog(("a", "b", "c"))
-    bundle = validate_inputs(probs, gt, catalog)
-    assert bundle.probs is probs and bundle.gt is gt
+    assert validate_inputs(probs, gt, catalog) is None
 
 
 def test_row_sum_violation_reports_first_point():

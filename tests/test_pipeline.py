@@ -24,7 +24,7 @@ from sparseval import (
     scatter_export,
     validate_inputs,
 )
-from sparseval.core import BLOCK_POINTS
+from sparseval.core import BLOCK_POINTS, MEASURES, RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import (
     AllClassesFiltered,
     EmptySplit,
@@ -63,15 +63,23 @@ def strip_provenance(report):
     return clone
 
 
-def test_single_frame_report_matches_per_class_chain():
-    frames, catalog, gt, probs = scenario_frames()
-    report = evaluate_split(frames, catalog)
-    direct = per_class_ause(probs, gt, catalog, "max_softmax")
-    for row, ref in zip(report.rows, direct):
-        assert row.ause["max_softmax"] == ref.ause
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
+def test_single_frame_report_matches_per_class_chain(measure, tie_break, ranking_domain):
+    _, catalog, gt, probs = scenario_frames()
+    labels = gt.values.copy()
+    labels[::7] = catalog.ignore_index
+    gt = LabelArray(labels)
+    config = EvalConfig(tie_break=tie_break, ranking_domain=ranking_domain, rng_seed=3)
+    report = evaluate_split([ArrayFrame(gt, probs)], catalog, config)
+    direct = per_class_ause(probs, gt, catalog, measure, config)
+    for row, ref in zip(report.rows, direct, strict=True):
+        assert row.ause[measure] == ref.ause
         assert row.relevant_count == ref.relevant_count
     assert report.provenance["config"]["iou_filter_threshold"] == 0.03
-    assert report.ece == pytest.approx(ece(probs, gt, 15), abs=1e-15)
+    expected_ece = ece(probs, gt, 15, ignore_index=catalog.ignore_index)
+    assert report.ece == pytest.approx(expected_ece, abs=1e-15)
 
 
 def test_duplicated_frame_keeps_iou_and_ause():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,28 @@ def test_spec_validation():
         small_spec(seed=1.5)
     with pytest.raises(SpecInvalid):
         small_spec(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"gamma": "4", "calibration_mode": "overconfident"}, "gamma"),
+        ({"gamma": math.inf, "calibration_mode": "overconfident"}, "gamma"),
+        ({"gamma": math.nan, "calibration_mode": "underconfident"}, "gamma"),
+        ({"confidence_spread": "0.1"}, "confidence_spread"),
+        ({"confidence_spread": math.nan}, "confidence_spread"),
+        ({"class_frequencies": ("a", 0.3, 0.1)}, "class_frequencies"),
+        ({"class_frequencies": (0.6, math.nan, 0.1)}, "class_frequencies"),
+        ({"class_frequencies": (0.6, math.inf, 0.1)}, "class_frequencies"),
+        ({"per_class_accuracy": (0.8, None, 0.7)}, "per_class_accuracy"),
+        ({"per_class_accuracy": (0.8, 0.75, math.nan)}, "per_class_accuracy"),
+        ({"confusion_profile": [[0, 1, 0], [1, 0, 0], ["1", 0, 0]]}, "confusion_profile"),
+        ({"confusion_profile": np.full((3, 3), np.nan)}, "confusion_profile"),
+    ],
+)
+def test_real_fields_must_be_finite_numbers(overrides, field):
+    with pytest.raises(SpecInvalid, match=f"^{field} must be a finite number"):
+        small_spec(**overrides)
 
 
 def test_confusion_profile_routes_errors():
