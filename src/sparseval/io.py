@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, fields, replace
@@ -185,8 +186,13 @@ class FrameEntry:
             raise ManifestError("a frame needs exactly one of probs or logits")
         if self.stddev_path is not None and self.logits_path is None:
             raise ManifestError("stddev only accompanies logits")
-        if self.samples < 1:
+        try:
+            samples = operator.index(self.samples)
+        except TypeError:
+            raise ManifestError(f"samples must be an integer, got {self.samples!r}") from None
+        if samples < 1:
             raise ManifestError("samples must be at least 1")
+        object.__setattr__(self, "samples", samples)
 
     @property
     def name(self) -> str:
@@ -467,10 +473,8 @@ def write_report(
     report: EvalReport,
     out_dir: str | Path,
     formats: tuple[str, ...] = ("json", "csv"),
-    *,
-    base_name: str = "report",
 ) -> dict[str, Path]:
-    """Write the report as JSON and/or CSV; never emits an empty file."""
+    """Write ``report.json`` and/or ``report.csv``; never emits an empty file."""
     if not report.rows:
         raise ValueError("refusing to write an empty report")
     for fmt in formats:
@@ -481,13 +485,13 @@ def write_report(
         out_dir.mkdir(parents=True, exist_ok=True)
         written: dict[str, Path] = {}
         if "json" in formats:
-            json_path = out_dir / f"{base_name}.json"
+            json_path = out_dir / "report.json"
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(_report_payload(report), fh, indent=2)
                 fh.write("\n")
             written["json"] = json_path
         if "csv" in formats:
-            csv_path = out_dir / f"{base_name}.csv"
+            csv_path = out_dir / "report.csv"
             with open(csv_path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 header = ["class", "iou"]

@@ -2,13 +2,18 @@
 
 Frames are pooled into one logical point set before any per-class ranking, so
 rare classes are judged on every point they have in the split rather than on
-frame-sized fragments. Confusion counts are accumulated per frame and merged,
-which makes the result independent of how the split is partitioned.
+frame-sized fragments. Confusion counts are accumulated per frame and merged.
+For probability stacks and plain logits the result does not depend on how
+the split is partitioned. Logits with a stddev are the exception: their
+noise is seeded by frame index and addressed by position within the frame,
+so other cut points draw other samples (ROADMAP.md item 3 keys the noise by
+split position instead).
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -55,8 +60,13 @@ class ArrayFrame:
     def __post_init__(self):
         if (self.probs is None) == (self.logits is None):
             raise ValueError("provide exactly one of probs or logits")
-        if self.samples < 1:
+        try:
+            samples = operator.index(self.samples)
+        except TypeError:
+            raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
+        if samples < 1:
             raise ValueError("samples must be at least 1")
+        object.__setattr__(self, "samples", samples)
 
     def load(self) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
         payload = self.probs if self.probs is not None else self.logits
@@ -147,13 +157,12 @@ def _reduce_frame(source, index, catalog, config, measures):
     full-frame temporary besides the output columns. Labels are kept in the
     smallest unsigned type that holds a class index.
     """
-    name = getattr(source, "name", None) or f"frame_{index:04d}"
+    name = source.name or f"frame_{index:04d}"
     label_dtype = np.min_scalar_type(catalog.k - 1)
     try:
         payload, labels = source.load()
-        samples = int(getattr(source, "samples", 1))
         seed = derive_stream_seed(config.rng_seed, index)
-        blocks = predictive_blocks(payload, samples, seed)
+        blocks = predictive_blocks(payload, source.samples, seed)
         blocks = checked_blocks(blocks, payload.points, payload.classes, labels, catalog)
         pred, scores = reduce_blocks(blocks, payload.points, measures, label_dtype)
         counts = confusion(LabelArray(pred), labels, catalog)
@@ -176,7 +185,8 @@ def pool_split(
     """Reduce every frame of a split and pool the results into one point set.
 
     ``dataset`` is a manifest, any iterable of frame sources (objects with
-    ``load()`` and ``digest()``), or an already pooled split, which is
+    ``load()``, ``digest()``, ``samples`` and ``name``, as ``ArrayFrame``
+    and ``io.FrameEntry`` have), or an already pooled split, which is
     returned unchanged. Frames are reduced on ``threads`` workers; the
     result does not depend on the count. ``config`` supplies the seed of
     logit sampling.
@@ -191,6 +201,8 @@ def pool_split(
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown confidence measure {m!r}")
+    if not measures or len(set(measures)) != len(measures):
+        raise ValueError(f"measures must name at least one measure, each once: {measures!r}")
     if isinstance(dataset, PooledSplit):
         missing = set(measures) - set(dataset.confidences)
         if missing:

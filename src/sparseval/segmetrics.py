@@ -49,23 +49,29 @@ class IoUVector:
 
 
 def confusion(pred: LabelArray, gt: LabelArray, catalog: ClassCatalog) -> ConfusionMatrix:
-    """Accumulate counts[gt][pred] over points whose ground truth is not ignored."""
+    """Accumulate counts[gt][pred] over points whose ground truth is not ignored.
+
+    Labels keep their type and are copied only to drop ignored points.
+    """
     if len(pred) != len(gt):
         raise DimensionMismatch(
             f"predictions cover {len(pred)} points but labels cover {len(gt)}"
         )
     k = catalog.k
-    keep = gt.values != catalog.ignore_index
-    g = gt.values[keep].astype(np.int64)
-    p = pred.values[keep].astype(np.int64)
+    g, p = gt.values, pred.values
+    keep = g != catalog.ignore_index
+    if not keep.all():
+        g, p = g[keep], p[keep]
     if g.size == 0:
         return ConfusionMatrix(np.zeros((k, k), dtype=np.int64))
     for name, arr in (("ground-truth", g), ("prediction", p)):
         if int(arr.min()) < 0 or int(arr.max()) >= k:
             i = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
             raise LabelOutOfRange(f"{name} label {int(arr[i])} is outside 0..{k - 1}")
-    flat = np.bincount(g * k + p, minlength=k * k)
-    return ConfusionMatrix(flat.reshape(k, k))
+    # g * k + p, the one full-length temporary
+    index = np.multiply(g, k, dtype=np.intp)
+    np.add(index, p, out=index, dtype=np.intp)
+    return ConfusionMatrix(np.bincount(index, minlength=k * k).reshape(k, k))
 
 
 def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:

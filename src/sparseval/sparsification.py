@@ -35,6 +35,7 @@ from .core import (
     checked_blocks,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
+from .segmetrics import confusion
 
 BRUTE_FORCE_MAX_POINTS = 20
 
@@ -182,20 +183,6 @@ def _stable_order(scores: np.ndarray) -> np.ndarray:
     return order
 
 
-def _label_codes(values: np.ndarray, keep: np.ndarray | None, k: int) -> np.ndarray:
-    """Labels of the kept points in the smallest unsigned type that holds k.
-
-    Labels that type cannot hold, negative or too large, are left in their
-    own type, so every comparison with a class index stays exact.
-    """
-    if keep is not None:
-        values = values[keep]
-    dtype = np.min_scalar_type(k)
-    if values.size and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
-        return values
-    return values.astype(dtype, copy=False)
-
-
 def _class_curves(
     pred: LabelArray,
     gt: LabelArray,
@@ -211,37 +198,33 @@ def _class_curves(
     """(relevant count, oracle error, {measure: sparsification error}) per class.
 
     The single curve engine behind every public entry point; a class with
-    no relevant point gives None. Memory beyond the inputs stays near one
-    int64 ranking plus a few one-byte columns: labels are cast to the
-    smallest type holding k, and each ranking is dropped once its labels
+    no relevant point gives None. Labels are checked and each class counted
+    by ``confusion``. Memory beyond the inputs stays near one int64 ranking
+    plus a few one-byte columns, as each ranking is dropped once its labels
     are gathered.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     if ranking_domain not in RANKING_DOMAINS:
         raise ValueError(f"ranking_domain must be one of {RANKING_DOMAINS}")
-    if len(pred) != len(gt):
-        raise DimensionMismatch(
-            f"predictions cover {len(pred)} points but labels cover {len(gt)}"
-        )
+    matrix = confusion(pred, gt, catalog)
     for conf in confs.values():
         if len(conf) != len(gt):
             raise DimensionMismatch(
                 f"confidence covers {len(conf)} points but labels cover {len(gt)}"
             )
-    keep = gt.values != catalog.ignore_index
-    keep = None if keep.all() else keep
-    g = _label_codes(gt.values, keep, catalog.k)
-    p = _label_codes(pred.values, keep, catalog.k)
-    n = g.size
-    same = g == p
-    counts = []  # (relevant points, true positives) per class
-    for c in classes:
-        of_c = g == c
-        counts.append(
-            (int(np.count_nonzero(of_c | (p == c))), int(np.count_nonzero(of_c & same)))
-        )
-    del same
+    n, tps = matrix.total, np.diag(matrix.counts)
+    relevant = matrix.counts.sum(axis=0) + matrix.counts.sum(axis=1) - tps
+    # (relevant points, true positives) per class; an index outside the
+    # catalog has no points, since confusion admits no label outside it
+    counts = [(int(relevant[c]), int(tps[c])) if 0 <= c < catalog.k else (0, 0) for c in classes]
+    keep = None if n == len(gt) else gt.values != catalog.ignore_index
+    # kept labels in the smallest type holding k - 1, as the pooled columns
+    dtype = np.min_scalar_type(catalog.k - 1)
+    g, p = (
+        (a.values if keep is None else a.values[keep]).astype(dtype, copy=False)
+        for a in (gt, pred)
+    )
     perm = None
     if tie_break == "seeded_random":
         # one shuffle of the whole ranking domain, shared by every class and
@@ -313,18 +296,8 @@ def sparsification_curve(
     can be measured; every class shares that permutation, which makes this
     curve equal to the one ``class_curves_by_measure`` gives the class.
     """
-    _, _, spars = _single_class(
-        pred,
-        gt,
-        {conf.measure: conf},
-        catalog,
-        class_index,
-        grid,
-        tie_break=tie_break,
-        seed=seed,
-        ranking_domain=ranking_domain,
-    )
-    return spars[conf.measure]
+    ranking = dict(tie_break=tie_break, seed=seed, ranking_domain=ranking_domain)
+    return curve_pair(pred, gt, conf, catalog, class_index, grid, **ranking).sparsification_error
 
 
 def oracle_curve(
@@ -355,17 +328,9 @@ def curve_pair(
     ranking_domain: str = "subset",
 ) -> CurvePair:
     """Both curves of one class over a shared grid."""
-    relevant, orac, spars = _single_class(
-        pred,
-        gt,
-        {conf.measure: conf},
-        catalog,
-        class_index,
-        grid,
-        tie_break=tie_break,
-        seed=seed,
-        ranking_domain=ranking_domain,
-    )
+    ranking = dict(tie_break=tie_break, seed=seed, ranking_domain=ranking_domain)
+    confs = {conf.measure: conf}
+    relevant, orac, spars = _single_class(pred, gt, confs, catalog, class_index, grid, **ranking)
     return CurvePair(class_index, grid, spars[conf.measure], orac, relevant)
 
 
@@ -435,17 +400,10 @@ def class_curves_by_measure(
     relevant subsets yield None.
     """
     grid = FractionGrid(config.grid_steps)
-    curves = _class_curves(
-        pred,
-        gt,
-        confs,
-        catalog,
-        grid,
-        range(catalog.k),
-        tie_break=config.tie_break,
-        seed=config.rng_seed,
-        ranking_domain=config.ranking_domain,
+    ranking = dict(
+        tie_break=config.tie_break, seed=config.rng_seed, ranking_domain=config.ranking_domain
     )
+    curves = _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), **ranking)
     out: list[dict[str, CurvePair] | None] = []
     for class_index, found in enumerate(curves):
         if found is None:

@@ -57,7 +57,7 @@ class ScenarioSpec:
         object.__setattr__(self, "n", _integer("n", self.n))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         for name in ("class_frequencies", "per_class_accuracy"):
-            values = tuple(_real(name, v) for v in getattr(self, name))
+            values = tuple(_real(name, v) for v in _sequence(name, getattr(self, name)))
             object.__setattr__(self, name, values)
         for name in ("gamma", "confidence_spread"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
@@ -92,10 +92,13 @@ class ScenarioSpec:
         if not 0.0 <= self.confidence_spread < 0.5:
             raise SpecInvalid("confidence_spread must lie in [0, 0.5)")
         if self.confusion_profile is not None:
-            prof = np.asarray(self.confusion_profile)
-            if prof.shape != (k, k):
+            rows = [
+                _sequence("confusion_profile", row)
+                for row in _sequence("confusion_profile", self.confusion_profile)
+            ]
+            if len(rows) != k or any(len(row) != k for row in rows):
                 raise SpecInvalid("confusion_profile must be k x k")
-            prof = np.array([_real("confusion_profile", v) for v in prof.flat]).reshape(k, k)
+            prof = np.array([[_real("confusion_profile", v) for v in row] for row in rows])
             if prof.min() < 0:
                 raise SpecInvalid("confusion_profile entries must be non-negative")
             if np.abs(np.diag(prof)).max() > 0:
@@ -104,7 +107,7 @@ class ScenarioSpec:
                 raise SpecInvalid("confusion_profile rows must sum to 1")
             object.__setattr__(self, "confusion_profile", prof)
         if self.class_names is not None:
-            names = tuple(str(s) for s in self.class_names)
+            names = tuple(str(s) for s in _sequence("class_names", self.class_names))
             if len(names) != k:
                 raise SpecInvalid("class_names must list one name per class")
             object.__setattr__(self, "class_names", names)
@@ -124,6 +127,16 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise SpecInvalid(f"{name} must be an integer, got {value!r}") from None
+
+
+def _sequence(name: str, value) -> tuple:
+    # a sequence is taken entry by entry, never a scalar or a string's letters
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise SpecInvalid(f"{name} must be a sequence, got {value!r}")
 
 
 def _real(name: str, value) -> float:

@@ -1,7 +1,9 @@
 import ast
+import importlib
 from pathlib import Path
 
 import sparseval
+import sparseval.segmetrics
 
 PACKAGE = Path(sparseval.__file__).parent
 
@@ -25,3 +27,19 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in imported_private_names(path)] == []
+
+
+def test_benchmark_tracer_resolves_every_traced_name(monkeypatch):
+    # the benchmark's tracer looks each traced function up by name, so a
+    # renamed or removed one fails here; install may patch some names before
+    # it raises, hence the restore
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(benchmarks))
+    original = sparseval.segmetrics.confusion
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        assert sparseval.segmetrics.confusion is not original
+    finally:
+        tracer.restore()
+    assert sparseval.segmetrics.confusion is original

@@ -262,6 +262,16 @@ def test_sample_count_must_match_file(tmp_path):
         load_frame(bad)
 
 
+
+@pytest.mark.parametrize("samples", [2.5, 2.0, "2"])
+def test_frame_entry_samples_must_be_an_integer(tmp_path, samples):
+    with pytest.raises(ManifestError, match="samples must be an integer"):
+        FrameEntry(labels_path=tmp_path / "l.spt", probs_path=tmp_path / "p.spt", samples=samples)
+    entry = FrameEntry(
+        labels_path=tmp_path / "l.spt", probs_path=tmp_path / "p.spt", samples=np.int64(2)
+    )
+    assert entry.samples == 2 and type(entry.samples) is int
+
 def test_quantized_probabilities_dequantize_and_renormalize(tmp_path):
     rng = np.random.default_rng(5)
     raw = rng.random((2, 50, 4)) + 1e-3

@@ -232,6 +232,36 @@ def test_empty_split_errors():
         per_frame_class_ause([all_ignored], ClassCatalog(("a", "b")))
 
 
+
+class UnreadFrame:
+    """A frame source that fails the test if the split reads it."""
+
+    name = "unread"
+    samples = 1
+
+    def load(self):
+        raise AssertionError("the frame was read")
+
+    def digest(self):
+        raise AssertionError("the frame was digested")
+
+
+@pytest.mark.parametrize("measures", [(), ("max_softmax", "max_softmax")])
+def test_measures_must_be_distinct_and_non_empty(measures):
+    with pytest.raises(ValueError, match="each once"):
+        evaluate_split([UnreadFrame()], ClassCatalog(("a", "b")), measures=measures)
+    with pytest.raises(ValueError, match="each once"):
+        pool_split([UnreadFrame()], ClassCatalog(("a", "b")), measures=measures)
+
+
+@pytest.mark.parametrize("samples", [1.5, 2.0, "3", None])
+def test_array_frame_samples_must_be_an_integer(samples):
+    gt = LabelArray(np.array([0, 1]))
+    noisy = LogitTensor(np.zeros((2, 2)), np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        ArrayFrame(gt, logits=noisy, samples=samples)
+    assert ArrayFrame(gt, logits=noisy, samples=np.int64(3)).samples == 3
+
 def test_filter_marks_and_aggregates():
     frames, catalog, _, _ = scenario_frames()
     report = evaluate_split(frames, catalog)

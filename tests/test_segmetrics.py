@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,28 @@ def test_confusion_rejects_out_of_range_prediction():
     with pytest.raises(LabelOutOfRange):
         confusion(LabelArray(np.array([5])), LabelArray(np.array([0])), CAT2)
 
+
+
+@pytest.mark.parametrize("ignored", [0.0, 0.1])
+def test_confusion_allocates_at_most_11_bytes_per_point(ignored):
+    # one-byte labels are neither widened nor copied when nothing is
+    # ignored: the only full-length temporaries are the ignore mask, the
+    # kept labels, and the 8-byte index g * k + p
+    n = 1_000_000
+    rng = np.random.default_rng(0)
+    gt = rng.integers(0, 4, size=n, dtype=np.uint8)
+    gt[rng.random(n) < ignored] = 255
+    pred = LabelArray(rng.integers(0, 4, size=n, dtype=np.uint8))
+    gt = LabelArray(gt)
+    catalog = ClassCatalog(("a", "b", "c", "d"))
+    tracemalloc.start()
+    try:
+        m = confusion(pred, gt, catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.total == int((gt.values != 255).sum())
+    assert peak <= 11 * n
 
 def test_confusion_total_plus_ignored_is_n():
     rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ from sparseval import (
     sparsification_curve,
 )
 from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
-from sparseval.errors import DimensionMismatch, EmptySubset, SubsetTooLarge
+from sparseval.errors import DimensionMismatch, EmptySubset, LabelOutOfRange, SubsetTooLarge
 from sparseval.sparsification import _stable_order, class_curves_by_measure
 
 CAT2 = ClassCatalog(("zero", "one"))
@@ -107,6 +107,10 @@ def test_empty_subset_raises():
         curve_pair(pred, gt, conf, CAT2, 0, GRID4)
     with pytest.raises(EmptySubset):
         brute_force_ause(pred, gt, conf, CAT2, 0)
+    # a class index outside the catalog has no points either
+    for outside in (2, -1):
+        with pytest.raises(EmptySubset):
+            curve_pair(pred, gt, conf, CAT2, outside, GRID4)
     # the whole-catalog entry point reports the empty class as None instead
     pairs = class_curves_by_measure(pred, gt, {"max_softmax": conf}, CAT2, EvalConfig())
     assert pairs[0] is None
@@ -341,6 +345,37 @@ def test_curve_inputs_are_checked():
     with pytest.raises(ValueError, match="ranking_domain"):
         oracle_curve(pred, gt, catalog, 0, GRID4, ranking_domain="frame")
 
+
+
+@pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
+def test_curves_reject_labels_outside_the_catalog(ranking_domain):
+    # prediction 7 in a two-class catalog: the global domain used to rank it
+    # as a point irrelevant to class 0; an ignored point's prediction is free
+    pred = LabelArray(np.array([0, 7, 1, 0, 9]))
+    gt = LabelArray(np.array([0, 1, 1, 1, 255]))
+    conf = ConfidenceVector("max_softmax", np.array([0.9, 0.2, 0.8, 0.4, 0.5]))
+    config = EvalConfig(ranking_domain=ranking_domain)
+    ranking = dict(ranking_domain=ranking_domain)
+    calls = [
+        lambda: class_curves_by_measure(pred, gt, {"max_softmax": conf}, CAT2, config),
+        lambda: curve_pair(pred, gt, conf, CAT2, 0, GRID4, **ranking),
+        lambda: sparsification_curve(pred, gt, conf, CAT2, 0, GRID4, **ranking),
+        lambda: oracle_curve(pred, gt, CAT2, 0, GRID4, **ranking),
+    ]
+    for call in calls:
+        with pytest.raises(LabelOutOfRange, match="prediction label 7 is outside 0..1"):
+            call()
+    # the checks keep their order: options, pred/gt length, label range,
+    # then confidence length
+    with pytest.raises(ValueError, match="tie_break"):
+        curve_pair(pred, gt, conf, CAT2, 0, GRID4, tie_break="random", **ranking)
+    with pytest.raises(DimensionMismatch, match="predictions cover 4"):
+        curve_pair(LabelArray(pred.values[:4]), gt, conf, CAT2, 0, GRID4, **ranking)
+    short_conf = ConfidenceVector("max_softmax", conf.scores[:4])
+    with pytest.raises(LabelOutOfRange):
+        curve_pair(pred, gt, short_conf, CAT2, 0, GRID4, **ranking)
+    fixed = LabelArray(np.array([0, 0, 1, 0, 9]))
+    assert curve_pair(fixed, gt, conf, CAT2, 0, GRID4, **ranking).relevant_count == 3
 
 # The per-class path the single engine replaced, kept as the reference for
 # stable_index ties: scan the relevant subset (or take every non-ignored

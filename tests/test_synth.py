@@ -140,6 +140,19 @@ def test_spec_validation():
         small_spec(seed=1.5)
     with pytest.raises(SpecInvalid):
         small_spec(seed=-1)
+    # sequences are taken entry by entry, never from a scalar or a string
+    with pytest.raises(SpecInvalid, match="^class_frequencies must be a sequence"):
+        small_spec(class_frequencies=0.5)
+    with pytest.raises(SpecInvalid, match="^per_class_accuracy must be a sequence"):
+        small_spec(per_class_accuracy=0.8)
+    with pytest.raises(SpecInvalid, match="^confusion_profile must be k x k"):
+        small_spec(confusion_profile=[[0, 0.5, 0.5], [1, 0], [1, 0, 0]])
+    with pytest.raises(SpecInvalid, match="^confusion_profile must be a sequence"):
+        small_spec(confusion_profile=[[0, 0.5, 0.5], [1, 0, 0], 1.0])
+    with pytest.raises(SpecInvalid, match="^confusion_profile must be a finite number"):
+        small_spec(confusion_profile=[[0, 0.5, 0.5], [1, 0, 0], [1, 0, [0]]])
+    with pytest.raises(SpecInvalid, match="^class_names must be a sequence"):
+        small_spec(class_frequencies=(0.5, 0.5), per_class_accuracy=(0.8, 0.8), class_names="ab")
 
 
 @pytest.mark.parametrize(
