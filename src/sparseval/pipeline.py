@@ -168,9 +168,13 @@ def _reduce_frame(source, index, catalog, config, measures):
         counts = confusion(LabelArray(pred), labels, catalog)
     except SparsevalError as exc:
         raise type(exc)(f"frame {index} ({name}): {exc}") from exc
+    # copied only to drop ignored points: pool_split's concatenation copies
+    # anyway, so the pooled split never aliases a caller's array
+    columns = {"gt": labels.values, "pred": pred, **scores}
     keep = labels.values != catalog.ignore_index
-    columns = {"gt": labels.values[keep].astype(label_dtype), "pred": pred[keep]}
-    columns.update((m, col[keep]) for m, col in scores.items())
+    if not keep.all():
+        columns = {key: col[keep] for key, col in columns.items()}
+    columns["gt"] = columns["gt"].astype(label_dtype, copy=False)
     return counts, columns, {"name": name, "digest": source.digest()}
 
 

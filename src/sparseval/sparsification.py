@@ -7,12 +7,19 @@ IoU_c error (1 - IoU_c) is recorded. The oracle curve removes the incorrect
 points first, which is the best possible order, so the area between the two
 curves measures how close the confidence ranking comes to ground truth.
 
-One engine computes every curve. It drops ignored points once and sorts
-each confidence measure once, stably, over all remaining points. Each class
-then reads its relevant points, already in ranking order, from the labels
-gathered into that order: restricting the one order to a class is the same
-as sorting the class on its own. The oracle curve is closed-form in the
-class's true-positive and error counts, so it needs no sort.
+One engine computes every curve. It drops ignored points once and ranks
+each confidence measure once, stably, over all remaining points, with one
+sort of unique 64-bit keys. Scores lie in [0, 1], and such float64 values
+order as their bit patterns, which stay below 2^62 but for the sign bit of
+-0.0. A key holds bits 61 down to b - 2 of the pattern above a b-bit point
+index, b = max(bit length of n - 1, 2), so exact ties keep index order with
+no repair. Only distinct scores that share a key prefix (never float32-exact
+ones while n <= 2^31) need a second, stable sort, of the runs of equal
+prefixes where they are misranked. Each class then reads its relevant
+points, already in ranking order, from the labels gathered into that
+order: restricting the one order to a class is the same as sorting the
+class on its own. The oracle curve is closed-form in the class's
+true-positive and error counts, so it needs no sort.
 """
 from __future__ import annotations
 
@@ -99,11 +106,11 @@ class ClassAuse:
 def relevant_subset(
     pred: LabelArray, gt: LabelArray, catalog: ClassCatalog, class_index: int
 ) -> np.ndarray:
-    """Indices whose ground truth or prediction equals the class, ignores excluded."""
-    if len(pred) != len(gt):
-        raise DimensionMismatch(
-            f"predictions cover {len(pred)} points but labels cover {len(gt)}"
-        )
+    """Indices whose ground truth or prediction equals the class, ignores excluded.
+
+    The labels are checked as ``confusion`` checks them.
+    """
+    confusion(pred, gt, catalog)
     g = gt.values
     mask = (g != catalog.ignore_index) & ((g == class_index) | (pred.values == class_index))
     return np.flatnonzero(mask)
@@ -141,45 +148,45 @@ def _oracle_error(n: int, n_tp: int, n_err: int, grid: FractionGrid) -> np.ndarr
     )
 
 
-# ranked positions per block when neighbouring scores are compared for ties
-_TIE_BLOCK = 1 << 16
+# points per block when keys are numbered or neighbouring keys compared
+_BLOCK = 1 << 16
 
 
 def _stable_order(scores: np.ndarray) -> np.ndarray:
-    """``np.argsort(scores, kind="stable")`` for NaN-free scores, bit for bit.
+    """``np.argsort(scores, kind="stable")`` for scores in [0, 1], bit for bit.
 
-    numpy's default argsort is a SIMD sort several times faster than the
-    stable one, but it leaves equal scores in arbitrary order. Each run of
-    equal scores is put back in point-index order by one sort of
-    ``run * n + index`` keys over the tied positions only.
+    One sort of unique keys, bits 61 to b - 2 of the score's float64 pattern
+    over a b-bit index, b = max(bit length of n - 1, 2), then a stable
+    re-sort of each run of equal prefixes that it misranks.
     """
     n = scores.size
-    order = np.argsort(scores)
-    if n < 2:
-        return order
-    # tied[i]: ranked positions i and i + 1 hold equal scores (-0.0 == 0.0);
-    # comparing block by block never holds a ranked copy of all the scores
-    tied = np.empty(n - 1, dtype=bool)
-    for lo in range(0, n - 1, _TIE_BLOCK):
-        block = scores[order[lo : lo + _TIE_BLOCK + 1]]
-        np.equal(block[1:], block[:-1], out=tied[lo : lo + _TIE_BLOCK])
-    in_run = np.zeros(n, dtype=bool)
-    in_run[1:] = tied
-    in_run[:-1] |= tied
-    pos = np.flatnonzero(in_run)
-    del in_run
-    if pos.size == 0:
-        return order
-    opens = np.ones(pos.size, dtype=bool)
-    opens[1:] = ~tied[pos[1:] - 1]
-    del tied
-    keys = np.cumsum(opens, dtype=np.int64)
-    del opens
-    keys *= n
-    keys += order[pos]
+    b = max((n - 1).bit_length(), 2)
+    keys = scores.astype(np.float64).view(np.uint64)  # a copy: scores stay as they are
+    keys >>= np.uint64(b - 2)
+    keys <<= np.uint64(b)  # shifts out the sign bit: -0.0 keys as +0.0
+    for lo in range(0, n, _BLOCK):
+        keys[lo : lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
     keys.sort()
-    np.remainder(keys, n, out=keys)
-    order[pos] = keys
+    tie = np.zeros(n + 1, dtype=bool)  # tie[i]: positions i - 1 and i share a prefix
+    for lo in range(1, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        np.less(keys[lo:hi] ^ keys[lo - 1 : hi - 1], np.uint64(1 << b), out=tie[lo:hi])
+    order = np.bitwise_and(keys, np.uint64((1 << b) - 1), out=keys).view(np.int64)
+    pos = np.flatnonzero(tie[:-1] | tie[1:])
+    # scores rise from run to run, so every descent lies inside one run
+    down = np.zeros(pos.size, dtype=bool)
+    for lo in range(0, pos.size, _BLOCK):
+        ranked = scores[order[pos[lo : lo + _BLOCK + 1]]]
+        np.less(ranked[1:], ranked[:-1], out=down[lo + 1 : lo + _BLOCK + 1])
+    if down.any():
+        run = (~tie[pos]).astype(np.intp)
+        np.cumsum(run, out=run)  # numbers the runs of equal prefixes
+        bad = np.zeros(run[-1] + 1, dtype=bool)
+        bad[run[down]] = True
+        pos = pos[bad[run]]
+        del run
+        index = order[pos]
+        order[pos] = index[np.argsort(scores[index], kind="stable")]
     return order
 
 
@@ -199,9 +206,9 @@ def _class_curves(
 
     The single curve engine behind every public entry point; a class with
     no relevant point gives None. Labels are checked and each class counted
-    by ``confusion``. Memory beyond the inputs stays near one int64 ranking
-    plus a few one-byte columns, as each ranking is dropped once its labels
-    are gathered.
+    by ``confusion``. Memory beyond the inputs stays near one 8-byte key per
+    point, sorted in place into the ranking, plus a few one-byte columns, as
+    each ranking is dropped once its labels are gathered.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")

@@ -368,6 +368,31 @@ def test_per_frame_diagnostics():
             assert by_class == {row.name: row.ause[m] for row in alone.rows}
 
 
+@pytest.mark.parametrize("ignored", [False, True], ids=["nothing-ignored", "some-ignored"])
+def test_pooled_columns_are_copies_of_the_kept_points(ignored):
+    frames, catalog, gt, probs = scenario_frames(parts=2)
+    # uint8 labels already have the pooled type, so a frame with nothing
+    # ignored hands its own label array on to the pooling
+    labels = [LabelArray(f.labels.values.astype(np.uint8)) for f in frames]
+    if ignored:
+        labels[0].values[::5] = catalog.ignore_index
+    frames = [dataclasses.replace(f, labels=lab) for f, lab in zip(frames, labels)]
+    split = pool_split(frames, catalog)
+    values = np.concatenate([lab.values for lab in labels])
+    keep = values != catalog.ignore_index
+    assert np.array_equal(split.gt.values, values[keep])
+    assert np.array_equal(split.pred.values, probs.data[0].argmax(axis=1)[keep])
+    top = probs.data[0].max(axis=1)[keep]
+    assert np.array_equal(split.confidences["max_softmax"].scores, top)
+    # int64 labels are copied by the narrowing whether or not a point is ignored
+    whole = ArrayFrame(LabelArray(values.astype(np.int64)), probs)
+    assert strip_provenance(evaluate_split(split)) == strip_provenance(
+        evaluate_split([whole], catalog)
+    )
+    for lab in labels:
+        assert not np.shares_memory(split.gt.values, lab.values)
+
+
 def test_pooled_labels_use_the_narrowest_type():
     for k, dtype in ((19, np.uint8), (256, np.uint8), (300, np.uint16)):
         rng = np.random.default_rng(k)

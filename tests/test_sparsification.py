@@ -43,6 +43,14 @@ def test_relevant_subset_union():
     assert relevant_subset(pred, gt, CAT2, 0).tolist() == [0, 1]
 
 
+def test_relevant_subset_rejects_labels_outside_the_catalog():
+    catalog = ClassCatalog(("a", "b"))
+    with pytest.raises(LabelOutOfRange):
+        relevant_subset(LabelArray([7, 0]), LabelArray([1, 9]), catalog, 7)
+    with pytest.raises(LabelOutOfRange, match="prediction label 7 is outside 0..1"):
+        relevant_subset(LabelArray([7, 0]), LabelArray([1, 255]), catalog, 0)
+
+
 def test_relevant_subset_excludes_ignored_and_can_be_empty():
     gt = LabelArray(np.array([255, 0]))
     pred = LabelArray(np.array([1, 0]))
@@ -398,6 +406,13 @@ def reference_class_curves(pred, gt, confs, catalog, config):
     grid = FractionGrid(config.grid_steps)
     g, p = gt.values, pred.values
     kept = np.flatnonzero(g != catalog.ignore_index)
+    # seeded_random: every kept point ranked by perm[argsort(scores[perm])]
+    # with one permutation; rank[m][i] is kept point i's place in that order
+    rank = {}
+    if config.tie_break == "seeded_random":
+        perm = np.random.default_rng(config.rng_seed).permutation(kept.size)
+        for m, conf in confs.items():
+            rank[m] = np.argsort(perm[np.argsort(conf.scores[kept][perm], kind="stable")])
     out = []
     for c in range(catalog.k):
         rel = relevant_subset(pred, gt, catalog, c)
@@ -412,7 +427,10 @@ def reference_class_curves(pred, gt, confs, catalog, config):
         orac = _reference_errors(tp[oracle_order], err[oracle_order], grid)
         pairs = {}
         for m, conf in confs.items():
-            order = np.argsort(conf.scores[domain], kind="stable")
+            if rank:
+                order = np.argsort(rank[m][np.searchsorted(kept, domain)])
+            else:
+                order = np.argsort(conf.scores[domain], kind="stable")
             pairs[m] = (_reference_errors(tp[order], err[order], grid), orac, rel.size)
         out.append(pairs)
     return out
@@ -442,10 +460,14 @@ def labeled_instances(draw):
     instance=labeled_instances(),
     grid_steps=st.integers(2, 30),
     ranking_domain=st.sampled_from(RANKING_DOMAINS),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    seed=st.integers(0, 3),
 )
-def test_engine_equals_per_class_reference(instance, grid_steps, ranking_domain):
+def test_engine_equals_per_class_reference(instance, grid_steps, ranking_domain, tie_break, seed):
     pred, gt, confs, catalog = instance
-    config = EvalConfig(grid_steps=grid_steps, ranking_domain=ranking_domain)
+    config = EvalConfig(
+        grid_steps=grid_steps, ranking_domain=ranking_domain, tie_break=tie_break, rng_seed=seed
+    )
     got = class_curves_by_measure(pred, gt, confs, catalog, config)
     want = reference_class_curves(pred, gt, confs, catalog, config)
     assert [c is None for c in got] == [c is None for c in want]
@@ -477,19 +499,55 @@ def test_engine_equals_brute_force_on_small_subsets(instance):
             )
 
 
+def assert_ranks_like_stable_argsort(arr):
+    before = arr.tobytes()
+    assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
+    # the scores, the sign bit of -0.0 included, are left as they were
+    assert arr.tobytes() == before
+
+
 @settings(max_examples=200, deadline=None)
 @given(scores=st.lists(_scores, min_size=1, max_size=60))
 def test_stable_order_equals_stable_argsort(scores):
-    arr = np.array(scores)
-    assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
+    assert_ranks_like_stable_argsort(np.array(scores))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 3 * (1 << 16) + 7])
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0, width=32), min_size=1, max_size=5
+    ),
+    picks=st.lists(st.integers(0, 4), max_size=300),
+)
+def test_stable_order_on_float32_ties_and_signed_zeros(levels, picks):
+    # a few float32-exact levels: nearly every score ties exactly
+    assert_ranks_like_stable_argsort(np.array([levels[i % len(levels)] for i in picks]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.integers(0, 40), max_size=300),
+    base=st.sampled_from([0.5, 0.25, 1.0 - 2.0**-20, 0.0]),
+)
+def test_stable_order_on_distinct_scores_sharing_a_key_prefix(steps, base):
+    # neighbouring float64 values, subnormals when the base is 0: from
+    # n = 5 on a key drops their low bits, and the runs need the re-sort
+    assert_ranks_like_stable_argsort(base + np.array(steps, dtype=np.float64) * np.spacing(base))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
 def test_stable_order_edge_shapes(n):
     rng = np.random.default_rng(n)
-    # all equal, and runs crossing the blocks in which ties are detected
-    for arr in (np.full(n, 0.5), rng.integers(0, 4, size=n) / 4.0, rng.random(n)):
-        assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
+    # all equal, and runs crossing the blocks in which keys are compared
+    for arr in (
+        np.full(n, 0.5),
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),
+        rng.integers(0, 4, size=n) / 4.0,
+        rng.random(n),
+        rng.random(n).astype(np.float32).astype(np.float64),
+        0.5 + rng.integers(0, 64, size=n) * 2.0**-53,
+    ):
+        assert_ranks_like_stable_argsort(arr)
 
 
 def tie_heavy_instance(seed=3, n=400, k=4):
