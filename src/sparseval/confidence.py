@@ -10,16 +10,22 @@ blocks (sampled logits are averaged per block, so the full samples x points
 x classes stack is never built), and one block kernel, behind
 ``reduce_blocks``, takes each block's argmax, max-softmax and entropy while
 the block is in cache. ``max_softmax_confidence`` and
-``entropy_confidence`` are thin wrappers over it.
+``entropy_confidence`` are thin wrappers over it. Plain logits are
+softmaxed a block at a time as well.
+
+scipy supplies only ``ndtri``, the inverse normal CDF behind the noise of
+Gaussian logits, and is imported when the first ``LogitTensor`` with a
+``stddev`` is built: a run over probabilities or plain logits never loads
+it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import BLOCK_POINTS, MEASURES, ConfidenceVector, LabelArray, ProbabilityStack
 from .errors import MissingStddev, NonFiniteInput
@@ -58,6 +64,8 @@ class LogitTensor:
             if sd.size and float(sd.min()) < 0.0:
                 raise ValueError("stddev entries must be non-negative")
             object.__setattr__(self, "stddev", sd)
+            # import scipy now, so that sampling, often timed, does not pay it
+            _ndtri()
 
     @property
     def points(self) -> int:
@@ -86,6 +94,14 @@ def derive_stream_seed(seed: int, stream: int) -> int:
     return int(z)
 
 
+@functools.cache
+def _ndtri():
+    """scipy's ``ndtri``, imported on first use."""
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 def _normal_field(
     seed: int, samples: int, points: int, classes: int, start: int = 0
 ) -> np.ndarray:
@@ -104,7 +120,7 @@ def _normal_field(
     u = z.astype(np.float64)
     u *= 2.0**-53
     u += 2.0**-54
-    return ndtri(u, out=u)
+    return _ndtri()(u, out=u)
 
 
 def _stabilized_softmax(values: np.ndarray) -> np.ndarray:
@@ -186,8 +202,9 @@ def predictive_blocks(
     """A frame's predictive distribution, ``BLOCK_POINTS`` points at a time.
 
     Yields ``(start, block)`` in point order, each block a (1, r, classes)
-    array. A stack's samples are averaged (``aggregate_samples``) and logits
-    go through ``softmax``. Logits with a stddev are sampled ``samples``
+    array. A stack's samples are averaged (``aggregate_samples``), and
+    plain logits are softmaxed a block at a time, with the bits of
+    ``softmax``. Logits with a stddev are sampled ``samples``
     times with ``seed``: each block's samples are drawn and averaged in
     sample order before the next block is drawn, which gives the bits of
     ``aggregate_samples(sample_probabilistic_logits(...))`` without building
@@ -201,9 +218,19 @@ def predictive_blocks(
             (lo, np.add.reduce(block, axis=0, keepdims=True) / samples)
             for lo, block in _sampled_blocks(mean, scale, samples, seed)
         )
-    stack = softmax(payload) if isinstance(payload, LogitTensor) else aggregate_samples(payload)
-    data = stack.data
-    return ((lo, data[:, lo : lo + BLOCK_POINTS]) for lo in range(0, stack.points, BLOCK_POINTS))
+    if isinstance(payload, LogitTensor):
+        values = payload.values
+        if min(values.shape) < 1:  # as the ProbabilityStack of softmax rejects it
+            raise ValueError(f"degenerate stack shape {(1, *values.shape)}")
+        for lo in range(0, payload.points, BLOCK_POINTS):
+            if not np.isfinite(values[lo : lo + BLOCK_POINTS]).all():
+                raise NonFiniteInput("logits contain NaN or infinite entries")
+        return (
+            (lo, _stabilized_softmax(values[lo : lo + BLOCK_POINTS].astype(np.float64))[None])
+            for lo in range(0, payload.points, BLOCK_POINTS)
+        )
+    data = aggregate_samples(payload).data
+    return ((lo, data[:, lo : lo + BLOCK_POINTS]) for lo in range(0, data.shape[1], BLOCK_POINTS))
 
 
 def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:

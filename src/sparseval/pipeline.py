@@ -46,6 +46,8 @@ from .segmetrics import (
 )
 from .sparsification import ause, class_curves_by_measure
 
+_ECE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ArrayFrame:
@@ -251,15 +253,31 @@ def pool_split(
 
 
 def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
-    """Occupancy-weighted mean |accuracy - confidence| over equal-width bins."""
+    """Occupancy-weighted mean |accuracy - confidence| over equal-width bins.
+
+    ``correct`` flags the points whose prediction is right. The bin index is
+    filled ``_ECE_BLOCK`` points at a time, and then turned in place into
+    ``2 * bin + correct``, whose integer counts give each bin's occupancy
+    and correct points exactly. The index (8 B/pt) is the only full-length
+    temporary.
+    """
     if bins < 1:
         raise ValueError("bins must be at least 1")
     if scores.size == 0:
         raise EmptySplit("no evaluable points for the calibration error")
-    idx = np.minimum((scores * bins).astype(np.int64), bins - 1)
-    count = np.bincount(idx, minlength=bins).astype(np.float64)
+    idx = np.empty(scores.size, dtype=np.intp)
+    for lo in range(0, scores.size, _ECE_BLOCK):
+        block = idx[lo : lo + _ECE_BLOCK]
+        # the cast to intp truncates, as astype does
+        np.multiply(scores[lo : lo + _ECE_BLOCK], bins, out=block, casting="unsafe")
+        np.minimum(block, bins - 1, out=block)
+    # one pass over all points, so the float sums keep their order
     conf_sum = np.bincount(idx, weights=scores, minlength=bins)
-    acc_sum = np.bincount(idx, weights=correct.astype(np.float64), minlength=bins)
+    idx <<= 1
+    idx |= np.asarray(correct, dtype=bool)
+    split_counts = np.bincount(idx, minlength=2 * bins).astype(np.float64)
+    acc_sum = split_counts[1::2]
+    count = split_counts[0::2] + acc_sum
     occupied = count > 0
     gaps = np.abs(
         acc_sum[occupied] / count[occupied] - conf_sum[occupied] / count[occupied]

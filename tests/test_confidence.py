@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,3 +355,62 @@ def test_streamed_sampler_matches_whole_stack_reference(seed, samples, edge, k):
     assert aggregate_samples(stack).data.tobytes() == mean.tobytes()
     streamed = np.concatenate([b for _, b in predictive_blocks(logits, samples, seed)], axis=1)
     assert streamed.tobytes() == mean.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_plain_logit_blocks_match_whole_frame_softmax(dtype, n):
+    # plain logits are softmaxed a block at a time; the bits are softmax's
+    rng = np.random.default_rng(n)
+    values = (rng.normal(size=(n, 5)) * 6.0).astype(dtype)
+    values[::3, 2] = values[::3, 0]  # tied maxima
+    logits = LogitTensor(values)
+    before = values.copy()
+    whole = softmax(logits).data
+    streamed = np.concatenate([b for _, b in predictive_blocks(logits)], axis=1)
+    assert streamed.dtype == whole.dtype and streamed.tobytes() == whole.tobytes()
+    assert values.tobytes() == before.tobytes()
+
+    labels = LabelArray(np.where(rng.random(n) < 0.2, 255, rng.integers(0, 5, n)))
+    catalog = ClassCatalog(tuple("abcde"))
+    if not (labels.values != 255).any():
+        return
+    split = pool_split([ArrayFrame(labels, logits=logits)], catalog)
+    reference = pool_split([ArrayFrame(labels, softmax(logits))], catalog)
+    assert np.array_equal(split.pred.values, reference.pred.values)
+    for m in split.confidences:
+        assert split.confidences[m].scores.tobytes() == reference.confidences[m].scores.tobytes()
+
+
+def test_plain_logits_with_a_late_nan_raise_before_any_block_is_drawn():
+    values = np.zeros((3 * BLOCK_POINTS, 4), dtype=np.float32)
+    values[2 * BLOCK_POINTS + 5, 1] = np.nan
+    with pytest.raises(NonFiniteInput, match="logits contain NaN or infinite entries"):
+        predictive_blocks(LogitTensor(values))
+    values[2 * BLOCK_POINTS + 5, 1] = -np.inf
+    with pytest.raises(NonFiniteInput):
+        predictive_blocks(LogitTensor(values))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+def test_plain_logits_of_a_degenerate_shape_raise_when_called(shape):
+    with pytest.raises(ValueError, match="degenerate stack shape"):
+        predictive_blocks(LogitTensor(np.zeros(shape)))
+
+
+def test_plain_logit_pooling_builds_no_full_frame_copy():
+    # a float64 copy of the frame alone would be 152 B/pt at 19 classes
+    n = 1 << 18
+    rng = np.random.default_rng(9)
+    frame = ArrayFrame(
+        LabelArray(rng.integers(0, 19, n).astype(np.uint8)),
+        logits=LogitTensor(rng.normal(size=(n, 19)).astype(np.float32)),
+    )
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(19)))
+    tracemalloc.start()
+    try:
+        pool_split([frame], catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 30

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,48 @@ def test_ece_converges_for_calibrated_data():
     )
     gt, probs = generate(spec)
     assert ece(probs, gt, 15, ignore_index=255) < 0.01
+
+
+def reference_binned_ece(scores, correct, bins):
+    """The whole-array formula that the block-wise binning replaced."""
+    idx = np.minimum((scores * bins).astype(np.int64), bins - 1)
+    count = np.bincount(idx, minlength=bins).astype(np.float64)
+    conf_sum = np.bincount(idx, weights=scores, minlength=bins)
+    acc_sum = np.bincount(idx, weights=correct.astype(np.float64), minlength=bins)
+    occupied = count > 0
+    gaps = np.abs(acc_sum[occupied] / count[occupied] - conf_sum[occupied] / count[occupied])
+    return float((count[occupied] * gaps).sum() / scores.size)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_binned_ece_matches_the_whole_array_formula(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 7, (1 << 16) - 1, (1 << 16) + 3, 200_000]))
+    bins = int(rng.choice([1, 2, 10, 15, 1000]))
+    kind = seed % 4
+    if kind == 0:
+        scores = rng.random(n)
+    elif kind == 1:  # every score on a bin edge, 1.0 included
+        scores = rng.integers(0, bins + 1, n) / bins
+    elif kind == 2:
+        scores = np.where(rng.random(n) < 0.3, 1.0, rng.random(n))
+    else:
+        scores = rng.random(n).astype(np.float32).astype(np.float64)
+    correct = rng.random(n) < rng.random()
+    assert binned_ece(scores, correct, bins) == reference_binned_ece(scores, correct, bins)
+
+
+def test_binned_ece_peak_is_its_bin_index():
+    n = 10**6
+    rng = np.random.default_rng(17)
+    scores, correct = rng.random(n), rng.random(n) < 0.7
+    tracemalloc.start()
+    try:
+        binned_ece(scores, correct, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 10
 
 
 def test_scatter_export_contents():
