@@ -131,16 +131,36 @@ def _stabilized_softmax(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _softmax_blocks(logits: LogitTensor) -> Iterator[tuple[int, np.ndarray]]:
+    """Row-wise float64 softmax of plain logits, ``BLOCK_POINTS`` points at a time.
+
+    Yields ``(start, block)`` in point order, each block (1, r, classes).
+    The shape and every value are checked when this is called, before any
+    block is drawn.
+    """
+    values = logits.values
+    if min(values.shape) < 1:
+        raise ValueError(f"degenerate stack shape {(1, *values.shape)}")
+    for lo in range(0, logits.points, BLOCK_POINTS):
+        if not np.isfinite(values[lo : lo + BLOCK_POINTS]).all():
+            raise NonFiniteInput("logits contain NaN or infinite entries")
+    return (
+        (lo, _stabilized_softmax(values[lo : lo + BLOCK_POINTS].astype(np.float64))[None])
+        for lo in range(0, logits.points, BLOCK_POINTS)
+    )
+
+
 def softmax(logits: LogitTensor) -> ProbabilityStack:
     """Row-wise softmax as a single-sample stack.
 
     Stabilized by max subtraction, so adding a constant to a logit row does
     not change the output and large magnitudes cannot overflow.
     """
-    values = logits.values.astype(np.float64, copy=True)
-    if not np.isfinite(values).all():
-        raise NonFiniteInput("logits contain NaN or infinite entries")
-    return ProbabilityStack(_stabilized_softmax(values)[None])
+    blocks = _softmax_blocks(logits)
+    out = np.empty((1, logits.points, logits.classes))
+    for lo, block in blocks:
+        out[:, lo : lo + block.shape[1]] = block
+    return ProbabilityStack(out)
 
 
 def _gaussian_logits(logits: LogitTensor, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,10 +223,10 @@ def predictive_blocks(
 
     Yields ``(start, block)`` in point order, each block a (1, r, classes)
     array. A stack's samples are averaged (``aggregate_samples``), and
-    plain logits are softmaxed a block at a time, with the bits of
-    ``softmax``. Logits with a stddev are sampled ``samples``
-    times with ``seed``: each block's samples are drawn and averaged in
-    sample order before the next block is drawn, which gives the bits of
+    plain logits are softmaxed a block at a time, as ``softmax`` does.
+    Logits with a stddev are sampled ``samples`` times with ``seed``: each
+    block's samples are drawn and averaged in sample order before the next
+    block is drawn, which gives the bits of
     ``aggregate_samples(sample_probabilistic_logits(...))`` without building
     the full stack. Input errors raise when this is called, before any
     block is drawn.
@@ -219,16 +239,7 @@ def predictive_blocks(
             for lo, block in _sampled_blocks(mean, scale, samples, seed)
         )
     if isinstance(payload, LogitTensor):
-        values = payload.values
-        if min(values.shape) < 1:  # as the ProbabilityStack of softmax rejects it
-            raise ValueError(f"degenerate stack shape {(1, *values.shape)}")
-        for lo in range(0, payload.points, BLOCK_POINTS):
-            if not np.isfinite(values[lo : lo + BLOCK_POINTS]).all():
-                raise NonFiniteInput("logits contain NaN or infinite entries")
-        return (
-            (lo, _stabilized_softmax(values[lo : lo + BLOCK_POINTS].astype(np.float64))[None])
-            for lo in range(0, payload.points, BLOCK_POINTS)
-        )
+        return _softmax_blocks(payload)
     data = aggregate_samples(payload).data
     return ((lo, data[:, lo : lo + BLOCK_POINTS]) for lo in range(0, data.shape[1], BLOCK_POINTS))
 

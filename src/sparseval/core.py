@@ -27,6 +27,11 @@ SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 # float64 classes take about 300 KiB, so one block's temporaries stay in cache
 BLOCK_POINTS = 1 << 11
 
+# points per block wherever a full-length array of per-point scalars (sort
+# keys, scores, bin indices) is filled or compared piecewise: 2^16 8-byte
+# entries take 512 KiB, so each piece's temporaries stay small
+SCAN_POINTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ClassCatalog:

@@ -33,6 +33,7 @@ from .core import (
     LabelArray,
     MEASURES,
     ProbabilityStack,
+    SCAN_POINTS,
     checked_blocks,
 )
 from .errors import AllClassesFiltered, EmptySplit, SparsevalError
@@ -45,8 +46,6 @@ from .segmetrics import (
     miou_with_absent_as_zero,
 )
 from .sparsification import ause, class_curves_by_measure
-
-_ECE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,7 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
     """Occupancy-weighted mean |accuracy - confidence| over equal-width bins.
 
     ``correct`` flags the points whose prediction is right. The bin index is
-    filled ``_ECE_BLOCK`` points at a time, and then turned in place into
+    filled ``SCAN_POINTS`` points at a time, and then turned in place into
     ``2 * bin + correct``, whose integer counts give each bin's occupancy
     and correct points exactly. The index (8 B/pt) is the only full-length
     temporary.
@@ -266,10 +265,10 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
     if scores.size == 0:
         raise EmptySplit("no evaluable points for the calibration error")
     idx = np.empty(scores.size, dtype=np.intp)
-    for lo in range(0, scores.size, _ECE_BLOCK):
-        block = idx[lo : lo + _ECE_BLOCK]
+    for lo in range(0, scores.size, SCAN_POINTS):
+        block = idx[lo : lo + SCAN_POINTS]
         # the cast to intp truncates, as astype does
-        np.multiply(scores[lo : lo + _ECE_BLOCK], bins, out=block, casting="unsafe")
+        np.multiply(scores[lo : lo + SCAN_POINTS], bins, out=block, casting="unsafe")
         np.minimum(block, bins - 1, out=block)
     # one pass over all points, so the float sums keep their order
     conf_sum = np.bincount(idx, weights=scores, minlength=bins)

@@ -37,6 +37,7 @@ from .core import (
     MEASURES,
     ProbabilityStack,
     RANKING_DOMAINS,
+    SCAN_POINTS,
     SEED_MASK,
     TIE_BREAKS,
     checked_blocks,
@@ -148,10 +149,6 @@ def _oracle_error(n: int, n_tp: int, n_err: int, grid: FractionGrid) -> np.ndarr
     )
 
 
-# points per block when keys are numbered or neighbouring keys compared
-_BLOCK = 1 << 16
-
-
 def _stable_order(scores: np.ndarray) -> np.ndarray:
     """``np.argsort(scores, kind="stable")`` for scores in [0, 1], bit for bit.
 
@@ -164,20 +161,20 @@ def _stable_order(scores: np.ndarray) -> np.ndarray:
     keys = scores.astype(np.float64).view(np.uint64)  # a copy: scores stay as they are
     keys >>= np.uint64(b - 2)
     keys <<= np.uint64(b)  # shifts out the sign bit: -0.0 keys as +0.0
-    for lo in range(0, n, _BLOCK):
-        keys[lo : lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
+    for lo in range(0, n, SCAN_POINTS):
+        keys[lo : lo + SCAN_POINTS] |= np.arange(lo, min(lo + SCAN_POINTS, n), dtype=np.uint64)
     keys.sort()
     tie = np.zeros(n + 1, dtype=bool)  # tie[i]: positions i - 1 and i share a prefix
-    for lo in range(1, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo in range(1, n, SCAN_POINTS):
+        hi = min(lo + SCAN_POINTS, n)
         np.less(keys[lo:hi] ^ keys[lo - 1 : hi - 1], np.uint64(1 << b), out=tie[lo:hi])
     order = np.bitwise_and(keys, np.uint64((1 << b) - 1), out=keys).view(np.int64)
     pos = np.flatnonzero(tie[:-1] | tie[1:])
     # scores rise from run to run, so every descent lies inside one run
     down = np.zeros(pos.size, dtype=bool)
-    for lo in range(0, pos.size, _BLOCK):
-        ranked = scores[order[pos[lo : lo + _BLOCK + 1]]]
-        np.less(ranked[1:], ranked[:-1], out=down[lo + 1 : lo + _BLOCK + 1])
+    for lo in range(0, pos.size, SCAN_POINTS):
+        ranked = scores[order[pos[lo : lo + SCAN_POINTS + 1]]]
+        np.less(ranked[1:], ranked[:-1], out=down[lo + 1 : lo + SCAN_POINTS + 1])
     if down.any():
         run = (~tie[pos]).astype(np.intp)
         np.cumsum(run, out=run)  # numbers the runs of equal prefixes

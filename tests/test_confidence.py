@@ -357,18 +357,28 @@ def test_streamed_sampler_matches_whole_stack_reference(seed, samples, edge, k):
     assert streamed.tobytes() == mean.tobytes()
 
 
+def whole_frame_softmax(values):
+    """The one-pass float64 softmax of a whole frame, which blocks must match."""
+    p = values.astype(np.float64)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p[None]
+
+
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_plain_logit_blocks_match_whole_frame_softmax(dtype, n):
-    # plain logits are softmaxed a block at a time; the bits are softmax's
+    # plain logits are softmaxed a block at a time, with a whole frame's bits
     rng = np.random.default_rng(n)
     values = (rng.normal(size=(n, 5)) * 6.0).astype(dtype)
     values[::3, 2] = values[::3, 0]  # tied maxima
     logits = LogitTensor(values)
     before = values.copy()
-    whole = softmax(logits).data
+    whole = whole_frame_softmax(values)
     streamed = np.concatenate([b for _, b in predictive_blocks(logits)], axis=1)
     assert streamed.dtype == whole.dtype and streamed.tobytes() == whole.tobytes()
+    assert softmax(logits).data.tobytes() == whole.tobytes()
     assert values.tobytes() == before.tobytes()
 
     labels = LabelArray(np.where(rng.random(n) < 0.2, 255, rng.integers(0, 5, n)))
@@ -376,7 +386,7 @@ def test_plain_logit_blocks_match_whole_frame_softmax(dtype, n):
     if not (labels.values != 255).any():
         return
     split = pool_split([ArrayFrame(labels, logits=logits)], catalog)
-    reference = pool_split([ArrayFrame(labels, softmax(logits))], catalog)
+    reference = pool_split([ArrayFrame(labels, ProbabilityStack(whole))], catalog)
     assert np.array_equal(split.pred.values, reference.pred.values)
     for m in split.confidences:
         assert split.confidences[m].scores.tobytes() == reference.confidences[m].scores.tobytes()
@@ -396,6 +406,8 @@ def test_plain_logits_with_a_late_nan_raise_before_any_block_is_drawn():
 def test_plain_logits_of_a_degenerate_shape_raise_when_called(shape):
     with pytest.raises(ValueError, match="degenerate stack shape"):
         predictive_blocks(LogitTensor(np.zeros(shape)))
+    with pytest.raises(ValueError, match="degenerate stack shape"):
+        softmax(LogitTensor(np.zeros(shape)))
 
 
 def test_plain_logit_pooling_builds_no_full_frame_copy():
