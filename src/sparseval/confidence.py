@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_POINTS, MEASURES, ConfidenceVector, LabelArray, ProbabilityStack
+from .core import BLOCK_POINTS, MEASURES, SEED_MASK, ConfidenceVector, LabelArray, ProbabilityStack
 from .errors import MissingStddev, NonFiniteInput
 
 # SplitMix64 finalizer constants plus one odd multiplier per index axis;
@@ -89,8 +89,8 @@ def _mix64(z: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
 def derive_stream_seed(seed: int, stream: int) -> int:
     """A decorrelated 64-bit seed for a numbered substream."""
     with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(seed & 0xFFFF_FFFF_FFFF_FFFF) + _GAMMA)
-        z = _mix64(z ^ (np.uint64(stream & 0xFFFF_FFFF_FFFF_FFFF) * _AX_SAMPLE + _GAMMA))
+        z = _mix64(np.uint64(seed & SEED_MASK) + _GAMMA)
+        z = _mix64(z ^ (np.uint64(stream & SEED_MASK) * _AX_SAMPLE + _GAMMA))
     return int(z)
 
 
@@ -108,7 +108,7 @@ def _normal_field(
     """Standard-normal noise addressable by (seed, sample, point, class),
     for the points ``start .. start + points - 1``."""
     with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(seed & 0xFFFF_FFFF_FFFF_FFFF) + _GAMMA)
+        z = _mix64(np.uint64(seed & SEED_MASK) + _GAMMA)
         si = np.arange(samples, dtype=np.uint64).reshape(samples, 1, 1)
         pi = np.arange(start, start + points, dtype=np.uint64).reshape(1, points, 1)
         ci = np.arange(classes, dtype=np.uint64).reshape(1, 1, classes)
@@ -256,7 +256,7 @@ def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarr
     pred[:] = top
     scores["max_softmax"][:] = rows[np.arange(rows.shape[0]), top]
     if "neg_entropy" in scores:
-        p = rows.astype(np.float64)
+        p = rows.astype(np.float64, copy=False)  # only read
         logs = np.where(p > 0.0, p, 1.0)
         np.log(logs, out=logs)
         entropy = -np.einsum("ij,ij->i", p, logs)

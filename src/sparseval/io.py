@@ -21,7 +21,7 @@ import json
 import operator
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -273,11 +273,6 @@ def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, Label
                 f"manifest declares {entry.samples} samples but "
                 f"{entry.probs_path} holds {payload.samples}"
             )
-        if payload.points != len(labels):
-            raise ShapeMismatch(
-                f"{entry.probs_path} covers {payload.points} points but "
-                f"{entry.labels_path} covers {len(labels)}"
-            )
     else:
         box = read(entry.logits_path)
         if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
@@ -293,11 +288,11 @@ def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, Label
                 )
             stddev = sd_box.data
         payload = LogitTensor(box.data, stddev)
-        if payload.points != len(labels):
-            raise ShapeMismatch(
-                f"{entry.logits_path} covers {payload.points} points but "
-                f"{entry.labels_path} covers {len(labels)}"
-            )
+    if payload.points != len(labels):
+        raise ShapeMismatch(
+            f"{entry.probs_path or entry.logits_path} covers {payload.points} points but "
+            f"{entry.labels_path} covers {len(labels)}"
+        )
     digest = _files_digest((p, files[p]) for p in entry.paths())
     object.__setattr__(entry, "_loaded_digest", digest)
     return payload, labels
@@ -430,7 +425,6 @@ def _fmt(value) -> str:
 
 
 def _report_payload(report: EvalReport) -> dict:
-    scatter = scatter_export(report)
     return {
         "format": "sparseval-report-v1",
         "catalog": {
@@ -438,17 +432,7 @@ def _report_payload(report: EvalReport) -> dict:
             "ignore_index": report.ignore_index,
         },
         "measures": list(report.measures),
-        "classes": [
-            {
-                "name": row.name,
-                "index": row.index,
-                "iou": row.iou,
-                "ause": {m: row.ause[m] for m in report.measures},
-                "relevant_count": row.relevant_count,
-                "filtered": row.filtered,
-            }
-            for row in report.rows
-        ],
+        "classes": [asdict(row) for row in report.rows],
         "aggregates": {
             "overall_ause": dict(report.overall_ause),
             "filtered_ause": dict(report.filtered_ause),
@@ -458,13 +442,8 @@ def _report_payload(report: EvalReport) -> dict:
             "filter_threshold": report.filter_threshold,
         },
         "confusion_counts": report.confusion_counts,
-        "scatter": {
-            "threshold": scatter.threshold,
-            "points": {
-                m: [[name, iou_val, ause_val] for name, iou_val, ause_val in pairs]
-                for m, pairs in scatter.points.items()
-            },
-        },
+        # JSON writes the (name, iou, ause) tuples as arrays
+        "scatter": asdict(scatter_export(report)),
         "provenance": report.provenance,
     }
 
@@ -549,17 +528,7 @@ def read_report(path: str | Path) -> EvalReport:
     if payload.get("format") != "sparseval-report-v1":
         raise ValueError(f"{path} is not a sparseval report")
     measures = tuple(payload["measures"])
-    rows = [
-        ClassRow(
-            name=entry["name"],
-            index=entry["index"],
-            iou=entry["iou"],
-            ause={m: entry["ause"][m] for m in measures},
-            relevant_count=entry["relevant_count"],
-            filtered=entry["filtered"],
-        )
-        for entry in payload["classes"]
-    ]
+    rows = [ClassRow(**entry) for entry in payload["classes"]]
     agg = payload["aggregates"]
     return EvalReport(
         class_names=tuple(payload["catalog"]["names"]),

@@ -67,6 +67,8 @@ class ArrayFrame:
             raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
         if samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.probs is not None and samples not in (1, self.probs.samples):
+            raise ValueError(f"samples is {samples} but the stack holds {self.probs.samples}")
         object.__setattr__(self, "samples", samples)
 
     def load(self) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
@@ -153,10 +155,12 @@ def _reduce_frame(source, index, catalog, config, measures):
 
     The frame is reduced block by block (``core.BLOCK_POINTS`` points): each
     block of the predictive distribution is drawn, checked as
-    ``validate_inputs`` checks it, and reduced to predictions and scores
-    while it is in cache. Checking, reducing and sampling logits build no
-    full-frame temporary besides the output columns. Labels are kept in the
-    smallest unsigned type that holds a class index.
+    ``validate_inputs`` checks a single-sample stack, and reduced to
+    predictions and scores while it is in cache. A multi-sample stack is
+    checked as its sample mean, not sample by sample. Checking, reducing
+    and sampling logits build no full-frame temporary besides the output
+    columns. Labels are kept in the smallest unsigned type that holds a
+    class index.
     """
     name = source.name or f"frame_{index:04d}"
     label_dtype = np.min_scalar_type(catalog.k - 1)
@@ -305,6 +309,12 @@ def ece(
     return binned_ece(scores, correct, bins)
 
 
+def _mean_ause(rows: list[ClassRow], measures: tuple[str, ...]) -> dict[str, float | None]:
+    """Per measure, the mean of the rows' defined AUSE values; None if none is."""
+    defined = {m: [row.ause[m] for row in rows if row.ause[m] is not None] for m in measures}
+    return {m: float(np.mean(vals)) if vals else None for m, vals in defined.items()}
+
+
 def filter_and_aggregate(report: EvalReport, threshold: float | None = None) -> EvalReport:
     """Mark outlier rows (IoU strictly below the threshold, or undefined) and
     recompute the filtered mean AUSE over the remaining rows.
@@ -321,11 +331,7 @@ def filter_and_aggregate(report: EvalReport, threshold: float | None = None) -> 
         raise AllClassesFiltered(
             f"every class falls below the IoU threshold {thr}"
         )
-    filtered: dict[str, float | None] = {}
-    for m in report.measures:
-        vals = [row.ause[m] for row in kept if row.ause[m] is not None]
-        filtered[m] = float(np.mean(vals)) if vals else None
-    report.filtered_ause = filtered
+    report.filtered_ause = _mean_ause(kept, report.measures)
     return report
 
 
@@ -380,11 +386,6 @@ def evaluate_split(
             rel = next(iter(pairs.values())).relevant_count
         rows.append(ClassRow(name, class_index, iou_val, row_ause, rel))
 
-    overall: dict[str, float | None] = {}
-    for m in measures:
-        vals = [row.ause[m] for row in rows if row.ause[m] is not None]
-        overall[m] = float(np.mean(vals)) if vals else None
-
     try:
         miou_present = miou(iou_vec)
     except SparsevalError:
@@ -395,7 +396,7 @@ def evaluate_split(
         ignore_index=catalog.ignore_index,
         measures=tuple(measures),
         rows=rows,
-        overall_ause=overall,
+        overall_ause=_mean_ause(rows, measures),
         filtered_ause={m: None for m in measures},
         miou_present=miou_present,
         miou_all_classes=miou_with_absent_as_zero(iou_vec),

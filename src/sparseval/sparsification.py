@@ -19,7 +19,9 @@ prefixes where they are misranked. Each class then reads its relevant
 points, already in ranking order, from the labels gathered into that
 order: restricting the one order to a class is the same as sorting the
 class on its own. The oracle curve is closed-form in the class's
-true-positive and error counts, so it needs no sort.
+true-positive and error counts, so it needs no sort. The engine reads its
+ranking policy (tie order, seed, domain) from an ``EvalConfig``, which the
+one-class entry points build from their keywords.
 """
 from __future__ import annotations
 
@@ -36,10 +38,7 @@ from .core import (
     LabelArray,
     MEASURES,
     ProbabilityStack,
-    RANKING_DOMAINS,
     SCAN_POINTS,
-    SEED_MASK,
-    TIE_BREAKS,
     checked_blocks,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
@@ -194,23 +193,18 @@ def _class_curves(
     catalog: ClassCatalog,
     grid: FractionGrid,
     classes: Sequence[int],
-    *,
-    tie_break: str = "stable_index",
-    seed: int = 0,
-    ranking_domain: str = "subset",
+    config: EvalConfig,
 ) -> list[tuple[int, np.ndarray, dict[str, np.ndarray]] | None]:
     """(relevant count, oracle error, {measure: sparsification error}) per class.
 
     The single curve engine behind every public entry point; a class with
-    no relevant point gives None. Labels are checked and each class counted
-    by ``confusion``. Memory beyond the inputs stays near one 8-byte key per
+    no relevant point gives None. The ranking policy is read from
+    ``config`` (tie_break, rng_seed, ranking_domain), which checked it; the
+    grid is its own argument. Labels are checked and each class counted by
+    ``confusion``. Memory beyond the inputs stays near one 8-byte key per
     point, sorted in place into the ranking, plus a few one-byte columns, as
     each ranking is dropped once its labels are gathered.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    if ranking_domain not in RANKING_DOMAINS:
-        raise ValueError(f"ranking_domain must be one of {RANKING_DOMAINS}")
     matrix = confusion(pred, gt, catalog)
     for conf in confs.values():
         if len(conf) != len(gt):
@@ -230,10 +224,10 @@ def _class_curves(
         for a in (gt, pred)
     )
     perm = None
-    if tie_break == "seeded_random":
+    if config.tie_break == "seeded_random":
         # one shuffle of the whole ranking domain, shared by every class and
         # measure; restricted to one class it is a uniform shuffle of that class
-        perm = np.random.default_rng(int(seed) & SEED_MASK).permutation(n)
+        perm = np.random.default_rng(config.rng_seed).permutation(n)
     spars = [{} for _ in counts]
     for measure, conf in confs.items():
         scores = conf.scores if keep is None else conf.scores[keep]
@@ -246,7 +240,7 @@ def _class_curves(
                 continue
             # the class's relevant points, as positions in the ranking
             pos = np.flatnonzero((ranked_g == c) | (ranked_p == c))
-            if ranking_domain == "subset":
+            if config.ranking_domain == "subset":
                 removed = grid.removal_counts(n_rel)
             else:
                 # a cut after r ranked points removes the class points before r
@@ -257,7 +251,7 @@ def _class_curves(
         if n_rel == 0:
             out.append(None)
             continue
-        domain = n_rel if ranking_domain == "subset" else n
+        domain = n_rel if config.ranking_domain == "subset" else n
         out.append((n_rel, _oracle_error(domain, n_tp, n_rel - n_tp, grid), curves))
     return out
 
@@ -269,10 +263,10 @@ def _single_class(
     catalog: ClassCatalog,
     class_index: int,
     grid: FractionGrid,
-    **ranking,
+    config: EvalConfig,
 ) -> tuple[int, np.ndarray, dict[str, np.ndarray]]:
     """The engine's result for one class; EmptySubset if it has no points."""
-    curves = _class_curves(pred, gt, confs, catalog, grid, (class_index,), **ranking)[0]
+    curves = _class_curves(pred, gt, confs, catalog, grid, (class_index,), config)[0]
     if curves is None:
         raise EmptySubset(f"class {class_index} has no ground-truth or predicted points")
     return curves
@@ -300,8 +294,10 @@ def sparsification_curve(
     can be measured; every class shares that permutation, which makes this
     curve equal to the one ``class_curves_by_measure`` gives the class.
     """
-    ranking = dict(tie_break=tie_break, seed=seed, ranking_domain=ranking_domain)
-    return curve_pair(pred, gt, conf, catalog, class_index, grid, **ranking).sparsification_error
+    return curve_pair(
+        pred, gt, conf, catalog, class_index, grid,
+        tie_break=tie_break, seed=seed, ranking_domain=ranking_domain,
+    ).sparsification_error
 
 
 def oracle_curve(
@@ -314,9 +310,8 @@ def oracle_curve(
     ranking_domain: str = "subset",
 ) -> np.ndarray:
     """Error curve under the best possible order: incorrect points first."""
-    return _single_class(
-        pred, gt, {}, catalog, class_index, grid, ranking_domain=ranking_domain
-    )[1]
+    config = EvalConfig(ranking_domain=ranking_domain)
+    return _single_class(pred, gt, {}, catalog, class_index, grid, config)[1]
 
 
 def curve_pair(
@@ -332,9 +327,9 @@ def curve_pair(
     ranking_domain: str = "subset",
 ) -> CurvePair:
     """Both curves of one class over a shared grid."""
-    ranking = dict(tie_break=tie_break, seed=seed, ranking_domain=ranking_domain)
+    config = EvalConfig(tie_break=tie_break, rng_seed=seed, ranking_domain=ranking_domain)
     confs = {conf.measure: conf}
-    relevant, orac, spars = _single_class(pred, gt, confs, catalog, class_index, grid, **ranking)
+    relevant, orac, spars = _single_class(pred, gt, confs, catalog, class_index, grid, config)
     return CurvePair(class_index, grid, spars[conf.measure], orac, relevant)
 
 
@@ -404,10 +399,7 @@ def class_curves_by_measure(
     relevant subsets yield None.
     """
     grid = FractionGrid(config.grid_steps)
-    ranking = dict(
-        tie_break=config.tie_break, seed=config.rng_seed, ranking_domain=config.ranking_domain
-    )
-    curves = _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), **ranking)
+    curves = _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), config)
     out: list[dict[str, CurvePair] | None] = []
     for class_index, found in enumerate(curves):
         if found is None:

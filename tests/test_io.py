@@ -9,7 +9,9 @@ import sparseval.io
 from sparseval import (
     ArrayFrame,
     ClassCatalog,
+    ClassRow,
     EvalConfig,
+    EvalReport,
     FrameEntry,
     LabelArray,
     LogitTensor,
@@ -360,6 +362,178 @@ def _example_report(k=19, seed=0):
     return evaluate_split([ArrayFrame(gt, probs)], catalog)
 
 
+def _hand_report():
+    """A report built by hand: a present class, an absent one and a filtered
+    one under two measures, every float written out as a literal."""
+    return EvalReport(
+        class_names=("road", "sign", "rider"),
+        ignore_index=255,
+        measures=("max_softmax", "neg_entropy"),
+        rows=[
+            ClassRow("road", 0, 0.75, {"max_softmax": 0.125, "neg_entropy": 0.1}, 12),
+            ClassRow("sign", 1, None, {"max_softmax": None, "neg_entropy": None}, 0, True),
+            ClassRow("rider", 2, 0.01, {"max_softmax": 0.5, "neg_entropy": 0.0625}, 3, True),
+        ],
+        overall_ause={"max_softmax": 0.3125, "neg_entropy": 0.08125},
+        filtered_ause={"max_softmax": 0.125, "neg_entropy": 0.1},
+        miou_present=0.38,
+        miou_all_classes=0.25333333333333335,
+        ece=0.2,
+        filter_threshold=0.03,
+        confusion_counts=[[9, 0, 1], [0, 0, 0], [2, 0, 0]],
+        provenance={"frames": [{"name": "f0", "digest": "ab"}], "points_evaluated": 12},
+    )
+
+
+HAND_REPORT_JSON = """\
+{
+  "format": "sparseval-report-v1",
+  "catalog": {
+    "names": [
+      "road",
+      "sign",
+      "rider"
+    ],
+    "ignore_index": 255
+  },
+  "measures": [
+    "max_softmax",
+    "neg_entropy"
+  ],
+  "classes": [
+    {
+      "name": "road",
+      "index": 0,
+      "iou": 0.75,
+      "ause": {
+        "max_softmax": 0.125,
+        "neg_entropy": 0.1
+      },
+      "relevant_count": 12,
+      "filtered": false
+    },
+    {
+      "name": "sign",
+      "index": 1,
+      "iou": null,
+      "ause": {
+        "max_softmax": null,
+        "neg_entropy": null
+      },
+      "relevant_count": 0,
+      "filtered": true
+    },
+    {
+      "name": "rider",
+      "index": 2,
+      "iou": 0.01,
+      "ause": {
+        "max_softmax": 0.5,
+        "neg_entropy": 0.0625
+      },
+      "relevant_count": 3,
+      "filtered": true
+    }
+  ],
+  "aggregates": {
+    "overall_ause": {
+      "max_softmax": 0.3125,
+      "neg_entropy": 0.08125
+    },
+    "filtered_ause": {
+      "max_softmax": 0.125,
+      "neg_entropy": 0.1
+    },
+    "miou_present": 0.38,
+    "miou_all_classes": 0.25333333333333335,
+    "ece": 0.2,
+    "filter_threshold": 0.03
+  },
+  "confusion_counts": [
+    [
+      9,
+      0,
+      1
+    ],
+    [
+      0,
+      0,
+      0
+    ],
+    [
+      2,
+      0,
+      0
+    ]
+  ],
+  "scatter": {
+    "threshold": 0.03,
+    "points": {
+      "max_softmax": [
+        [
+          "road",
+          0.75,
+          0.125
+        ],
+        [
+          "rider",
+          0.01,
+          0.5
+        ]
+      ],
+      "neg_entropy": [
+        [
+          "road",
+          0.75,
+          0.1
+        ],
+        [
+          "rider",
+          0.01,
+          0.0625
+        ]
+      ]
+    }
+  },
+  "provenance": {
+    "frames": [
+      {
+        "name": "f0",
+        "digest": "ab"
+      }
+    ],
+    "points_evaluated": 12
+  }
+}
+"""
+
+HAND_REPORT_CSV = """\
+class,iou,ause_max_softmax,ause_neg_entropy,filtered,relevant_count\r
+road,0.75,0.125,0.1,false,12\r
+sign,,,,true,0\r
+rider,0.01,0.5,0.0625,true,3\r
+all,0.25333333333333335,0.3125,0.08125,,15\r
+all (filtered),0.75,0.125,0.1,,12\r
+"""
+
+HAND_SCATTER_CSV = """\
+measure,class,iou,ause,filter_threshold\r
+max_softmax,road,0.75,0.125,0.03\r
+max_softmax,rider,0.01,0.5,0.03\r
+neg_entropy,road,0.75,0.1,0.03\r
+neg_entropy,rider,0.01,0.0625,0.03\r
+"""
+
+
+def test_hand_built_report_files_keep_their_text(tmp_path):
+    report = _hand_report()
+    written = write_report(report, tmp_path)
+    write_scatter_csv(report, tmp_path / "scatter.csv")
+    assert written["json"].read_bytes().decode() == HAND_REPORT_JSON
+    assert written["csv"].read_bytes().decode() == HAND_REPORT_CSV
+    assert (tmp_path / "scatter.csv").read_bytes().decode() == HAND_SCATTER_CSV
+
+
 def test_write_report_layout(tmp_path):
     report = _example_report()
     written = write_report(report, tmp_path)
@@ -374,10 +548,10 @@ def test_write_report_layout(tmp_path):
 
 
 def test_report_json_roundtrip(tmp_path):
-    report = _example_report()
-    written = write_report(report, tmp_path, formats=("json",))
-    back = read_report(written["json"])
-    assert back == report
+    for i, report in enumerate([_example_report(), _hand_report()]):
+        written = write_report(report, tmp_path / str(i), formats=("json",))
+        back = read_report(written["json"])
+        assert back == report
 
 
 def test_empty_report_never_writes(tmp_path):

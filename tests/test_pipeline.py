@@ -255,13 +255,28 @@ def test_measures_must_be_distinct_and_non_empty(measures):
         pool_split([UnreadFrame()], ClassCatalog(("a", "b")), measures=measures)
 
 
-@pytest.mark.parametrize("samples", [1.5, 2.0, "3", None])
-def test_array_frame_samples_must_be_an_integer(samples):
+@pytest.mark.parametrize(
+    "samples, payload, error",
+    [
+        (1.5, "logits", "samples must be an integer"),
+        (2.0, "logits", "samples must be an integer"),
+        ("3", "logits", "samples must be an integer"),
+        (None, "logits", "samples must be an integer"),
+        # a stack's own sample count is the only one besides 1 it admits,
+        # as load_frame admits from a manifest
+        (5, "probs", "samples is 5 but the stack holds 2"),
+    ],
+    ids=["1.5", "2.0", "3", "None", "5-on-2-sample-stack"],
+)
+def test_array_frame_samples_must_be_an_integer(samples, payload, error):
     gt = LabelArray(np.array([0, 1]))
     noisy = LogitTensor(np.zeros((2, 2)), np.full((2, 2), 0.5))
-    with pytest.raises(ValueError, match="samples must be an integer"):
-        ArrayFrame(gt, logits=noisy, samples=samples)
+    stack = ProbabilityStack(np.full((2, 2, 2), 0.5))
+    payloads = {"probs": stack, "logits": noisy}
+    with pytest.raises(ValueError, match=error):
+        ArrayFrame(gt, **{payload: payloads[payload]}, samples=samples)
     assert ArrayFrame(gt, logits=noisy, samples=np.int64(3)).samples == 3
+    assert [ArrayFrame(gt, stack, samples=s).samples for s in (1, 2)] == [1, 2]
 
 def test_filter_marks_and_aggregates():
     frames, catalog, _, _ = scenario_frames()
