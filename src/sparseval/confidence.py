@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_POINTS, MEASURES, SEED_MASK, ConfidenceVector, LabelArray, ProbabilityStack
+from .core import (
+    BLOCK_POINTS, MEASURES, SEED_MASK, ConfidenceVector, LabelArray, ProbabilityStack, as_integer
+)
 from .errors import MissingStddev, NonFiniteInput
 
 # SplitMix64 finalizer constants plus one odd multiplier per index axis;
@@ -163,16 +165,15 @@ def softmax(logits: LogitTensor) -> ProbabilityStack:
     return ProbabilityStack(out)
 
 
-def _gaussian_logits(logits: LogitTensor, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The checked mean and stddev of logits that are to be sampled."""
+def _gaussian_logits(logits: LogitTensor, samples: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The checked mean, stddev and sample count of logits that are to be sampled."""
     if logits.stddev is None:
-        raise MissingStddev("probabilistic sampling needs a stddev tensor")
-    if samples < 1:
-        raise ValueError("sample count must be at least 1")
+        raise MissingStddev(f"sampling logits needs a stddev tensor (samples={samples!r})")
+    samples = as_integer("samples", samples, 1)
     mean, scale = logits.values, logits.stddev
     if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
         raise NonFiniteInput("logit mean or stddev contains NaN or infinite entries")
-    return mean, scale
+    return mean, scale, samples
 
 
 def _sampled_blocks(
@@ -201,7 +202,7 @@ def sample_probabilistic_logits(
     Deterministic for a given seed; sample s of point i and class c sees a
     noise value that depends only on (seed, s, i, c).
     """
-    mean, scale = _gaussian_logits(logits, samples)
+    mean, scale, samples = _gaussian_logits(logits, samples)
     out = np.empty((samples, logits.points, logits.classes))
     for lo, block in _sampled_blocks(mean, scale, samples, seed):
         out[:, lo : lo + block.shape[1]] = block
@@ -228,18 +229,19 @@ def predictive_blocks(
     block's samples are drawn and averaged in sample order before the next
     block is drawn, which gives the bits of
     ``aggregate_samples(sample_probabilistic_logits(...))`` without building
-    the full stack. Input errors raise when this is called, before any
-    block is drawn.
+    the full stack. Plain logits admit only ``samples`` 1, since they have
+    no noise to sample (``MissingStddev``). Input errors raise when this is
+    called, before any block is drawn.
     """
-    if isinstance(payload, LogitTensor) and payload.stddev is not None:
-        mean, scale = _gaussian_logits(payload, samples)
+    if isinstance(payload, LogitTensor):
+        if payload.stddev is None and samples == 1:
+            return _softmax_blocks(payload)
+        mean, scale, samples = _gaussian_logits(payload, samples)
         # each block's samples are summed in sample order, as mean(axis=0) sums
         return (
             (lo, np.add.reduce(block, axis=0, keepdims=True) / samples)
             for lo, block in _sampled_blocks(mean, scale, samples, seed)
         )
-    if isinstance(payload, LogitTensor):
-        return _softmax_blocks(payload)
     data = aggregate_samples(payload).data
     return ((lo, data[:, lo : lo + BLOCK_POINTS]) for lo in range(0, data.shape[1], BLOCK_POINTS))
 

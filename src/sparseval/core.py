@@ -1,6 +1,9 @@
 """Domain types, input validation, and the shared evaluation configuration."""
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -33,6 +36,25 @@ BLOCK_POINTS = 1 << 11
 SCAN_POINTS = 1 << 16
 
 
+def as_integer(name: str, value, minimum: int | None = None, error=ValueError) -> int:
+    """``value`` as an int of at least ``minimum``, else ``error`` naming the
+    setting; an integer is taken as it is, never truncated from a float."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be at least {minimum}")
+    return value
+
+
+def as_real(name: str, value, error=ValueError) -> float:
+    """``value`` as a finite float, else ``error``; never parsed from a string."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ClassCatalog:
     """Ordered class names plus the label value excluded from all metrics.
@@ -50,6 +72,7 @@ class ClassCatalog:
             raise ValueError("a catalog needs at least two classes")
         if len(set(self.names)) != len(self.names):
             raise ValueError("class names must be unique")
+        object.__setattr__(self, "ignore_index", as_integer("ignore_index", self.ignore_index))
         if 0 <= self.ignore_index < len(self.names):
             raise ValueError(
                 f"ignore_index {self.ignore_index} collides with an evaluated class"
@@ -158,17 +181,17 @@ class EvalConfig:
     ranking_domain: str = "subset"
 
     def __post_init__(self):
-        if self.grid_steps < 2:
-            raise ValueError("grid_steps must be at least 2")
-        if not 0.0 <= self.iou_filter_threshold < 1.0:
+        object.__setattr__(self, "grid_steps", as_integer("grid_steps", self.grid_steps, 2))
+        threshold = as_real("iou_filter_threshold", self.iou_filter_threshold)
+        if not 0.0 <= threshold < 1.0:
             raise ValueError("iou_filter_threshold must lie in [0, 1)")
-        if self.ece_bins < 1:
-            raise ValueError("ece_bins must be at least 1")
+        object.__setattr__(self, "iou_filter_threshold", threshold)
+        object.__setattr__(self, "ece_bins", as_integer("ece_bins", self.ece_bins, 1))
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
         if self.ranking_domain not in RANKING_DOMAINS:
             raise ValueError(f"ranking_domain must be one of {RANKING_DOMAINS}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed) & SEED_MASK)
+        object.__setattr__(self, "rng_seed", as_integer("rng_seed", self.rng_seed) & SEED_MASK)
 
     @classmethod
     def parse_field(cls, name: str, text: str):
@@ -240,7 +263,7 @@ def checked_blocks(
         if off.any():
             s, i = (int(v) for v in np.argwhere(off)[0])
             raise NotADistribution(
-                f"row sum {sums[s, i]!r} at sample {s}, point {i + start}"
+                f"row sum {float(sums[s, i])} at sample {s}, point {i + start}"
             )
         yield start, block
 

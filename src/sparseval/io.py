@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import operator
 import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .confidence import LogitTensor
-from .core import ClassCatalog, EvalConfig, LabelArray, ProbabilityStack
+from .core import ClassCatalog, EvalConfig, LabelArray, ProbabilityStack, as_integer
 from .errors import (
     BadHeader,
     BadMagic,
@@ -186,13 +185,7 @@ class FrameEntry:
             raise ManifestError("a frame needs exactly one of probs or logits")
         if self.stddev_path is not None and self.logits_path is None:
             raise ManifestError("stddev only accompanies logits")
-        try:
-            samples = operator.index(self.samples)
-        except TypeError:
-            raise ManifestError(f"samples must be an integer, got {self.samples!r}") from None
-        if samples < 1:
-            raise ManifestError("samples must be at least 1")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", as_integer("samples", self.samples, 1, ManifestError))
 
     @property
     def name(self) -> str:

@@ -6,14 +6,13 @@ frame-sized fragments. Confusion counts are accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
-so other cut points draw other samples (ROADMAP.md item 3 keys the noise by
+so other cut points draw other samples (ROADMAP.md item 4 keys the noise by
 split position instead).
 """
 from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -34,6 +33,8 @@ from .core import (
     MEASURES,
     ProbabilityStack,
     SCAN_POINTS,
+    as_integer,
+    as_real,
     checked_blocks,
 )
 from .errors import AllClassesFiltered, EmptySplit, SparsevalError
@@ -61,12 +62,7 @@ class ArrayFrame:
     def __post_init__(self):
         if (self.probs is None) == (self.logits is None):
             raise ValueError("provide exactly one of probs or logits")
-        try:
-            samples = operator.index(self.samples)
-        except TypeError:
-            raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
-        if samples < 1:
-            raise ValueError("samples must be at least 1")
+        samples = as_integer("samples", self.samples, 1)
         if self.probs is not None and samples not in (1, self.probs.samples):
             raise ValueError(f"samples is {samples} but the stack holds {self.probs.samples}")
         object.__setattr__(self, "samples", samples)
@@ -207,6 +203,7 @@ def pool_split(
     index (one byte each up to 256 classes), and a float64 score per
     measure.
     """
+    threads = as_integer("threads", threads, 1)
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown confidence measure {m!r}")
@@ -264,8 +261,7 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
     and correct points exactly. The index (8 B/pt) is the only full-length
     temporary.
     """
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
+    bins = as_integer("bins", bins, 1)
     if scores.size == 0:
         raise EmptySplit("no evaluable points for the calibration error")
     idx = np.empty(scores.size, dtype=np.intp)
@@ -321,7 +317,7 @@ def filter_and_aggregate(report: EvalReport, threshold: float | None = None) -> 
 
     The unfiltered aggregates are kept untouched so both views stay available.
     """
-    thr = report.filter_threshold if threshold is None else float(threshold)
+    thr = report.filter_threshold if threshold is None else as_real("threshold", threshold)
     for row in report.rows:
         row.filtered = row.iou is None or row.iou < thr
     kept = [row for row in report.rows if not row.filtered]
@@ -386,11 +382,6 @@ def evaluate_split(
             rel = next(iter(pairs.values())).relevant_count
         rows.append(ClassRow(name, class_index, iou_val, row_ause, rel))
 
-    try:
-        miou_present = miou(iou_vec)
-    except SparsevalError:
-        miou_present = None
-
     report = EvalReport(
         class_names=catalog.names,
         ignore_index=catalog.ignore_index,
@@ -398,7 +389,8 @@ def evaluate_split(
         rows=rows,
         overall_ause=_mean_ause(rows, measures),
         filtered_ause={m: None for m in measures},
-        miou_present=miou_present,
+        # pool_split keeps at least one point, so some class is present
+        miou_present=miou(iou_vec),
         miou_all_classes=miou_with_absent_as_zero(iou_vec),
         ece=split.ece(config.ece_bins),
         filter_threshold=config.iou_filter_threshold,

@@ -39,6 +39,7 @@ from .core import (
     MEASURES,
     ProbabilityStack,
     SCAN_POINTS,
+    as_integer,
     checked_blocks,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
@@ -54,8 +55,7 @@ class FractionGrid:
     grid_steps: int
 
     def __post_init__(self):
-        if self.grid_steps < 1:
-            raise ValueError("grid_steps must be positive")
+        object.__setattr__(self, "grid_steps", as_integer("grid_steps", self.grid_steps, 1))
 
     @property
     def steps(self) -> np.ndarray:

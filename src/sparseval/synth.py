@@ -25,15 +25,12 @@ Calibration modes:
 """
 from __future__ import annotations
 
-import math
-import numbers
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ClassCatalog, LabelArray, ProbabilityStack
+from .core import ClassCatalog, LabelArray, ProbabilityStack, as_integer, as_real, validate_inputs
 from .errors import SpecInvalid
 
 CALIBRATION_MODES = ("calibrated", "overconfident", "underconfident", "anticorrelated")
@@ -54,18 +51,14 @@ class ScenarioSpec:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "n", as_integer("n", self.n, 1, SpecInvalid))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed, 0, SpecInvalid))
         for name in ("class_frequencies", "per_class_accuracy"):
-            values = tuple(_real(name, v) for v in _sequence(name, getattr(self, name)))
-            object.__setattr__(self, name, values)
+            values = _sequence(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(as_real(name, v, SpecInvalid) for v in values))
         for name in ("gamma", "confidence_spread"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+            object.__setattr__(self, name, as_real(name, getattr(self, name), SpecInvalid))
         k = len(self.class_frequencies)
-        if self.n < 1:
-            raise SpecInvalid("n must be at least 1")
-        if self.seed < 0:
-            raise SpecInvalid("seed must be non-negative")
         if k < 2:
             raise SpecInvalid("at least two classes are required")
         if len(self.per_class_accuracy) != k:
@@ -98,7 +91,9 @@ class ScenarioSpec:
             ]
             if len(rows) != k or any(len(row) != k for row in rows):
                 raise SpecInvalid("confusion_profile must be k x k")
-            prof = np.array([[_real("confusion_profile", v) for v in row] for row in rows])
+            prof = np.array(
+                [[as_real("confusion_profile", v, SpecInvalid) for v in row] for row in rows]
+            )
             if prof.min() < 0:
                 raise SpecInvalid("confusion_profile entries must be non-negative")
             if np.abs(np.diag(prof)).max() > 0:
@@ -121,14 +116,6 @@ class ScenarioSpec:
         return ClassCatalog(names, ignore_index)
 
 
-def _integer(name: str, value) -> int:
-    # an integer is taken as it is, never truncated from a float
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise SpecInvalid(f"{name} must be an integer, got {value!r}") from None
-
-
 def _sequence(name: str, value) -> tuple:
     # a sequence is taken entry by entry, never a scalar or a string's letters
     if not isinstance(value, (str, bytes)):
@@ -137,13 +124,6 @@ def _sequence(name: str, value) -> tuple:
         except TypeError:
             pass
     raise SpecInvalid(f"{name} must be a sequence, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    # a finite number is taken as it is, never parsed from a string
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise SpecInvalid(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _default_profile(k: int) -> np.ndarray:
@@ -243,19 +223,25 @@ def write_dataset(
 
     The points are split into ``frames`` contiguous chunks, so pooled
     evaluation of the written dataset matches in-memory evaluation of the
-    same arrays.
+    same arrays. The inputs are checked as the reader checks them before
+    anything is written, and a label that the label files' unsigned type
+    cannot hold (a negative or large ignore label that is present) raises
+    ``SpecInvalid``.
     """
     from . import io as container_io
 
     n = len(gt)
-    frames = _integer("frames", frames)
-    if frames < 1:
-        raise SpecInvalid("frames must be at least 1")
+    frames = as_integer("frames", frames, 1, SpecInvalid)
     if n < frames:
         raise SpecInvalid("cannot split fewer points than frames")
+    validate_inputs(probs, gt, catalog)
+    label_dtype = np.uint8 if catalog.k <= 255 and catalog.ignore_index <= 255 else np.uint16
+    held = np.iinfo(label_dtype)
+    for label in (int(gt.values.min()), int(gt.values.max())):
+        if not held.min <= label <= held.max:
+            raise SpecInvalid(f"label {label} cannot be stored as {held.dtype} labels")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    label_dtype = np.uint8 if catalog.k <= 255 and catalog.ignore_index <= 255 else np.uint16
     bounds = [(n * i) // frames for i in range(frames + 1)]
     entries = []
     for i in range(frames):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,9 @@ def test_catalog_invariants():
         ClassCatalog(("dup", "dup"))
     with pytest.raises(ValueError):
         ClassCatalog(("a", "b"), ignore_index=1)
+    for bad in (2.5, math.nan):
+        with pytest.raises(ValueError, match="^ignore_index must be an integer"):
+            ClassCatalog(("a", "b"), ignore_index=bad)
     cat = ClassCatalog(("a", "b"), ignore_index=255)
     assert cat.k == 2
     assert cat.index_of("b") == 1
@@ -132,6 +137,19 @@ def test_config_invariants():
     ):
         with pytest.raises(ValueError):
             EvalConfig(**bad)
+    # an integer is never truncated from a float or parsed from a string,
+    # and a real must be a finite number
+    for name, bad in (
+        ("grid_steps", 2.5),
+        ("grid_steps", math.nan),
+        ("ece_bins", 2.5),
+        ("rng_seed", 1.7),
+        ("rng_seed", "5"),
+        ("iou_filter_threshold", "0.5"),
+        ("iou_filter_threshold", math.nan),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an? (integer|finite number), got"):
+            EvalConfig(**{name: bad})
 
 
 def test_config_seed_masked_to_64_bits():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from sparseval.errors import (
     BadMagic,
     ChecksumMismatch,
     ManifestError,
+    MissingStddev,
     ShapeMismatch,
     TruncatedFile,
 )
@@ -178,6 +180,10 @@ def test_load_frame_logits_with_stddev(tmp_path):
     payload, labels = load_frame(entry)
     assert isinstance(payload, LogitTensor)
     assert payload.stddev is not None
+    # a manifest line asking plain logits for samples names the frame
+    plain = FrameEntry(labels_path=labels_path, logits_path=logit_path, samples=30)
+    with pytest.raises(MissingStddev, match=r"^frame 0 \(f\.logits\.spt\): sampling logits"):
+        evaluate_split([plain], ClassCatalog(("a", "b", "c", "d")))
 
 
 def _file_digest(entry):
@@ -532,6 +538,22 @@ def test_hand_built_report_files_keep_their_text(tmp_path):
     assert written["json"].read_bytes().decode() == HAND_REPORT_JSON
     assert written["csv"].read_bytes().decode() == HAND_REPORT_CSV
     assert (tmp_path / "scatter.csv").read_bytes().decode() == HAND_SCATTER_CSV
+
+
+def test_numpy_scalar_settings_write_a_plain_report(tmp_path):
+    gt, probs = generate(
+        ScenarioSpec(n=400, class_frequencies=(0.5, 0.5), per_class_accuracy=(0.8, 0.7))
+    )
+    config = EvalConfig(grid_steps=np.int64(50), iou_filter_threshold=np.float32(0.25))
+    catalog = ClassCatalog(("a", "b"), ignore_index=np.int64(255))
+    report = evaluate_split([ArrayFrame(gt, probs)], catalog, config)
+    written = write_report(report, tmp_path, formats=("json",))
+    provenance = json.loads(written["json"].read_text())["provenance"]
+    assert provenance["config"]["grid_steps"] == 50
+    assert provenance["config"]["iou_filter_threshold"] == float(np.float32(0.25))
+    assert provenance["catalog"]["ignore_index"] == 255
+    settings = [*report.provenance["config"].values(), report.provenance["catalog"]["ignore_index"]]
+    assert {type(v) for v in settings} == {int, float, str}
 
 
 def test_write_report_layout(tmp_path):

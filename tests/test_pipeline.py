@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,12 +25,14 @@ from sparseval import (
     pool_split,
     scatter_export,
     validate_inputs,
+    write_report,
 )
 from sparseval.core import BLOCK_POINTS, MEASURES, RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import (
     AllClassesFiltered,
     EmptySplit,
     LabelOutOfRange,
+    MissingStddev,
     NotADistribution,
 )
 from sparseval.pipeline import binned_ece
@@ -150,6 +153,9 @@ def test_thread_count_does_not_change_results(make_frames):
     threaded = evaluate_split(frames, catalog, threads=4)
     assert strip_provenance(serial) == strip_provenance(threaded)
     assert serial.provenance == threaded.provenance
+    for bad, message in ((0, "at least 1"), (2.5, "an integer, got 2.5")):
+        with pytest.raises(ValueError, match=f"^threads must be {message}"):
+            evaluate_split(frames, catalog, threads=bad)
 
 
 def test_report_is_deterministic():
@@ -199,6 +205,9 @@ def test_logit_frames_with_and_without_stddev():
     catalog = ClassCatalog(("a", "b", "c"))
     plain = evaluate_split([ArrayFrame(gt, logits=LogitTensor(values))], catalog)
     assert plain.rows
+    # plain logits have no noise to sample, so only one sample is admitted
+    with pytest.raises(MissingStddev, match="^frame 0 \\(frame\\): sampling logits needs a stddev"):
+        evaluate_split([ArrayFrame(gt, logits=LogitTensor(values), samples=30)], catalog)
 
     noisy = LogitTensor(values, np.full((300, 3), 0.5))
     config = EvalConfig(rng_seed=77)
@@ -291,6 +300,9 @@ def test_filter_marks_and_aggregates():
     kept = [r for r in report.rows if not r.filtered]
     assert len(kept) == len(report.rows)
     assert report.filtered_ause == report.overall_ause
+    for bad in ("0.5", float("nan")):
+        with pytest.raises(ValueError, match="^threshold must be a finite number"):
+            filter_and_aggregate(report, bad)
 
 
 def test_filter_all_classes_raises():
@@ -299,6 +311,22 @@ def test_filter_all_classes_raises():
     with pytest.raises(AllClassesFiltered):
         filter_and_aggregate(report, threshold=0.999)
     assert report.filtered_ause == {m: None for m in report.measures}
+
+
+def test_every_wrong_prediction_filters_every_row(tmp_path):
+    catalog = ClassCatalog(("a", "b", "c"))
+    gt = np.arange(300) % 3
+    rows = np.full((300, 3), 0.1)
+    rows[np.arange(300), (gt + 1) % 3] = 0.8
+    report = evaluate_split([ArrayFrame(LabelArray(gt), ProbabilityStack(rows[None]))], catalog)
+    assert report.miou_present == 0.0
+    assert all(row.filtered for row in report.rows)
+    assert report.filtered_ause == {m: None for m in report.measures}
+    assert all(v is not None for v in report.overall_ause.values())
+    written = write_report(report, tmp_path)
+    aggregates = json.loads(written["json"].read_text())["aggregates"]
+    assert aggregates["filtered_ause"] == report.filtered_ause
+    assert written["csv"].exists()
 
 
 def test_ece_trivial_cases():
@@ -535,6 +563,8 @@ def test_block_validation_reports_the_fault_like_validate_inputs(fault, error, m
     with pytest.raises(error) as direct:
         validate_inputs(frames[1].probs, frames[1].labels, catalog)
     assert str(raised.value) == f"frame 1 (f1): {direct.value}"
+    # values print as plain Python numbers under every NumPy version
+    assert "np.float" not in str(raised.value)
 
 
 def test_earliest_faulty_block_is_reported_first():

@@ -65,6 +65,11 @@ def test_fraction_grid():
     # exact integer arithmetic, immune to binary rounding of j/G
     big = FractionGrid(100)
     assert np.array_equal(big.removal_counts(100), np.arange(100))
+    with pytest.raises(ValueError, match="^grid_steps must be an integer, got 2.5"):
+        FractionGrid(2.5)
+    with pytest.raises(ValueError, match="^grid_steps must be at least 1"):
+        FractionGrid(0)
+    assert type(FractionGrid(np.int64(3)).grid_steps) is int
 
 
 def test_hand_instance_curves_and_area():

@@ -6,6 +6,7 @@ import pytest
 from sparseval import (
     ArrayFrame,
     ClassCatalog,
+    LabelArray,
     ScenarioSpec,
     confusion,
     degenerate_class_scenario,
@@ -15,9 +16,11 @@ from sparseval import (
     iou,
     max_softmax_confidence,
     per_class_ause,
+    read_manifest,
     validate_inputs,
+    write_dataset,
 )
-from sparseval.errors import SpecInvalid
+from sparseval.errors import LabelOutOfRange, SpecInvalid
 
 
 def small_spec(**overrides):
@@ -213,3 +216,32 @@ def test_accuracy_at_uniform_floor_is_allowed():
     )
     gt, probs = generate(spec)
     validate_inputs(probs, gt, spec.catalog())
+
+
+@pytest.mark.parametrize(
+    "label, ignore_index, error",
+    [
+        (257, 255, LabelOutOfRange),
+        (-1, -1, SpecInvalid),
+        (None, -1, None),
+    ],
+    ids=["label-257", "ignore-minus-1-present", "ignore-minus-1-absent"],
+)
+def test_write_dataset_stores_only_labels_it_can_read_back(tmp_path, label, ignore_index, error):
+    gt, probs = generate(small_spec(n=300))
+    labels = gt.values.copy()
+    if label is not None:
+        labels[17] = label
+    catalog = ClassCatalog(("a", "b", "c"), ignore_index)
+    gt = LabelArray(labels)
+    if error is not None:
+        # nothing is written: the label would come back as another value
+        with pytest.raises(error, match=f"label {label} "):
+            write_dataset(gt, probs, catalog, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        return
+    manifest = read_manifest(write_dataset(gt, probs, catalog, tmp_path, frames=2))
+    assert manifest.catalog == catalog
+    stored, direct = evaluate_split(manifest), evaluate_split([ArrayFrame(gt, probs)], catalog)
+    stored.provenance = direct.provenance = {}
+    assert stored == direct
