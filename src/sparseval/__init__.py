@@ -12,6 +12,7 @@ generation, and bit-exact file formats round out the evaluation engine.
 from .confidence import (
     LogitTensor,
     aggregate_samples,
+    dequantize,
     entropy_confidence,
     max_softmax_confidence,
     sample_probabilistic_logits,
@@ -24,6 +25,7 @@ from .core import (
     LabelArray,
     MEASURES,
     ProbabilityStack,
+    QuantizedStack,
     validate_inputs,
 )
 from .io import (
@@ -101,6 +103,7 @@ __all__ = [
     "Manifest",
     "PooledSplit",
     "ProbabilityStack",
+    "QuantizedStack",
     "ScatterExport",
     "ScenarioSpec",
     "TensorContainer",
@@ -110,6 +113,7 @@ __all__ = [
     "confusion",
     "curve_pair",
     "degenerate_class_scenario",
+    "dequantize",
     "ece",
     "entropy_confidence",
     "errors",

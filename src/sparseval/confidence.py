@@ -6,11 +6,13 @@ how ensembles of stochastic forward passes are consumed.
 
 Every score is computed block by block, ``core.BLOCK_POINTS`` points at a
 time: ``predictive_blocks`` yields a frame's predictive distribution in
-blocks (sampled logits are averaged per block, so the full samples x points
-x classes stack is never built), and one block kernel, behind
-``reduce_blocks``, takes each block's argmax, max-softmax and entropy while
-the block is in cache. ``max_softmax_confidence`` and
-``entropy_confidence`` are thin wrappers over it. Plain logits are
+blocks, and one block kernel, behind ``reduce_blocks``, takes each block's
+argmax, max-softmax and entropy while the block is in cache.
+``max_softmax_confidence`` and ``entropy_confidence`` are thin wrappers
+over it. Multi-sample stacks, 16-bit quantised stacks and sampled logits
+are dequantised, drawn and averaged over the ranges of
+``core.sample_ranges``, about ``BLOCK_POINTS`` rows at a time, so no float
+samples x points x classes stack of a frame is ever built. Plain logits are
 softmaxed a block at a time as well.
 
 scipy supplies only ``ndtri``, the inverse normal CDF behind the noise of
@@ -22,15 +24,24 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    BLOCK_POINTS, MEASURES, SEED_MASK, ConfidenceVector, LabelArray, ProbabilityStack, as_integer
+    BLOCK_POINTS,
+    MEASURES,
+    SEED_MASK,
+    ConfidenceVector,
+    LabelArray,
+    ProbabilityStack,
+    QuantizedStack,
+    as_integer,
+    check_distribution,
+    sample_ranges,
 )
-from .errors import MissingStddev, NonFiniteInput
+from .errors import MissingStddev, NonFiniteInput, NotADistribution
 
 # SplitMix64 finalizer constants plus one odd multiplier per index axis;
 # the noise value at (sample, point, class) depends only on the seed and
@@ -176,22 +187,15 @@ def _gaussian_logits(logits: LogitTensor, samples: int) -> tuple[np.ndarray, np.
     return mean, scale, samples
 
 
-def _sampled_blocks(
-    mean: np.ndarray, scale: np.ndarray, samples: int, seed: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """softmax(mean + stddev * noise) a block of points at a time.
-
-    Yields ``(start, block)`` in point order, each block a (samples, r,
-    classes) array of about ``BLOCK_POINTS`` rows over all its samples, so
-    that the noise and its temporaries stay in cache.
-    """
-    step = max(1, BLOCK_POINTS // samples)
-    for lo in range(0, mean.shape[0], step):
-        block_mean = mean[lo : lo + step]
-        noise = _normal_field(seed, samples, block_mean.shape[0], mean.shape[1], lo)
-        noise *= scale[lo : lo + step]
-        noise += block_mean
-        yield lo, _stabilized_softmax(noise)
+def _sampled_rows(
+    mean: np.ndarray, scale: np.ndarray, samples: int, seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """softmax(mean + stddev * noise) of the points ``lo .. hi - 1``, as a
+    (samples, hi - lo, classes) float64 array."""
+    noise = _normal_field(seed, samples, hi - lo, mean.shape[1], lo)
+    noise *= scale[lo:hi]
+    noise += mean[lo:hi]
+    return _stabilized_softmax(noise)
 
 
 def sample_probabilistic_logits(
@@ -204,46 +208,156 @@ def sample_probabilistic_logits(
     """
     mean, scale, samples = _gaussian_logits(logits, samples)
     out = np.empty((samples, logits.points, logits.classes))
-    for lo, block in _sampled_blocks(mean, scale, samples, seed):
-        out[:, lo : lo + block.shape[1]] = block
+    for lo, hi in sample_ranges(logits.points, samples):
+        out[:, lo:hi] = _sampled_rows(mean, scale, samples, seed, lo, hi)
     return ProbabilityStack(out)
 
 
-def aggregate_samples(stack: ProbabilityStack) -> ProbabilityStack:
-    """Mean over the sample axis; the single-sample predictive distribution."""
+def _dequantized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (samples, r, classes) block of 16-bit fixed point as float32
+    probabilities, with the float64 row sums they were renormalised by.
+
+    The one dequantisation rule: each value is divided by 65535 in float32,
+    and each row is then divided in float64 by its float64 sum and rounded
+    to float32 once. Each of the 65536 scaled values is a multiple of 2^-32
+    in [0, 1], so a row of k of them sums to at most k in steps of 2^-32:
+    up to 2^21 classes every partial sum is exact in float64, the sum does
+    not depend on the order of its terms, and one matrix product takes all
+    of them. An all-zero row sums to 0 and comes out NaN.
+    """
+    scaled = raw.astype(np.float32)
+    scaled /= np.float32(65535.0)
+    wide = scaled.astype(np.float64)
+    sums = wide @ np.ones(raw.shape[2])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wide /= sums[..., None]
+    return wide.astype(np.float32), sums
+
+
+def dequantize(stack: QuantizedStack) -> ProbabilityStack:
+    """The float32 probabilities of a quantised stack, rows renormalised.
+
+    An all-zero row becomes NaN, which ``validate_inputs`` rejects. The
+    stack is converted over the ranges of ``core.sample_ranges`` into the
+    one result, so the conversion holds little more than the result.
+    """
+    out = np.empty(stack.data.shape, dtype=np.float32)
+    for lo, hi in sample_ranges(stack.points, stack.samples):
+        out[:, lo:hi] = _dequantized(stack.data[:, lo:hi])[0]
+    return ProbabilityStack(out)
+
+
+def aggregate_samples(stack: ProbabilityStack | QuantizedStack) -> ProbabilityStack:
+    """Mean over the sample axis; the single-sample predictive distribution.
+
+    A quantised stack is dequantised first.
+    """
+    if isinstance(stack, QuantizedStack):
+        stack = dequantize(stack)
     if stack.samples == 1:
         return stack
     mean = stack.data.mean(axis=0, dtype=np.float64)
     return ProbabilityStack(mean.astype(stack.data.dtype, copy=False)[None])
 
 
+def _mean_blocks(
+    rows: Callable[[int, int], np.ndarray], points: int, classes: int, samples: int, dtype
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The sample mean of a stack, ``BLOCK_POINTS`` points at a time.
+
+    ``rows(lo, hi)`` gives the stack's (samples, hi - lo, classes) rows of
+    the points ``lo .. hi - 1``, and is called over the ranges of
+    ``core.sample_ranges``, so it is never asked for much more than
+    ``BLOCK_POINTS`` rows. Each range is summed over its samples in float64,
+    in sample order, divided by ``samples`` and cast to ``dtype`` into its
+    block: the bits of ``aggregate_samples``. Yields ``(start, block)`` in
+    point order, each block (1, r, classes); a single-sample stack's rows
+    are yielded as they come.
+    """
+    for lo, hi in sample_ranges(points, samples):
+        block = rows(lo, hi)
+        if samples == 1:
+            yield lo, block
+            continue
+        if lo % BLOCK_POINTS == 0:
+            start, out = lo, np.empty((1, min(BLOCK_POINTS, points - lo), classes), dtype)
+        total = np.add.reduce(block, axis=0, dtype=np.float64)
+        total /= samples
+        out[0, lo - start : hi - start] = total
+        if hi - start == out.shape[1]:
+            yield start, out
+
+
+def _checked_blocks(
+    blocks: Iterable[tuple[int, np.ndarray]],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``blocks``, each checked by ``core.check_distribution`` as it is drawn."""
+    for lo, block in blocks:
+        check_distribution(lo, block)
+        yield lo, block
+
+
 def predictive_blocks(
-    payload: ProbabilityStack | LogitTensor, samples: int = 1, seed: int = 0
+    payload: ProbabilityStack | QuantizedStack | LogitTensor,
+    samples: int = 1,
+    seed: int = 0,
+    *,
+    checked: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """A frame's predictive distribution, ``BLOCK_POINTS`` points at a time.
 
     Yields ``(start, block)`` in point order, each block a (1, r, classes)
-    array. A stack's samples are averaged (``aggregate_samples``), and
-    plain logits are softmaxed a block at a time, as ``softmax`` does.
-    Logits with a stddev are sampled ``samples`` times with ``seed``: each
-    block's samples are drawn and averaged in sample order before the next
-    block is drawn, which gives the bits of
-    ``aggregate_samples(sample_probabilistic_logits(...))`` without building
-    the full stack. Plain logits admit only ``samples`` 1, since they have
-    no noise to sample (``MissingStddev``). Input errors raise when this is
-    called, before any block is drawn.
+    array. A stack's samples are averaged over the ranges of
+    ``core.sample_ranges`` (``_mean_blocks``), which gives the bits of
+    ``aggregate_samples`` without a full-frame temporary; a single-sample
+    float stack is yielded as views. A quantised stack is dequantised a
+    range at a time, by the rule of ``dequantize``. Plain logits are
+    softmaxed a block at a time, as ``softmax`` does. Logits with a stddev
+    are sampled ``samples`` times with ``seed`` and averaged a range at a
+    time, which gives the bits of
+    ``aggregate_samples(sample_probabilistic_logits(...))``. Plain logits
+    admit only ``samples`` 1, since they have no noise to sample
+    (``MissingStddev``). Logit errors raise when this is called, before any
+    block is drawn.
+
+    With ``checked``, every sample of a stack is checked as
+    ``validate_inputs`` checks it, before the samples are averaged, so an
+    error names the sample and point at fault; the blocks drawn from logits
+    are checked as they are yielded.
     """
     if isinstance(payload, LogitTensor):
         if payload.stddev is None and samples == 1:
-            return _softmax_blocks(payload)
-        mean, scale, samples = _gaussian_logits(payload, samples)
-        # each block's samples are summed in sample order, as mean(axis=0) sums
-        return (
-            (lo, np.add.reduce(block, axis=0, keepdims=True) / samples)
-            for lo, block in _sampled_blocks(mean, scale, samples, seed)
-        )
-    data = aggregate_samples(payload).data
-    return ((lo, data[:, lo : lo + BLOCK_POINTS]) for lo in range(0, data.shape[1], BLOCK_POINTS))
+            blocks = _softmax_blocks(payload)
+        else:
+            mean, scale, samples = _gaussian_logits(payload, samples)
+            rows = functools.partial(_sampled_rows, mean, scale, samples, seed)
+            blocks = _mean_blocks(rows, payload.points, payload.classes, samples, np.float64)
+        return _checked_blocks(blocks) if checked else blocks
+
+    data = payload.data
+    if isinstance(payload, QuantizedStack):
+
+        def rows(lo, hi):
+            probs, sums = _dequantized(data[:, lo:hi])
+            # a renormalised value lies in [0, 1], and a row sums to 1 within
+            # a few float32 roundings unless all its integers are 0: then it
+            # sums to 0 and comes out NaN. So the zero-row test on the sums
+            # at hand is the whole check, with no second pass over the values
+            if checked and not sums.all():
+                s, i = (int(v) for v in np.argwhere(sums == 0)[0])
+                raise NotADistribution(f"row sum nan at sample {s}, point {lo + i}")
+            return probs
+
+        dtype = np.float32
+    else:
+
+        def rows(lo, hi):
+            if checked:
+                check_distribution(lo, data[:, lo:hi])
+            return data[:, lo:hi]
+
+        dtype = data.dtype
+    return _mean_blocks(rows, payload.points, payload.classes, payload.samples, dtype)
 
 
 def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -139,6 +139,38 @@ class ProbabilityStack:
 
 
 @dataclass(frozen=True)
+class QuantizedStack:
+    """Per-sample class probabilities stored as 16-bit fixed point (value /
+    65535), shape (samples, points, classes), as a tag-3 tensor file holds
+    them. Each row is renormalised when it is dequantised, a block at a time
+    (``confidence.dequantize`` converts the whole stack)."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data)
+        if arr.dtype.kind != "u" or arr.dtype.itemsize != 2:
+            raise ValueError(f"a quantised stack holds uint16 values, not {arr.dtype}")
+        if arr.ndim != 3:
+            raise ValueError("a quantised stack is samples x points x classes")
+        if min(arr.shape) < 1:
+            raise ValueError(f"degenerate stack shape {arr.shape}")
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def samples(self) -> int:
+        return int(self.data.shape[0])
+
+    @property
+    def points(self) -> int:
+        return int(self.data.shape[1])
+
+    @property
+    def classes(self) -> int:
+        return int(self.data.shape[2])
+
+
+@dataclass(frozen=True)
 class ConfidenceVector:
     """Per-point scores in [0, 1] under one measure; higher means more trusted."""
 
@@ -206,38 +238,41 @@ class EvalConfig:
         return value
 
 
+def sample_ranges(points: int, samples: int) -> Iterator[tuple[int, int]]:
+    """The point ranges ``(lo, hi)``, in point order, over which a stack of
+    ``samples`` samples is checked, dequantised and averaged.
+
+    Each ``BLOCK_POINTS``-point block is cut into ranges of
+    ``BLOCK_POINTS // samples`` points (at least one, the last one of a
+    block shorter), so a range holds about ``BLOCK_POINTS`` rows over all
+    its samples and never straddles a block boundary. A single-sample
+    stack gets one range per block.
+    """
+    step = max(1, BLOCK_POINTS // samples)
+    for block in range(0, points, BLOCK_POINTS):
+        end = min(block + BLOCK_POINTS, points)
+        for lo in range(block, end, step):
+            yield lo, min(lo + step, end)
+
+
 def validate_inputs(probs: ProbabilityStack, gt: LabelArray, catalog: ClassCatalog) -> None:
     """Check shapes, probability rows, and label ranges; raise on the first fault.
 
     Pure and deterministic. The first offending index is reported in the
     error message. Points labeled with the ignore index are accepted here
-    and dropped later by the metric stages.
+    and dropped later by the metric stages. Every sample is checked, over
+    the ranges of ``sample_ranges``, so the pipeline, which checks each
+    range before it averages the samples, raises the same error.
     """
     data = probs.data
-    blocks = (
-        (start, data[:, start : start + BLOCK_POINTS])
-        for start in range(0, data.shape[1], BLOCK_POINTS)
-    )
-    for _ in checked_blocks(blocks, data.shape[1], data.shape[2], gt, catalog):
-        pass
+    check_shapes(data.shape[1], data.shape[2], gt, catalog)
+    for lo, hi in sample_ranges(data.shape[1], data.shape[0]):
+        check_distribution(lo, data[:, lo:hi])
+    check_labels(gt, catalog)
 
 
-def checked_blocks(
-    blocks: Iterable[tuple[int, np.ndarray]],
-    points: int,
-    classes: int,
-    gt: LabelArray,
-    catalog: ClassCatalog,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The checks of ``validate_inputs`` on a stack that arrives in blocks.
-
-    ``blocks`` yields ``(start, block)`` in point order, each block a
-    (samples, r, classes) array holding points ``start .. start + r - 1`` of
-    a stack of ``points`` x ``classes``. The shapes are checked before the
-    first block is drawn, each block's values and row sums before the block
-    is passed on, and the labels after the last block, so a stack fed in
-    blocks raises the same error as ``validate_inputs`` on the whole stack.
-    """
+def check_shapes(points: int, classes: int, gt: LabelArray, catalog: ClassCatalog) -> None:
+    """The shape checks of ``validate_inputs``, for a stack of ``points`` x ``classes``."""
     if len(gt) != points:
         raise DimensionMismatch(
             f"probabilities cover {points} points but labels cover {len(gt)}"
@@ -247,31 +282,35 @@ def checked_blocks(
             f"probabilities have {classes} classes but the catalog has {catalog.k}"
         )
 
-    for start, block in blocks:
-        lo, hi = float(block.min()), float(block.max())
-        if lo < 0.0 or hi > 1.0:
-            bad = np.argwhere((block < 0.0) | (block > 1.0))[0]
-            s, i, c = int(bad[0]), int(bad[1]) + start, int(bad[2])
-            raise NotADistribution(
-                f"value {block[bad[0], bad[1], bad[2]]} outside [0, 1] at "
-                f"sample {s}, point {i}, class {c}"
-            )
-        sums = block.sum(axis=2, dtype=np.float64)
-        off = np.abs(sums - 1.0) > ROW_SUM_TOL
-        # NaN payloads compare False above, so test them explicitly
-        off |= ~np.isfinite(sums)
-        if off.any():
-            s, i = (int(v) for v in np.argwhere(off)[0])
-            raise NotADistribution(
-                f"row sum {float(sums[s, i])} at sample {s}, point {i + start}"
-            )
-        yield start, block
 
+def check_distribution(start: int, block: np.ndarray) -> None:
+    """The row checks of ``validate_inputs`` on one (samples, r, classes)
+    block holding points ``start .. start + r - 1``: the first value outside
+    [0, 1] is reported, else the first row whose sum is off 1 or not finite."""
+    lo, hi = float(block.min()), float(block.max())
+    if lo < 0.0 or hi > 1.0:
+        bad = np.argwhere((block < 0.0) | (block > 1.0))[0]
+        s, i, c = int(bad[0]), int(bad[1]) + start, int(bad[2])
+        raise NotADistribution(
+            f"value {block[bad[0], bad[1], bad[2]]} outside [0, 1] at "
+            f"sample {s}, point {i}, class {c}"
+        )
+    sums = block.sum(axis=2, dtype=np.float64)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    # NaN payloads compare False above, so test them explicitly
+    off |= ~np.isfinite(sums)
+    if off.any():
+        s, i = (int(v) for v in np.argwhere(off)[0])
+        raise NotADistribution(f"row sum {float(sums[s, i])} at sample {s}, point {i + start}")
+
+
+def check_labels(gt: LabelArray, catalog: ClassCatalog) -> None:
+    """The label check of ``validate_inputs``, which runs after every row is checked."""
     vals = gt.values
-    bad = (vals != catalog.ignore_index) & ((vals < 0) | (vals >= classes))
+    bad = (vals != catalog.ignore_index) & ((vals < 0) | (vals >= catalog.k))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise LabelOutOfRange(
             f"label {int(vals[i])} at point {i} is neither a class index "
-            f"below {classes} nor the ignore index {catalog.ignore_index}"
+            f"below {catalog.k} nor the ignore index {catalog.ignore_index}"
         )

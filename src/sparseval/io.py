@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .confidence import LogitTensor
-from .core import ClassCatalog, EvalConfig, LabelArray, ProbabilityStack, as_integer
+from .core import ClassCatalog, EvalConfig, LabelArray, ProbabilityStack, QuantizedStack, as_integer
 from .errors import (
     BadHeader,
     BadMagic,
@@ -200,7 +200,7 @@ class FrameEntry:
     def paths(self) -> list[Path]:
         return list(self._files().values())
 
-    def load(self) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
+    def load(self) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
         return load_frame(self)
 
     def digest(self) -> str:
@@ -215,24 +215,17 @@ class FrameEntry:
         return _files_digest((p, p.read_bytes()) for p in self.paths())
 
 
-def _dequantized_probabilities(raw: np.ndarray) -> np.ndarray:
-    # 16-bit fixed point, value/65535; rows are renormalized after dequantizing.
-    # Both steps write into the one float32 result: the division by the
-    # float64 row sums runs in float64 and rounds each quotient once to
-    # float32, as a float64 quotient cast to float32 would
-    scaled = raw.astype(np.float32)
-    scaled /= np.float32(65535.0)
-    sums = scaled.sum(axis=2, keepdims=True, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(scaled, sums, out=scaled)
-    return scaled
-
-
-def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
+def load_frame(
+    entry: FrameEntry,
+) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
     """Materialize a manifest frame into validated-shape in-memory types.
 
-    Each file is read once. The digest of the bytes read is kept on the
-    entry, where ``FrameEntry.digest`` finds it.
+    Each file is read once, and each array is a view of the bytes read.
+    float32 probabilities come as a ``ProbabilityStack``; uint16
+    probabilities come as a ``QuantizedStack``, dequantised only when they
+    are evaluated, a block at a time (``confidence.dequantize`` converts a
+    whole stack). The digest of the bytes read is kept on the entry, where
+    ``FrameEntry.digest`` finds it.
     """
     files: dict[Path, bytearray] = {}
 
@@ -256,7 +249,7 @@ def load_frame(entry: FrameEntry) -> tuple[ProbabilityStack | LogitTensor, Label
         if box.dtype_tag == DTYPE_FLOAT32:
             payload = ProbabilityStack(box.data)
         elif box.dtype_tag == DTYPE_UINT16:
-            payload = ProbabilityStack(_dequantized_probabilities(box.data))
+            payload = QuantizedStack(box.data)
         else:
             raise ShapeMismatch(
                 f"{entry.probs_path}: probabilities must be float32 or uint16"

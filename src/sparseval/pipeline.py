@@ -35,7 +35,8 @@ from .core import (
     SCAN_POINTS,
     as_integer,
     as_real,
-    checked_blocks,
+    check_labels,
+    check_shapes,
 )
 from .errors import AllClassesFiltered, EmptySplit, SparsevalError
 from .segmetrics import (
@@ -150,22 +151,25 @@ def _reduce_frame(source, index, catalog, config, measures):
     """Load one frame; return its confusion, non-ignored columns and provenance.
 
     The frame is reduced block by block (``core.BLOCK_POINTS`` points): each
-    block of the predictive distribution is drawn, checked as
-    ``validate_inputs`` checks a single-sample stack, and reduced to
-    predictions and scores while it is in cache. A multi-sample stack is
-    checked as its sample mean, not sample by sample. Checking, reducing
-    and sampling logits build no full-frame temporary besides the output
-    columns. Labels are kept in the smallest unsigned type that holds a
-    class index.
+    block of the predictive distribution is drawn and reduced to
+    predictions and scores while it is in cache. Every sample of a stack is
+    checked as ``validate_inputs`` checks it before the samples are
+    averaged, so errors name the sample and point at fault. A quantised
+    (uint16) stack is dequantised a range of about ``BLOCK_POINTS`` rows at
+    a time, so the worker holds the frame's file bytes plus one block.
+    Checking, dequantising, averaging and sampling logits build no
+    full-frame temporary besides the output columns. Labels are kept in the
+    smallest unsigned type that holds a class index.
     """
     name = source.name or f"frame_{index:04d}"
     label_dtype = np.min_scalar_type(catalog.k - 1)
     try:
         payload, labels = source.load()
         seed = derive_stream_seed(config.rng_seed, index)
-        blocks = predictive_blocks(payload, source.samples, seed)
-        blocks = checked_blocks(blocks, payload.points, payload.classes, labels, catalog)
+        blocks = predictive_blocks(payload, source.samples, seed, checked=True)
+        check_shapes(payload.points, payload.classes, labels, catalog)
         pred, scores = reduce_blocks(blocks, payload.points, measures, label_dtype)
+        check_labels(labels, catalog)
         counts = confusion(LabelArray(pred), labels, catalog)
     except SparsevalError as exc:
         raise type(exc)(f"frame {index} ({name}): {exc}") from exc

@@ -40,7 +40,8 @@ from .core import (
     ProbabilityStack,
     SCAN_POINTS,
     as_integer,
-    checked_blocks,
+    check_labels,
+    check_shapes,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
 from .segmetrics import confusion
@@ -429,8 +430,10 @@ def per_class_ause(
         raise ValueError(f"unknown confidence measure {measure!r}")
     if probs.samples != 1:
         raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
-    blocks = checked_blocks(predictive_blocks(probs), probs.points, probs.classes, gt, catalog)
+    blocks = predictive_blocks(probs, checked=True)
+    check_shapes(probs.points, probs.classes, gt, catalog)
     pred, scores = reduce_blocks(blocks, probs.points, (measure,))
+    check_labels(gt, catalog)
     conf = ConfidenceVector(measure, scores[measure])
     curves = class_curves_by_measure(LabelArray(pred), gt, {measure: conf}, catalog, config)
     results = []

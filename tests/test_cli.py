@@ -255,6 +255,28 @@ def test_curves_unknown_class(tmp_path, capsys):
     assert "UnknownClass" in capsys.readouterr().err
 
 
+def test_quantized_zero_row_is_input_error_naming_its_sample(tmp_path, capsys):
+    # a 4-sample uint16 stack whose sample 3 holds an all-zero row
+    rng = np.random.default_rng(21)
+    raw = rng.integers(1, 65536, size=(4, 300, 3)).astype(np.uint16)
+    raw[3, 123] = 0
+    frame = tmp_path / "data"
+    frame.mkdir()
+    write_tensor(TensorContainer.from_array(raw), frame / "f.probs.spt")
+    labels = rng.integers(0, 3, 300).astype(np.uint8)
+    write_tensor(TensorContainer.from_array(labels), frame / "f.labels.spt")
+    manifest = frame / "manifest.txt"
+    manifest.write_text(
+        "sparseval-manifest v1\nclasses a,b,c\n"
+        "frame probs=f.probs.spt labels=f.labels.spt samples=4\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("evaluate", "--manifest", str(manifest), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "NotADistribution: frame 0 (f.probs.spt): row sum nan at sample 3, point 123" in err
+    assert not out.exists()
+
+
 def test_degenerate_preset_reports_zero_ause_and_filter(tmp_path):
     data_dir = tmp_path / "degen"
     assert (

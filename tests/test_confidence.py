@@ -142,6 +142,29 @@ def test_aggregate_commutes_with_sample_permutation(seed, s):
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("samples", [2, 3, 20, 30])
+def test_stack_block_means_match_aggregate_samples(dtype, samples):
+    # averaged over ranges of BLOCK_POINTS // samples points, whole blocks out
+    n = 2 * BLOCK_POINTS + 77
+    rng = np.random.default_rng(samples)
+    raw = rng.random((samples, n, 5)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    stack = ProbabilityStack(raw.astype(dtype))
+    blocks = list(predictive_blocks(stack))
+    assert [lo for lo, _ in blocks] == [0, BLOCK_POINTS, 2 * BLOCK_POINTS]
+    streamed = np.concatenate([b for _, b in blocks], axis=1)
+    expected = aggregate_samples(stack).data
+    assert streamed.dtype == expected.dtype == dtype
+    assert streamed.tobytes() == expected.tobytes()
+
+
+def test_single_sample_stack_blocks_are_views():
+    stack = ProbabilityStack(np.full((1, BLOCK_POINTS + 3, 2), 0.5, dtype=np.float32))
+    for _, block in predictive_blocks(stack, checked=True):
+        assert np.shares_memory(block, stack.data)
+
+
 def test_max_softmax_readoff_and_ties():
     probs = ProbabilityStack(
         np.array([[[0.1, 0.7, 0.2], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]]])

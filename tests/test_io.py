@@ -17,8 +17,11 @@ from sparseval import (
     LabelArray,
     LogitTensor,
     ProbabilityStack,
+    QuantizedStack,
     ScenarioSpec,
     TensorContainer,
+    aggregate_samples,
+    dequantize,
     evaluate_split,
     generate,
     load_frame,
@@ -38,10 +41,14 @@ from sparseval.errors import (
     ChecksumMismatch,
     ManifestError,
     MissingStddev,
+    NotADistribution,
     ShapeMismatch,
     TruncatedFile,
 )
+from sparseval.confidence import predictive_blocks
+from sparseval.core import BLOCK_POINTS, MEASURES
 from sparseval.io import write_scatter_csv
+from sparseval.pipeline import _reduce_frame
 
 
 def test_float32_roundtrip_is_bitwise(tmp_path):
@@ -285,7 +292,9 @@ def test_quantized_probabilities_dequantize_and_renormalize(tmp_path):
     raw = rng.random((2, 50, 4)) + 1e-3
     raw /= raw.sum(axis=2, keepdims=True)
     entry = _write_frame(tmp_path, raw, rng.integers(0, 4, size=50), quantize=True)
-    payload, labels = load_frame(entry)
+    quantized, labels = load_frame(entry)
+    assert isinstance(quantized, QuantizedStack) and quantized.samples == 2
+    payload = dequantize(quantized)
     catalog = ClassCatalog(("a", "b", "c", "d"))
     validate_inputs(payload, labels, catalog)
     assert np.abs(payload.data - raw).max() < 1e-3
@@ -646,8 +655,8 @@ def test_bad_manifest_value_raises_manifest_error(tmp_path, line, key):
 
 
 def _reference_dequantized(raw):
-    # the float32 copy, float64 quotient and float32 cast that the in-place
-    # dequantisation replaces
+    # the whole-stack float32 copy, float64 quotient and float32 cast that
+    # the block-wise dequantisation replaces
     scaled = raw.astype(np.float32) / np.float32(65535.0)
     sums = scaled.sum(axis=2, keepdims=True, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -658,21 +667,88 @@ def test_dequantize_matches_the_reference_bit_for_bit():
     rng = np.random.default_rng(12)
     raw = rng.integers(0, 65536, size=(3, 500, 19)).astype(np.uint16)
     raw[1, 7] = 0  # an all-zero row: 0/0 gives NaN on both paths
-    out = sparseval.io._dequantized_probabilities(raw)
+    out = dequantize(QuantizedStack(raw)).data
     assert out.dtype == np.float32
     assert np.isnan(out[1, 7]).all()
     assert out.tobytes() == _reference_dequantized(raw).tobytes()
+
+
+def test_every_scaled_code_is_a_multiple_of_two_to_the_minus_32():
+    # why a quantised row's float64 sum is exact in any order: at most 1 per
+    # class in steps of 2^-32, so a sum over up to 2^21 classes never rounds
+    scaled = np.arange(65536).astype(np.float32) / np.float32(65535.0)
+    units = scaled.astype(np.float64) * 2.0**32
+    assert np.array_equal(units, np.floor(units)) and scaled.max() == 1.0
 
 
 def test_dequantize_peak_stays_near_the_result():
     raw = np.random.default_rng(13).integers(0, 65536, (20, 5000, 19)).astype(np.uint16)
     tracemalloc.start()
     try:
-        out = sparseval.io._dequantized_probabilities(raw)
+        out = dequantize(QuantizedStack(raw)).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("samples", [1, 2, 20])
+def test_quantized_block_means_match_the_whole_stack_rule(samples):
+    # 4200 points are a multiple of neither BLOCK_POINTS nor the range
+    # length BLOCK_POINTS // samples, so ranges of every length are met
+    points = 4200
+    assert points % BLOCK_POINTS and points % (BLOCK_POINTS // samples)
+    rng = np.random.default_rng(samples)
+    raw = rng.integers(0, 65536, size=(samples, points, 19)).astype(np.uint16)
+    raw[samples - 1, [0, 2047, 2048, 4199]] = 0  # all-zero rows: NaN on both paths
+    stack = QuantizedStack(raw)
+    reference = _reference_dequantized(raw)
+    mean = reference.mean(axis=0, dtype=np.float64).astype(np.float32)[None]
+    blocks = list(predictive_blocks(stack))
+    assert [lo for lo, _ in blocks] == list(range(0, points, BLOCK_POINTS))
+    streamed = np.concatenate([b for _, b in blocks], axis=1)
+    assert streamed.dtype == np.float32 and streamed.tobytes() == mean.tobytes()
+    assert np.isnan(streamed[0, [0, 2047, 2048, 4199]]).all()
+    assert dequantize(stack).data.tobytes() == reference.tobytes()
+    assert aggregate_samples(stack).data.tobytes() == mean.tobytes()
+
+
+def test_quantized_zero_row_raises_like_validate_inputs_on_the_dequantized_stack(tmp_path):
+    rng = np.random.default_rng(18)
+    raw = rng.random((3, BLOCK_POINTS + 40, 4)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    raw[1, BLOCK_POINTS + 9] = 0.0  # quantised to an all-zero row of sample 1
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 4, size=raw.shape[1]), quantize=True)
+    catalog = ClassCatalog(("a", "b", "c", "d"))
+    quantized, labels = load_frame(entry)
+    with pytest.raises(NotADistribution) as direct:
+        validate_inputs(dequantize(quantized), labels, catalog)
+    assert str(direct.value) == f"row sum nan at sample 1, point {BLOCK_POINTS + 9}"
+    with pytest.raises(NotADistribution) as raised:
+        evaluate_split([entry], catalog)
+    assert str(raised.value) == f"frame 0 (f.probs.spt): {direct.value}"
+
+
+def test_quantized_frame_reduction_holds_the_file_and_one_block(tmp_path):
+    # a full-frame float32 copy of the stack alone is 2x the file bytes
+    rng = np.random.default_rng(17)
+    entry = FrameEntry(
+        labels_path=tmp_path / "q.labels.spt", probs_path=tmp_path / "q.probs.spt", samples=20
+    )
+    raw = rng.integers(1, 65536, size=(20, 5000, 19)).astype(np.uint16)
+    write_tensor(TensorContainer.from_array(raw), entry.probs_path)
+    labels = rng.integers(0, 19, 5000).astype(np.uint8)
+    write_tensor(TensorContainer.from_array(labels), entry.labels_path)
+    del raw
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(19)))
+    file_bytes = sum(p.stat().st_size for p in entry.paths())
+    tracemalloc.start()
+    try:
+        _reduce_frame(entry, 0, catalog, EvalConfig(), MEASURES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * file_bytes
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])

@@ -198,6 +198,23 @@ def test_probability_stack_frames_are_aggregated():
     assert strip_provenance(report) == strip_provenance(flat)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("samples", [2, 20])
+def test_multi_sample_frames_write_the_aggregated_report_bytes(tmp_path, dtype, samples):
+    rng = np.random.default_rng(samples)
+    n = BLOCK_POINTS + 501
+    raw = rng.random((samples, n, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    stack = ProbabilityStack(raw.astype(dtype))
+    gt = LabelArray(np.where(rng.random(n) < 0.1, 255, rng.integers(0, 3, size=n)))
+    catalog = ClassCatalog(("a", "b", "c"))
+    written = []
+    for name, probs in (("stack", stack), ("mean", aggregate_samples(stack))):
+        report = strip_provenance(evaluate_split([ArrayFrame(gt, probs)], catalog, threads=2))
+        written.append(write_report(report, tmp_path / name)["json"].read_bytes())
+    assert written[0] == written[1]
+
+
 def test_logit_frames_with_and_without_stddev():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(300, 3))
@@ -513,50 +530,73 @@ def test_pooled_labels_use_the_narrowest_type():
 FAULT_AT = BLOCK_POINTS + 37
 
 
-def _faulty_frames(fault):
+def _faulty_frames(fault, samples=1):
     rng = np.random.default_rng(8)
     frames = []
     for i in range(3):
-        rows = rng.dirichlet(np.ones(6), size=3 * BLOCK_POINTS).astype(np.float32)
+        stack = rng.dirichlet(np.ones(6), size=(samples, 3 * BLOCK_POINTS)).astype(np.float32)
         labels = rng.integers(0, 6, size=3 * BLOCK_POINTS)
         if i == 1:
-            fault(rows, labels)
-        frames.append(ArrayFrame(LabelArray(labels), ProbabilityStack(rows[None]), name=f"f{i}"))
+            fault(stack, labels)
+        frames.append(ArrayFrame(LabelArray(labels), ProbabilityStack(stack), name=f"f{i}"))
     return frames
 
 
-def _nan(rows, labels):
-    rows[FAULT_AT, 2] = np.nan
+# each fault but the pair sits in the last sample of the stack
 
 
-def _negative(rows, labels):
-    rows[FAULT_AT, 2] = -0.25
+def _nan(stack, labels):
+    stack[-1, FAULT_AT, 2] = np.nan
 
 
-def _above_one(rows, labels):
-    rows[FAULT_AT, 2] = 1.5
+def _negative(stack, labels):
+    stack[-1, FAULT_AT, 2] = -0.25
 
 
-def _off_sum(rows, labels):
-    rows[FAULT_AT] *= np.float32(0.9)
+def _above_one(stack, labels):
+    stack[-1, FAULT_AT, 2] = 1.5
 
 
-def _bad_label(rows, labels):
+def _off_sum(stack, labels):
+    stack[-1, FAULT_AT] *= np.float32(0.9)
+
+
+def _bad_label(stack, labels):
     labels[FAULT_AT] = 9
 
 
+def _opposite_pair(stack, labels):
+    # samples 1 and 2 hold 1.5 and -0.5 at one entry (and -0.5 and 1.5 at
+    # another), while the sample mean at that point is a distribution
+    stack[:, FAULT_AT] = [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]
+    stack[1, FAULT_AT, [0, 2]] = [-0.5, 1.5]
+    stack[2, FAULT_AT, [0, 2]] = [1.5, -0.5]
+
+
 @pytest.mark.parametrize(
-    "fault, error, message",
+    "fault, error, message, samples",
     [
-        (_nan, NotADistribution, f"row sum .*nan.* at sample 0, point {FAULT_AT}$"),
-        (_negative, NotADistribution, f"value -0.25 outside .* point {FAULT_AT}, class 2$"),
-        (_above_one, NotADistribution, f"value 1.5 outside .* point {FAULT_AT}, class 2$"),
-        (_off_sum, NotADistribution, f"row sum .*0.8999.* at sample 0, point {FAULT_AT}$"),
-        (_bad_label, LabelOutOfRange, f"label 9 at point {FAULT_AT} is neither"),
+        (_nan, NotADistribution, f"row sum .*nan.* at sample 0, point {FAULT_AT}$", 1),
+        (_negative, NotADistribution, f"value -0.25 outside .* point {FAULT_AT}, class 2$", 1),
+        (_above_one, NotADistribution, f"value 1.5 outside .* point {FAULT_AT}, class 2$", 1),
+        (_off_sum, NotADistribution, f"row sum .*0.8999.* at sample 0, point {FAULT_AT}$", 1),
+        (_bad_label, LabelOutOfRange, f"label 9 at point {FAULT_AT} is neither", 1),
+        (_nan, NotADistribution, f"row sum nan at sample 2, point {FAULT_AT}$", 3),
+        (
+            _opposite_pair,
+            NotADistribution,
+            f"value -0.5 outside \\[0, 1\\] at sample 1, point {FAULT_AT}, class 0$",
+            3,
+        ),
+        (_off_sum, NotADistribution, f"row sum .*0.8999.* at sample 2, point {FAULT_AT}$", 3),
     ],
 )
-def test_block_validation_reports_the_fault_like_validate_inputs(fault, error, message):
-    frames = _faulty_frames(fault)
+def test_block_validation_reports_the_fault_like_validate_inputs(fault, error, message, samples):
+    frames = _faulty_frames(fault, samples)
+    if fault is _opposite_pair:
+        assert aggregate_samples(frames[1].probs).data[0, FAULT_AT].tolist() == pytest.approx(
+            [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]
+        )
     catalog = ClassCatalog(tuple("abcdef"))
     with pytest.raises(error, match=f"^frame 1 \\(f1\\): {message}") as raised:
         evaluate_split(frames, catalog)
@@ -570,13 +610,13 @@ def test_block_validation_reports_the_fault_like_validate_inputs(fault, error, m
 def test_earliest_faulty_block_is_reported_first():
     catalog = ClassCatalog(tuple("abcdef"))
 
-    def sum_then_range(rows, labels):
-        rows[BLOCK_POINTS + 5] *= np.float32(0.9)
-        rows[2 * BLOCK_POINTS + 9, 0] = 1.5
+    def sum_then_range(stack, labels):
+        stack[0, BLOCK_POINTS + 5] *= np.float32(0.9)
+        stack[0, 2 * BLOCK_POINTS + 9, 0] = 1.5
 
-    def label_then_range(rows, labels):
+    def label_then_range(stack, labels):
         labels[5] = 9
-        rows[FAULT_AT, 1] = 2.0
+        stack[0, FAULT_AT, 1] = 2.0
 
     # a row-sum fault in an earlier block wins over a range fault in a later one
     with pytest.raises(NotADistribution, match=f"row sum .* point {BLOCK_POINTS + 5}$"):
