@@ -109,21 +109,8 @@ class LabelArray:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True)
-class ProbabilityStack:
-    """Per-sample class probabilities with shape (samples, points, classes)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        if arr.ndim != 3:
-            raise ValueError("a probability stack is samples x points x classes")
-        if min(arr.shape) < 1:
-            raise ValueError(f"degenerate stack shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
+class _Stack:
+    """The sizes of a stack's ``data``, a (samples, points, classes) array."""
 
     @property
     def samples(self) -> int:
@@ -139,7 +126,24 @@ class ProbabilityStack:
 
 
 @dataclass(frozen=True)
-class QuantizedStack:
+class ProbabilityStack(_Stack):
+    """Per-sample class probabilities with shape (samples, points, classes)."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data)
+        if arr.dtype.kind != "f":
+            arr = arr.astype(np.float64)
+        if arr.ndim != 3:
+            raise ValueError("a probability stack is samples x points x classes")
+        if min(arr.shape) < 1:
+            raise ValueError(f"degenerate stack shape {arr.shape}")
+        object.__setattr__(self, "data", arr)
+
+
+@dataclass(frozen=True)
+class QuantizedStack(_Stack):
     """Per-sample class probabilities stored as 16-bit fixed point (value /
     65535), shape (samples, points, classes), as a tag-3 tensor file holds
     them. Each row is renormalised when it is dequantised, a block at a time
@@ -156,18 +160,6 @@ class QuantizedStack:
         if min(arr.shape) < 1:
             raise ValueError(f"degenerate stack shape {arr.shape}")
         object.__setattr__(self, "data", arr)
-
-    @property
-    def samples(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def points(self) -> int:
-        return int(self.data.shape[1])
-
-    @property
-    def classes(self) -> int:
-        return int(self.data.shape[2])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from sparseval import (
     EvalConfig,
     LabelArray,
     ProbabilityStack,
+    QuantizedStack,
     validate_inputs,
 )
 from sparseval.errors import (
@@ -108,6 +109,22 @@ def test_label_array_invariants():
 def test_probability_stack_shape():
     with pytest.raises(ValueError):
         ProbabilityStack(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "array, message",
+    [
+        (np.zeros((1, 2, 3), dtype=np.float32), "holds uint16 values, not float32"),
+        (np.zeros((1, 2, 3), dtype=np.int16), "holds uint16 values, not int16"),
+        (np.zeros((2, 3), dtype=np.uint16), "samples x points x classes"),
+        (np.zeros((1, 0, 3), dtype=np.uint16), "degenerate stack shape"),
+    ],
+)
+def test_quantized_stack_holds_a_uint16_stack(array, message):
+    with pytest.raises(ValueError, match=message):
+        QuantizedStack(array)
+    stack = QuantizedStack(np.zeros((4, 5, 3), dtype=np.uint16))
+    assert (stack.samples, stack.points, stack.classes) == (4, 5, 3)
 
 
 def test_confidence_vector_range():
