@@ -260,7 +260,7 @@ def validate_inputs(probs: ProbabilityStack, gt: LabelArray, catalog: ClassCatal
     check_shapes(data.shape[1], data.shape[2], gt, catalog)
     for lo, hi in sample_ranges(data.shape[1], data.shape[0]):
         check_distribution(lo, data[:, lo:hi])
-    check_labels(gt, catalog)
+    check_labels(gt, catalog.k, catalog.ignore_index)
 
 
 def check_shapes(points: int, classes: int, gt: LabelArray, catalog: ClassCatalog) -> None:
@@ -287,6 +287,19 @@ def check_distribution(start: int, block: np.ndarray) -> None:
             f"value {block[bad[0], bad[1], bad[2]]} outside [0, 1] at "
             f"sample {s}, point {i}, class {c}"
         )
+    if block.dtype in (np.float32, np.float64):
+        # A screen that passes the block only if the exact rule below does.
+        # The values are non-negative, so a sum of them in any order lies
+        # within (classes - 1) * u * S of the true sum S, u being half the
+        # type's eps: this fast sum and the float64 one below each stay
+        # within classes * eps of S, and a margin of 2 * classes * eps
+        # covers both. NaN fails the screen and takes the exact rule. einsum
+        # sums in the block's type without BLAS, whose matmul raises a fresh
+        # process's peak memory.
+        fast = np.einsum("sij->si", block)
+        margin = ROW_SUM_TOL - 2 * block.shape[2] * float(np.finfo(block.dtype).eps)
+        if (np.abs(fast - 1.0) <= margin).all():
+            return
     sums = block.sum(axis=2, dtype=np.float64)
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     # NaN payloads compare False above, so test them explicitly
@@ -296,13 +309,19 @@ def check_distribution(start: int, block: np.ndarray) -> None:
         raise NotADistribution(f"row sum {float(sums[s, i])} at sample {s}, point {i + start}")
 
 
-def check_labels(gt: LabelArray, catalog: ClassCatalog) -> None:
-    """The label check of ``validate_inputs``, which runs after every row is checked."""
+def check_labels(gt: LabelArray, classes: int, ignore_index: int | None) -> None:
+    """The label check of ``validate_inputs``, which runs after every row is
+    checked: each label is a class index below ``classes`` or, if one is
+    given, ``ignore_index``."""
     vals = gt.values
-    bad = (vals != catalog.ignore_index) & ((vals < 0) | (vals >= catalog.k))
+    bad = (vals < 0) | (vals >= classes)
+    if ignore_index is not None:
+        bad &= vals != ignore_index
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise LabelOutOfRange(
-            f"label {int(vals[i])} at point {i} is neither a class index "
-            f"below {catalog.k} nor the ignore index {catalog.ignore_index}"
+        index = f"a class index below {classes}"
+        what = (
+            f"not {index}" if ignore_index is None
+            else f"neither {index} nor the ignore index {ignore_index}"
         )
+        raise LabelOutOfRange(f"label {int(vals[i])} at point {i} is {what}")

@@ -35,10 +35,12 @@ from .core import (
     SCAN_POINTS,
     as_integer,
     as_real,
+    check_distribution,
     check_labels,
     check_shapes,
+    sample_ranges,
 )
-from .errors import AllClassesFiltered, EmptySplit, SparsevalError
+from .errors import AllClassesFiltered, DimensionMismatch, EmptySplit, SparsevalError
 from .segmetrics import (
     ConfusionMatrix,
     confusion,
@@ -169,7 +171,7 @@ def _reduce_frame(source, index, catalog, config, measures):
         blocks = predictive_blocks(payload, source.samples, seed, checked=True)
         check_shapes(payload.points, payload.classes, labels, catalog)
         pred, scores = reduce_blocks(blocks, payload.points, measures, label_dtype)
-        check_labels(labels, catalog)
+        check_labels(labels, catalog.k, catalog.ignore_index)
         counts = confusion(LabelArray(pred), labels, catalog)
     except SparsevalError as exc:
         raise type(exc)(f"frame {index} ({name}): {exc}") from exc
@@ -297,8 +299,18 @@ def ece(
 ) -> float:
     """Expected calibration error of the max-softmax confidence.
 
-    Equal-width bins over [0, 1]; empty bins contribute nothing.
+    Equal-width bins over [0, 1]; empty bins contribute nothing. The inputs
+    are checked as ``evaluate_split`` checks a frame: the labels must
+    cover the stack's points, every row must be a distribution, and every
+    label must be a class index of the stack or ``ignore_index``.
     """
+    if len(gt) != probs.points:
+        raise DimensionMismatch(
+            f"probabilities cover {probs.points} points but labels cover {len(gt)}"
+        )
+    for lo, hi in sample_ranges(probs.points, probs.samples):
+        check_distribution(lo, probs.data[:, lo:hi])
+    check_labels(gt, probs.classes, ignore_index)
     conf, pred = max_softmax_confidence(probs)
     scores = conf.scores
     correct = pred.values == gt.values
@@ -370,7 +382,10 @@ def evaluate_split(
     config = config or EvalConfig()
     confs = {m: split.confidences[m] for m in measures}
     iou_vec = iou(split.counts)
-    curve_sets = class_curves_by_measure(split.pred, split.gt, confs, catalog, config)
+    # the split's counts spare the engine a second count of every point
+    curve_sets = class_curves_by_measure(
+        split.pred, split.gt, confs, catalog, config, _counts=split.counts
+    )
 
     rows: list[ClassRow] = []
     for class_index, name in enumerate(catalog.names):

@@ -15,13 +15,20 @@ order as their bit patterns, which stay below 2^62 but for the sign bit of
 index, b = max(bit length of n - 1, 2), so exact ties keep index order with
 no repair. Only distinct scores that share a key prefix (never float32-exact
 ones while n <= 2^31) need a second, stable sort, of the runs of equal
-prefixes where they are misranked. Each class then reads its relevant
-points, already in ranking order, from the labels gathered into that
-order: restricting the one order to a class is the same as sorting the
-class on its own. The oracle curve is closed-form in the class's
-true-positive and error counts, so it needs no sort. The engine reads its
-ranking policy (tie order, seed, domain) from an ``EvalConfig``, which the
-one-class entry points build from their keywords.
+prefixes where they are misranked.
+
+Restricting the one order to a class is the same as sorting the class on
+its own, and a curve needs only counts: at each grid cut, how many of the
+class's relevant points and true positives the ranking has removed. So the
+labels are gathered into ranking order once per measure, cut into
+sub-blocks of a few hundred points, and counted per sub-block and class in
+one pass; a running sum over the sub-blocks then gives each class's counts
+at every sub-block edge. A cut is resolved from the counts before its
+sub-block plus a scan of that one sub-block. The oracle curve is
+closed-form in the class's true-positive and error counts, so it needs no
+sort. The engine reads its ranking policy (tie order, seed, domain) from
+an ``EvalConfig``, which the one-class entry points build from their
+keywords.
 """
 from __future__ import annotations
 
@@ -44,9 +51,13 @@ from .core import (
     check_shapes,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
-from .segmetrics import confusion
+from .segmetrics import ConfusionMatrix, confusion
 
 BRUTE_FORCE_MAX_POINTS = 20
+
+# ranked points counted per chunk of the engine's counting pass: a chunk's
+# one intp bin index takes 64 KiB
+COUNT_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -117,18 +128,6 @@ def relevant_subset(
     return np.flatnonzero(mask)
 
 
-def _errors_over_removals(tp: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Remaining-IoU error after removing each count of ranked relevant points.
-
-    ``tp`` flags the class's relevant points in ranking order (every other
-    relevant point is an error); ``removed`` holds how many of them are gone
-    at each grid step.
-    """
-    cum_tp = np.concatenate(([0], np.cumsum(tp, dtype=np.int64)))
-    n_tp, removed_tp = cum_tp[-1], cum_tp[removed]
-    return _remaining_error(n_tp - removed_tp, (tp.size - n_tp) - (removed - removed_tp))
-
-
 def _remaining_error(rem_tp: np.ndarray, rem_err: np.ndarray) -> np.ndarray:
     """IoU error err / (tp + err) of the points left at each grid step."""
     denom = rem_tp + rem_err
@@ -187,6 +186,122 @@ def _stable_order(scores: np.ndarray) -> np.ndarray:
     return order
 
 
+def _sub_block(k: int) -> int:
+    """Ranked points per sub-block for a k-class catalog: 2^8, or 8 times
+    the power of two at or above k when that is more, so that the running
+    counts (two int64 per class and sub-block) take at most 2 B per point."""
+    return max(1 << 8, 8 << (k - 1).bit_length())
+
+
+def _running_counts(g: np.ndarray, p: np.ndarray, k: int, width: int):
+    """Running (relevant, true-positive) counts of each class over the runs
+    of ``width`` points of the labels ``g``, ``p``.
+
+    The length of ``g`` and ``p`` is a whole number of runs; the label k
+    pads and is counted for no class. Row i of each (runs + 1, k) int64
+    array counts the points of the first i runs. Per chunk of runs, the
+    bin index ``run * (k + 1) + label`` is counted for the ground truth,
+    the prediction and the true positives (the ground truth where it
+    equals the prediction, else k); a class's relevant points are its
+    ground-truth plus its predicted points less its true positives.
+    """
+    rows = g.size // width
+    relevant = np.zeros((rows + 1, k), dtype=np.int64)
+    hits = np.zeros((rows + 1, k), dtype=np.int64)
+    step = max(COUNT_POINTS, width)
+    # the first bin of each run of a chunk, and the bin of each point
+    offset = np.arange(0, step // width * (k + 1), k + 1, dtype=np.intp)[:, None]
+    index = np.empty((step // width, width), dtype=np.intp)
+    missed = np.empty(step, dtype=bool)
+    tp = np.empty(step, dtype=g.dtype)
+    pad = np.array(k, dtype=g.dtype)
+    for lo in range(0, g.size, step):
+        gc, pc = g[lo : lo + step], p[lo : lo + step]
+        size, runs, row = gc.size, gc.size // width, lo // width + 1
+        # k where the labels differ, the label where they agree, as labels <= k
+        np.not_equal(gc, pc, out=missed[:size])
+        np.multiply(missed[:size], pad, out=tp[:size])
+        np.maximum(tp[:size], gc, out=tp[:size])
+        counts = []
+        for labels in (gc, pc, tp[:size]):
+            np.add(offset[:runs], labels.reshape(runs, width), out=index[:runs])
+            counts.append(np.bincount(index[:runs].ravel(), minlength=runs * (k + 1)))
+        n_g, n_p, n_tp = (c.reshape(runs, k + 1)[:, :k] for c in counts)
+        hits[row : row + runs] = n_tp
+        relevant[row : row + runs] = n_g + n_p - n_tp
+    np.cumsum(relevant, axis=0, out=relevant)
+    np.cumsum(hits, axis=0, out=hits)
+    return relevant, hits
+
+
+def _removals(
+    ranked_g: np.ndarray,
+    ranked_p: np.ndarray,
+    n: int,
+    k: int,
+    grid: FractionGrid,
+    classes: Sequence[int],
+    totals: list[tuple[int, int]],
+    ranking_domain: str,
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """(removed relevant points, removed true positives) at each grid cut,
+    per class; None for a class with no relevant point.
+
+    ``ranked_g`` and ``ranked_p`` hold the n kept labels in ranking order,
+    padded with k to a whole number of ``_sub_block(k)``-point sub-blocks;
+    ``totals`` holds each class's (relevant points, true positives). One
+    counting pass gives each class's running counts at every sub-block
+    edge (``_running_counts``); a cut adds to the counts before its
+    sub-block those of a prefix of it:
+
+    * subset domain: the cut after a class's m-th relevant point lies in
+      the sub-block where the class's running relevant count passes m (a
+      ``searchsorted``); each sub-block that a cut of the class falls in
+      is scanned once for the class's relevant points, whose running
+      true-positive count gives every cut's prefix;
+    * global domain: a cut after r ranked points takes the first
+      r % width points of sub-block r // width, counted like whole
+      sub-blocks, once for all classes.
+    """
+    width = _sub_block(k)
+    seen, hits = _running_counts(ranked_g, ranked_p, k, width)
+    runs_g, runs_p = ranked_g.reshape(-1, width), ranked_p.reshape(-1, width)
+    if ranking_domain == "global":
+        # a cut after r ranked points: the sub-blocks before r // width and
+        # the first r % width points of the next, counted as a sub-block
+        run, head = np.divmod(grid.removal_counts(n), width)
+        cut_g, cut_p = runs_g[run], runs_p[run]
+        past = np.arange(width) >= head[:, None]
+        cut_g[past] = k
+        cut_p[past] = k
+        head_seen, head_hits = _running_counts(cut_g.ravel(), cut_p.ravel(), k, width)
+        seen_at_cut = seen[run] + np.diff(head_seen, axis=0)
+        hits_at_cut = hits[run] + np.diff(head_hits, axis=0)
+    out = []
+    for c, (n_rel, _) in zip(classes, totals):
+        if n_rel == 0:
+            out.append(None)
+        elif ranking_domain == "global":
+            out.append((seen_at_cut[:, c], hits_at_cut[:, c]))
+        else:
+            removed = grid.removal_counts(n_rel)
+            # the sub-block holding the class's (removed + 1)-th relevant
+            # point, whose first removed - seen[run, c] relevant points go
+            run = np.searchsorted(seen[:, c], removed, side="right") - 1
+            blocks, which = np.unique(run, return_inverse=True)
+            # each such sub-block scanned once: tp[i] counts the true
+            # positives among the first i of their relevant points
+            cut_g, cut_p = runs_g[blocks].ravel(), runs_p[blocks].ravel()
+            at = np.flatnonzero((cut_g == c) | (cut_p == c))
+            tp = np.zeros(at.size + 1, dtype=np.int64)
+            np.cumsum(cut_g[at] == cut_p[at], out=tp[1:])
+            size = seen[blocks + 1, c] - seen[blocks, c]
+            first = (np.cumsum(size) - size)[which]
+            head = tp[first + (removed - seen[run, c])] - tp[first]
+            out.append((removed, hits[run, c] + head))
+    return out
+
+
 def _class_curves(
     pred: LabelArray,
     gt: LabelArray,
@@ -195,6 +310,7 @@ def _class_curves(
     grid: FractionGrid,
     classes: Sequence[int],
     config: EvalConfig,
+    counts: ConfusionMatrix | None = None,
 ) -> list[tuple[int, np.ndarray, dict[str, np.ndarray]] | None]:
     """(relevant count, oracle error, {measure: sparsification error}) per class.
 
@@ -202,11 +318,22 @@ def _class_curves(
     no relevant point gives None. The ranking policy is read from
     ``config`` (tie_break, rng_seed, ranking_domain), which checked it; the
     grid is its own argument. Labels are checked and each class counted by
-    ``confusion``. Memory beyond the inputs stays near one 8-byte key per
-    point, sorted in place into the ranking, plus a few one-byte columns, as
-    each ranking is dropped once its labels are gathered.
+    ``confusion``, unless the caller hands in ``counts``, the confusion of
+    these very labels, which it has checked.
+
+    Per measure, the kept labels are gathered into ranking order and padded
+    with the label k to a whole number of sub-blocks; ``_removals`` reads
+    from them how many relevant points and true positives of each class
+    every grid cut removes. Those counts are integers, so the floats
+    ``_remaining_error`` makes of them do not depend on how they were
+    counted. Memory beyond the inputs stays near one 8-byte key per point,
+    sorted in place into the ranking, plus the two label columns (one byte
+    per point each up to 255 classes), as each ranking is dropped once its
+    labels are gathered. The running counts take at most 2 bytes per
+    point, and every other temporary is the size of a chunk or of the
+    sub-blocks the cuts fall in.
     """
-    matrix = confusion(pred, gt, catalog)
+    matrix = confusion(pred, gt, catalog) if counts is None else counts
     for conf in confs.values():
         if len(conf) != len(gt):
             raise DimensionMismatch(
@@ -214,41 +341,50 @@ def _class_curves(
             )
     n, tps = matrix.total, np.diag(matrix.counts)
     relevant = matrix.counts.sum(axis=0) + matrix.counts.sum(axis=1) - tps
+    k = catalog.k
     # (relevant points, true positives) per class; an index outside the
     # catalog has no points, since confusion admits no label outside it
-    counts = [(int(relevant[c]), int(tps[c])) if 0 <= c < catalog.k else (0, 0) for c in classes]
+    totals = [(int(relevant[c]), int(tps[c])) if 0 <= c < k else (0, 0) for c in classes]
+    if not any(n_rel for n_rel, _ in totals):
+        return [None] * len(totals)
     keep = None if n == len(gt) else gt.values != catalog.ignore_index
-    # kept labels in the smallest type holding k - 1, as the pooled columns
-    dtype = np.min_scalar_type(catalog.k - 1)
+    # kept labels in the smallest type holding k, the padding label: the
+    # type of the pooled columns up to 255 classes
+    dtype = np.min_scalar_type(k)
     g, p = (
         (a.values if keep is None else a.values[keep]).astype(dtype, copy=False)
         for a in (gt, pred)
     )
+    width = _sub_block(k)
+    padded = -(-n // width) * width
     perm = None
     if config.tie_break == "seeded_random":
         # one shuffle of the whole ranking domain, shared by every class and
         # measure; restricted to one class it is a uniform shuffle of that class
         perm = np.random.default_rng(config.rng_seed).permutation(n)
-    spars = [{} for _ in counts]
+    spars = [{} for _ in totals]
     for measure, conf in confs.items():
         scores = conf.scores if keep is None else conf.scores[keep]
         order = _stable_order(scores) if perm is None else perm[_stable_order(scores[perm])]
         del scores
-        ranked_g, ranked_p = g[order], p[order]
+        ranked_g, ranked_p = (np.empty(padded, dtype=dtype) for _ in range(2))
+        for labels, ranked in ((g, ranked_g), (p, ranked_p)):
+            # every index is valid; "clip" only spares the copy "raise" makes
+            np.take(labels, order, out=ranked[:n], mode="clip")
+            ranked[n:] = k
         del order
-        for curves, c, (n_rel, _) in zip(spars, classes, counts):
-            if n_rel == 0:
-                continue
-            # the class's relevant points, as positions in the ranking
-            pos = np.flatnonzero((ranked_g == c) | (ranked_p == c))
-            if config.ranking_domain == "subset":
-                removed = grid.removal_counts(n_rel)
-            else:
-                # a cut after r ranked points removes the class points before r
-                removed = np.searchsorted(pos, grid.removal_counts(n))
-            curves[measure] = _errors_over_removals(ranked_g[pos] == ranked_p[pos], removed)
+        removals = _removals(
+            ranked_g, ranked_p, n, k, grid, classes, totals, config.ranking_domain
+        )
+        del ranked_g, ranked_p
+        for curves, (n_rel, n_tp), cut in zip(spars, totals, removals):
+            if cut is not None:
+                removed, removed_tp = cut
+                curves[measure] = _remaining_error(
+                    n_tp - removed_tp, (n_rel - n_tp) - (removed - removed_tp)
+                )
     out = []
-    for curves, (n_rel, n_tp) in zip(spars, counts):
+    for curves, (n_rel, n_tp) in zip(spars, totals):
         if n_rel == 0:
             out.append(None)
             continue
@@ -392,15 +528,19 @@ def class_curves_by_measure(
     confs: dict[str, ConfidenceVector],
     catalog: ClassCatalog,
     config: EvalConfig,
+    *,
+    _counts: ConfusionMatrix | None = None,
 ) -> list[dict[str, CurvePair] | None]:
     """CurvePairs for every catalog class under each supplied confidence.
 
     Each measure is ranked once for all classes, and the oracle curve, which
     does not depend on the measure, once per class. Classes with empty
-    relevant subsets yield None.
+    relevant subsets yield None. ``_counts`` is for ``evaluate_split``
+    only: the confusion its pooled split already holds of these very
+    labels, which were checked when the split was pooled.
     """
     grid = FractionGrid(config.grid_steps)
-    curves = _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), config)
+    curves = _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), config, _counts)
     out: list[dict[str, CurvePair] | None] = []
     for class_index, found in enumerate(curves):
         if found is None:
@@ -433,7 +573,7 @@ def per_class_ause(
     blocks = predictive_blocks(probs, checked=True)
     check_shapes(probs.points, probs.classes, gt, catalog)
     pred, scores = reduce_blocks(blocks, probs.points, (measure,))
-    check_labels(gt, catalog)
+    check_labels(gt, catalog.k, catalog.ignore_index)
     conf = ConfidenceVector(measure, scores[measure])
     curves = class_curves_by_measure(LabelArray(pred), gt, {measure: conf}, catalog, config)
     results = []

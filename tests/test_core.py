@@ -14,6 +14,7 @@ from sparseval import (
     QuantizedStack,
     validate_inputs,
 )
+from sparseval.core import ROW_SUM_TOL, check_distribution
 from sparseval.errors import (
     DimensionMismatch,
     LabelOutOfRange,
@@ -78,6 +79,58 @@ def test_row_sum_tolerance_accepts_float32_roundoff():
     probs = ProbabilityStack(rows)
     gt = LabelArray(np.zeros(5, dtype=np.int64))
     validate_inputs(probs, gt, ClassCatalog(("a", "b", "c", "d")))
+
+
+def exact_row_rule(start, block):
+    """``check_distribution``'s message for a block, by its float64 rule
+    alone; None if the block passes."""
+    lo, hi = float(block.min()), float(block.max())
+    if lo < 0.0 or hi > 1.0:
+        s, i, c = (int(v) for v in np.argwhere((block < 0.0) | (block > 1.0))[0])
+        return f"value {block[s, i, c]} outside [0, 1] at sample {s}, point {i + start}, class {c}"
+    sums = block.sum(axis=2, dtype=np.float64)
+    off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | ~np.isfinite(sums)
+    if off.any():
+        s, i = (int(v) for v in np.argwhere(off)[0])
+        return f"row sum {float(sums[s, i])} at sample {s}, point {i + start}"
+    return None
+
+
+def row_check_outcome(start, block):
+    try:
+        check_distribution(start, block)
+    except NotADistribution as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("classes", [1, 2, 19])
+def test_row_sum_screen_decides_as_the_exact_rule(dtype, classes):
+    # rows scaled to sums spread across both edges of the tolerance band:
+    # 1 +- (tol +- 1e-7), 1 +- the screen's margin, and random sums within
+    # 2 tol of 1, each checked alone and among valid rows
+    rng = np.random.default_rng(classes)
+    margin = ROW_SUM_TOL - 2 * classes * float(np.finfo(dtype).eps)
+    offsets = [ROW_SUM_TOL + d for d in (-1e-7, 0.0, 1e-7)] + [margin, 0.0]
+    offsets += [s * o for s in (1, -1) for o in offsets]
+    offsets += list(rng.uniform(-2 * ROW_SUM_TOL, 2 * ROW_SUM_TOL, 400))
+    rows = rng.random((len(offsets), classes)) + 0.05
+    rows *= (1.0 + np.array(offsets))[:, None] / rows.sum(axis=1, keepdims=True)
+    rows = rows.astype(dtype)
+    rows[-1, 0] = np.nan
+    outcomes = []
+    for i, row in enumerate(rows):
+        block = np.full((2, 3, classes), 1.0 / classes, dtype=dtype)
+        block[1, 2] = row
+        for start, b in ((i, block[1:, 2:]), (7, block)):
+            want = exact_row_rule(start, b)
+            assert row_check_outcome(start, b) == want
+            outcomes.append(want)
+    # both verdicts occur, NaN and the 1-class rows included
+    assert None in outcomes
+    assert any(o and o.startswith("row sum") for o in outcomes)
+    assert any(o and o.startswith("row sum nan") for o in outcomes)
 
 
 def test_catalog_invariants():

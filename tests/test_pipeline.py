@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sparseval
 from sparseval import (
     ArrayFrame,
     ClassCatalog,
@@ -30,6 +31,7 @@ from sparseval import (
 from sparseval.core import BLOCK_POINTS, MEASURES, RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import (
     AllClassesFiltered,
+    DimensionMismatch,
     EmptySplit,
     LabelOutOfRange,
     MissingStddev,
@@ -368,6 +370,51 @@ def test_ece_ignores_ignore_label():
     gt = LabelArray(np.array([0, 0, 255, 255]))
     value = ece(ProbabilityStack(rows), gt, 10, ignore_index=255)
     assert value == pytest.approx(0.2, abs=1e-12)
+
+
+def test_ece_rejects_what_evaluate_split_rejects():
+    catalog = ClassCatalog(("a", "b"))
+    good = np.array([[[0.7, 0.3], [0.4, 0.6], [0.9, 0.1]]])
+    off_sum = good.copy()
+    off_sum[0, 1] = [0.6, 0.6]
+    cases = [
+        (off_sum, [0, 1, 0], NotADistribution, "row sum 1.2 at sample 0, point 1"),
+        (good, [0, 9, 1], LabelOutOfRange, "label 9 at point 1 is neither a class index below 2"),
+        (good, [0, 1], DimensionMismatch, "cover 3 points but labels cover 2"),
+    ]
+    for probs, labels, error, message in cases:
+        stack, gt = ProbabilityStack(probs), LabelArray(np.array(labels))
+        with pytest.raises(error, match=message):
+            ece(stack, gt, 15, ignore_index=catalog.ignore_index)
+        with pytest.raises(error):
+            evaluate_split([ArrayFrame(gt, stack)], catalog)
+    # without an ignore index, every label must be a class index
+    stack = ProbabilityStack(good)
+    with pytest.raises(LabelOutOfRange, match="^label 9 at point 1 is not a class index below 2$"):
+        ece(stack, LabelArray(np.array([0, 9, 1])), 15)
+    with pytest.raises(LabelOutOfRange, match="^label 255 at point 0 is not a class index"):
+        ece(stack, LabelArray(np.array([255, 1, 0])), 15)
+    assert ece(stack, LabelArray(np.array([255, 1, 0])), 15, ignore_index=255) == ece(
+        ProbabilityStack(good[:, 1:]), LabelArray(np.array([1, 0])), 15
+    )
+
+
+def test_evaluate_split_counts_the_pooled_split_once(monkeypatch):
+    frames, catalog, _, _ = scenario_frames(parts=3)
+    want = evaluate_split(frames, catalog)
+    calls = []
+    counted = sparseval.segmetrics.confusion
+
+    def counting(pred, gt, cat):
+        calls.append(len(gt))
+        return counted(pred, gt, cat)
+
+    for module in (sparseval.pipeline, sparseval.sparsification):
+        monkeypatch.setattr(module, "confusion", counting)
+    got = evaluate_split(frames, catalog)
+    # one count per frame; the curve engine reads the pooled split's counts
+    assert calls == [len(frame.labels) for frame in frames]
+    assert strip_provenance(got) == strip_provenance(want)
 
 
 def test_ece_converges_for_calibrated_data():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from sparseval import (
 )
 from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import DimensionMismatch, EmptySubset, LabelOutOfRange, SubsetTooLarge
-from sparseval.sparsification import _stable_order, class_curves_by_measure
+from sparseval.sparsification import (
+    COUNT_POINTS,
+    _stable_order,
+    _sub_block,
+    class_curves_by_measure,
+)
 
 CAT2 = ClassCatalog(("zero", "one"))
 GRID4 = FractionGrid(4)
@@ -441,6 +447,22 @@ def reference_class_curves(pred, gt, confs, catalog, config):
     return out
 
 
+def assert_engine_equals_reference(pred, gt, confs, catalog, config):
+    got = class_curves_by_measure(pred, gt, confs, catalog, config)
+    want = reference_class_curves(pred, gt, confs, catalog, config)
+    assert [c is None for c in got] == [c is None for c in want]
+    for pairs, ref in zip(got, want):
+        if pairs is None:
+            continue
+        assert list(pairs) == list(ref)
+        for m, pair in pairs.items():
+            spars, orac, relevant = ref[m]
+            assert pair.sparsification_error.tobytes() == spars.tobytes()
+            assert pair.oracle_error.tobytes() == orac.tobytes()
+            assert pair.relevant_count == relevant
+    return got
+
+
 # few levels, both zeros, and a few free values: most scores tie
 _scores = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 
@@ -473,19 +495,8 @@ def test_engine_equals_per_class_reference(instance, grid_steps, ranking_domain,
     config = EvalConfig(
         grid_steps=grid_steps, ranking_domain=ranking_domain, tie_break=tie_break, rng_seed=seed
     )
-    got = class_curves_by_measure(pred, gt, confs, catalog, config)
-    want = reference_class_curves(pred, gt, confs, catalog, config)
-    assert [c is None for c in got] == [c is None for c in want]
+    got = assert_engine_equals_reference(pred, gt, confs, catalog, config)
     assert got[0] is None  # no point has label or prediction 0
-    for pairs, ref in zip(got, want):
-        if pairs is None:
-            continue
-        assert list(pairs) == list(ref)
-        for m, pair in pairs.items():
-            spars, orac, relevant = ref[m]
-            assert pair.sparsification_error.tobytes() == spars.tobytes()
-            assert pair.oracle_error.tobytes() == orac.tobytes()
-            assert pair.relevant_count == relevant
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,3 +599,104 @@ def test_single_class_wrappers_match_whole_catalog(tie_break, ranking_domain):
             assert single.oracle_error.tobytes() == pair.oracle_error.tobytes()
             assert orac.tobytes() == pair.oracle_error.tobytes()
             assert single.relevant_count == pair.relevant_count
+
+
+def sized_instance(n, k, seed):
+    """n points over k classes, with ties, ignored points, a class with no
+    point (0) and a class with exactly one relevant point (1)."""
+    rng = np.random.default_rng(seed)
+    ignore = 255 if k <= 255 else 65535
+    gt = rng.integers(2, k, size=n)
+    pred = np.where(rng.random(n) < 0.6, gt, rng.integers(2, k, size=n))
+    gt[rng.random(n) < 0.05] = ignore
+    gt[n // 2], pred[n // 2] = 1, 2
+    scores = rng.random(n)
+    tied = rng.random(n) < 0.5
+    scores[tied] = rng.integers(0, 4, size=tied.sum()) / 4.0
+    confs = {
+        "max_softmax": ConfidenceVector("max_softmax", scores),
+        "neg_entropy": ConfidenceVector("neg_entropy", rng.integers(0, 9, size=n) / 8.0),
+    }
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)), ignore_index=ignore)
+    return LabelArray(pred), LabelArray(gt), confs, catalog
+
+
+B = _sub_block(19)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (B - 1, 5),
+        (B, 5),
+        (B + 1, 5),
+        (COUNT_POINTS - 1, 19),
+        (COUNT_POINTS, 19),
+        (COUNT_POINTS + 1, 19),
+        (3 * COUNT_POINTS + 5 * B + 3, 19),
+        ((1 << 16) + 7, 19),
+        (_sub_block(300) + 1, 300),
+    ],
+)
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
+def test_engine_equals_reference_across_sub_block_and_chunk_edges(
+    n, k, tie_break, ranking_domain
+):
+    pred, gt, confs, catalog = sized_instance(n, k, seed=n + k)
+    for grid_steps in (7, 100):
+        config = EvalConfig(
+            grid_steps=grid_steps, tie_break=tie_break, rng_seed=4, ranking_domain=ranking_domain
+        )
+        got = assert_engine_equals_reference(pred, gt, confs, catalog, config)
+        assert got[0] is None
+        # grid steps beyond the one relevant point all cut before it
+        assert got[1]["max_softmax"].relevant_count == 1
+
+
+@pytest.mark.parametrize("offset", [0, B - 1])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
+def test_engine_cuts_on_sub_block_edges(offset, tie_break, ranking_domain):
+    # ranks follow point order; n = 100 sub-blocks, so every global cut of a
+    # 100-step grid falls on a sub-block edge, and class 1 has one relevant
+    # point per sub-block at the same offset, so every subset cut does too
+    grid_steps = 100
+    n = grid_steps * B
+    rng = np.random.default_rng(offset)
+    gt = rng.integers(2, 4, size=n)
+    pred = np.where(rng.random(n) < 0.7, gt, rng.integers(2, 4, size=n))
+    edges = np.arange(offset, n, B)
+    gt[edges] = np.where(rng.random(edges.size) < 0.5, 1, gt[edges])
+    pred[edges] = np.where(gt[edges] == 1, rng.integers(1, 3, size=edges.size), 1)
+    scores = np.arange(n) / n
+    confs = {m: ConfidenceVector(m, scores) for m in ("max_softmax", "neg_entropy")}
+    catalog = ClassCatalog(("c0", "c1", "c2", "c3"))
+    config = EvalConfig(
+        grid_steps=grid_steps, tie_break=tie_break, rng_seed=2, ranking_domain=ranking_domain
+    )
+    got = assert_engine_equals_reference(LabelArray(pred), LabelArray(gt), confs, catalog, config)
+    assert got[1]["max_softmax"].relevant_count == edges.size
+
+
+def test_engine_memory_per_point():
+    # one 8-byte ranking key per point, two label columns and small
+    # temporaries; the counts of the running sums take under 2 B/pt
+    n, k = 1 << 18, 19
+    rng = np.random.default_rng(8)
+    gt = rng.integers(0, k, size=n).astype(np.uint8)
+    pred = np.where(rng.random(n) < 0.7, gt, rng.integers(0, k, size=n)).astype(np.uint8)
+    confs = {
+        m: ConfidenceVector(m, rng.random(n).astype(np.float32).astype(np.float64))
+        for m in ("max_softmax", "neg_entropy")
+    }
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    for ranking_domain in RANKING_DOMAINS:
+        config = EvalConfig(ranking_domain=ranking_domain)
+        tracemalloc.start()
+        try:
+            class_curves_by_measure(LabelArray(pred), LabelArray(gt), confs, catalog, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 14
