@@ -6,8 +6,9 @@ how ensembles of stochastic forward passes are consumed.
 
 Every score is computed block by block, ``core.BLOCK_POINTS`` points at a
 time: ``predictive_blocks`` yields a frame's predictive distribution in
-blocks, and one block kernel, behind ``reduce_blocks``, takes each block's
-argmax, max-softmax and entropy while the block is in cache.
+blocks, and one block kernel, behind ``reduce_blocks``, writes each
+block's argmax, max-softmax and entropy into given columns while the block
+is in cache.
 ``max_softmax_confidence`` and ``entropy_confidence`` are thin wrappers
 over it. Multi-sample stacks, 16-bit quantised stacks and sampled logits
 are dequantised, drawn and averaged over the ranges of
@@ -381,25 +382,31 @@ def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarr
         np.clip(out, 0.0, 1.0, out=out)
 
 
+def score_columns(
+    points: int, measures: tuple[str, ...] = ("max_softmax",), label_dtype=np.intp
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Empty columns for ``reduce_blocks``: ``points`` predictions as
+    ``label_dtype`` and a float64 score column per measure, max-softmax
+    always, which the predictions come with, then the other ``measures``."""
+    pred = np.empty(points, dtype=label_dtype)
+    return pred, {m: np.empty(points) for m in MEASURES if m == "max_softmax" or m in measures}
+
+
 def reduce_blocks(
     blocks: Iterable[tuple[int, np.ndarray]],
-    points: int,
-    measures: tuple[str, ...] = ("max_softmax",),
-    label_dtype=np.intp,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Argmax predictions and confidence columns of a blocked stack.
+    pred: np.ndarray,
+    scores: dict[str, np.ndarray],
+) -> None:
+    """Write the argmax predictions and confidences of a blocked stack into
+    the columns ``pred`` and ``scores`` (as ``score_columns`` makes them).
 
     ``blocks`` yields ``(start, block)`` as ``predictive_blocks`` does, for
-    a stack of ``points`` points. Returns the predictions as ``label_dtype``
-    and a float64 score column per measure: max-softmax always, which the
-    predictions come with, then the other ``measures``.
+    a stack of ``len(pred)`` points; the block at ``start`` is written to
+    the columns' entries from ``start`` on.
     """
-    pred = np.empty(points, dtype=label_dtype)
-    columns = {m: np.empty(points) for m in MEASURES if m == "max_softmax" or m in measures}
     for lo, block in blocks:
         hi = lo + block.shape[1]
-        _reduce_block(block[0], pred[lo:hi], {m: col[lo:hi] for m, col in columns.items()})
-    return pred, columns
+        _reduce_block(block[0], pred[lo:hi], {m: col[lo:hi] for m, col in scores.items()})
 
 
 def _require_aggregated(probs: ProbabilityStack) -> None:
@@ -415,7 +422,8 @@ def max_softmax_confidence(
     Ties break to the lowest class index so reports are reproducible.
     """
     _require_aggregated(probs)
-    preds, columns = reduce_blocks(predictive_blocks(probs), probs.points)
+    preds, columns = score_columns(probs.points)
+    reduce_blocks(predictive_blocks(probs), preds, columns)
     return ConfidenceVector("max_softmax", columns["max_softmax"]), LabelArray(preds)
 
 
@@ -428,6 +436,7 @@ def entropy_confidence(probs: ProbabilityStack) -> ConfidenceVector:
     _require_aggregated(probs)
     if probs.classes < 2:
         raise ValueError("entropy confidence needs at least two classes")
-    _, columns = reduce_blocks(predictive_blocks(probs), probs.points, ("neg_entropy",))
+    preds, columns = score_columns(probs.points, ("neg_entropy",))
+    reduce_blocks(predictive_blocks(probs), preds, columns)
     return ConfidenceVector("neg_entropy", columns["neg_entropy"])
 

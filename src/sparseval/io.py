@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
@@ -93,10 +94,14 @@ class TensorContainer:
 
 
 def write_tensor(container: TensorContainer, path: str | Path) -> None:
-    """Serialize a container; write then read is a bitwise identity."""
+    """Serialize a container; write then read is a bitwise identity.
+
+    The payload is written and checksummed from the container's own
+    C-contiguous array, with no copy of its bytes.
+    """
     path = Path(path)
     arr = container.data
-    payload = arr.tobytes(order="C")
+    payload = arr.reshape(-1).view(np.uint8)
     header = MAGIC + struct.pack("<II", container.dtype_tag, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     tmp = path.with_name(path.name + ".tmp")
@@ -110,7 +115,7 @@ def write_tensor(container: TensorContainer, path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _field(raw: bytearray, start: int, size: int, what: str) -> int:
+def _field(raw: np.ndarray, start: int, size: int, what: str) -> int:
     """The end of the ``size`` bytes of a file field that begins at ``start``."""
     end = start + size
     if len(raw) < end:
@@ -118,16 +123,11 @@ def _field(raw: bytearray, start: int, size: int, what: str) -> int:
     return end
 
 
-def _read_tensor(path: str | Path) -> tuple[TensorContainer, bytearray]:
-    """Parse and verify a container file, read in one piece; also return the
-    file's bytes, which back the container's array without a copy."""
-    with open(path, "rb") as fh:
-        # one byte more than the file holds, so that a file that grew since
-        # the size was taken shows as trailing bytes
-        raw = bytearray(os.fstat(fh.fileno()).st_size + 1)
-        del raw[fh.readinto(raw) :]
+def _parse_header(raw: np.ndarray, path: str | Path) -> tuple[int, tuple[int, ...], int]:
+    """The dtype tag, the dimensions and the payload offset of the container
+    whose file begins with the bytes ``raw``; the one parser of the header."""
     pos = _field(raw, 0, len(MAGIC), "magic")
-    if raw[:pos] != MAGIC:
+    if raw[:pos].tobytes() != MAGIC:
         raise BadMagic(f"{path} does not start with {MAGIC!r}")
     start, pos = pos, _field(raw, pos, 8, "header")
     dtype_tag, rank = struct.unpack_from("<II", raw, start)
@@ -139,21 +139,57 @@ def _read_tensor(path: str | Path) -> tuple[TensorContainer, bytearray]:
     dims = struct.unpack_from(f"<{rank}I", raw, start)
     if min(dims) < 1:
         raise BadHeader(f"zero-sized dimension in {dims}")
-    n_elements = 1
-    for d in dims:
-        n_elements *= d
+    n_elements = math.prod(dims)
     if n_elements > _MAX_ELEMENTS:
         raise BadHeader(f"element count {n_elements} is implausibly large")
+    return dtype_tag, dims, pos
+
+
+def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
+    """The dtype tag and dimensions of a container file, read from its
+    header alone; the payload is neither read nor verified."""
+    with open(path, "rb") as fh:
+        head = np.frombuffer(fh.read(16 + 4 * _MAX_RANK), dtype=np.uint8)
+    return _parse_header(head, path)[:2]
+
+
+def _read_file(path: str | Path, buffers: dict | None, key: str) -> np.ndarray:
+    """The bytes of a file, read into ``buffers[key]`` or, without
+    ``buffers``, into a new buffer. A buffer too small for the file is
+    replaced by one that fits, so a dict reused from file to file holds one
+    buffer per key, the size of the largest file read under it."""
+    with open(path, "rb") as fh:
+        # one byte more than the file holds, so that a file that grew since
+        # the size was taken shows as trailing bytes
+        size = os.fstat(fh.fileno()).st_size + 1
+        if buffers is None:
+            buf = np.empty(size, dtype=np.uint8)
+        else:
+            if key not in buffers or buffers[key].size < size:
+                # the outgrown buffer is freed before a larger one is made
+                buffers.pop(key, None)
+                buffers[key] = np.empty(size, dtype=np.uint8)
+            buf = buffers[key]
+        return buf[: fh.readinto(buf[:size])]
+
+
+def _read_tensor(
+    path: str | Path, buffers: dict | None = None, key: str = ""
+) -> tuple[TensorContainer, np.ndarray]:
+    """Parse and verify a container file, read in one piece by ``_read_file``;
+    also return the file's bytes, which back the container's array without
+    a copy."""
+    raw = _read_file(path, buffers, key)
+    dtype_tag, dims, start = _parse_header(raw, path)
     dtype = _TAG_TO_DTYPE[dtype_tag]
-    start, pos = pos, _field(raw, pos, n_elements * dtype.itemsize, "payload")
-    payload = memoryview(raw)[start:pos]
-    stored = raw[pos : _field(raw, pos, 8, "checksum")]
+    pos = _field(raw, start, math.prod(dims) * dtype.itemsize, "payload")
+    payload = raw[start:pos]
+    stored = raw[pos : _field(raw, pos, 8, "checksum")].tobytes()
     if len(raw) > pos + 8:
         raise BadHeader(f"{path} carries trailing bytes past the checksum")
     if _payload_checksum(payload) != stored:
         raise ChecksumMismatch(f"payload checksum of {path} does not verify")
-    data = np.frombuffer(raw, dtype=dtype, count=n_elements, offset=start)
-    return TensorContainer(dtype_tag, data.reshape(dims)), raw
+    return TensorContainer(dtype_tag, payload.view(dtype).reshape(dims)), raw
 
 
 def read_tensor(path: str | Path) -> TensorContainer:
@@ -192,6 +228,13 @@ class FrameEntry:
         source = self.probs_path or self.logits_path
         return Path(source).name
 
+    @property
+    def points(self) -> int:
+        """The point count of the labels file, read from its header alone."""
+        tag, dims = _read_header(self.labels_path)
+        _check_label_header(self.labels_path, tag, dims)
+        return dims[0]
+
     def _files(self) -> dict[str, Path]:
         """The frame's files by manifest key, in ``_FRAME_FILES`` order."""
         found = {key: getattr(self, f"{key}_path") for key in _FRAME_FILES}
@@ -200,8 +243,10 @@ class FrameEntry:
     def paths(self) -> list[Path]:
         return list(self._files().values())
 
-    def load(self) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
-        return load_frame(self)
+    def load(
+        self, buffers: dict | None = None
+    ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
+        return load_frame(self, buffers=buffers)
 
     def digest(self) -> str:
         """SHA-256 over each file's name and bytes, in ``paths()`` order.
@@ -215,8 +260,13 @@ class FrameEntry:
         return _files_digest((p, p.read_bytes()) for p in self.paths())
 
 
+def _check_label_header(path: Path, dtype_tag: int, dims: tuple[int, ...]) -> None:
+    if dtype_tag not in (DTYPE_UINT8, DTYPE_UINT16) or len(dims) != 1:
+        raise ShapeMismatch(f"{path} must hold a rank-1 uint8 or uint16 label array")
+
+
 def load_frame(
-    entry: FrameEntry,
+    entry: FrameEntry, buffers: dict | None = None
 ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
     """Materialize a manifest frame into validated-shape in-memory types.
 
@@ -226,22 +276,26 @@ def load_frame(
     are evaluated, a block at a time (``confidence.dequantize`` converts a
     whole stack). The digest of the bytes read is kept on the entry, where
     ``FrameEntry.digest`` finds it.
-    """
-    files: dict[Path, bytearray] = {}
 
-    def read(path: str | Path) -> TensorContainer:
-        box, files[Path(path)] = _read_tensor(path)
+    Without ``buffers`` every file is read into bytes of its own. With a
+    dict, each file is read into the dict's buffer for its manifest key,
+    which is kept and reused by the next load with the same dict (and
+    replaced by a larger one when a file does not fit), so the arrays
+    returned stay valid only until then.
+    """
+    paths = entry._files()
+    files: dict[str, np.ndarray] = {}
+
+    def read(key: str) -> TensorContainer:
+        box, files[key] = _read_tensor(paths[key], buffers, key)
         return box
 
-    labels_box = read(entry.labels_path)
-    if labels_box.dtype_tag not in (DTYPE_UINT8, DTYPE_UINT16) or labels_box.data.ndim != 1:
-        raise ShapeMismatch(
-            f"{entry.labels_path} must hold a rank-1 uint8 or uint16 label array"
-        )
+    labels_box = read("labels")
+    _check_label_header(entry.labels_path, labels_box.dtype_tag, labels_box.data.shape)
     labels = LabelArray(labels_box.data)
 
     if entry.probs_path is not None:
-        box = read(entry.probs_path)
+        box = read("probs")
         if box.data.ndim != 3:
             raise ShapeMismatch(
                 f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
@@ -260,14 +314,14 @@ def load_frame(
                 f"{entry.probs_path} holds {payload.samples}"
             )
     else:
-        box = read(entry.logits_path)
+        box = read("logits")
         if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
             raise ShapeMismatch(
                 f"{entry.logits_path} must hold a rank-2 float32 points x classes tensor"
             )
         stddev = None
         if entry.stddev_path is not None:
-            sd_box = read(entry.stddev_path)
+            sd_box = read("stddev")
             if sd_box.dtype_tag != DTYPE_FLOAT32 or sd_box.data.shape != box.data.shape:
                 raise ShapeMismatch(
                     f"{entry.stddev_path} must match the logits shape {box.data.shape}"
@@ -279,7 +333,7 @@ def load_frame(
             f"{entry.probs_path or entry.logits_path} covers {payload.points} points but "
             f"{entry.labels_path} covers {len(labels)}"
         )
-    digest = _files_digest((p, files[p]) for p in entry.paths())
+    digest = _files_digest((path, files[key]) for key, path in paths.items())
     object.__setattr__(entry, "_loaded_digest", digest)
     return payload, labels
 

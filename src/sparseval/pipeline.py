@@ -2,7 +2,10 @@
 
 Frames are pooled into one logical point set before any per-class ranking, so
 rare classes are judged on every point they have in the split rather than on
-frame-sized fragments. Confusion counts are accumulated per frame and merged.
+frame-sized fragments. The pooled columns are allocated once, sized from
+every frame's point count, and each frame is reduced straight into its rows,
+so nothing is concatenated and the split holds about 18 bytes per kept point
+(``pool_split``). Confusion counts are accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -24,6 +28,7 @@ from .confidence import (
     max_softmax_confidence,
     predictive_blocks,
     reduce_blocks,
+    score_columns,
 )
 from .core import (
     ClassCatalog,
@@ -40,7 +45,13 @@ from .core import (
     check_shapes,
     sample_ranges,
 )
-from .errors import AllClassesFiltered, DimensionMismatch, EmptySplit, SparsevalError
+from .errors import (
+    AllClassesFiltered,
+    DimensionMismatch,
+    EmptySplit,
+    ShapeMismatch,
+    SparsevalError,
+)
 from .segmetrics import (
     ConfusionMatrix,
     confusion,
@@ -70,7 +81,15 @@ class ArrayFrame:
             raise ValueError(f"samples is {samples} but the stack holds {self.probs.samples}")
         object.__setattr__(self, "samples", samples)
 
-    def load(self) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
+    @property
+    def points(self) -> int:
+        return len(self.labels)
+
+    def load(
+        self, buffers: dict | None = None
+    ) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
+        """The frame's payload and labels; ``buffers`` is not used, since
+        nothing is read."""
         payload = self.probs if self.probs is not None else self.logits
         return payload, self.labels
 
@@ -149,8 +168,9 @@ class PooledSplit:
         return binned_ece(self.confidences["max_softmax"].scores, correct, bins)
 
 
-def _reduce_frame(source, index, catalog, config, measures):
-    """Load one frame; return its confusion, non-ignored columns and provenance.
+def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
+    """Load one frame and reduce it into the rows ``lo:hi`` of the pooled
+    columns; return its confusion, its kept point count and provenance.
 
     The frame is reduced block by block (``core.BLOCK_POINTS`` points): each
     block of the predictive distribution is drawn and reduced to
@@ -158,31 +178,68 @@ def _reduce_frame(source, index, catalog, config, measures):
     checked as ``validate_inputs`` checks it before the samples are
     averaged, so errors name the sample and point at fault. A quantised
     (uint16) stack is dequantised a range of about ``BLOCK_POINTS`` rows at
-    a time, so the worker holds the frame's file bytes plus one block.
-    Checking, dequantising, averaging and sampling logits build no
-    full-frame temporary besides the output columns. Labels are kept in the
-    smallest unsigned type that holds a class index.
+    a time. A file-backed frame is read into ``buffers``, which the worker
+    reuses from frame to frame, so it holds one frame's file bytes plus one
+    block, and nothing of the frame outlives this call but its counts and
+    its digest. The labels are copied into the frame's rows of ``gt``
+    (``_keep_rows``), whose type holds a class index.
     """
-    name = source.name or f"frame_{index:04d}"
-    label_dtype = np.min_scalar_type(catalog.k - 1)
     try:
-        payload, labels = source.load()
+        payload, labels = source.load(buffers)
+        if len(labels) != hi - lo:
+            raise ShapeMismatch(f"loaded {len(labels)} points but declared {hi - lo}")
         seed = derive_stream_seed(config.rng_seed, index)
         blocks = predictive_blocks(payload, source.samples, seed, checked=True)
         check_shapes(payload.points, payload.classes, labels, catalog)
-        pred, scores = reduce_blocks(blocks, payload.points, measures, label_dtype)
+        pred = columns["pred"][lo:hi]
+        reduce_blocks(blocks, pred, {m: columns[m][lo:hi] for m in MEASURES if m in columns})
         check_labels(labels, catalog.k, catalog.ignore_index)
         counts = confusion(LabelArray(pred), labels, catalog)
     except SparsevalError as exc:
-        raise type(exc)(f"frame {index} ({name}): {exc}") from exc
-    # copied only to drop ignored points: pool_split's concatenation copies
-    # anyway, so the pooled split never aliases a caller's array
-    columns = {"gt": labels.values, "pred": pred, **scores}
-    keep = labels.values != catalog.ignore_index
-    if not keep.all():
-        columns = {key: col[keep] for key, col in columns.items()}
-    columns["gt"] = columns["gt"].astype(label_dtype, copy=False)
-    return counts, columns, {"name": name, "digest": source.digest()}
+        raise _in_frame(exc, index, source) from exc
+    kept = _keep_rows(columns, lo, labels.values, catalog.ignore_index)
+    return counts, kept, {"name": _frame_name(source, index), "digest": source.digest()}
+
+
+def _frame_name(source, index: int) -> str:
+    return source.name or f"frame_{index:04d}"
+
+
+def _in_frame(exc: SparsevalError, index: int, source) -> SparsevalError:
+    """``exc`` again, its message prefixed with the frame it concerns."""
+    return type(exc)(f"frame {index} ({_frame_name(source, index)}): {exc}")
+
+
+def _keep_rows(columns, lo, labels, ignore_index):
+    """Write a frame's kept labels into ``gt`` from row ``lo`` on, move its
+    kept points to the front of its rows in the other columns, and return
+    how many it keeps; ``SCAN_POINTS`` points at a time, in place."""
+    end = lo
+    for start in range(0, labels.size, SCAN_POINTS):
+        chunk = labels[start : start + SCAN_POINTS]
+        keep = chunk != ignore_index
+        n = int(np.count_nonzero(keep))
+        whole = n == chunk.size
+        columns["gt"][end : end + n] = chunk if whole else chunk[keep]
+        if not whole or end < lo + start:
+            for key, col in columns.items():
+                if key != "gt":
+                    rows = col[lo + start : lo + start + chunk.size]
+                    col[end : end + n] = rows if whole else rows[keep]
+        end += n
+    return end - lo
+
+
+def _close_up(column, starts, offsets, kept):
+    """Move frame i's ``kept[i]`` rows down from ``starts[i]`` to
+    ``offsets[i]``, frames in order and ``SCAN_POINTS`` rows at a time, so
+    that no copy overwrites rows still to be moved."""
+    for lo, dst, n in zip(starts, offsets, kept):
+        if dst == lo:
+            continue
+        for s in range(0, n, SCAN_POINTS):
+            step = min(SCAN_POINTS, n - s)
+            column[dst + s : dst + s + step] = column[lo + s : lo + s + step]
 
 
 def pool_split(
@@ -195,19 +252,25 @@ def pool_split(
 ) -> PooledSplit:
     """Reduce every frame of a split and pool the results into one point set.
 
-    ``dataset`` is a manifest, any iterable of frame sources (objects with
-    ``load()``, ``digest()``, ``samples`` and ``name``, as ``ArrayFrame``
-    and ``io.FrameEntry`` have), or an already pooled split, which is
-    returned unchanged. Frames are reduced on ``threads`` workers; the
-    result does not depend on the count. ``config`` supplies the seed of
-    logit sampling.
+    ``dataset`` is a manifest, any iterable of frame sources, or an already
+    pooled split, which is returned unchanged. A frame source has
+    ``points``, ``samples`` and ``name``, ``load(buffers)`` and
+    ``digest()``, as ``ArrayFrame`` and ``io.FrameEntry`` have; ``buffers``
+    is a dict that a file-backed source may read its files into, reused by
+    the worker for its next frame. Frames are reduced on ``threads``
+    workers; the result does not depend on the count. ``config`` supplies
+    the seed of logit sampling.
 
-    Each frame is checked and reduced block by block, ``core.BLOCK_POINTS``
-    points at a time, into its kept points' columns; the columns are then
-    concatenated. The pooled split holds about 18 bytes per kept point:
-    ``gt`` and ``pred`` in the smallest unsigned type that holds a class
-    index (one byte each up to 256 classes), and a float64 score per
-    measure.
+    Every frame's ``points`` is read first (a file header, for a manifest
+    frame), and the pooled columns are allocated once: ``gt`` and ``pred``
+    in the smallest unsigned type that holds a class index (one byte each
+    up to 256 classes), and a float64 score per measure, about 18 bytes
+    per point. Each frame is then checked and reduced block by block,
+    ``core.BLOCK_POINTS`` points at a time, straight into its rows, and
+    moves its kept points to the front of them; nothing is concatenated.
+    If points were ignored, the frames' kept rows are closed up once all
+    frames are in, by a forward copy ``SCAN_POINTS`` rows at a time, and
+    the columns are shrunk to the kept points.
     """
     threads = as_integer("threads", threads, 1)
     for m in measures:
@@ -228,8 +291,26 @@ def pool_split(
         raise ValueError("a class catalog is required")
     config = config or EvalConfig()
 
+    starts = [0]
+    for index, source in enumerate(sources):
+        try:
+            starts.append(starts[-1] + source.points)
+        except SparsevalError as exc:
+            raise _in_frame(exc, index, source) from exc
+    label_dtype = np.min_scalar_type(catalog.k - 1)
+    pred, scores = score_columns(starts[-1], measures, label_dtype)
+    columns = {"gt": np.empty(starts[-1], dtype=label_dtype), "pred": pred, **scores}
+    # the dict holds the only references, so the columns can shrink in place
+    del pred, scores
+    local = threading.local()
+
     def reduce_one(index):
-        return _reduce_frame(sources[index], index, catalog, config, measures)
+        if not hasattr(local, "buffers"):
+            local.buffers = {}
+        return _reduce_frame(
+            sources[index], index, catalog, config, columns,
+            starts[index], starts[index + 1], local.buffers,
+        )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -237,24 +318,23 @@ def pool_split(
     else:
         reduced = [reduce_one(i) for i in range(len(sources))]
 
-    counts, columns, infos = zip(*reduced)
-    sizes = [frame["gt"].size for frame in columns]
-    if sum(sizes) == 0:
+    counts, kept, infos = zip(*reduced)
+    offsets = np.cumsum((0,) + kept).tolist()
+    if offsets[-1] == 0:
         raise EmptySplit("all points in the split carry the ignore label")
-    # each frame's column is dropped as soon as it is pooled, so the split
-    # owns the only copy of the points before the curves run
-    pooled = {
-        key: np.concatenate([frame.pop(key) for frame in columns])
-        for key in list(columns[0])
-    }
+    if offsets[-1] < starts[-1]:
+        for key in columns:
+            _close_up(columns[key], starts, offsets, kept)
+            # the workers' views are gone: resize's reference check passes
+            columns[key].resize(offsets[-1])
     return PooledSplit(
         catalog=catalog,
-        gt=LabelArray(pooled.pop("gt")),
-        pred=LabelArray(pooled.pop("pred")),
-        confidences={m: ConfidenceVector(m, scores) for m, scores in pooled.items()},
+        gt=LabelArray(columns.pop("gt")),
+        pred=LabelArray(columns.pop("pred")),
+        confidences={m: ConfidenceVector(m, col) for m, col in columns.items()},
         counts=functools.reduce(merge, counts),
         frames=infos,
-        offsets=tuple(np.cumsum([0] + sizes).tolist()),
+        offsets=tuple(offsets),
     )
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import predictive_blocks, reduce_blocks
+from .confidence import predictive_blocks, reduce_blocks, score_columns
 from .core import (
     ClassCatalog,
     ConfidenceVector,
@@ -148,16 +148,28 @@ def _oracle_error(n: int, n_tp: int, n_err: int, grid: FractionGrid) -> np.ndarr
     )
 
 
-def _stable_order(scores: np.ndarray) -> np.ndarray:
+def _stable_order(scores: np.ndarray, perm: np.ndarray | None = None) -> np.ndarray:
     """``np.argsort(scores, kind="stable")`` for scores in [0, 1], bit for bit.
 
     One sort of unique keys, bits 61 to b - 2 of the score's float64 pattern
     over a b-bit index, b = max(bit length of n - 1, 2), then a stable
     re-sort of each run of equal prefixes that it misranks.
+
+    With a permutation ``perm`` of the points it returns
+    ``perm[_stable_order(scores[perm])]``, ties in ``perm`` order, without
+    a permuted copy of the scores or a second order array: the keys are
+    filled from ``scores[perm]`` a chunk at a time, and the sorted indices
+    are mapped through ``perm`` in place before any run is re-sorted. A
+    re-sort is stable, so it keeps that order among equal scores.
     """
     n = scores.size
     b = max((n - 1).bit_length(), 2)
-    keys = scores.astype(np.float64).view(np.uint64)  # a copy: scores stay as they are
+    if perm is None:
+        keys = scores.astype(np.float64).view(np.uint64)  # a copy: scores stay as they are
+    else:
+        keys = np.empty(n, dtype=np.uint64)
+        for lo in range(0, n, SCAN_POINTS):
+            keys[lo : lo + SCAN_POINTS].view(np.float64)[:] = scores[perm[lo : lo + SCAN_POINTS]]
     keys >>= np.uint64(b - 2)
     keys <<= np.uint64(b)  # shifts out the sign bit: -0.0 keys as +0.0
     for lo in range(0, n, SCAN_POINTS):
@@ -168,6 +180,9 @@ def _stable_order(scores: np.ndarray) -> np.ndarray:
         hi = min(lo + SCAN_POINTS, n)
         np.less(keys[lo:hi] ^ keys[lo - 1 : hi - 1], np.uint64(1 << b), out=tie[lo:hi])
     order = np.bitwise_and(keys, np.uint64((1 << b) - 1), out=keys).view(np.int64)
+    if perm is not None:
+        for lo in range(0, n, SCAN_POINTS):
+            order[lo : lo + SCAN_POINTS] = perm[order[lo : lo + SCAN_POINTS]]
     pos = np.flatnonzero(tie[:-1] | tie[1:])
     # scores rise from run to run, so every descent lies inside one run
     down = np.zeros(pos.size, dtype=bool)
@@ -365,7 +380,7 @@ def _class_curves(
     spars = [{} for _ in totals]
     for measure, conf in confs.items():
         scores = conf.scores if keep is None else conf.scores[keep]
-        order = _stable_order(scores) if perm is None else perm[_stable_order(scores[perm])]
+        order = _stable_order(scores, perm)
         del scores
         ranked_g, ranked_p = (np.empty(padded, dtype=dtype) for _ in range(2))
         for labels, ranked in ((g, ranked_g), (p, ranked_p)):
@@ -572,7 +587,8 @@ def per_class_ause(
         raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
     blocks = predictive_blocks(probs, checked=True)
     check_shapes(probs.points, probs.classes, gt, catalog)
-    pred, scores = reduce_blocks(blocks, probs.points, (measure,))
+    pred, scores = score_columns(probs.points, (measure,))
+    reduce_blocks(blocks, pred, scores)
     check_labels(gt, catalog.k, catalog.ignore_index)
     conf = ConfidenceVector(measure, scores[measure])
     curves = class_curves_by_measure(LabelArray(pred), gt, {measure: conf}, catalog, config)

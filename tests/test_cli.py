@@ -168,7 +168,7 @@ def test_evaluate_per_frame_diagnostics(tmp_path, monkeypatch):
     loads = []
     original = io.load_frame
 
-    def counting_load(entry):
+    def counting_load(entry, buffers=None):
         loads.append(entry.name)
         return original(entry)
 

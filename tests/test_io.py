@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from sparseval.errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from sparseval.confidence import predictive_blocks
+from sparseval.confidence import predictive_blocks, score_columns
 from sparseval.core import BLOCK_POINTS, MEASURES
 from sparseval.io import write_scatter_csv
 from sparseval.pipeline import _reduce_frame
@@ -121,6 +122,32 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(BadHeader):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f4", "u1", "<u2", ">u2"])
+def test_write_tensor_file_bytes_for_every_dtype_tag(tmp_path, dtype):
+    # header, the little-endian payload and its BLAKE2b-64 digest, also for
+    # a big-endian or strided input, which the container makes contiguous
+    arr = (np.random.default_rng(0).random((3, 5, 4)) * 200).astype(dtype)[:, ::2]
+    container = TensorContainer.from_array(arr)
+    payload = np.ascontiguousarray(arr, dtype=dtype.replace(">", "<")).tobytes()
+    header = b"SPARSEV1" + struct.pack("<5I", container.dtype_tag, 3, 3, 3, 4)
+    path = tmp_path / "t.spt"
+    write_tensor(container, path)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    assert path.read_bytes() == header + payload + digest
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.uint16])
+def test_write_tensor_allocates_less_than_the_payload(tmp_path, dtype):
+    container = TensorContainer.from_array(np.ones((4, 3000, 19), dtype=dtype))
+    tracemalloc.start()
+    try:
+        write_tensor(container, tmp_path / "t.spt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < container.data.nbytes
 
 
 def test_bad_dtype_tag_and_rank(tmp_path):
@@ -239,8 +266,125 @@ def test_pooling_reads_each_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sparseval.io, "open", counting_open, raising=False)
     monkeypatch.setattr(Path, "read_bytes", no_reread)
     split = pool_split([entry], ClassCatalog(("a", "b", "c")))
-    assert sorted(opened) == sorted(p.name for p in entry.paths())
+    # the labels file is opened once more, for the header that sizes the split
+    assert sorted(opened) == sorted([entry.labels_path.name] + [p.name for p in entry.paths()])
     assert split.frames[0]["digest"] == expected
+
+
+def test_frame_points_come_from_the_labels_header(tmp_path):
+    rng = np.random.default_rng(7)
+    raw = rng.random((1, 30, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=30), label_dtype=np.uint16)
+    assert entry.points == 30
+    # only the header is read: a payload that no longer verifies still
+    # gives the size, and fails when the frame is loaded
+    blob = bytearray(entry.labels_path.read_bytes())
+    blob[-9] ^= 0xFF
+    entry.labels_path.write_bytes(bytes(blob))
+    assert entry.points == 30
+    with pytest.raises(ChecksumMismatch, match=r"^frame 0 \(f\.probs\.spt\): "):
+        pool_split([entry], ClassCatalog(("a", "b", "c")))
+
+
+@pytest.mark.parametrize(
+    "labels, error",
+    [
+        (b"SPARSEV2", BadMagic),
+        (b"SPARSEV1\x03\x00", TruncatedFile),
+        (TensorContainer.from_array(np.zeros((2, 3), dtype=np.uint8)), ShapeMismatch),
+        (TensorContainer.from_array(np.zeros(3, dtype=np.float32)), ShapeMismatch),
+    ],
+    ids=["magic", "truncated", "rank-2", "float32"],
+)
+def test_unreadable_label_header_raises_the_load_error(tmp_path, labels, error):
+    rng = np.random.default_rng(7)
+    raw = rng.random((1, 3, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    good = _write_frame(tmp_path, raw, rng.integers(0, 3, size=3))
+    bad_dir = tmp_path / "bad"
+    bad_dir.mkdir()
+    bad = _write_frame(bad_dir, raw, rng.integers(0, 3, size=3))
+    if isinstance(labels, bytes):
+        bad.labels_path.write_bytes(labels)
+    else:
+        write_tensor(labels, bad.labels_path)
+    with pytest.raises(error) as loaded:
+        load_frame(bad)
+    with pytest.raises(error) as pooled:
+        pool_split([good, bad], ClassCatalog(("a", "b", "c")))
+    assert str(pooled.value) == f"frame 1 (f.probs.spt): {loaded.value}"
+
+
+def test_labels_replaced_between_header_and_load_raise_shape_mismatch(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    raw = rng.random((1, 50, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=50))
+    original = sparseval.io.load_frame
+
+    def replacing_load(frame, buffers=None):
+        # a consistent frame of 40 points replaces the 50 whose header sized the split
+        _write_frame(tmp_path, raw[:, :40], rng.integers(0, 3, size=40))
+        return original(frame, buffers)
+
+    monkeypatch.setattr(sparseval.io, "load_frame", replacing_load)
+    message = r"^frame 0 \(f\.probs\.spt\): loaded 40 points but declared 50$"
+    with pytest.raises(ShapeMismatch, match=message):
+        pool_split([entry], ClassCatalog(("a", "b", "c")))
+
+
+def test_consecutive_loads_share_no_memory(tmp_path):
+    rng = np.random.default_rng(9)
+    raw = rng.random((2, 40, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=40))
+    (first, first_labels), (second, second_labels) = load_frame(entry), entry.load()
+    assert not np.shares_memory(first.data, second.data)
+    assert not np.shares_memory(first_labels.values, second_labels.values)
+    # a buffer dict is what makes loads share: the second reads into the first's bytes
+    buffers = {}
+    first, first_labels = load_frame(entry, buffers)
+    second, second_labels = load_frame(entry, buffers)
+    assert np.shares_memory(first.data, second.data)
+    assert np.shares_memory(first_labels.values, second_labels.values)
+    assert sorted(buffers) == ["labels", "probs"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pool_split_holds_the_columns_and_one_frame_per_worker(tmp_path, threads):
+    # frames of 20-sample uint16 stacks, the second one larger than the
+    # first, so that a worker's buffer grows, with points to drop
+    rng = np.random.default_rng(10)
+    k = 19
+    frames = []
+    for i, n in enumerate((3000, 5000, 4000, 2500)):
+        entry = FrameEntry(
+            labels_path=tmp_path / f"f{i}.labels.spt",
+            probs_path=tmp_path / f"f{i}.probs.spt",
+            samples=20,
+        )
+        stack = rng.integers(1, 65536, size=(20, n, k)).astype(np.uint16)
+        write_tensor(TensorContainer.from_array(stack), entry.probs_path)
+        labels = rng.integers(0, k, size=n).astype(np.uint8)
+        labels[::9] = 255
+        write_tensor(TensorContainer.from_array(labels), entry.labels_path)
+        frames.append(entry)
+    del stack
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    largest = max(sum(p.stat().st_size for p in f.paths()) for f in frames)
+    # a few float64 copies of one block: the dequantised range, the
+    # averaged block and the entropy's logarithms
+    block = 5 * BLOCK_POINTS * k * 8
+    tracemalloc.start()
+    try:
+        split = pool_split(frames, catalog, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for a in (split.gt.values, split.pred.values))
+    columns += sum(c.scores.nbytes for c in split.confidences.values())
+    assert peak <= columns + threads * (largest + block)
 
 
 def test_load_frame_label_length_mismatch(tmp_path):
@@ -742,9 +886,11 @@ def test_quantized_frame_reduction_holds_the_file_and_one_block(tmp_path):
     del raw
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(19)))
     file_bytes = sum(p.stat().st_size for p in entry.paths())
+    pred, scores = score_columns(5000, MEASURES, np.uint8)
+    columns = {"gt": np.empty(5000, dtype=np.uint8), "pred": pred, **scores}
     tracemalloc.start()
     try:
-        _reduce_frame(entry, 0, catalog, EvalConfig(), MEASURES)
+        _reduce_frame(entry, 0, catalog, EvalConfig(), columns, 0, 5000, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,9 +18,11 @@ from sparseval import (
     ScenarioSpec,
     aggregate_samples,
     ece,
+    entropy_confidence,
     evaluate_split,
     filter_and_aggregate,
     generate,
+    max_softmax_confidence,
     per_class_ause,
     per_frame_class_ause,
     pool_split,
@@ -28,7 +30,7 @@ from sparseval import (
     validate_inputs,
     write_report,
 )
-from sparseval.core import BLOCK_POINTS, MEASURES, RANKING_DOMAINS, TIE_BREAKS
+from sparseval.core import BLOCK_POINTS, MEASURES, RANKING_DOMAINS, SCAN_POINTS, TIE_BREAKS
 from sparseval.errors import (
     AllClassesFiltered,
     DimensionMismatch,
@@ -158,6 +160,76 @@ def test_thread_count_does_not_change_results(make_frames):
     for bad, message in ((0, "at least 1"), (2.5, "an integer, got 2.5")):
         with pytest.raises(ValueError, match=f"^threads must be {message}"):
             evaluate_split(frames, catalog, threads=bad)
+
+
+def _uneven_frames(k, label_dtype, ignore_index, directory=None):
+    """Frames of unequal size (one past SCAN_POINTS when the catalog is
+    small) with ignored points, an all-ignored frame between kept ones and
+    a one-point frame; written to ``directory`` as manifest frames if one
+    is given."""
+    rng = np.random.default_rng(k)
+    big = SCAN_POINTS + 77 if k < 20 else 2 * BLOCK_POINTS + 3
+    frames = []
+    for i, n in enumerate((40, 700, big, 1, BLOCK_POINTS + 1)):
+        labels = rng.integers(0, k, size=n)
+        labels[rng.random(n) < 0.15] = ignore_index
+        if i == 1:
+            labels[:] = ignore_index
+        # a chunk with nothing to drop still moves down past the dropped points before it
+        labels[SCAN_POINTS:] = rng.integers(0, k, size=max(n - SCAN_POINTS, 0))
+        labels = labels.astype(label_dtype)
+        stack = rng.dirichlet(np.full(k, 0.3), size=(2, n)).astype(np.float32)
+        if directory is None:
+            frames.append(ArrayFrame(LabelArray(labels), ProbabilityStack(stack), name=f"f{i}"))
+            continue
+        entry = sparseval.FrameEntry(
+            labels_path=directory / f"f{i}.labels.spt",
+            probs_path=directory / f"f{i}.probs.spt",
+            samples=2,
+        )
+        sparseval.write_tensor(sparseval.TensorContainer.from_array(stack), entry.probs_path)
+        sparseval.write_tensor(sparseval.TensorContainer.from_array(labels), entry.labels_path)
+        frames.append(entry)
+    return frames
+
+
+@pytest.mark.parametrize("source", ["arrays", "files"])
+@pytest.mark.parametrize(
+    "k, label_dtype, ignore_index",
+    [(7, np.uint8, 255), (7, np.uint16, 1000), (300, np.uint16, 65535)],
+    ids=["k7-uint8", "k7-uint16", "k300"],
+)
+def test_pool_split_equals_per_frame_reduction_for_every_thread_count(
+    tmp_path, source, k, label_dtype, ignore_index
+):
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)), ignore_index=ignore_index)
+    frames = _uneven_frames(k, label_dtype, ignore_index, tmp_path if source == "files" else None)
+    # the reference: each frame reduced on its own, its kept points concatenated
+    columns = {"gt": [], "pred": [], **{m: [] for m in MEASURES}}
+    offsets, counts = [0], []
+    for frame in frames:
+        payload, labels = frame.load()
+        probs = aggregate_samples(payload)
+        conf, pred = max_softmax_confidence(probs)
+        keep = labels.values != ignore_index
+        counts.append(confusion(pred, labels, catalog).counts)
+        columns["gt"].append(labels.values[keep])
+        columns["pred"].append(pred.values[keep])
+        columns["max_softmax"].append(conf.scores[keep])
+        columns["neg_entropy"].append(entropy_confidence(probs).scores[keep])
+        offsets.append(offsets[-1] + int(keep.sum()))
+    reference = {key: np.concatenate(parts) for key, parts in columns.items()}
+    digests = [{"name": f.name, "digest": f.digest()} for f in frames]
+    for threads in (1, 2, 3):
+        split = pool_split(frames, catalog, threads=threads)
+        for key, values in (("gt", split.gt.values), ("pred", split.pred.values)):
+            assert values.dtype == np.min_scalar_type(k - 1)
+            assert np.array_equal(values, reference[key])
+        for m in MEASURES:
+            assert split.confidences[m].scores.tobytes() == reference[m].tobytes()
+        assert np.array_equal(split.counts.counts, sum(counts))
+        assert split.offsets == tuple(offsets)
+        assert list(split.frames) == digests
 
 
 def test_report_is_deterministic():

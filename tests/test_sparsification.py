@@ -518,6 +518,9 @@ def test_engine_equals_brute_force_on_small_subsets(instance):
 def assert_ranks_like_stable_argsort(arr):
     before = arr.tobytes()
     assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
+    # seeded_random's ranking: ties in the order of a permutation
+    perm = np.random.default_rng(arr.size).permutation(arr.size)
+    assert np.array_equal(_stable_order(arr, perm), perm[np.argsort(arr[perm], kind="stable")])
     # the scores, the sign bit of -0.0 included, are left as they were
     assert arr.tobytes() == before
 
@@ -700,3 +703,30 @@ def test_engine_memory_per_point():
         finally:
             tracemalloc.stop()
         assert peak / n <= 14
+
+
+def test_seeded_random_adds_only_the_permutation_to_the_engine_peak():
+    # ranking scores[perm] builds neither a permuted copy of the scores nor
+    # a second order array, so the shared 8 B/pt permutation is the only
+    # full-length array that seeded_random adds
+    n, k = 1 << 18, 19
+    rng = np.random.default_rng(8)
+    gt = rng.integers(0, k, size=n).astype(np.uint8)
+    pred = np.where(rng.random(n) < 0.7, gt, rng.integers(0, k, size=n)).astype(np.uint8)
+    confs = {
+        m: ConfidenceVector(m, rng.random(n).astype(np.float32).astype(np.float64))
+        for m in ("max_softmax", "neg_entropy")
+    }
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    peaks = {}
+    for tie_break in TIE_BREAKS:
+        tracemalloc.start()
+        try:
+            class_curves_by_measure(
+                LabelArray(pred), LabelArray(gt), confs, catalog, EvalConfig(tie_break=tie_break)
+            )
+            peaks[tie_break] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 64 KiB for the generator and Python objects, 0.25 B/pt at this size
+    assert peaks["seeded_random"] <= peaks["stable_index"] + 8 * n + (64 << 10)
