@@ -13,8 +13,10 @@ is in cache.
 over it. Multi-sample stacks, 16-bit quantised stacks and sampled logits
 are dequantised, drawn and averaged over the ranges of
 ``core.sample_ranges``, about ``BLOCK_POINTS`` rows at a time, so no float
-samples x points x classes stack of a frame is ever built. Plain logits are
-softmaxed a block at a time as well.
+samples x points x classes stack of a frame is ever built. A stack read one
+sample at a time is summed into a float64 sum of the frame by
+``StreamedMean``, which gives the same bits. Plain logits are softmaxed a
+block at a time as well.
 
 scipy supplies only ``ndtri``, the inverse normal CDF behind the noise of
 Gaussian logits, and is imported when the first ``LogitTensor`` with a
@@ -41,6 +43,7 @@ from .core import (
     as_integer,
     check_distribution,
     sample_ranges,
+    scratch,
 )
 from .errors import MissingStddev, NonFiniteInput, NotADistribution
 
@@ -214,7 +217,7 @@ def sample_probabilistic_logits(
     return ProbabilityStack(out)
 
 
-def _dequantized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dequantized(raw: np.ndarray, buffers: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A (samples, r, classes) block of 16-bit fixed point as float32
     probabilities, with the float64 row sums they were renormalised by.
 
@@ -224,15 +227,21 @@ def _dequantized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in [0, 1], so a row of k of them sums to at most k in steps of 2^-32:
     up to 2^21 classes every partial sum is exact in float64, the sum does
     not depend on the order of its terms, and one matrix product takes all
-    of them. An all-zero row sums to 0 and comes out NaN.
+    of them. An all-zero row sums to 0 and comes out NaN. The results and
+    the float64 temporary are ``core.scratch`` arrays of ``buffers``, valid
+    until its next use; without ``buffers`` they are new arrays.
     """
-    scaled = raw.astype(np.float32)
-    scaled /= np.float32(65535.0)
-    wide = scaled.astype(np.float64)
-    sums = wide @ np.ones(raw.shape[2])
+    probs = scratch(buffers, "dequantized", raw.shape, np.float32)
+    np.copyto(probs, raw)
+    probs /= np.float32(65535.0)
+    wide = scratch(buffers, "dequantized_wide", raw.shape, np.float64)
+    np.copyto(wide, probs)
+    sums = scratch(buffers, "dequantized_sums", raw.shape[:2], np.float64)
+    np.matmul(wide, np.ones(raw.shape[2]), out=sums)
     with np.errstate(invalid="ignore", divide="ignore"):
         wide /= sums[..., None]
-    return wide.astype(np.float32), sums
+    np.copyto(probs, wide)
+    return probs, sums
 
 
 def dequantize(stack: QuantizedStack) -> ProbabilityStack:
@@ -359,6 +368,75 @@ def predictive_blocks(
 
         dtype = data.dtype
     return _mean_blocks(rows, payload.points, payload.classes, payload.samples, dtype)
+
+
+class StreamedMean:
+    """The sample mean of a probability stack that is fed one sample at a time.
+
+    ``add`` takes the stack's (points, classes) slabs, float32 or uint16,
+    in sample order. Each slab is checked ``BLOCK_POINTS`` rows at a time
+    (a uint16 one dequantised first, by the rule of ``dequantize``) and
+    added into one float64 sum of the frame, ``total``. A float64 sum taken
+    in sample order has the bits of the sum that ``aggregate_samples`` and
+    ``predictive_blocks`` take, so ``blocks`` yields what
+    ``predictive_blocks`` yields for the whole stack: the sum divided by
+    the sample count and cast to float32, a block at a time.
+
+    A slab with a fault sets ``clean`` to False, and the slabs after it are
+    not looked at. Its error is not raised here: which one
+    ``validate_inputs`` reports depends on every sample of the range at
+    fault, so ``predictive_blocks(stack, checked=True)`` over the whole
+    stack raises it. The check is that of ``predictive_blocks`` on one
+    sample: a fault is found in some slab exactly when that check finds
+    one in the stack.
+
+    The sum, the dequantised rows and the blocks are ``core.scratch``
+    arrays of ``buffers``, so a worker that passes the same dict for every
+    frame allocates them once.
+    """
+
+    def __init__(self, buffers: dict | None = None):
+        self.buffers = buffers
+        self.samples = 0
+        self.clean = True
+        self.total: np.ndarray | None = None
+
+    def add(self, slab: np.ndarray) -> None:
+        """Check the next sample's slab and add it into ``total``."""
+        if not self.clean:
+            return
+        if self.total is None:
+            self.total = scratch(self.buffers, "sum", slab.shape, np.float64)
+        for lo in range(0, slab.shape[0], BLOCK_POINTS):
+            rows = slab[None, lo : lo + BLOCK_POINTS]
+            if rows.dtype.kind == "u":
+                rows, sums = _dequantized(rows, self.buffers)
+                self.clean = bool(sums.all())
+            else:
+                try:
+                    check_distribution(lo, rows)
+                except NotADistribution:
+                    self.clean = False
+            if not self.clean:
+                return
+            part = self.total[lo : lo + rows.shape[1]]
+            if self.samples:
+                np.add(part, rows[0], out=part)
+            else:
+                np.copyto(part, rows[0])
+        self.samples += 1
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The mean, ``(start, block)`` in point order as ``predictive_blocks``
+        yields it; each block is overwritten by the next, and ``total`` is
+        divided in place."""
+        for lo in range(0, self.total.shape[0], BLOCK_POINTS):
+            part = self.total[lo : lo + BLOCK_POINTS]
+            part /= self.samples
+            # the dequantised rows' buffer, free once every slab is in
+            block = scratch(self.buffers, "dequantized", (1, *part.shape), np.float32)
+            np.copyto(block[0], part)
+            yield lo, block
 
 
 def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:

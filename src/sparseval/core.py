@@ -36,6 +36,28 @@ BLOCK_POINTS = 1 << 11
 SCAN_POINTS = 1 << 16
 
 
+def scratch(buffers: dict | None, key: str, shape, dtype=np.uint8) -> np.ndarray:
+    """An uninitialised array of ``shape`` and ``dtype``, kept in ``buffers``.
+
+    The array is a view of the byte buffer ``buffers[key]``, which the next
+    call with the same dict and key reuses, and which is replaced by a
+    larger one when it is too small; so a dict reused from call to call
+    holds one buffer per key, the size of the largest array asked for under
+    it, and an array stays valid only until that next call. Without
+    ``buffers``, every call returns a new array.
+    """
+    dtype = np.dtype(dtype)
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    if buffers is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) * dtype.itemsize
+    if key not in buffers or buffers[key].size < size:
+        # the outgrown buffer is freed before a larger one is made
+        buffers.pop(key, None)
+        buffers[key] = np.empty(size, dtype=np.uint8)
+    return buffers[key][:size].view(dtype).reshape(shape)
+
+
 def as_integer(name: str, value, minimum: int | None = None, error=ValueError) -> int:
     """``value`` as an int of at least ``minimum``, else ``error`` naming the
     setting; an integer is taken as it is, never truncated from a float."""

@@ -11,10 +11,15 @@ docs/tensor_format.md):
     tail       8 bytes   BLAKE2b-64 digest of the payload
 
 Readers reject malformed files instead of guessing; partial results are
-never produced.
+never produced. ``load_frame`` reads a manifest frame's files whole;
+``stream_frame`` reads a probability stack of many samples one sample slab
+at a time, checksumming it as it goes and raising the errors
+``load_frame`` raises. Writers write beside the target and move the file
+into place, so a failed write leaves no partial file.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -27,11 +32,20 @@ from pathlib import Path
 import numpy as np
 
 from .confidence import LogitTensor
-from .core import ClassCatalog, EvalConfig, LabelArray, ProbabilityStack, QuantizedStack, as_integer
+from .core import (
+    ClassCatalog,
+    EvalConfig,
+    LabelArray,
+    ProbabilityStack,
+    QuantizedStack,
+    as_integer,
+    scratch,
+)
 from .errors import (
     BadHeader,
     BadMagic,
     ChecksumMismatch,
+    ContainerError,
     IoFailure,
     ManifestError,
     ShapeMismatch,
@@ -52,6 +66,8 @@ _TAG_TO_DTYPE = {
 
 _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 40
+# the longest header: magic, dtype tag, rank and _MAX_RANK dimensions
+_HEADER_BYTES = 16 + 4 * _MAX_RANK
 
 MANIFEST_HEADER = "sparseval-manifest v1"
 
@@ -93,6 +109,22 @@ class TensorContainer:
         raise ValueError(f"unsupported array dtype {arr.dtype}")
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, mode: str, **kwargs):
+    """A file opened for writing beside ``path``, which replaces ``path``
+    once it is written; if anything fails, it is removed and ``path`` is
+    left as it was, so no reader ever sees a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def write_tensor(container: TensorContainer, path: str | Path) -> None:
     """Serialize a container; write then read is a bitwise identity.
 
@@ -104,13 +136,11 @@ def write_tensor(container: TensorContainer, path: str | Path) -> None:
     payload = arr.reshape(-1).view(np.uint8)
     header = MAGIC + struct.pack("<II", container.dtype_tag, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with _replacing(path, "wb") as fh:
             fh.write(header)
             fh.write(payload)
             fh.write(_payload_checksum(payload))
-        os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -149,28 +179,18 @@ def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
     """The dtype tag and dimensions of a container file, read from its
     header alone; the payload is neither read nor verified."""
     with open(path, "rb") as fh:
-        head = np.frombuffer(fh.read(16 + 4 * _MAX_RANK), dtype=np.uint8)
+        head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
     return _parse_header(head, path)[:2]
 
 
 def _read_file(path: str | Path, buffers: dict | None, key: str) -> np.ndarray:
-    """The bytes of a file, read into ``buffers[key]`` or, without
-    ``buffers``, into a new buffer. A buffer too small for the file is
-    replaced by one that fits, so a dict reused from file to file holds one
-    buffer per key, the size of the largest file read under it."""
+    """The bytes of a file, read into the ``core.scratch`` buffer
+    ``buffers[key]`` or, without ``buffers``, into a new buffer."""
     with open(path, "rb") as fh:
         # one byte more than the file holds, so that a file that grew since
         # the size was taken shows as trailing bytes
-        size = os.fstat(fh.fileno()).st_size + 1
-        if buffers is None:
-            buf = np.empty(size, dtype=np.uint8)
-        else:
-            if key not in buffers or buffers[key].size < size:
-                # the outgrown buffer is freed before a larger one is made
-                buffers.pop(key, None)
-                buffers[key] = np.empty(size, dtype=np.uint8)
-            buf = buffers[key]
-        return buf[: fh.readinto(buf[:size])]
+        buf = scratch(buffers, key, os.fstat(fh.fileno()).st_size + 1)
+        return buf[: fh.readinto(buf)]
 
 
 def _read_tensor(
@@ -248,6 +268,9 @@ class FrameEntry:
     ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
         return load_frame(self, buffers=buffers)
 
+    def stream(self, buffers: dict | None, add) -> LabelArray | None:
+        return stream_frame(self, buffers, add)
+
     def digest(self) -> str:
         """SHA-256 over each file's name and bytes, in ``paths()`` order.
 
@@ -308,11 +331,7 @@ def load_frame(
             raise ShapeMismatch(
                 f"{entry.probs_path}: probabilities must be float32 or uint16"
             )
-        if entry.samples != 1 and entry.samples != payload.samples:
-            raise ShapeMismatch(
-                f"manifest declares {entry.samples} samples but "
-                f"{entry.probs_path} holds {payload.samples}"
-            )
+        _check_samples(entry, payload.samples)
     else:
         box = read("logits")
         if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
@@ -328,14 +347,101 @@ def load_frame(
                 )
             stddev = sd_box.data
         payload = LogitTensor(box.data, stddev)
-    if payload.points != len(labels):
-        raise ShapeMismatch(
-            f"{entry.probs_path or entry.logits_path} covers {payload.points} points but "
-            f"{entry.labels_path} covers {len(labels)}"
-        )
+    _check_points(entry, payload.points, labels)
     digest = _files_digest((path, files[key]) for key, path in paths.items())
     object.__setattr__(entry, "_loaded_digest", digest)
     return payload, labels
+
+
+def _check_samples(entry: FrameEntry, samples: int) -> None:
+    if entry.samples != 1 and entry.samples != samples:
+        raise ShapeMismatch(
+            f"manifest declares {entry.samples} samples but {entry.probs_path} holds {samples}"
+        )
+
+
+def _check_points(entry: FrameEntry, points: int, labels: LabelArray) -> None:
+    if points != len(labels):
+        raise ShapeMismatch(
+            f"{entry.probs_path or entry.logits_path} covers {points} points but "
+            f"{entry.labels_path} covers {len(labels)}"
+        )
+
+
+def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
+    """Whether a probability file with this header is read a sample at a
+    time: a rank-3 float32 or uint16 stack whose samples take more bytes
+    per point and class than one sample plus a float64 sum (6 or more
+    uint16 samples, 4 or more float32 ones)."""
+    if dtype_tag not in (DTYPE_FLOAT32, DTYPE_UINT16) or len(dims) != 3:
+        return False
+    itemsize = _TAG_TO_DTYPE[dtype_tag].itemsize
+    return dims[0] * itemsize > itemsize + 8
+
+
+def stream_frame(entry: FrameEntry, buffers: dict | None, add) -> LabelArray | None:
+    """Read a manifest frame's probabilities one sample slab at a time, or
+    return None if the frame is to be loaded whole by ``load_frame``.
+
+    A frame is streamed when the header of its probability file declares a
+    stack that ``_streams`` admits and the file is long enough for it. Its
+    labels are then read and checked as ``load_frame`` reads them, and the
+    stack's (points, classes) slabs are passed to ``add`` in sample order,
+    each read into the ``core.scratch`` buffer ``buffers["probs"]``, valid
+    until ``add`` returns. Every slab feeds the payload checksum and the
+    provenance digest as it is read, and the file is read to its end, so
+    its errors (truncation, trailing bytes, a checksum that does not
+    verify, then the sizes ``load_frame`` checks) raise with
+    ``load_frame``'s types and messages, before any fault that ``add`` has
+    found in the values and holds back. Returns the labels, a view of
+    ``buffers["labels"]``, and keeps the digest on the entry as
+    ``load_frame`` does.
+    """
+    paths = entry._files()
+    path = paths.get("probs")
+    if path is None:
+        return None
+    with open(path, "rb") as fh:
+        head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
+        try:
+            dtype_tag, dims, start = _parse_header(head, path)
+        except ContainerError:
+            # loading raises it, after any fault of the labels file
+            return None
+        dtype = _TAG_TO_DTYPE[dtype_tag]
+        size = math.prod(dims) * dtype.itemsize
+        # load_frame raises the error of a file too short for its header,
+        # before anything of the size the header declares is allocated
+        if not _streams(dtype_tag, dims) or os.fstat(fh.fileno()).st_size < start + size + 8:
+            return None
+        labels_box, labels_raw = _read_tensor(paths["labels"], buffers, "labels")
+        _check_label_header(paths["labels"], labels_box.dtype_tag, labels_box.data.shape)
+        samples, points, classes = dims
+        checksum = hashlib.blake2b(digest_size=8)
+        digest = hashlib.sha256(path.name.encode())
+        digest.update(head[:start])
+        fh.seek(start)
+        slab = scratch(buffers, "probs", size // samples)
+        for _ in range(samples):
+            # a file that shrank since its size was taken ends inside the payload
+            _field(slab[: fh.readinto(slab)], 0, slab.size, "payload")
+            checksum.update(slab)
+            digest.update(slab)
+            add(slab.view(dtype).reshape(points, classes))
+        stored = fh.read(8)
+        _field(np.frombuffer(stored, dtype=np.uint8), 0, 8, "checksum")
+        if fh.read(1):
+            raise BadHeader(f"{path} carries trailing bytes past the checksum")
+    if checksum.digest() != stored:
+        raise ChecksumMismatch(f"payload checksum of {path} does not verify")
+    labels = LabelArray(labels_box.data)
+    _check_samples(entry, samples)
+    _check_points(entry, points, labels)
+    digest.update(stored)
+    digest.update(paths["labels"].name.encode())
+    digest.update(labels_raw)
+    object.__setattr__(entry, "_loaded_digest", digest.hexdigest())
+    return labels
 
 
 @dataclass(frozen=True)
@@ -493,7 +599,11 @@ def write_report(
     out_dir: str | Path,
     formats: tuple[str, ...] = ("json", "csv"),
 ) -> dict[str, Path]:
-    """Write ``report.json`` and/or ``report.csv``; never emits an empty file."""
+    """Write ``report.json`` and/or ``report.csv``; never emits an empty file.
+
+    Each file is written beside its place and then moved there, so a write
+    that fails leaves no partial file and any earlier report as it was.
+    """
     if not report.rows:
         raise ValueError("refusing to write an empty report")
     for fmt in formats:
@@ -505,13 +615,13 @@ def write_report(
         written: dict[str, Path] = {}
         if "json" in formats:
             json_path = out_dir / "report.json"
-            with open(json_path, "w", encoding="utf-8") as fh:
+            with _replacing(json_path, "w", encoding="utf-8") as fh:
                 json.dump(_report_payload(report), fh, indent=2)
                 fh.write("\n")
             written["json"] = json_path
         if "csv" in formats:
             csv_path = out_dir / "report.csv"
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            with _replacing(csv_path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 header = ["class", "iou"]
                 header += [f"ause_{m}" for m in report.measures]
@@ -544,11 +654,12 @@ def write_report(
 
 
 def write_scatter_csv(report: EvalReport, path: str | Path) -> Path:
-    """One row per defined class per measure, with the outlier threshold."""
+    """One row per defined class per measure, with the outlier threshold;
+    written as ``write_report`` writes, so a failed write changes nothing."""
     scatter = scatter_export(report)
     path = Path(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _replacing(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["measure", "class", "iou", "ause", "filter_threshold"])
             for m, pairs in scatter.points.items():

