@@ -11,11 +11,11 @@ docs/tensor_format.md):
     tail       8 bytes   BLAKE2b-64 digest of the payload
 
 Readers reject malformed files instead of guessing; partial results are
-never produced. ``load_frame`` reads a manifest frame's files whole;
-``stream_frame`` reads a probability stack of many samples one sample slab
-at a time, checksumming it as it goes and raising the errors
-``load_frame`` raises. Writers write beside the target and move the file
-into place, so a failed write leaves no partial file.
+never produced. ``load_frame`` reads each of a manifest frame's files once,
+whole, or, given a sink for it, a probability stack of many samples one
+sample slab at a time, checksummed as it is read and raising the errors a
+whole read raises. Writers write beside the target and move the file into
+place, so a failed write leaves no partial file.
 """
 from __future__ import annotations
 
@@ -183,23 +183,28 @@ def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
     return _parse_header(head, path)[:2]
 
 
-def _read_file(path: str | Path, buffers: dict | None, key: str) -> np.ndarray:
-    """The bytes of a file, read into the ``core.scratch`` buffer
-    ``buffers[key]`` or, without ``buffers``, into a new buffer."""
-    with open(path, "rb") as fh:
-        # one byte more than the file holds, so that a file that grew since
-        # the size was taken shows as trailing bytes
-        buf = scratch(buffers, key, os.fstat(fh.fileno()).st_size + 1)
-        return buf[: fh.readinto(buf)]
+def _read_file(fh, buffers: dict | None, key: str) -> np.ndarray:
+    """The bytes of the open file ``fh`` from its start, read into the
+    ``core.scratch`` buffer ``buffers[key]`` or, without ``buffers``, into a
+    new buffer."""
+    fh.seek(0)
+    # one byte more than the file holds, so that a file that grew since
+    # the size was taken shows as trailing bytes
+    buf = scratch(buffers, key, os.fstat(fh.fileno()).st_size + 1)
+    return buf[: fh.readinto(buf)]
 
 
 def _read_tensor(
-    path: str | Path, buffers: dict | None = None, key: str = ""
+    path: str | Path, buffers: dict | None = None, key: str = "", fh=None
 ) -> tuple[TensorContainer, np.ndarray]:
-    """Parse and verify a container file, read in one piece by ``_read_file``;
-    also return the file's bytes, which back the container's array without
-    a copy."""
-    raw = _read_file(path, buffers, key)
+    """Parse and verify a container file, read in one piece by ``_read_file``
+    from ``fh``, the file already open, or else from a new handle; also
+    return the file's bytes, which back the container's array without a
+    copy."""
+    if fh is None:
+        with open(path, "rb") as fh:
+            return _read_tensor(path, buffers, key, fh)
+    raw = _read_file(fh, buffers, key)
     dtype_tag, dims, start = _parse_header(raw, path)
     dtype = _TAG_TO_DTYPE[dtype_tag]
     pos = _field(raw, start, math.prod(dims) * dtype.itemsize, "payload")
@@ -217,9 +222,12 @@ def read_tensor(path: str | Path) -> TensorContainer:
     return _read_tensor(path)[0]
 
 
-def _files_digest(files) -> str:
-    """SHA-256 over each file's name and bytes, given as (path, bytes) pairs."""
-    h = hashlib.sha256()
+def _files_digest(files, h=None) -> str:
+    """SHA-256 over each file's name and bytes, given as (path, bytes)
+    pairs; ``h``, if given, is a SHA-256 that has taken the files before
+    them."""
+    if h is None:
+        h = hashlib.sha256()
     for path, raw in files:
         h.update(path.name.encode())
         h.update(raw)
@@ -268,8 +276,12 @@ class FrameEntry:
     ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
         return load_frame(self, buffers=buffers)
 
-    def stream(self, buffers: dict | None, add) -> LabelArray | None:
-        return stream_frame(self, buffers, add)
+    def _stream(
+        self, buffers: dict | None, add
+    ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | None, LabelArray]:
+        """``load(buffers)``, except that a stack of many samples is passed
+        to ``add`` a sample at a time and returned as None (``load_frame``)."""
+        return load_frame(self, buffers, add=add)
 
     def digest(self) -> str:
         """SHA-256 over each file's name and bytes, in ``paths()`` order.
@@ -289,8 +301,8 @@ def _check_label_header(path: Path, dtype_tag: int, dims: tuple[int, ...]) -> No
 
 
 def load_frame(
-    entry: FrameEntry, buffers: dict | None = None
-) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
+    entry: FrameEntry, buffers: dict | None = None, *, add=None
+) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | None, LabelArray]:
     """Materialize a manifest frame into validated-shape in-memory types.
 
     Each file is read once, and each array is a view of the bytes read.
@@ -305,67 +317,77 @@ def load_frame(
     which is kept and reused by the next load with the same dict (and
     replaced by a larger one when a file does not fit), so the arrays
     returned stay valid only until then.
+
+    With ``add``, a stack that takes more bytes per point than one of its
+    samples plus a float64 sum (``_streams``: 6 or more uint16 samples, 4
+    or more float32 ones) is not returned but read a sample at a time
+    (``_read_slabs``), each (points, classes) slab passed to ``add``, and
+    None comes back in its place. The errors and their order are those of
+    a whole read: nothing of the file is trusted until it has verified.
     """
     paths = entry._files()
     files: dict[str, np.ndarray] = {}
 
-    def read(key: str) -> TensorContainer:
-        box, files[key] = _read_tensor(paths[key], buffers, key)
+    def read(key: str, fh=None) -> TensorContainer:
+        box, files[key] = _read_tensor(paths[key], buffers, key, fh)
         return box
 
     labels_box = read("labels")
     _check_label_header(entry.labels_path, labels_box.dtype_tag, labels_box.data.shape)
     labels = LabelArray(labels_box.data)
 
+    probs_digest = None
     if entry.probs_path is not None:
-        box = read("probs")
-        if box.data.ndim != 3:
-            raise ShapeMismatch(
-                f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
-            )
-        if box.dtype_tag == DTYPE_FLOAT32:
-            payload = ProbabilityStack(box.data)
-        elif box.dtype_tag == DTYPE_UINT16:
-            payload = QuantizedStack(box.data)
+        with open(paths["probs"], "rb") as fh:
+            streamed = None if add is None else _stream_stack(fh, paths["probs"], buffers, add)
+            if streamed is None:
+                box = read("probs", fh)
+        if streamed is None:
+            if box.data.ndim != 3:
+                raise ShapeMismatch(
+                    f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
+                )
+            if box.dtype_tag == DTYPE_FLOAT32:
+                payload = ProbabilityStack(box.data)
+            elif box.dtype_tag == DTYPE_UINT16:
+                payload = QuantizedStack(box.data)
+            else:
+                raise ShapeMismatch(
+                    f"{entry.probs_path}: probabilities must be float32 or uint16"
+                )
+            samples, points = payload.samples, payload.points
         else:
+            payload = None
+            (samples, points, _), probs_digest = streamed
+        if entry.samples != 1 and entry.samples != samples:
             raise ShapeMismatch(
-                f"{entry.probs_path}: probabilities must be float32 or uint16"
+                f"manifest declares {entry.samples} samples but "
+                f"{entry.probs_path} holds {samples}"
             )
-        _check_samples(entry, payload.samples)
     else:
         box = read("logits")
         if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
-            raise ShapeMismatch(
-                f"{entry.logits_path} must hold a rank-2 float32 points x classes tensor"
-            )
+            raise ShapeMismatch(f"{entry.logits_path} must hold a rank-2 float32 tensor")
         stddev = None
         if entry.stddev_path is not None:
             sd_box = read("stddev")
             if sd_box.dtype_tag != DTYPE_FLOAT32 or sd_box.data.shape != box.data.shape:
                 raise ShapeMismatch(
-                    f"{entry.stddev_path} must match the logits shape {box.data.shape}"
+                    f"{entry.stddev_path} must match the logits shape "
+                    f"{tuple(box.data.shape)} as float32"
                 )
             stddev = sd_box.data
         payload = LogitTensor(box.data, stddev)
-    _check_points(entry, payload.points, labels)
-    digest = _files_digest((path, files[key]) for key, path in paths.items())
-    object.__setattr__(entry, "_loaded_digest", digest)
-    return payload, labels
-
-
-def _check_samples(entry: FrameEntry, samples: int) -> None:
-    if entry.samples != 1 and entry.samples != samples:
-        raise ShapeMismatch(
-            f"manifest declares {entry.samples} samples but {entry.probs_path} holds {samples}"
-        )
-
-
-def _check_points(entry: FrameEntry, points: int, labels: LabelArray) -> None:
+        points = payload.points
     if points != len(labels):
         raise ShapeMismatch(
             f"{entry.probs_path or entry.logits_path} covers {points} points but "
             f"{entry.labels_path} covers {len(labels)}"
         )
+    # a streamed stack, the first file in digest order, is hashed as it is read
+    digest = _files_digest(((p, files[k]) for k, p in paths.items() if k in files), probs_digest)
+    object.__setattr__(entry, "_loaded_digest", digest)
+    return payload, labels
 
 
 def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
@@ -379,69 +401,56 @@ def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
     return dims[0] * itemsize > itemsize + 8
 
 
-def stream_frame(entry: FrameEntry, buffers: dict | None, add) -> LabelArray | None:
-    """Read a manifest frame's probabilities one sample slab at a time, or
-    return None if the frame is to be loaded whole by ``load_frame``.
-
-    A frame is streamed when the header of its probability file declares a
-    stack that ``_streams`` admits and the file is long enough for it. Its
-    labels are then read and checked as ``load_frame`` reads them, and the
-    stack's (points, classes) slabs are passed to ``add`` in sample order,
-    each read into the ``core.scratch`` buffer ``buffers["probs"]``, valid
-    until ``add`` returns. Every slab feeds the payload checksum and the
-    provenance digest as it is read, and the file is read to its end, so
-    its errors (truncation, trailing bytes, a checksum that does not
-    verify, then the sizes ``load_frame`` checks) raise with
-    ``load_frame``'s types and messages, before any fault that ``add`` has
-    found in the values and holds back. Returns the labels, a view of
-    ``buffers["labels"]``, and keeps the digest on the entry as
-    ``load_frame`` does.
-    """
-    paths = entry._files()
-    path = paths.get("probs")
-    if path is None:
+def _stream_stack(fh, path: Path, buffers: dict | None, add):
+    """Read the probability stack of the open file ``fh`` a sample at a
+    time into ``add`` (``_read_slabs``) and return its dimensions and the
+    SHA-256 of its name and bytes; or return None, having read its header
+    alone, if the file is to be read whole: if its header does not parse
+    (the whole read raises the error), declares a stack that ``_streams``
+    does not admit, or declares more bytes than the file holds (the whole
+    read raises ``TruncatedFile`` before anything of that size is
+    allocated)."""
+    head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
+    try:
+        dtype_tag, dims, start = _parse_header(head, path)
+    except ContainerError:
         return None
-    with open(path, "rb") as fh:
-        head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
-        try:
-            dtype_tag, dims, start = _parse_header(head, path)
-        except ContainerError:
-            # loading raises it, after any fault of the labels file
-            return None
-        dtype = _TAG_TO_DTYPE[dtype_tag]
-        size = math.prod(dims) * dtype.itemsize
-        # load_frame raises the error of a file too short for its header,
-        # before anything of the size the header declares is allocated
-        if not _streams(dtype_tag, dims) or os.fstat(fh.fileno()).st_size < start + size + 8:
-            return None
-        labels_box, labels_raw = _read_tensor(paths["labels"], buffers, "labels")
-        _check_label_header(paths["labels"], labels_box.dtype_tag, labels_box.data.shape)
-        samples, points, classes = dims
-        checksum = hashlib.blake2b(digest_size=8)
-        digest = hashlib.sha256(path.name.encode())
-        digest.update(head[:start])
-        fh.seek(start)
-        slab = scratch(buffers, "probs", size // samples)
-        for _ in range(samples):
-            # a file that shrank since its size was taken ends inside the payload
-            _field(slab[: fh.readinto(slab)], 0, slab.size, "payload")
-            checksum.update(slab)
-            digest.update(slab)
-            add(slab.view(dtype).reshape(points, classes))
-        stored = fh.read(8)
-        _field(np.frombuffer(stored, dtype=np.uint8), 0, 8, "checksum")
-        if fh.read(1):
-            raise BadHeader(f"{path} carries trailing bytes past the checksum")
+    size = math.prod(dims) * _TAG_TO_DTYPE[dtype_tag].itemsize
+    if not _streams(dtype_tag, dims) or os.fstat(fh.fileno()).st_size < start + size + 8:
+        return None
+    digest = hashlib.sha256(path.name.encode())
+    digest.update(head[:start])
+    fh.seek(start)
+    _read_slabs(fh, path, _TAG_TO_DTYPE[dtype_tag], dims, buffers, add, digest)
+    return dims, digest
+
+
+def _read_slabs(fh, path: Path, dtype, dims, buffers: dict | None, add, digest) -> None:
+    """Pass the (points, classes) slabs of the stack whose payload ``fh``
+    is at to ``add`` in sample order, each read into the ``core.scratch``
+    buffer ``buffers["probs"]`` and valid until ``add`` returns; feed every
+    byte of the payload and checksum to ``digest``. The file is read to its
+    end, and its errors (a payload or checksum cut short, trailing bytes, a
+    checksum that does not verify) are raised as ``_read_tensor`` raises
+    them, after every slab has been added: ``add`` holds back any fault it
+    finds in the values, so that no value of a file that fails to verify
+    reaches a result."""
+    samples, points, classes = dims
+    checksum = hashlib.blake2b(digest_size=8)
+    slab = scratch(buffers, "probs", points * classes * dtype.itemsize)
+    for _ in range(samples):
+        # a file that shrank since its size was taken ends inside the payload
+        _field(slab[: fh.readinto(slab)], 0, slab.size, "payload")
+        checksum.update(slab)
+        digest.update(slab)
+        add(slab.view(dtype).reshape(points, classes))
+    stored = fh.read(8)
+    _field(np.frombuffer(stored, dtype=np.uint8), 0, 8, "checksum")
+    if fh.read(1):
+        raise BadHeader(f"{path} carries trailing bytes past the checksum")
     if checksum.digest() != stored:
         raise ChecksumMismatch(f"payload checksum of {path} does not verify")
-    labels = LabelArray(labels_box.data)
-    _check_samples(entry, samples)
-    _check_points(entry, points, labels)
     digest.update(stored)
-    digest.update(paths["labels"].name.encode())
-    digest.update(labels_raw)
-    object.__setattr__(entry, "_loaded_digest", digest.hexdigest())
-    return labels
 
 
 @dataclass(frozen=True)

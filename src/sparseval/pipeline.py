@@ -185,27 +185,26 @@ def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
     digest. The labels are copied into the frame's rows of ``gt``
     (``_keep_rows``), whose type holds a class index.
 
-    A source with a ``stream`` method (``io.FrameEntry``) reads a stack
-    whose file header shows many samples one sample at a time into a
-    ``StreamedMean``, so the worker holds one sample of the file and a
-    float64 sum of the frame instead of the whole file. Every other frame
-    is loaded whole, and its stack is averaged over the ranges of
-    ``core.sample_ranges`` (``predictive_blocks``), a uint16 one
+    A manifest frame (``io.FrameEntry``) whose file header shows a stack
+    of many samples is read one sample at a time into a ``StreamedMean``
+    (``io.load_frame`` with ``add``), so the worker holds one sample of the
+    file and a float64 sum of the frame instead of the whole file. Every
+    other frame is loaded whole, and its stack is averaged over the ranges
+    of ``core.sample_ranges`` (``predictive_blocks``), a uint16 one
     dequantised a range at a time; both ways give the same bits. A
     streamed stack with a fault is loaded whole once its file has
     verified, and ``predictive_blocks`` raises the fault as
     ``validate_inputs`` names it.
     """
     try:
-        stream = getattr(source, "stream", None)
+        stream = getattr(source, "_stream", None)
         mean = StreamedMean(buffers)
-        labels = None if stream is None else stream(buffers, mean.add)
-        streamed = labels is not None and mean.clean
-        if not streamed:
+        payload, labels = source.load(buffers) if stream is None else stream(buffers, mean.add)
+        if payload is None and not mean.clean:
             payload, labels = source.load(buffers)
         if len(labels) != hi - lo:
             raise ShapeMismatch(f"loaded {len(labels)} points but declared {hi - lo}")
-        if streamed:
+        if payload is None:
             blocks, shape = mean.blocks(), mean.total.shape
         else:
             seed = derive_stream_seed(config.rng_seed, index)
@@ -278,10 +277,7 @@ def pool_split(
     ``points``, ``samples`` and ``name``, ``load(buffers)`` and
     ``digest()``, as ``ArrayFrame`` and ``io.FrameEntry`` have; ``buffers``
     is a dict that a file-backed source may read its files into, reused by
-    the worker for its next frame. A source may also have
-    ``stream(buffers, add)``, as ``io.FrameEntry`` has, which either feeds
-    its stack to ``add`` one sample at a time and returns the labels, or
-    returns None to have the frame loaded. Frames are reduced on ``threads``
+    the worker for its next frame. Frames are reduced on ``threads``
     workers; the result does not depend on the count. ``config`` supplies
     the seed of logit sampling.
 

@@ -168,9 +168,9 @@ def test_evaluate_per_frame_diagnostics(tmp_path, monkeypatch):
     loads = []
     original = io.load_frame
 
-    def counting_load(entry, buffers=None):
+    def counting_load(entry, buffers=None, **kwargs):
         loads.append(entry.name)
-        return original(entry)
+        return original(entry, **kwargs)
 
     monkeypatch.setattr(io, "load_frame", counting_load)
     out = tmp_path / "out"

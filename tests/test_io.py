@@ -270,10 +270,8 @@ def test_pooling_reads_each_file_once(tmp_path, monkeypatch, samples, quantize):
     monkeypatch.setattr(sparseval.io, "open", counting_open, raising=False)
     monkeypatch.setattr(Path, "read_bytes", no_reread)
     split = pool_split([entry], ClassCatalog(("a", "b", "c")))
-    # the labels file is opened once more, for the header that sizes the
-    # split; a stack that is loaded whole, for the header that does not stream it
-    headers = [entry.labels_path.name] + ([] if quantize else [entry.probs_path.name])
-    assert sorted(opened) == sorted(headers + [p.name for p in entry.paths()])
+    # the labels file is opened once more, for the header that sizes the split
+    assert sorted(opened) == sorted([entry.labels_path.name] + [p.name for p in entry.paths()])
     assert split.frames[0]["digest"] == expected
 
 
@@ -329,10 +327,10 @@ def test_labels_replaced_between_header_and_load_raise_shape_mismatch(tmp_path, 
     entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=50))
     original = sparseval.io.load_frame
 
-    def replacing_load(frame, buffers=None):
+    def replacing_load(frame, buffers=None, **kwargs):
         # a consistent frame of 40 points replaces the 50 whose header sized the split
         _write_frame(tmp_path, raw[:, :40], rng.integers(0, 3, size=40))
-        return original(frame, buffers)
+        return original(frame, buffers, **kwargs)
 
     monkeypatch.setattr(sparseval.io, "load_frame", replacing_load)
     message = r"^frame 0 \(f\.probs\.spt\): loaded 40 points but declared 50$"
@@ -357,10 +355,12 @@ def test_consecutive_loads_share_no_memory(tmp_path):
     assert sorted(buffers) == ["labels", "probs"]
 
 
+@pytest.mark.parametrize("samples", [5, 20], ids=["whole", "streamed"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_pool_split_holds_the_columns_and_one_frame_per_worker(tmp_path, threads):
-    # frames of 20-sample uint16 stacks, the second one larger than the
-    # first, so that a worker's buffer grows, with points to drop
+def test_pool_split_holds_the_columns_and_one_frame_per_worker(tmp_path, threads, samples):
+    # frames of uint16 stacks, loaded whole or read a sample at a time, the
+    # second one larger than the first, so that a worker's buffer grows,
+    # with points to drop
     rng = np.random.default_rng(10)
     k = 19
     frames = []
@@ -368,9 +368,9 @@ def test_pool_split_holds_the_columns_and_one_frame_per_worker(tmp_path, threads
         entry = FrameEntry(
             labels_path=tmp_path / f"f{i}.labels.spt",
             probs_path=tmp_path / f"f{i}.probs.spt",
-            samples=20,
+            samples=samples,
         )
-        stack = rng.integers(1, 65536, size=(20, n, k)).astype(np.uint16)
+        stack = rng.integers(1, 65536, size=(samples, n, k)).astype(np.uint16)
         write_tensor(TensorContainer.from_array(stack), entry.probs_path)
         labels = rng.integers(0, k, size=n).astype(np.uint8)
         labels[::9] = 255
@@ -916,6 +916,33 @@ def test_quantized_zero_row_raises_like_validate_inputs_on_the_dequantized_stack
     with pytest.raises(NotADistribution) as raised:
         evaluate_split([entry], catalog)
     assert str(raised.value) == f"frame 0 (f.probs.spt): {direct.value}"
+
+
+def test_quantized_frame_reduction_holds_the_file_and_one_block(tmp_path):
+    # a stack of 5 samples is loaded whole; a full-frame float32 copy of it
+    # alone would be 2x the file bytes
+    rng = np.random.default_rng(17)
+    n, k = 20000, 19
+    entry = FrameEntry(
+        labels_path=tmp_path / "q.labels.spt", probs_path=tmp_path / "q.probs.spt", samples=5
+    )
+    raw = rng.integers(1, 65536, size=(5, n, k)).astype(np.uint16)
+    write_tensor(TensorContainer.from_array(raw), entry.probs_path)
+    labels = rng.integers(0, k, n).astype(np.uint8)
+    write_tensor(TensorContainer.from_array(labels), entry.labels_path)
+    del raw
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    file_bytes = sum(p.stat().st_size for p in entry.paths())
+    pred, scores = score_columns(n, MEASURES, np.uint8)
+    columns = {"gt": np.empty(n, dtype=np.uint8), "pred": pred, **scores}
+    tracemalloc.start()
+    try:
+        _reduce_frame(entry, 0, catalog, EvalConfig(), columns, 0, n, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few float64 copies of one block, as the pooling bound allows
+    assert peak < file_bytes + 5 * BLOCK_POINTS * k * 8
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])

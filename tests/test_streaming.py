@@ -71,7 +71,10 @@ def _write(directory, catalog, stacks, labels, samples=None):
 def _in_memory(stacks, labels):
     frames = []
     for stack, lab in zip(stacks, labels):
-        probs = dequantize(QuantizedStack(stack)) if stack.dtype == np.uint16 else ProbabilityStack(stack)
+        if stack.dtype == np.uint16:
+            probs = dequantize(QuantizedStack(stack))
+        else:
+            probs = ProbabilityStack(stack)
         frames.append(ArrayFrame(LabelArray(lab), probs, samples=stack.shape[0]))
     return frames
 
@@ -124,13 +127,20 @@ def test_streamed_stacks_of_300_classes_report_as_in_memory(tmp_path):
     _assert_reports_alike(_write(tmp_path, catalog, stacks, labels), stacks, labels, catalog)
 
 
-THRESHOLDS = [(np.uint16, 5, False), (np.uint16, 6, True), (np.float32, 3, False), (np.float32, 4, True)]
+THRESHOLDS = [
+    (np.uint16, 5, False),
+    (np.uint16, 6, True),
+    (np.float32, 3, False),
+    (np.float32, 4, True),
+]
 
 
 @pytest.mark.parametrize(
     "dtype, samples, streamed", THRESHOLDS, ids=[f"{d.__name__}-{s}" for d, s, _ in THRESHOLDS]
 )
-def test_stacks_of_many_samples_are_not_loaded_whole(tmp_path, monkeypatch, dtype, samples, streamed):
+def test_stacks_of_many_samples_are_not_loaded_whole(
+    tmp_path, monkeypatch, dtype, samples, streamed
+):
     rng = np.random.default_rng(32)
     catalog = ClassCatalog(("a", "b", "c"))
     stacks = [_stack(rng, samples, n, 3, dtype) for n in (300, 200)]
@@ -139,9 +149,11 @@ def test_stacks_of_many_samples_are_not_loaded_whole(tmp_path, monkeypatch, dtyp
     loads = []
     original = io.load_frame
 
-    def counting_load(entry, buffers=None):
-        loads.append(entry.name)
-        return original(entry, buffers)
+    def counting_load(entry, buffers=None, add=None):
+        payload, labels = original(entry, buffers, add=add)
+        if payload is not None:
+            loads.append(entry.name)
+        return payload, labels
 
     monkeypatch.setattr(io, "load_frame", counting_load)
     evaluate_split(manifest, threads=2)
@@ -150,7 +162,7 @@ def test_stacks_of_many_samples_are_not_loaded_whole(tmp_path, monkeypatch, dtyp
 
 def _loaded_whole(monkeypatch):
     """Make every manifest frame load whole, as frames that do not stream do."""
-    monkeypatch.setattr(FrameEntry, "stream", lambda self, buffers, add: None)
+    monkeypatch.setattr(FrameEntry, "_stream", lambda self, buffers, add: self.load(buffers))
 
 
 @pytest.mark.parametrize("dtype, samples", [(np.uint16, 6), (np.float32, 4)])
@@ -241,13 +253,23 @@ def test_checksum_mismatch_comes_before_a_fault_in_the_values(
 @pytest.mark.parametrize(
     "cut, error, what",
     [
-        (lambda raw, slab: raw[: 28 + 2 * slab + slab // 2], TruncatedFile, "file ends inside the payload"),
+        (
+            lambda raw, slab: raw[: 28 + 2 * slab + slab // 2],
+            TruncatedFile,
+            "file ends inside the payload",
+        ),
         (lambda raw, slab: raw[:-3], TruncatedFile, "file ends inside the checksum"),
-        (lambda raw, slab: raw + b"\0", BadHeader, "{path} carries trailing bytes past the checksum"),
+        (
+            lambda raw, slab: raw + b"\0",
+            BadHeader,
+            "{path} carries trailing bytes past the checksum",
+        ),
     ],
     ids=["inside-slab-3", "inside-checksum", "trailing-byte"],
 )
-def test_damaged_streamed_files_raise_the_load_error(tmp_path, monkeypatch, capsys, cut, error, what):
+def test_damaged_streamed_files_raise_the_load_error(
+    tmp_path, monkeypatch, capsys, cut, error, what
+):
     stack = _stack(np.random.default_rng(36), 6, 300, 3, np.uint16)
     stack[0, 5] = 0  # a fault in the first slab, read before the damage
     manifest = _one_frame(tmp_path, stack)
@@ -262,24 +284,29 @@ def test_damaged_streamed_files_raise_the_load_error(tmp_path, monkeypatch, caps
     "change, error, what",
     [
         (lambda fh: fh.write(b"\0"), BadHeader, "{path} carries trailing bytes past the checksum"),
-        (lambda fh: fh.truncate(28 + 2 * 1800 + 900), TruncatedFile, "file ends inside the payload"),
+        (
+            lambda fh: fh.truncate(28 + 2 * 1800 + 900),
+            TruncatedFile,
+            "file ends inside the payload",
+        ),
     ],
     ids=["grows", "shrinks-into-slab-3"],
 )
-def test_a_file_that_changes_while_it_streams_raises_the_load_error(tmp_path, monkeypatch, change, error, what):
+def test_a_file_that_changes_while_it_streams_raises_the_load_error(
+    tmp_path, monkeypatch, change, error, what
+):
     stack = _stack(np.random.default_rng(37), 6, 300, 3, np.uint16)
     manifest = read_manifest(_one_frame(tmp_path, stack))
     path = tmp_path / "f0.probs.spt"
-    original = io._read_tensor
+    original = io._read_slabs
 
-    def changing(where, *args):
-        # the labels are read after the stack's header and size are taken
-        if where == tmp_path / "f0.labels.spt":
-            with open(path, "ab") as fh:
-                change(fh)
-        return original(where, *args)
+    def changing(*args):
+        # the stack's header and the file's size have been read
+        with open(path, "ab") as fh:
+            change(fh)
+        return original(*args)
 
-    monkeypatch.setattr(io, "_read_tensor", changing)
+    monkeypatch.setattr(io, "_read_slabs", changing)
     with pytest.raises(error) as raised:
         evaluate_split(manifest)
     assert str(raised.value) == "frame 0 (f0.probs.spt): " + what.format(path=path)
@@ -290,10 +317,25 @@ def test_a_file_that_changes_while_it_streams_raises_the_load_error(tmp_path, mo
 FAULTS = [
     # (dtype, samples, faults as (sample, point, kind), expected message)
     (np.float32, 4, [(3, 100, "sum"), (1, 600, "value")], r"row sum \S+ at sample 3, point 100"),
-    (np.float32, 4, [(0, 5, "sum"), (2, 10, "value")], r"value 1\.5 outside \[0, 1\] at sample 2, point 10, class 0"),
+    (
+        np.float32,
+        4,
+        [(0, 5, "sum"), (2, 10, "value")],
+        r"value 1\.5 outside \[0, 1\] at sample 2, point 10, class 0",
+    ),
     (np.float32, 4, [(2, 3, "sum"), (1, 7, "sum")], r"row sum \S+ at sample 1, point 7"),
-    (np.float32, 4, [(0, 9, "value"), (3, 2, "value")], r"value 1\.5 outside \[0, 1\] at sample 0, point 9, class 0"),
-    (np.float32, 4, [(0, BLOCK_POINTS + 5, "value"), (3, 2, "sum")], r"row sum \S+ at sample 3, point 2"),
+    (
+        np.float32,
+        4,
+        [(0, 9, "value"), (3, 2, "value")],
+        r"value 1\.5 outside \[0, 1\] at sample 0, point 9, class 0",
+    ),
+    (
+        np.float32,
+        4,
+        [(0, BLOCK_POINTS + 5, "value"), (3, 2, "sum")],
+        r"row sum \S+ at sample 3, point 2",
+    ),
     # a NaN anywhere in a range hides its out-of-range values from the check
     (np.float32, 4, [(0, 20, "value"), (3, 30, "nan")], r"row sum nan at sample 3, point 30"),
     (np.uint16, 6, [(4, 100, "zero"), (2, 400, "zero")], r"row sum nan at sample 4, point 100"),
@@ -302,7 +344,9 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("dtype, samples, faults, expected", FAULTS)
-def test_the_fault_of_the_earliest_range_is_reported(tmp_path, monkeypatch, capsys, dtype, samples, faults, expected):
+def test_the_fault_of_the_earliest_range_is_reported(
+    tmp_path, monkeypatch, capsys, dtype, samples, faults, expected
+):
     stack = _stack(np.random.default_rng(38), samples, 2 * BLOCK_POINTS + 100, 3, dtype)
     for s, i, kind in faults:
         if kind == "sum":
@@ -349,7 +393,8 @@ def test_streamed_frame_reduction_holds_one_sample_and_the_sum(tmp_path):
     )
     raw = rng.integers(1, 65536, size=(20, n, k)).astype(np.uint16)
     write_tensor(TensorContainer.from_array(raw), entry.probs_path)
-    write_tensor(TensorContainer.from_array(rng.integers(0, k, n).astype(np.uint8)), entry.labels_path)
+    labels = rng.integers(0, k, n).astype(np.uint8)
+    write_tensor(TensorContainer.from_array(labels), entry.labels_path)
     del raw
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
     pred, scores = score_columns(n, MEASURES, np.uint8)
