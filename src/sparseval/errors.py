@@ -62,7 +62,7 @@ class ManifestError(SparsevalError):
 
 
 class IoFailure(SparsevalError):
-    """Writing report files failed."""
+    """Reading or writing a file failed."""
 
 
 class ContainerError(SparsevalError):

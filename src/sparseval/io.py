@@ -11,11 +11,12 @@ docs/tensor_format.md):
     tail       8 bytes   BLAKE2b-64 digest of the payload
 
 Readers reject malformed files instead of guessing; partial results are
-never produced. ``load_frame`` reads each of a manifest frame's files once,
-whole, or, given a sink for it, a probability stack of many samples one
-sample slab at a time, checksummed as it is read and raising the errors a
-whole read raises. Writers write beside the target and move the file into
-place, so a failed write leaves no partial file.
+never produced. One reader (``_read_container``) reads every container,
+whole or, given a sink for a probability stack of many samples, one sample
+slab at a time, and raises the same errors in the same order either way.
+``load_frame`` reads each of a manifest frame's files once. Writers write
+beside the target and move the file into place, so a failed write leaves no
+partial file.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .errors import (
     BadHeader,
     BadMagic,
     ChecksumMismatch,
-    ContainerError,
     IoFailure,
     ManifestError,
     ShapeMismatch,
@@ -77,10 +77,6 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(EvalConfig))
 # the file keys of a manifest frame line, in the order a line lists them and
 # a digest takes them; FrameEntry holds the file of key x as x_path
 _FRAME_FILES = ("probs", "logits", "stddev", "labels")
-
-
-def _payload_checksum(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
 
 
 @dataclass(frozen=True)
@@ -140,12 +136,12 @@ def write_tensor(container: TensorContainer, path: str | Path) -> None:
         with _replacing(path, "wb") as fh:
             fh.write(header)
             fh.write(payload)
-            fh.write(_payload_checksum(payload))
+            fh.write(hashlib.blake2b(payload, digest_size=8).digest())
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _field(raw: np.ndarray, start: int, size: int, what: str) -> int:
+def _field(raw: np.ndarray | bytes, start: int, size: int, what: str) -> int:
     """The end of the ``size`` bytes of a file field that begins at ``start``."""
     end = start + size
     if len(raw) < end:
@@ -175,63 +171,91 @@ def _parse_header(raw: np.ndarray, path: str | Path) -> tuple[int, tuple[int, ..
     return dtype_tag, dims, pos
 
 
+@contextlib.contextmanager
+def _reading(path: str | Path):
+    """Raise an ``OSError`` of the block as ``IoFailure``, naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
     """The dtype tag and dimensions of a container file, read from its
     header alone; the payload is neither read nor verified."""
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
     return _parse_header(head, path)[:2]
 
 
-def _read_file(fh, buffers: dict | None, key: str) -> np.ndarray:
-    """The bytes of the open file ``fh`` from its start, read into the
-    ``core.scratch`` buffer ``buffers[key]`` or, without ``buffers``, into a
-    new buffer."""
-    fh.seek(0)
-    # one byte more than the file holds, so that a file that grew since
-    # the size was taken shows as trailing bytes
-    buf = scratch(buffers, key, os.fstat(fh.fileno()).st_size + 1)
-    return buf[: fh.readinto(buf)]
+def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
+    """Whether a probability file with this header is read a sample at a
+    time: a rank-3 float32 or uint16 stack whose samples take more bytes
+    than one sample plus a float64 sum (6 or more uint16 samples, 4 or more
+    float32 ones)."""
+    itemsize = _TAG_TO_DTYPE[dtype_tag].itemsize
+    return dtype_tag != DTYPE_UINT8 and len(dims) == 3 and dims[0] * itemsize > itemsize + 8
 
 
-def _read_tensor(
-    path: str | Path, buffers: dict | None = None, key: str = "", fh=None
-) -> tuple[TensorContainer, np.ndarray]:
-    """Parse and verify a container file, read in one piece by ``_read_file``
-    from ``fh``, the file already open, or else from a new handle; also
-    return the file's bytes, which back the container's array without a
-    copy."""
-    if fh is None:
-        with open(path, "rb") as fh:
-            return _read_tensor(path, buffers, key, fh)
-    raw = _read_file(fh, buffers, key)
-    dtype_tag, dims, start = _parse_header(raw, path)
-    dtype = _TAG_TO_DTYPE[dtype_tag]
-    pos = _field(raw, start, math.prod(dims) * dtype.itemsize, "payload")
-    payload = raw[start:pos]
-    stored = raw[pos : _field(raw, pos, 8, "checksum")].tobytes()
-    if len(raw) > pos + 8:
-        raise BadHeader(f"{path} carries trailing bytes past the checksum")
-    if _payload_checksum(payload) != stored:
+class _Parts(list):
+    """Byte strings fed to it as to a hash, kept to be hashed later."""
+
+    update = list.append
+
+
+def _read_container(path: str | Path, buffers: dict | None, key: str, digest, add=None):
+    """Read and verify the container file at ``path``; return its dtype tag,
+    its dimensions and its array, a view of the bytes read.
+
+    The payload is read in slabs into the ``core.scratch`` buffer
+    ``buffers[key]``: the whole payload as one slab or, given ``add`` and a
+    header that ``_streams`` admits, one (points, classes) sample per slab,
+    each passed to ``add`` in sample order and valid until ``add`` returns;
+    then the array comes back as None. ``digest`` takes the file's name and
+    every byte of the file, its payload a slab at a time.
+
+    This is the one place that states the format's error order: the header,
+    a payload cut short (before anything of its size is allocated), a
+    checksum cut short, trailing bytes, a checksum that does not verify.
+    The last three are raised after every slab has been added: ``add``
+    holds back any fault it finds in the values, so that no value of a
+    file that fails to verify reaches a result.
+    """
+    with _reading(path), open(path, "rb") as fh:
+        head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
+        dtype_tag, dims, start = _parse_header(head, path)
+        dtype = _TAG_TO_DTYPE[dtype_tag]
+        size = math.prod(dims) * dtype.itemsize
+        if os.fstat(fh.fileno()).st_size < start + size:
+            raise TruncatedFile("file ends inside the payload")
+        streamed = add is not None and _streams(dtype_tag, dims)
+        slabs = dims[0] if streamed else 1
+        slab = scratch(buffers, key, size // slabs)
+        digest.update(Path(path).name.encode())
+        digest.update(head[:start])
+        fh.seek(start)
+        checksum = hashlib.blake2b(digest_size=8)
+        for _ in range(slabs):
+            # a file that shrank since its size was taken ends inside the payload
+            _field(slab[: fh.readinto(slab)], 0, slab.size, "payload")
+            checksum.update(slab)
+            digest.update(slab)
+            if streamed:
+                add(slab.view(dtype).reshape(dims[1:]))
+        stored = fh.read(8)
+        _field(stored, 0, 8, "checksum")
+        if fh.read(1):
+            raise BadHeader(f"{path} carries trailing bytes past the checksum")
+    if checksum.digest() != stored:
         raise ChecksumMismatch(f"payload checksum of {path} does not verify")
-    return TensorContainer(dtype_tag, payload.view(dtype).reshape(dims)), raw
+    digest.update(stored)
+    return dtype_tag, dims, None if streamed else slab.view(dtype).reshape(dims)
 
 
 def read_tensor(path: str | Path) -> TensorContainer:
     """Parse and verify a container file."""
-    return _read_tensor(path)[0]
-
-
-def _files_digest(files, h=None) -> str:
-    """SHA-256 over each file's name and bytes, given as (path, bytes)
-    pairs; ``h``, if given, is a SHA-256 that has taken the files before
-    them."""
-    if h is None:
-        h = hashlib.sha256()
-    for path, raw in files:
-        h.update(path.name.encode())
-        h.update(raw)
-    return h.hexdigest()
+    dtype_tag, _, data = _read_container(path, None, "", _Parts())
+    return TensorContainer(dtype_tag, data)
 
 
 @dataclass(frozen=True)
@@ -292,7 +316,12 @@ class FrameEntry:
         loaded = self.__dict__.get("_loaded_digest")
         if loaded is not None:
             return loaded
-        return _files_digest((p, p.read_bytes()) for p in self.paths())
+        h = hashlib.sha256()
+        for path in self.paths():
+            h.update(path.name.encode())
+            with _reading(path):
+                h.update(path.read_bytes())
+        return h.hexdigest()
 
 
 def _check_label_header(path: Path, dtype_tag: int, dims: tuple[int, ...]) -> None:
@@ -321,136 +350,60 @@ def load_frame(
     With ``add``, a stack that takes more bytes per point than one of its
     samples plus a float64 sum (``_streams``: 6 or more uint16 samples, 4
     or more float32 ones) is not returned but read a sample at a time
-    (``_read_slabs``), each (points, classes) slab passed to ``add``, and
-    None comes back in its place. The errors and their order are those of
-    a whole read: nothing of the file is trusted until it has verified.
+    (``_read_container``), each (points, classes) slab passed to ``add``,
+    and None comes back in its place. The errors and their order are those
+    of a whole read: nothing of the file is trusted until it has verified.
     """
     paths = entry._files()
-    files: dict[str, np.ndarray] = {}
+    # the digest takes the files in _FRAME_FILES order, which puts the
+    # labels, read first, last
+    digest, labels_bytes = hashlib.sha256(), _Parts()
+    tag, dims, data = _read_container(paths["labels"], buffers, "labels", labels_bytes)
+    _check_label_header(entry.labels_path, tag, dims)
+    labels = LabelArray(data)
 
-    def read(key: str, fh=None) -> TensorContainer:
-        box, files[key] = _read_tensor(paths[key], buffers, key, fh)
-        return box
-
-    labels_box = read("labels")
-    _check_label_header(entry.labels_path, labels_box.dtype_tag, labels_box.data.shape)
-    labels = LabelArray(labels_box.data)
-
-    probs_digest = None
     if entry.probs_path is not None:
-        with open(paths["probs"], "rb") as fh:
-            streamed = None if add is None else _stream_stack(fh, paths["probs"], buffers, add)
-            if streamed is None:
-                box = read("probs", fh)
-        if streamed is None:
-            if box.data.ndim != 3:
-                raise ShapeMismatch(
-                    f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
-                )
-            if box.dtype_tag == DTYPE_FLOAT32:
-                payload = ProbabilityStack(box.data)
-            elif box.dtype_tag == DTYPE_UINT16:
-                payload = QuantizedStack(box.data)
-            else:
-                raise ShapeMismatch(
-                    f"{entry.probs_path}: probabilities must be float32 or uint16"
-                )
-            samples, points = payload.samples, payload.points
-        else:
+        tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest, add)
+        if data is None:
             payload = None
-            (samples, points, _), probs_digest = streamed
+        elif len(dims) != 3:
+            raise ShapeMismatch(
+                f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
+            )
+        elif tag == DTYPE_FLOAT32:
+            payload = ProbabilityStack(data)
+        elif tag == DTYPE_UINT16:
+            payload = QuantizedStack(data)
+        else:
+            raise ShapeMismatch(f"{entry.probs_path}: probabilities must be float32 or uint16")
+        samples, points = dims[:2]
         if entry.samples != 1 and entry.samples != samples:
             raise ShapeMismatch(
                 f"manifest declares {entry.samples} samples but "
                 f"{entry.probs_path} holds {samples}"
             )
     else:
-        box = read("logits")
-        if box.dtype_tag != DTYPE_FLOAT32 or box.data.ndim != 2:
+        tag, dims, logits = _read_container(paths["logits"], buffers, "logits", digest)
+        if tag != DTYPE_FLOAT32 or len(dims) != 2:
             raise ShapeMismatch(f"{entry.logits_path} must hold a rank-2 float32 tensor")
         stddev = None
         if entry.stddev_path is not None:
-            sd_box = read("stddev")
-            if sd_box.dtype_tag != DTYPE_FLOAT32 or sd_box.data.shape != box.data.shape:
+            tag, sd_dims, stddev = _read_container(paths["stddev"], buffers, "stddev", digest)
+            if tag != DTYPE_FLOAT32 or sd_dims != dims:
                 raise ShapeMismatch(
-                    f"{entry.stddev_path} must match the logits shape "
-                    f"{tuple(box.data.shape)} as float32"
+                    f"{entry.stddev_path} must match the logits shape {dims} as float32"
                 )
-            stddev = sd_box.data
-        payload = LogitTensor(box.data, stddev)
+        payload = LogitTensor(logits, stddev)
         points = payload.points
     if points != len(labels):
         raise ShapeMismatch(
             f"{entry.probs_path or entry.logits_path} covers {points} points but "
             f"{entry.labels_path} covers {len(labels)}"
         )
-    # a streamed stack, the first file in digest order, is hashed as it is read
-    digest = _files_digest(((p, files[k]) for k, p in paths.items() if k in files), probs_digest)
-    object.__setattr__(entry, "_loaded_digest", digest)
+    for part in labels_bytes:
+        digest.update(part)
+    object.__setattr__(entry, "_loaded_digest", digest.hexdigest())
     return payload, labels
-
-
-def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
-    """Whether a probability file with this header is read a sample at a
-    time: a rank-3 float32 or uint16 stack whose samples take more bytes
-    per point and class than one sample plus a float64 sum (6 or more
-    uint16 samples, 4 or more float32 ones)."""
-    if dtype_tag not in (DTYPE_FLOAT32, DTYPE_UINT16) or len(dims) != 3:
-        return False
-    itemsize = _TAG_TO_DTYPE[dtype_tag].itemsize
-    return dims[0] * itemsize > itemsize + 8
-
-
-def _stream_stack(fh, path: Path, buffers: dict | None, add):
-    """Read the probability stack of the open file ``fh`` a sample at a
-    time into ``add`` (``_read_slabs``) and return its dimensions and the
-    SHA-256 of its name and bytes; or return None, having read its header
-    alone, if the file is to be read whole: if its header does not parse
-    (the whole read raises the error), declares a stack that ``_streams``
-    does not admit, or declares more bytes than the file holds (the whole
-    read raises ``TruncatedFile`` before anything of that size is
-    allocated)."""
-    head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
-    try:
-        dtype_tag, dims, start = _parse_header(head, path)
-    except ContainerError:
-        return None
-    size = math.prod(dims) * _TAG_TO_DTYPE[dtype_tag].itemsize
-    if not _streams(dtype_tag, dims) or os.fstat(fh.fileno()).st_size < start + size + 8:
-        return None
-    digest = hashlib.sha256(path.name.encode())
-    digest.update(head[:start])
-    fh.seek(start)
-    _read_slabs(fh, path, _TAG_TO_DTYPE[dtype_tag], dims, buffers, add, digest)
-    return dims, digest
-
-
-def _read_slabs(fh, path: Path, dtype, dims, buffers: dict | None, add, digest) -> None:
-    """Pass the (points, classes) slabs of the stack whose payload ``fh``
-    is at to ``add`` in sample order, each read into the ``core.scratch``
-    buffer ``buffers["probs"]`` and valid until ``add`` returns; feed every
-    byte of the payload and checksum to ``digest``. The file is read to its
-    end, and its errors (a payload or checksum cut short, trailing bytes, a
-    checksum that does not verify) are raised as ``_read_tensor`` raises
-    them, after every slab has been added: ``add`` holds back any fault it
-    finds in the values, so that no value of a file that fails to verify
-    reaches a result."""
-    samples, points, classes = dims
-    checksum = hashlib.blake2b(digest_size=8)
-    slab = scratch(buffers, "probs", points * classes * dtype.itemsize)
-    for _ in range(samples):
-        # a file that shrank since its size was taken ends inside the payload
-        _field(slab[: fh.readinto(slab)], 0, slab.size, "payload")
-        checksum.update(slab)
-        digest.update(slab)
-        add(slab.view(dtype).reshape(points, classes))
-    stored = fh.read(8)
-    _field(np.frombuffer(stored, dtype=np.uint8), 0, 8, "checksum")
-    if fh.read(1):
-        raise BadHeader(f"{path} carries trailing bytes past the checksum")
-    if checksum.digest() != stored:
-        raise ChecksumMismatch(f"payload checksum of {path} does not verify")
-    digest.update(stored)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ holds its whole file. Confusion counts are accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
-so other cut points draw other samples (ROADMAP.md item 4 keys the noise by
-split position instead).
+so other cut points draw other samples (an open item of ROADMAP.md keys the
+noise by split position instead).
 """
 from __future__ import annotations
 

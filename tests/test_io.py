@@ -1,6 +1,8 @@
+import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseval.io
 from sparseval import (
@@ -19,6 +23,7 @@ from sparseval import (
     FrameEntry,
     LabelArray,
     LogitTensor,
+    Manifest,
     ProbabilityStack,
     QuantizedStack,
     ScenarioSpec,
@@ -47,8 +52,10 @@ from sparseval.errors import (
     MissingStddev,
     NotADistribution,
     ShapeMismatch,
+    SparsevalError,
     TruncatedFile,
 )
+from sparseval.cli import main
 from sparseval.confidence import predictive_blocks, score_columns
 from sparseval.core import BLOCK_POINTS, MEASURES
 from sparseval.io import write_scatter_csv
@@ -822,6 +829,188 @@ def test_corrupted_containers_are_rejected_with_exact_classes(tmp_path):
         path.write_bytes(bytes(blob))
         with pytest.raises(expected):
             read_tensor(path)
+
+
+def _reference_parse(blob: bytes, path) -> np.ndarray:
+    """The array of a container file's bytes, or the error a reader raises
+    for them, checked in the order docs/tensor_format.md gives."""
+
+    def need(end, what):
+        if len(blob) < end:
+            raise TruncatedFile(f"file ends inside the {what}")
+
+    need(8, "magic")
+    if blob[:8] != b"SPARSEV1":
+        raise BadMagic(f"{path} does not start with {b'SPARSEV1'!r}")
+    need(16, "header")
+    tag, rank = struct.unpack_from("<II", blob, 8)
+    dtype = {1: np.dtype("<f4"), 2: np.dtype("u1"), 3: np.dtype("<u2")}.get(tag)
+    if dtype is None:
+        raise BadHeader(f"unknown dtype tag {tag}")
+    if not 1 <= rank <= 8:
+        raise BadHeader(f"rank {rank} outside 1..8")
+    start = 16 + 4 * rank
+    need(start, "dimensions")
+    dims = struct.unpack_from(f"<{rank}I", blob, 16)
+    if 0 in dims:
+        raise BadHeader(f"zero-sized dimension in {dims}")
+    if math.prod(dims) > 1 << 40:
+        raise BadHeader(f"element count {math.prod(dims)} is implausibly large")
+    end = start + math.prod(dims) * dtype.itemsize
+    need(end, "payload")
+    need(end + 8, "checksum")
+    if len(blob) > end + 8:
+        raise BadHeader(f"{path} carries trailing bytes past the checksum")
+    if hashlib.blake2b(blob[start:end], digest_size=8).digest() != blob[end:]:
+        raise ChecksumMismatch(f"payload checksum of {path} does not verify")
+    return np.frombuffer(blob[start:end], dtype).reshape(dims)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except SparsevalError as exc:
+        return type(exc), str(exc)
+
+
+def _sample_sum(samples) -> bytes:
+    total = None
+    for sample in samples:
+        total = sample.astype(np.float64) if total is None else total + sample
+    return total.tobytes()
+
+
+# uint16 stacks of 5 and 6 samples and float32 stacks of 3 and 4 sit on both
+# sides of the count from which a stack is read a sample at a time
+_CUT_OVER = [(3, (5, 7, 3)), (3, (6, 7, 3)), (1, (3, 7, 3)), (1, (4, 7, 3))]
+_CONTAINERS = st.one_of(
+    st.sampled_from(_CUT_OVER),
+    st.tuples(st.sampled_from([1, 2, 3]), st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+)
+_CORRUPTIONS = [
+    "intact", "truncate", "append", "flip-payload", "flip-checksum",
+    "magic", "tag", "rank", "zero-dim",
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    container=_CONTAINERS,
+    corruption=st.sampled_from(_CORRUPTIONS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_whole_and_streamed_loads_match_a_reference_parser(
+    tmp_path_factory, container, corruption, seed, data
+):
+    tag, shape = container
+    rng = np.random.default_rng(seed)
+    if tag == 1:
+        arr = rng.random(shape).astype(np.float32)
+    else:
+        arr = rng.integers(0, 256 if tag == 2 else 65536, size=shape, dtype=f"u{tag - 1}")
+    directory = tmp_path_factory.mktemp("frame")
+    entry = FrameEntry(labels_path=directory / "f.labels.spt", probs_path=directory / "f.probs.spt")
+    stored_labels = rng.integers(0, 3, size=shape[1] if len(shape) == 3 else 7, dtype=np.uint8)
+    write_tensor(TensorContainer.from_array(stored_labels), entry.labels_path)
+    write_tensor(TensorContainer.from_array(arr), entry.probs_path)
+    blob = bytearray(entry.probs_path.read_bytes())
+    start = 16 + 4 * len(shape)
+    flip = data.draw(st.integers(1, 255))
+    if corruption == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif corruption == "append":
+        blob.append(data.draw(st.integers(0, 255)))
+    elif corruption == "flip-payload":
+        blob[data.draw(st.integers(start, len(blob) - 9))] ^= flip
+    elif corruption == "flip-checksum":
+        blob[data.draw(st.integers(len(blob) - 8, len(blob) - 1))] ^= flip
+    elif corruption == "magic":
+        blob[data.draw(st.integers(0, 7))] ^= flip
+    elif corruption == "tag":
+        struct.pack_into("<I", blob, 8, data.draw(st.integers(0, 5).filter(lambda t: t != tag)))
+    elif corruption == "rank":
+        rank = data.draw(st.integers(0, 10).filter(lambda r: r != len(shape)))
+        struct.pack_into("<I", blob, 12, rank)
+    elif corruption == "zero-dim":
+        struct.pack_into("<I", blob, 16 + 4 * data.draw(st.integers(0, len(shape) - 1)), 0)
+    entry.probs_path.write_bytes(bytes(blob))
+    expected = _outcome(lambda: _reference_parse(bytes(blob), entry.probs_path))
+
+    slabs = []
+    whole_entry, streamed_entry = dataclasses.replace(entry), dataclasses.replace(entry)
+    whole = _outcome(lambda: load_frame(whole_entry))
+    streamed = _outcome(lambda: load_frame(streamed_entry, {}, add=lambda s: slabs.append(s.copy())))
+    if isinstance(expected, tuple):
+        assert whole == streamed == expected
+        return
+    if len(shape) != 3 or tag == 2:
+        # a container that verifies but cannot hold probabilities
+        assert whole == streamed and whole[0] is ShapeMismatch
+        return
+    payload, labels = whole
+    streamed_payload, streamed_labels = streamed
+    samples, itemsize = shape[0], 4 if tag == 1 else 2
+    assert (streamed_payload is None) == (samples * itemsize > itemsize + 8)
+    assert np.array_equal(labels.values, stored_labels)
+    assert np.array_equal(streamed_labels.values, stored_labels)
+    assert payload.data.tobytes() == expected.tobytes()
+    stream_sum = _sample_sum(slabs if streamed_payload is None else streamed_payload.data)
+    assert stream_sum == _sample_sum(payload.data)
+    h = hashlib.sha256()
+    for path in (entry.probs_path, entry.labels_path):
+        h.update(path.name.encode() + path.read_bytes())
+    assert whole_entry.digest() == streamed_entry.digest() == h.hexdigest()
+
+
+@pytest.mark.parametrize("fault", ["labels", "probs", "removed"])
+def test_an_unreadable_frame_file_is_an_input_error(tmp_path, monkeypatch, capsys, fault):
+    rng = np.random.default_rng(11)
+    raw = rng.random((6, 40, 3)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    entry = _write_frame(tmp_path, raw, rng.integers(0, 3, size=40), quantize=True)
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(Manifest(ClassCatalog(("a", "b", "c")), (entry,), {}), manifest)
+    path = entry.labels_path if fault == "labels" else entry.probs_path
+    if fault == "removed":
+        # the file disappears between the manifest's check and the load
+        original = sparseval.io.read_manifest
+
+        def removing(*args):
+            read = original(*args)
+            path.unlink()
+            return read
+
+        monkeypatch.setattr(sparseval.io, "read_manifest", removing)
+    else:
+        # file modes do not stop root, so the refusal is simulated
+
+        def denying(file, *args, **kwargs):
+            if Path(file) == path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(sparseval.io, "open", denying, raising=False)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"sparseval: error: IoFailure: frame 0 (f.probs.spt): cannot read {path}: "
+    )
+    assert not out.exists()
+
+
+def test_an_unreadable_file_fails_the_digest_as_io_failure(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    raw = rng.random((1, 5, 3)) + 1e-3
+    entry = _write_frame(tmp_path, raw / raw.sum(axis=2, keepdims=True), np.zeros(5))
+
+    def failing(self):
+        raise OSError(errno.EIO, "Input/output error", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", failing)
+    with pytest.raises(IoFailure, match=f"^cannot read {entry.probs_path}: "):
+        entry.digest()
 
 
 @pytest.mark.parametrize(

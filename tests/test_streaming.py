@@ -298,7 +298,7 @@ def test_a_file_that_changes_while_it_streams_raises_the_load_error(
     stack = _stack(np.random.default_rng(37), 6, 300, 3, np.uint16)
     manifest = read_manifest(_one_frame(tmp_path, stack))
     path = tmp_path / "f0.probs.spt"
-    original = io._read_slabs
+    original = io._streams
 
     def changing(*args):
         # the stack's header and the file's size have been read
@@ -306,7 +306,7 @@ def test_a_file_that_changes_while_it_streams_raises_the_load_error(
             change(fh)
         return original(*args)
 
-    monkeypatch.setattr(io, "_read_slabs", changing)
+    monkeypatch.setattr(io, "_streams", changing)
     with pytest.raises(error) as raised:
         evaluate_split(manifest)
     assert str(raised.value) == "frame 0 (f0.probs.spt): " + what.format(path=path)
