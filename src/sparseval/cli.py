@@ -136,18 +136,15 @@ def _cmd_curves(args) -> int:
         lines.append(f"{f!r},{s!r},{o!r},{(s - o)!r}")
     text = "\n".join(lines) + "\n"
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"curves_{args.class_name}_{measure}.csv"
-        path.write_text(text, encoding="utf-8")
-        print(f"csv: {path}")
+        path = Path(args.out_dir) / f"curves_{args.class_name}_{measure}.csv"
+        print(f"csv: {container_io.write_text(text, path)}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _spec_from_json(path: str, seed_override: int | None) -> tuple[ScenarioSpec, int]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with container_io.reading(path), open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise SpecInvalid("a scenario spec file must hold one JSON object")
@@ -193,7 +190,7 @@ def _cmd_inspect(args) -> int:
     path = Path(args.path)
     if not path.exists():
         raise FileNotFoundError(f"{path} does not exist")
-    with path.open("rb") as fh:
+    with container_io.reading(path), open(path, "rb") as fh:
         head = fh.read(len(container_io.MAGIC))
     if head == container_io.MAGIC:
         box = container_io.read_tensor(path)

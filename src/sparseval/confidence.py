@@ -10,13 +10,13 @@ blocks, and one block kernel, behind ``reduce_blocks``, writes each
 block's argmax, max-softmax and entropy into given columns while the block
 is in cache.
 ``max_softmax_confidence`` and ``entropy_confidence`` are thin wrappers
-over it. Multi-sample stacks, 16-bit quantised stacks and sampled logits
-are dequantised, drawn and averaged over the ranges of
-``core.sample_ranges``, about ``BLOCK_POINTS`` rows at a time, so no float
-samples x points x classes stack of a frame is ever built. A stack read one
-sample at a time is summed into a float64 sum of the frame by
-``StreamedMean``, which gives the same bits. Plain logits are softmaxed a
-block at a time as well.
+over it. Every stack of several samples or of uint16 ones is averaged by
+one accumulator, ``StreamedMean``, which checks each sample's rows and sums
+the samples in float64 in sample order, a fault being named as
+``core.check_ranges`` names it, in range order. Sampled logits are drawn
+and averaged over the ranges of ``core.sample_ranges``, and plain logits
+are softmaxed a block at a time, so no float samples x points x classes
+stack of a frame is ever built.
 
 scipy supplies only ``ndtri``, the inverse normal CDF behind the noise of
 Gaussian logits, and is imported when the first ``LogitTensor`` with a
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +42,7 @@ from .core import (
     QuantizedStack,
     as_integer,
     check_distribution,
+    check_ranges,
     sample_ranges,
     scratch,
 )
@@ -271,27 +272,20 @@ def aggregate_samples(stack: ProbabilityStack | QuantizedStack) -> ProbabilitySt
 
 
 def _mean_blocks(
-    rows: Callable[[int, int], np.ndarray], points: int, classes: int, samples: int, dtype
+    mean: np.ndarray, scale: np.ndarray, samples: int, seed: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The sample mean of a stack, ``BLOCK_POINTS`` points at a time.
+    """The sample mean of sampled logits, ``BLOCK_POINTS`` points at a time.
 
-    ``rows(lo, hi)`` gives the stack's (samples, hi - lo, classes) rows of
-    the points ``lo .. hi - 1``, and is called over the ranges of
-    ``core.sample_ranges``, so it is never asked for much more than
-    ``BLOCK_POINTS`` rows. Each range is summed over its samples in float64,
-    in sample order, divided by ``samples`` and cast to ``dtype`` into its
-    block: the bits of ``aggregate_samples``. Yields ``(start, block)`` in
-    point order, each block (1, r, classes); a single-sample stack's rows
-    are yielded as they come.
+    The samples of each range of ``core.sample_ranges`` are drawn together
+    (``_sampled_rows``), summed in float64 in sample order and divided by
+    ``samples`` into their block: the bits of ``aggregate_samples``. Yields
+    ``(start, block)`` in point order, each block (1, r, classes).
     """
+    points, classes = mean.shape
     for lo, hi in sample_ranges(points, samples):
-        block = rows(lo, hi)
-        if samples == 1:
-            yield lo, block
-            continue
         if lo % BLOCK_POINTS == 0:
-            start, out = lo, np.empty((1, min(BLOCK_POINTS, points - lo), classes), dtype)
-        total = np.add.reduce(block, axis=0, dtype=np.float64)
+            start, out = lo, np.empty((1, min(BLOCK_POINTS, points - lo), classes))
+        total = np.add.reduce(_sampled_rows(mean, scale, samples, seed, lo, hi), axis=0)
         total /= samples
         out[0, lo - start : hi - start] = total
         if hi - start == out.shape[1]:
@@ -307,92 +301,28 @@ def _checked_blocks(
         yield lo, block
 
 
-def predictive_blocks(
-    payload: ProbabilityStack | QuantizedStack | LogitTensor,
-    samples: int = 1,
-    seed: int = 0,
-    *,
-    checked: bool = False,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """A frame's predictive distribution, ``BLOCK_POINTS`` points at a time.
-
-    Yields ``(start, block)`` in point order, each block a (1, r, classes)
-    array. A stack's samples are averaged over the ranges of
-    ``core.sample_ranges`` (``_mean_blocks``), which gives the bits of
-    ``aggregate_samples`` without a full-frame temporary; a single-sample
-    float stack is yielded as views. A quantised stack is dequantised a
-    range at a time, by the rule of ``dequantize``. Plain logits are
-    softmaxed a block at a time, as ``softmax`` does. Logits with a stddev
-    are sampled ``samples`` times with ``seed`` and averaged a range at a
-    time, which gives the bits of
-    ``aggregate_samples(sample_probabilistic_logits(...))``. Plain logits
-    admit only ``samples`` 1, since they have no noise to sample
-    (``MissingStddev``). Logit errors raise when this is called, before any
-    block is drawn.
-
-    With ``checked``, every sample of a stack is checked as
-    ``validate_inputs`` checks it, before the samples are averaged, so an
-    error names the sample and point at fault; the blocks drawn from logits
-    are checked as they are yielded.
-    """
-    if isinstance(payload, LogitTensor):
-        if payload.stddev is None and samples == 1:
-            blocks = _softmax_blocks(payload)
-        else:
-            mean, scale, samples = _gaussian_logits(payload, samples)
-            rows = functools.partial(_sampled_rows, mean, scale, samples, seed)
-            blocks = _mean_blocks(rows, payload.points, payload.classes, samples, np.float64)
-        return _checked_blocks(blocks) if checked else blocks
-
-    data = payload.data
-    if isinstance(payload, QuantizedStack):
-
-        def rows(lo, hi):
-            probs, sums = _dequantized(data[:, lo:hi])
-            # a renormalised value lies in [0, 1], and a row sums to 1 within
-            # a few float32 roundings unless all its integers are 0: then it
-            # sums to 0 and comes out NaN. So the zero-row test on the sums
-            # at hand is the whole check, with no second pass over the values
-            if checked and not sums.all():
-                s, i = (int(v) for v in np.argwhere(sums == 0)[0])
-                raise NotADistribution(f"row sum nan at sample {s}, point {lo + i}")
-            return probs
-
-        dtype = np.float32
-    else:
-
-        def rows(lo, hi):
-            if checked:
-                check_distribution(lo, data[:, lo:hi])
-            return data[:, lo:hi]
-
-        dtype = data.dtype
-    return _mean_blocks(rows, payload.points, payload.classes, payload.samples, dtype)
-
-
 class StreamedMean:
     """The sample mean of a probability stack that is fed one sample at a time.
 
-    ``add`` takes the stack's (points, classes) slabs, float32 or uint16,
-    in sample order. Each slab is checked ``BLOCK_POINTS`` rows at a time
-    (a uint16 one dequantised first, by the rule of ``dequantize``) and
-    added into one float64 sum of the frame, ``total``. A float64 sum taken
-    in sample order has the bits of the sum that ``aggregate_samples`` and
-    ``predictive_blocks`` take, so ``blocks`` yields what
-    ``predictive_blocks`` yields for the whole stack: the sum divided by
-    the sample count and cast to float32, a block at a time.
+    The one accumulator of every stack of several samples or of uint16
+    ones: ``predictive_blocks`` feeds it one block of each sample, and
+    ``io.load_frame`` one sample of a file. ``add`` takes (points, classes)
+    slabs, float or uint16, in sample order, checks each ``BLOCK_POINTS``
+    rows at a time (a uint16 one dequantised by the rule of ``dequantize``)
+    and adds it into a float64 sum, ``total``. Summed in sample order, it
+    has the bits of ``aggregate_samples``: ``blocks`` yields it divided by
+    the sample count and cast to the stack's type (float32 for uint16).
 
-    A slab with a fault sets ``clean`` to False, and the slabs after it are
-    not looked at. Its error is not raised here: which one
-    ``validate_inputs`` reports depends on every sample of the range at
-    fault, so ``predictive_blocks(stack, checked=True)`` over the whole
-    stack raises it. The check is that of ``predictive_blocks`` on one
-    sample: a fault is found in some slab exactly when that check finds
-    one in the stack.
+    A slab with a fault sets ``clean`` to False and is added all the same,
+    so that a mean taken unchecked holds NaN rows where ``aggregate_samples``
+    does. The error is not raised here: which one ``validate_inputs``
+    reports depends on every sample of the range at fault, so
+    ``core.check_ranges`` over the whole stack raises it. A fault is found
+    in some slab exactly when that check finds one in the stack.
 
     The sum, the dequantised rows and the blocks are ``core.scratch``
     arrays of ``buffers``, so a worker that passes the same dict for every
-    frame allocates them once.
+    frame allocates them once; without ``buffers`` each block is new.
     """
 
     def __init__(self, buffers: dict | None = None):
@@ -401,24 +331,33 @@ class StreamedMean:
         self.clean = True
         self.total: np.ndarray | None = None
 
+    @property
+    def points(self) -> int:
+        return int(self.total.shape[0])
+
+    @property
+    def classes(self) -> int:
+        return int(self.total.shape[1])
+
     def add(self, slab: np.ndarray) -> None:
         """Check the next sample's slab and add it into ``total``."""
-        if not self.clean:
-            return
         if self.total is None:
             self.total = scratch(self.buffers, "sum", slab.shape, np.float64)
+            self.dtype = np.float32 if slab.dtype.kind == "u" else slab.dtype
         for lo in range(0, slab.shape[0], BLOCK_POINTS):
             rows = slab[None, lo : lo + BLOCK_POINTS]
             if rows.dtype.kind == "u":
                 rows, sums = _dequantized(rows, self.buffers)
-                self.clean = bool(sums.all())
-            else:
+                # a renormalised value lies in [0, 1], and a row sums to 1
+                # within a few float32 roundings unless all its integers are
+                # 0: then it sums to 0 and comes out NaN. So the zero-row
+                # test on the sums at hand is the whole check
+                self.clean = self.clean and bool(sums.all())
+            elif self.clean:
                 try:
                     check_distribution(lo, rows)
                 except NotADistribution:
                     self.clean = False
-            if not self.clean:
-                return
             part = self.total[lo : lo + rows.shape[1]]
             if self.samples:
                 np.add(part, rows[0], out=part)
@@ -428,15 +367,75 @@ class StreamedMean:
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The mean, ``(start, block)`` in point order as ``predictive_blocks``
-        yields it; each block is overwritten by the next, and ``total`` is
-        divided in place."""
-        for lo in range(0, self.total.shape[0], BLOCK_POINTS):
+        yields it; with ``buffers`` each block is overwritten by the next,
+        and ``total`` is divided in place."""
+        for lo in range(0, self.points, BLOCK_POINTS):
             part = self.total[lo : lo + BLOCK_POINTS]
             part /= self.samples
             # the dequantised rows' buffer, free once every slab is in
-            block = scratch(self.buffers, "dequantized", (1, *part.shape), np.float32)
+            block = scratch(self.buffers, "dequantized", (1, *part.shape), self.dtype)
             np.copyto(block[0], part)
             yield lo, block
+
+
+def _stack_blocks(
+    stack: ProbabilityStack | QuantizedStack, checked: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``predictive_blocks`` of a stack. A range never straddles a block, so
+    ``core.check_ranges`` on the first block with a fault raises the error
+    of ``validate_inputs``."""
+    for lo in range(0, stack.points, BLOCK_POINTS):
+        rows = stack.data[:, lo : lo + BLOCK_POINTS]
+        if rows.shape[0] == 1 and rows.dtype.kind == "f":
+            if checked:
+                check_ranges(lo, rows)
+            yield lo, rows
+            continue
+        mean = StreamedMean()
+        for slab in rows:
+            mean.add(slab)
+        if checked and not mean.clean:
+            check_ranges(lo, _dequantized(rows)[0] if rows.dtype.kind == "u" else rows)
+        for _, block in mean.blocks():
+            yield lo, block
+
+
+def predictive_blocks(
+    payload: ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean,
+    samples: int = 1,
+    seed: int = 0,
+    *,
+    checked: bool = False,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """A frame's predictive distribution, ``BLOCK_POINTS`` points at a time.
+
+    Yields ``(start, block)`` in point order, each block a (1, r, classes)
+    array. A single-sample float stack is yielded as views, and any other
+    stack is averaged a block at a time by a ``StreamedMean``, with the
+    bits of ``aggregate_samples``; a filled one, as ``io.load_frame``
+    returns it, yields its blocks. Plain logits are softmaxed a block at a
+    time, as ``softmax`` does. Logits with a stddev are sampled ``samples``
+    times with ``seed`` and averaged a range at a time (``_mean_blocks``),
+    which gives the bits of
+    ``aggregate_samples(sample_probabilistic_logits(...))``. Plain logits
+    admit only ``samples`` 1, since they have no noise to sample
+    (``MissingStddev``). Logit errors raise when this is called, before any
+    block is drawn.
+
+    With ``checked``, every sample of a stack is checked before the samples
+    are averaged, and a fault raises the error ``validate_inputs`` raises,
+    naming the sample and point; the blocks drawn from logits are checked
+    as they are yielded.
+    """
+    if isinstance(payload, StreamedMean):
+        return payload.blocks()
+    if isinstance(payload, LogitTensor):
+        if payload.stddev is None and samples == 1:
+            blocks = _softmax_blocks(payload)
+        else:
+            blocks = _mean_blocks(*_gaussian_logits(payload, samples), seed)
+        return _checked_blocks(blocks) if checked else blocks
+    return _stack_blocks(payload, checked)
 
 
 def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:

@@ -274,14 +274,12 @@ def validate_inputs(probs: ProbabilityStack, gt: LabelArray, catalog: ClassCatal
 
     Pure and deterministic. The first offending index is reported in the
     error message. Points labeled with the ignore index are accepted here
-    and dropped later by the metric stages. Every sample is checked, over
-    the ranges of ``sample_ranges``, so the pipeline, which checks each
-    range before it averages the samples, raises the same error.
+    and dropped later by the metric stages. Every sample is checked, range
+    by range (``check_ranges``), as the pipeline checks a faulty block, so
+    both raise the same error.
     """
-    data = probs.data
-    check_shapes(data.shape[1], data.shape[2], gt, catalog)
-    for lo, hi in sample_ranges(data.shape[1], data.shape[0]):
-        check_distribution(lo, data[:, lo:hi])
+    check_shapes(probs.points, probs.classes, gt, catalog)
+    check_ranges(0, probs.data)
     check_labels(gt, catalog.k, catalog.ignore_index)
 
 
@@ -329,6 +327,14 @@ def check_distribution(start: int, block: np.ndarray) -> None:
     if off.any():
         s, i = (int(v) for v in np.argwhere(off)[0])
         raise NotADistribution(f"row sum {float(sums[s, i])} at sample {s}, point {i + start}")
+
+
+def check_ranges(start: int, block: np.ndarray) -> None:
+    """``check_distribution`` over the ``sample_ranges`` of a (samples, r,
+    classes) block of points ``start .. start + r - 1``, in order; they are
+    the stack's own ranges when ``start`` is a multiple of ``BLOCK_POINTS``."""
+    for lo, hi in sample_ranges(block.shape[1], block.shape[0]):
+        check_distribution(start + lo, block[:, lo:hi])
 
 
 def check_labels(gt: LabelArray, classes: int, ignore_index: int | None) -> None:

@@ -14,9 +14,10 @@ Readers reject malformed files instead of guessing; partial results are
 never produced. One reader (``_read_container``) reads every container,
 whole or, given a sink for a probability stack of many samples, one sample
 slab at a time, and raises the same errors in the same order either way.
-``load_frame`` reads each of a manifest frame's files once. Writers write
-beside the target and move the file into place, so a failed write leaves no
-partial file.
+``load_frame`` reads each of a manifest frame's files once, unless a
+streamed stack has a fault, and decides alone which stacks stream. Writers
+write beside the target and move the file into place, so a failed write
+leaves no partial file.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confidence import LogitTensor
+from .confidence import LogitTensor, StreamedMean
 from .core import (
     ClassCatalog,
     EvalConfig,
@@ -172,7 +173,7 @@ def _parse_header(raw: np.ndarray, path: str | Path) -> tuple[int, tuple[int, ..
 
 
 @contextlib.contextmanager
-def _reading(path: str | Path):
+def reading(path: str | Path):
     """Raise an ``OSError`` of the block as ``IoFailure``, naming ``path``."""
     try:
         yield
@@ -183,7 +184,7 @@ def _reading(path: str | Path):
 def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
     """The dtype tag and dimensions of a container file, read from its
     header alone; the payload is neither read nor verified."""
-    with _reading(path), open(path, "rb") as fh:
+    with reading(path), open(path, "rb") as fh:
         head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
     return _parse_header(head, path)[:2]
 
@@ -221,7 +222,7 @@ def _read_container(path: str | Path, buffers: dict | None, key: str, digest, ad
     holds back any fault it finds in the values, so that no value of a
     file that fails to verify reaches a result.
     """
-    with _reading(path), open(path, "rb") as fh:
+    with reading(path), open(path, "rb") as fh:
         head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
         dtype_tag, dims, start = _parse_header(head, path)
         dtype = _TAG_TO_DTYPE[dtype_tag]
@@ -296,16 +297,9 @@ class FrameEntry:
         return list(self._files().values())
 
     def load(
-        self, buffers: dict | None = None
-    ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor, LabelArray]:
-        return load_frame(self, buffers=buffers)
-
-    def _stream(
-        self, buffers: dict | None, add
-    ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | None, LabelArray]:
-        """``load(buffers)``, except that a stack of many samples is passed
-        to ``add`` a sample at a time and returned as None (``load_frame``)."""
-        return load_frame(self, buffers, add=add)
+        self, buffers: dict | None = None, stream: bool = False
+    ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean, LabelArray]:
+        return load_frame(self, buffers, stream=stream)
 
     def digest(self) -> str:
         """SHA-256 over each file's name and bytes, in ``paths()`` order.
@@ -319,7 +313,7 @@ class FrameEntry:
         h = hashlib.sha256()
         for path in self.paths():
             h.update(path.name.encode())
-            with _reading(path):
+            with reading(path):
                 h.update(path.read_bytes())
         return h.hexdigest()
 
@@ -330,8 +324,8 @@ def _check_label_header(path: Path, dtype_tag: int, dims: tuple[int, ...]) -> No
 
 
 def load_frame(
-    entry: FrameEntry, buffers: dict | None = None, *, add=None
-) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | None, LabelArray]:
+    entry: FrameEntry, buffers: dict | None = None, *, stream: bool = False
+) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean, LabelArray]:
     """Materialize a manifest frame into validated-shape in-memory types.
 
     Each file is read once, and each array is a view of the bytes read.
@@ -347,12 +341,14 @@ def load_frame(
     replaced by a larger one when a file does not fit), so the arrays
     returned stay valid only until then.
 
-    With ``add``, a stack that takes more bytes per point than one of its
-    samples plus a float64 sum (``_streams``: 6 or more uint16 samples, 4
-    or more float32 ones) is not returned but read a sample at a time
-    (``_read_container``), each (points, classes) slab passed to ``add``,
-    and None comes back in its place. The errors and their order are those
-    of a whole read: nothing of the file is trusted until it has verified.
+    With ``stream``, a stack that takes more bytes per point than one of
+    its samples plus a float64 sum (``_streams``: 6 or more uint16 samples,
+    4 or more float32 ones) is read a sample at a time into a
+    ``StreamedMean`` over ``buffers``, which comes back in its place, with
+    the errors of a whole read in the same order. A stack with a fault in
+    its values is read again whole and returned as a whole read returns
+    it, so that ``predictive_blocks`` names the fault; the digest is that
+    of the second read.
     """
     paths = entry._files()
     # the digest takes the files in _FRAME_FILES order, which puts the
@@ -363,9 +359,15 @@ def load_frame(
     labels = LabelArray(data)
 
     if entry.probs_path is not None:
-        tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest, add)
+        mean = StreamedMean(buffers)
+        tag, dims, data = _read_container(
+            paths["probs"], buffers, "probs", digest, mean.add if stream else None
+        )
+        if data is None and not mean.clean:
+            digest = hashlib.sha256()
+            tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest)
         if data is None:
-            payload = None
+            payload = mean
         elif len(dims) != 3:
             raise ShapeMismatch(
                 f"{entry.probs_path} must hold a rank-3 samples x points x classes tensor"
@@ -629,6 +631,19 @@ def write_scatter_csv(report: EvalReport, path: str | Path) -> Path:
                     writer.writerow(
                         [m, name, _fmt(iou_val), _fmt(ause_val), _fmt(scatter.threshold)]
                     )
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def write_text(text: str, path: str | Path) -> Path:
+    """Write ``text`` to ``path`` as UTF-8, its directory made if missing;
+    written as ``write_report`` writes, so a failed write changes nothing."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with _replacing(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path

@@ -5,9 +5,10 @@ rare classes are judged on every point they have in the split rather than on
 frame-sized fragments. The pooled columns are allocated once, sized from
 every frame's point count, and each frame is reduced straight into its rows,
 so nothing is concatenated and the split holds about 18 bytes per kept point
-(``pool_split``). A manifest frame whose stack has many samples is read one
-sample at a time into a float64 sum (``_reduce_frame``), so a worker never
-holds its whole file. Confusion counts are accumulated per frame and merged.
+(``pool_split``). Each frame's samples are checked and summed in float64 in
+sample order, faults named in range order, by one accumulator
+(``confidence.StreamedMean``), whether io hands on the frame whole or
+already summed. Confusion counts are accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
@@ -26,7 +27,6 @@ import numpy as np
 
 from .confidence import (
     LogitTensor,
-    StreamedMean,
     derive_stream_seed,
     max_softmax_confidence,
     predictive_blocks,
@@ -43,10 +43,9 @@ from .core import (
     SCAN_POINTS,
     as_integer,
     as_real,
-    check_distribution,
     check_labels,
+    check_ranges,
     check_shapes,
-    sample_ranges,
 )
 from .errors import (
     AllClassesFiltered,
@@ -89,10 +88,10 @@ class ArrayFrame:
         return len(self.labels)
 
     def load(
-        self, buffers: dict | None = None
+        self, buffers: dict | None = None, stream: bool = False
     ) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
-        """The frame's payload and labels; ``buffers`` is not used, since
-        nothing is read."""
+        """The frame's payload and labels; ``buffers`` and ``stream`` are
+        not used, since nothing is read."""
         payload = self.probs if self.probs is not None else self.logits
         return payload, self.labels
 
@@ -177,40 +176,23 @@ def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
 
     The frame is reduced block by block (``core.BLOCK_POINTS`` points): each
     block of the predictive distribution is drawn and reduced to
-    predictions and scores while it is in cache. Every sample of a stack is
-    checked as ``validate_inputs`` checks it before the samples are
-    averaged, so errors name the sample and point at fault. Frame files
-    are read into ``buffers``, which the worker reuses from frame to frame,
-    so nothing of the frame outlives this call but its counts and its
-    digest. The labels are copied into the frame's rows of ``gt``
-    (``_keep_rows``), whose type holds a class index.
-
-    A manifest frame (``io.FrameEntry``) whose file header shows a stack
-    of many samples is read one sample at a time into a ``StreamedMean``
-    (``io.load_frame`` with ``add``), so the worker holds one sample of the
-    file and a float64 sum of the frame instead of the whole file. Every
-    other frame is loaded whole, and its stack is averaged over the ranges
-    of ``core.sample_ranges`` (``predictive_blocks``), a uint16 one
-    dequantised a range at a time; both ways give the same bits. A
-    streamed stack with a fault is loaded whole once its file has
-    verified, and ``predictive_blocks`` raises the fault as
-    ``validate_inputs`` names it.
+    predictions and scores while it is in cache. Its samples are checked
+    and summed in float64 in sample order by ``confidence.StreamedMean``,
+    and a fault raises the error of ``validate_inputs``, naming the sample
+    and point of the earliest range at fault. The frame is loaded with
+    ``stream``, so a manifest frame of many samples comes back from io
+    already summed. Frame files are read into ``buffers``, which the worker
+    reuses from frame to frame, so nothing of the frame outlives this call
+    but its counts and its digest. The labels are copied into the frame's
+    rows of ``gt`` (``_keep_rows``), whose type holds a class index.
     """
     try:
-        stream = getattr(source, "_stream", None)
-        mean = StreamedMean(buffers)
-        payload, labels = source.load(buffers) if stream is None else stream(buffers, mean.add)
-        if payload is None and not mean.clean:
-            payload, labels = source.load(buffers)
+        payload, labels = source.load(buffers, stream=True)
         if len(labels) != hi - lo:
             raise ShapeMismatch(f"loaded {len(labels)} points but declared {hi - lo}")
-        if payload is None:
-            blocks, shape = mean.blocks(), mean.total.shape
-        else:
-            seed = derive_stream_seed(config.rng_seed, index)
-            blocks = predictive_blocks(payload, source.samples, seed, checked=True)
-            shape = payload.points, payload.classes
-        check_shapes(*shape, labels, catalog)
+        seed = derive_stream_seed(config.rng_seed, index)
+        blocks = predictive_blocks(payload, source.samples, seed, checked=True)
+        check_shapes(payload.points, payload.classes, labels, catalog)
         pred = columns["pred"][lo:hi]
         reduce_blocks(blocks, pred, {m: columns[m][lo:hi] for m in MEASURES if m in columns})
         check_labels(labels, catalog.k, catalog.ignore_index)
@@ -274,12 +256,13 @@ def pool_split(
 
     ``dataset`` is a manifest, any iterable of frame sources, or an already
     pooled split, which is returned unchanged. A frame source has
-    ``points``, ``samples`` and ``name``, ``load(buffers)`` and
+    ``points``, ``samples`` and ``name``, ``load(buffers, stream)`` and
     ``digest()``, as ``ArrayFrame`` and ``io.FrameEntry`` have; ``buffers``
     is a dict that a file-backed source may read its files into, reused by
-    the worker for its next frame. Frames are reduced on ``threads``
-    workers; the result does not depend on the count. ``config`` supplies
-    the seed of logit sampling.
+    the worker for its next frame, and with ``stream`` a source may return
+    a stack already summed, as a ``confidence.StreamedMean``. Frames are
+    reduced on ``threads`` workers; the result does not depend on the
+    count. ``config`` supplies the seed of logit sampling.
 
     Every frame's ``points`` is read first (a file header, for a manifest
     frame), and the pooled columns are allocated once: ``gt`` and ``pred``
@@ -408,8 +391,7 @@ def ece(
         raise DimensionMismatch(
             f"probabilities cover {probs.points} points but labels cover {len(gt)}"
         )
-    for lo, hi in sample_ranges(probs.points, probs.samples):
-        check_distribution(lo, probs.data[:, lo:hi])
+    check_ranges(0, probs.data)
     check_labels(gt, probs.classes, ignore_index)
     conf, pred = max_softmax_confidence(probs)
     scores = conf.scores

@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from sparseval import (
     read_manifest,
     write_tensor,
 )
+from sparseval import cli
 from sparseval.cli import main
 
 
@@ -321,6 +325,66 @@ def test_inspect_tensor_and_manifest(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dtype: float32" in out
     assert "checksum: ok" in out
+
+
+def _denying(path):
+    """An ``open`` that refuses ``path`` as its file mode would; file modes
+    do not stop root, so the refusal is simulated."""
+
+    def denying(file, *args, **kwargs):
+        if Path(file) == path:
+            raise PermissionError(errno.EACCES, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    return denying
+
+
+def test_inspect_of_an_unreadable_file_is_input_error(tmp_path, monkeypatch, capsys):
+    tensor = make_dataset(tmp_path).parent / "frame_0000.probs.spt"
+    monkeypatch.setattr(cli, "open", _denying(tensor), raising=False)
+    assert run_cli("inspect", "--path", str(tensor)) == 2
+    assert capsys.readouterr().err == (
+        f"sparseval: error: IoFailure: cannot read {tensor}: "
+        f"[Errno 13] Permission denied: '{tensor}'\n"
+    )
+
+
+def test_synth_from_an_unreadable_spec_is_input_error(tmp_path, monkeypatch, capsys):
+    spec = write_spec(tmp_path)
+    monkeypatch.setattr(cli, "open", _denying(spec), raising=False)
+    assert run_cli("synth", "--spec", str(spec), "--out-dir", str(tmp_path / "data")) == 2
+    assert capsys.readouterr().err == (
+        f"sparseval: error: IoFailure: cannot read {spec}: "
+        f"[Errno 13] Permission denied: '{spec}'\n"
+    )
+    assert not (tmp_path / "data").exists()
+
+
+def _no_space(src, dst):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["out-dir-is-a-file", "replace"])
+def test_curves_that_cannot_be_written_are_input_error(tmp_path, monkeypatch, capsys, fault):
+    manifest = make_dataset(tmp_path)
+    out = tmp_path / "curvedir"
+    path = out / "curves_road_max_softmax.csv"
+    if fault == "replace":
+        monkeypatch.setattr(os, "replace", _no_space)
+        detail = "[Errno 28] No space left on device"
+    else:
+        out.write_text("a file\n")
+        detail = f"[Errno 17] File exists: '{out}'"
+    argv = ["curves", "--manifest", str(manifest), "--class", "road", "--out-dir", str(out)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"sparseval: error: IoFailure: cannot write {path}: {detail}\n"
+    )
+    # no partial file, beside the target or in its place
+    if fault == "replace":
+        assert list(out.iterdir()) == []
+    else:
+        assert out.read_text() == "a file\n"
 
 
 def test_usage_error_exits_one():

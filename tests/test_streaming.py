@@ -8,6 +8,7 @@ ways must give the same reports and the same errors.
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,9 +150,9 @@ def test_stacks_of_many_samples_are_not_loaded_whole(
     loads = []
     original = io.load_frame
 
-    def counting_load(entry, buffers=None, add=None):
-        payload, labels = original(entry, buffers, add=add)
-        if payload is not None:
+    def counting_load(entry, buffers=None, *, stream=False):
+        payload, labels = original(entry, buffers, stream=stream)
+        if not isinstance(payload, StreamedMean):
             loads.append(entry.name)
         return payload, labels
 
@@ -160,9 +161,49 @@ def test_stacks_of_many_samples_are_not_loaded_whole(
     assert sorted(loads) == ([] if streamed else ["f0.probs.spt", "f1.probs.spt"])
 
 
+@pytest.mark.parametrize("dtype, samples", [(np.uint16, 5), (np.float32, 3)])
+def test_a_streaming_load_returns_a_stack_of_few_samples_whole(tmp_path, dtype, samples):
+    stack = _stack(np.random.default_rng(41), samples, BLOCK_POINTS + 50, 3, dtype)
+    entry = read_manifest(_one_frame(tmp_path, stack)).frames[0]
+    payload, _ = io.load_frame(entry, {}, stream=True)
+    assert type(payload) is (QuantizedStack if dtype == np.uint16 else ProbabilityStack)
+    assert payload.data.tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("dtype, samples", [(np.uint16, 6), (np.float32, 4)])
+def test_a_streaming_load_returns_a_stack_of_many_samples_as_its_mean(tmp_path, dtype, samples):
+    stack = _stack(np.random.default_rng(42), samples, 2 * BLOCK_POINTS + 50, 3, dtype)
+    entry = read_manifest(_one_frame(tmp_path, stack)).frames[0]
+    payload, _ = io.load_frame(entry, {}, stream=True)
+    assert isinstance(payload, StreamedMean) and payload.samples == samples
+    whole = QuantizedStack(stack) if dtype == np.uint16 else ProbabilityStack(stack)
+    expected = [(lo, block.tobytes()) for lo, block in predictive_blocks(whole, checked=True)]
+    got = [(lo, block.tobytes()) for lo, block in predictive_blocks(payload, checked=True)]
+    assert got == expected
+
+
+def test_a_streaming_load_reads_a_stack_with_a_fault_again_whole(tmp_path, monkeypatch):
+    stack = _stack(np.random.default_rng(43), 6, 300, 3, np.uint16)
+    stack[4, 20] = 0  # an all-zero row
+    entry = read_manifest(_one_frame(tmp_path, stack)).frames[0]
+    plain = dataclasses.replace(entry)
+    io.load_frame(plain)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open, raising=False)
+    payload, _ = io.load_frame(entry, {}, stream=True)
+    assert type(payload) is QuantizedStack and payload.data.tobytes() == stack.tobytes()
+    assert sorted(opened) == ["f0.labels.spt", "f0.probs.spt", "f0.probs.spt"]
+    assert entry.digest() == plain.digest()
+
+
 def _loaded_whole(monkeypatch):
     """Make every manifest frame load whole, as frames that do not stream do."""
-    monkeypatch.setattr(FrameEntry, "_stream", lambda self, buffers, add: self.load(buffers))
+    monkeypatch.setattr(io, "_streams", lambda dtype_tag, dims: False)
 
 
 @pytest.mark.parametrize("dtype, samples", [(np.uint16, 6), (np.float32, 4)])
@@ -190,7 +231,7 @@ def test_streamed_and_whole_frames_write_the_same_files(tmp_path, monkeypatch, d
 
 def _errors_both_ways(manifest_path, monkeypatch, capsys):
     """The type and message of the error of evaluating a manifest, and
-    whether any slab of it was streamed; asserts that streaming and loading
+    whether any file of it was streamed; asserts that streaming and loading
     every frame whole give the same type and message from
     ``evaluate_split`` and the same exit code and error line from the CLI."""
     seen = []
@@ -199,8 +240,15 @@ def _errors_both_ways(manifest_path, monkeypatch, capsys):
         with monkeypatch.context() as m:
             if whole:
                 _loaded_whole(m)
-            original = StreamedMean.add
-            m.setattr(StreamedMean, "add", lambda self, slab: fed.append(1) or original(self, slab))
+            original = io._streams
+
+            def counted(*args):
+                if original(*args):
+                    fed.append(1)
+                    return True
+                return False
+
+            m.setattr(io, "_streams", counted)
             with pytest.raises(SparsevalError) as raised:
                 evaluate_split(read_manifest(manifest_path), threads=2)
             out = manifest_path.parent / "out"
