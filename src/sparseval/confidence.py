@@ -6,7 +6,7 @@ how ensembles of stochastic forward passes are consumed.
 
 Every score is computed block by block, ``core.BLOCK_POINTS`` points at a
 time: ``predictive_blocks`` yields a frame's predictive distribution in
-blocks, and one block kernel, behind ``reduce_blocks``, writes each
+checked blocks, and one block kernel, behind ``reduce_blocks``, writes each
 block's argmax, max-softmax and entropy into given columns while the block
 is in cache.
 ``max_softmax_confidence`` and ``entropy_confidence`` are thin wrappers
@@ -313,9 +313,8 @@ class StreamedMean:
     has the bits of ``aggregate_samples``: ``blocks`` yields it divided by
     the sample count and cast to the stack's type (float32 for uint16).
 
-    A slab with a fault sets ``clean`` to False and is added all the same,
-    so that a mean taken unchecked holds NaN rows where ``aggregate_samples``
-    does. The error is not raised here: which one ``validate_inputs``
+    A slab with a fault sets ``clean`` to False, and the mean is then not
+    to be read. The error is not raised here: which one ``validate_inputs``
     reports depends on every sample of the range at fault, so
     ``core.check_ranges`` over the whole stack raises it. A fault is found
     in some slab exactly when that check finds one in the stack.
@@ -378,23 +377,20 @@ class StreamedMean:
             yield lo, block
 
 
-def _stack_blocks(
-    stack: ProbabilityStack | QuantizedStack, checked: bool
-) -> Iterator[tuple[int, np.ndarray]]:
+def _stack_blocks(stack: ProbabilityStack | QuantizedStack) -> Iterator[tuple[int, np.ndarray]]:
     """``predictive_blocks`` of a stack. A range never straddles a block, so
     ``core.check_ranges`` on the first block with a fault raises the error
     of ``validate_inputs``."""
     for lo in range(0, stack.points, BLOCK_POINTS):
         rows = stack.data[:, lo : lo + BLOCK_POINTS]
         if rows.shape[0] == 1 and rows.dtype.kind == "f":
-            if checked:
-                check_ranges(lo, rows)
+            check_ranges(lo, rows)
             yield lo, rows
             continue
         mean = StreamedMean()
         for slab in rows:
             mean.add(slab)
-        if checked and not mean.clean:
+        if not mean.clean:
             check_ranges(lo, _dequantized(rows)[0] if rows.dtype.kind == "u" else rows)
         for _, block in mean.blocks():
             yield lo, block
@@ -404,38 +400,35 @@ def predictive_blocks(
     payload: ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean,
     samples: int = 1,
     seed: int = 0,
-    *,
-    checked: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """A frame's predictive distribution, ``BLOCK_POINTS`` points at a time.
+    """A frame's predictive distribution, checked, ``BLOCK_POINTS`` points
+    at a time.
 
     Yields ``(start, block)`` in point order, each block a (1, r, classes)
     array. A single-sample float stack is yielded as views, and any other
     stack is averaged a block at a time by a ``StreamedMean``, with the
     bits of ``aggregate_samples``; a filled one, as ``io.load_frame``
-    returns it, yields its blocks. Plain logits are softmaxed a block at a
-    time, as ``softmax`` does. Logits with a stddev are sampled ``samples``
-    times with ``seed`` and averaged a range at a time (``_mean_blocks``),
-    which gives the bits of
+    returns it, yields its blocks, checked as it was filled. Plain logits
+    are softmaxed a block at a time, as ``softmax`` does. Logits with a
+    stddev are sampled ``samples`` times with ``seed`` and averaged a range
+    at a time (``_mean_blocks``), which gives the bits of
     ``aggregate_samples(sample_probabilistic_logits(...))``. Plain logits
     admit only ``samples`` 1, since they have no noise to sample
     (``MissingStddev``). Logit errors raise when this is called, before any
     block is drawn.
 
-    With ``checked``, every sample of a stack is checked before the samples
-    are averaged, and a fault raises the error ``validate_inputs`` raises,
-    naming the sample and point; the blocks drawn from logits are checked
-    as they are yielded.
+    Every sample of a stack is checked before the samples are averaged,
+    and a fault raises the error ``validate_inputs`` raises, naming the
+    sample and point; the blocks drawn from logits are checked as they are
+    yielded.
     """
     if isinstance(payload, StreamedMean):
         return payload.blocks()
     if isinstance(payload, LogitTensor):
         if payload.stddev is None and samples == 1:
-            blocks = _softmax_blocks(payload)
-        else:
-            blocks = _mean_blocks(*_gaussian_logits(payload, samples), seed)
-        return _checked_blocks(blocks) if checked else blocks
-    return _stack_blocks(payload, checked)
+            return _checked_blocks(_softmax_blocks(payload))
+        return _checked_blocks(_mean_blocks(*_gaussian_logits(payload, samples), seed))
+    return _stack_blocks(payload)
 
 
 def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:
@@ -492,11 +485,12 @@ def _require_aggregated(probs: ProbabilityStack) -> None:
 
 
 def max_softmax_confidence(
-    probs: ProbabilityStack,
+    probs: ProbabilityStack | QuantizedStack,
 ) -> tuple[ConfidenceVector, LabelArray]:
     """Highest class probability per point, plus the argmax predictions.
 
-    Ties break to the lowest class index so reports are reproducible.
+    Ties break to the lowest class index so reports are reproducible. The
+    rows are checked as ``validate_inputs`` checks them (``predictive_blocks``).
     """
     _require_aggregated(probs)
     preds, columns = score_columns(probs.points)
@@ -504,11 +498,12 @@ def max_softmax_confidence(
     return ConfidenceVector("max_softmax", columns["max_softmax"]), LabelArray(preds)
 
 
-def entropy_confidence(probs: ProbabilityStack) -> ConfidenceVector:
+def entropy_confidence(probs: ProbabilityStack | QuantizedStack) -> ConfidenceVector:
     """1 - H(p) / log(k): normalized Shannon entropy flipped into a confidence.
 
     The normalization by the maximum entropy makes the logarithm base cancel;
-    0 * log 0 counts as 0.
+    0 * log 0 counts as 0. The rows are checked as ``max_softmax_confidence``
+    checks them.
     """
     _require_aggregated(probs)
     if probs.classes < 2:

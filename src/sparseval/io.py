@@ -15,9 +15,9 @@ never produced. One reader (``_read_container``) reads every container,
 whole or, given a sink for a probability stack of many samples, one sample
 slab at a time, and raises the same errors in the same order either way.
 ``load_frame`` reads each of a manifest frame's files once, unless a
-streamed stack has a fault, and decides alone which stacks stream. Writers
-write beside the target and move the file into place, so a failed write
-leaves no partial file.
+streamed stack has a fault, and decides alone which stacks stream when it
+reads into a buffer dict. Writers write beside the target and move the
+file into place, so a failed write leaves no partial file.
 """
 from __future__ import annotations
 
@@ -297,9 +297,9 @@ class FrameEntry:
         return list(self._files().values())
 
     def load(
-        self, buffers: dict | None = None, stream: bool = False
+        self, buffers: dict | None = None
     ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean, LabelArray]:
-        return load_frame(self, buffers, stream=stream)
+        return load_frame(self, buffers)
 
     def digest(self) -> str:
         """SHA-256 over each file's name and bytes, in ``paths()`` order.
@@ -324,7 +324,7 @@ def _check_label_header(path: Path, dtype_tag: int, dims: tuple[int, ...]) -> No
 
 
 def load_frame(
-    entry: FrameEntry, buffers: dict | None = None, *, stream: bool = False
+    entry: FrameEntry, buffers: dict | None = None
 ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean, LabelArray]:
     """Materialize a manifest frame into validated-shape in-memory types.
 
@@ -335,20 +335,19 @@ def load_frame(
     whole stack). The digest of the bytes read is kept on the entry, where
     ``FrameEntry.digest`` finds it.
 
-    Without ``buffers`` every file is read into bytes of its own. With a
-    dict, each file is read into the dict's buffer for its manifest key,
-    which is kept and reused by the next load with the same dict (and
-    replaced by a larger one when a file does not fit), so the arrays
-    returned stay valid only until then.
-
-    With ``stream``, a stack that takes more bytes per point than one of
-    its samples plus a float64 sum (``_streams``: 6 or more uint16 samples,
-    4 or more float32 ones) is read a sample at a time into a
-    ``StreamedMean`` over ``buffers``, which comes back in its place, with
-    the errors of a whole read in the same order. A stack with a fault in
-    its values is read again whole and returned as a whole read returns
-    it, so that ``predictive_blocks`` names the fault; the digest is that
-    of the second read.
+    Without ``buffers`` every file is read whole into bytes of its own.
+    With a dict, as a pooling worker passes one, each file is read into
+    the dict's buffer for its manifest key, which is kept and reused by the
+    next load with the same dict (and replaced by a larger one when a file
+    does not fit), so the arrays returned stay valid only until then. A
+    stack that takes more bytes per point than one of its samples plus a
+    float64 sum (``_streams``: 6 or more uint16 samples, 4 or more float32
+    ones) is then read a sample at a time into a ``StreamedMean`` over
+    ``buffers``, which comes back in its place, with the errors of a whole
+    read in the same order. A stack with a fault in its values is read
+    again whole and returned as a whole read returns it, so that
+    ``predictive_blocks`` names the fault; the digest is that of the
+    second read.
     """
     paths = entry._files()
     # the digest takes the files in _FRAME_FILES order, which puts the
@@ -360,9 +359,8 @@ def load_frame(
 
     if entry.probs_path is not None:
         mean = StreamedMean(buffers)
-        tag, dims, data = _read_container(
-            paths["probs"], buffers, "probs", digest, mean.add if stream else None
-        )
+        add = None if buffers is None else mean.add
+        tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest, add)
         if data is None and not mean.clean:
             digest = hashlib.sha256()
             tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest)
@@ -496,7 +494,8 @@ def read_manifest(path: str | Path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Emit the manifest with paths relative to its own directory."""
+    """Emit the manifest with paths relative to its own directory; written
+    as ``write_report`` writes, so a failed write changes nothing."""
     path = Path(path)
     base = path.parent.resolve()
     for name in manifest.catalog.names:
@@ -519,7 +518,8 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
             raise ManifestError("manifest paths cannot contain spaces")
         lines.append(line)
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with _replacing(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -651,7 +651,7 @@ def write_text(text: str, path: str | Path) -> Path:
 
 def read_report(path: str | Path) -> EvalReport:
     """Parse a JSON report back into the in-memory form."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != "sparseval-report-v1":
         raise ValueError(f"{path} is not a sparseval report")

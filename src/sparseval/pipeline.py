@@ -40,11 +40,11 @@ from .core import (
     LabelArray,
     MEASURES,
     ProbabilityStack,
+    QuantizedStack,
     SCAN_POINTS,
     as_integer,
     as_real,
     check_labels,
-    check_ranges,
     check_shapes,
 )
 from .errors import (
@@ -88,10 +88,10 @@ class ArrayFrame:
         return len(self.labels)
 
     def load(
-        self, buffers: dict | None = None, stream: bool = False
+        self, buffers: dict | None = None
     ) -> tuple[ProbabilityStack | LogitTensor, LabelArray]:
-        """The frame's payload and labels; ``buffers`` and ``stream`` are
-        not used, since nothing is read."""
+        """The frame's payload and labels; ``buffers`` is not used, since
+        nothing is read."""
         payload = self.probs if self.probs is not None else self.logits
         return payload, self.labels
 
@@ -179,19 +179,19 @@ def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
     predictions and scores while it is in cache. Its samples are checked
     and summed in float64 in sample order by ``confidence.StreamedMean``,
     and a fault raises the error of ``validate_inputs``, naming the sample
-    and point of the earliest range at fault. The frame is loaded with
-    ``stream``, so a manifest frame of many samples comes back from io
-    already summed. Frame files are read into ``buffers``, which the worker
-    reuses from frame to frame, so nothing of the frame outlives this call
-    but its counts and its digest. The labels are copied into the frame's
-    rows of ``gt`` (``_keep_rows``), whose type holds a class index.
+    and point of the earliest range at fault. Frame files are read into
+    ``buffers``, which the worker reuses from frame to frame, so nothing of
+    the frame outlives this call but its counts and its digest, and a
+    manifest frame of many samples comes back from io already summed. The
+    labels are copied into the frame's rows of ``gt`` (``_keep_rows``),
+    whose type holds a class index.
     """
     try:
-        payload, labels = source.load(buffers, stream=True)
+        payload, labels = source.load(buffers)
         if len(labels) != hi - lo:
             raise ShapeMismatch(f"loaded {len(labels)} points but declared {hi - lo}")
         seed = derive_stream_seed(config.rng_seed, index)
-        blocks = predictive_blocks(payload, source.samples, seed, checked=True)
+        blocks = predictive_blocks(payload, source.samples, seed)
         check_shapes(payload.points, payload.classes, labels, catalog)
         pred = columns["pred"][lo:hi]
         reduce_blocks(blocks, pred, {m: columns[m][lo:hi] for m in MEASURES if m in columns})
@@ -256,10 +256,10 @@ def pool_split(
 
     ``dataset`` is a manifest, any iterable of frame sources, or an already
     pooled split, which is returned unchanged. A frame source has
-    ``points``, ``samples`` and ``name``, ``load(buffers, stream)`` and
+    ``points``, ``samples`` and ``name``, ``load(buffers)`` and
     ``digest()``, as ``ArrayFrame`` and ``io.FrameEntry`` have; ``buffers``
     is a dict that a file-backed source may read its files into, reused by
-    the worker for its next frame, and with ``stream`` a source may return
+    the worker for its next frame, and a source loaded into it may return
     a stack already summed, as a ``confidence.StreamedMean``. Frames are
     reduced on ``threads`` workers; the result does not depend on the
     count. ``config`` supplies the seed of logit sampling.
@@ -374,7 +374,7 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
 
 
 def ece(
-    probs: ProbabilityStack,
+    probs: ProbabilityStack | QuantizedStack,
     gt: LabelArray,
     bins: int,
     *,
@@ -384,16 +384,16 @@ def ece(
 
     Equal-width bins over [0, 1]; empty bins contribute nothing. The inputs
     are checked as ``evaluate_split`` checks a frame: the labels must
-    cover the stack's points, every row must be a distribution, and every
-    label must be a class index of the stack or ``ignore_index``.
+    cover the stack's points, every row must be a distribution (checked by
+    ``max_softmax_confidence``), and every label must be a class index of
+    the stack or ``ignore_index``.
     """
     if len(gt) != probs.points:
         raise DimensionMismatch(
             f"probabilities cover {probs.points} points but labels cover {len(gt)}"
         )
-    check_ranges(0, probs.data)
-    check_labels(gt, probs.classes, ignore_index)
     conf, pred = max_softmax_confidence(probs)
+    check_labels(gt, probs.classes, ignore_index)
     scores = conf.scores
     correct = pred.values == gt.values
     if ignore_index is not None:

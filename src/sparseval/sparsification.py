@@ -585,7 +585,7 @@ def per_class_ause(
         raise ValueError(f"unknown confidence measure {measure!r}")
     if probs.samples != 1:
         raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
-    blocks = predictive_blocks(probs, checked=True)
+    blocks = predictive_blocks(probs)
     check_shapes(probs.points, probs.classes, gt, catalog)
     pred, scores = score_columns(probs.points, (measure,))
     reduce_blocks(blocks, pred, scores)

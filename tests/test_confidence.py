@@ -14,18 +14,22 @@ from sparseval import (
     LabelArray,
     LogitTensor,
     ProbabilityStack,
+    QuantizedStack,
     aggregate_samples,
     ause,
+    dequantize,
+    ece,
     entropy_confidence,
     max_softmax_confidence,
     per_class_ause,
     sample_probabilistic_logits,
     pool_split,
     softmax,
+    validate_inputs,
 )
 from sparseval.confidence import _normal_field, predictive_blocks
 from sparseval.core import BLOCK_POINTS
-from sparseval.errors import MissingStddev, NonFiniteInput
+from sparseval.errors import MissingStddev, NonFiniteInput, NotADistribution
 from sparseval.sparsification import class_curves_by_measure
 
 
@@ -161,8 +165,36 @@ def test_stack_block_means_match_aggregate_samples(dtype, samples):
 
 def test_single_sample_stack_blocks_are_views():
     stack = ProbabilityStack(np.full((1, BLOCK_POINTS + 3, 2), 0.5, dtype=np.float32))
-    for _, block in predictive_blocks(stack, checked=True):
+    for _, block in predictive_blocks(stack):
         assert np.shares_memory(block, stack.data)
+
+
+@pytest.mark.parametrize("case", ["off-sum", "quantized-zero-row"])
+def test_confidences_and_ece_check_rows_as_validate_inputs_does(case):
+    rng = np.random.default_rng(19)
+    points, bad = BLOCK_POINTS + 40, BLOCK_POINTS + 9
+    raw = rng.random((1, points, 4)) + 1e-3
+    raw /= raw.sum(axis=2, keepdims=True)
+    gt = LabelArray(rng.integers(0, 4, points))
+    if case == "off-sum":
+        raw[0, bad] *= 0.9
+        stack = whole = ProbabilityStack(raw)
+    else:
+        quantized = np.rint(raw * 65535).astype(np.uint16)
+        clean = QuantizedStack(quantized.copy())
+        # a one-sample quantised stack without a fault is evaluated as its
+        # dequantised rows are
+        assert ece(clean, gt, 15) == ece(dequantize(clean), gt, 15)
+        quantized[0, bad] = 0
+        stack = QuantizedStack(quantized)
+        whole = dequantize(stack)
+    with pytest.raises(NotADistribution) as expected:
+        validate_inputs(whole, gt, ClassCatalog(("a", "b", "c", "d")))
+    assert str(expected.value).endswith(f"at sample 0, point {bad}")
+    for score in (max_softmax_confidence, entropy_confidence, lambda s: ece(s, gt, 15)):
+        with pytest.raises(NotADistribution) as raised:
+            score(stack)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_max_softmax_readoff_and_ties():

@@ -801,6 +801,54 @@ def test_failed_report_write_keeps_the_earlier_report(tmp_path, monkeypatch, fau
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class _FullDisk:
+    """An open file whose writes stop halfway with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_manifest_write_keeps_the_earlier_manifest(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    raw = rng.random((1, 5, 3)) + 1e-3
+    entry = _write_frame(tmp_path, raw / raw.sum(axis=2, keepdims=True), np.zeros(5))
+    path = tmp_path / "manifest.txt"
+    write_manifest(Manifest(ClassCatalog(("a", "b", "c")), (entry,), {}), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(
+        sparseval.io, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)),
+        raising=False,
+    )
+    with pytest.raises(IoFailure) as caught:
+        write_manifest(Manifest(ClassCatalog(("x", "y", "z")), (entry,), {}), path)
+    full = OSError(errno.ENOSPC, "No space left on device")
+    assert str(caught.value) == f"cannot write {path}: {full}"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_an_unreadable_report_is_io_failure(tmp_path, monkeypatch):
+    path = write_report(_hand_report(), tmp_path)["json"]
+
+    def denying(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(file))
+
+    monkeypatch.setattr(sparseval.io, "open", denying, raising=False)
+    with pytest.raises(IoFailure) as caught:
+        read_report(path)
+    denied = PermissionError(errno.EACCES, "Permission denied", str(path))
+    assert str(caught.value) == f"cannot read {path}: {denied}"
+
+
 def test_corrupted_containers_are_rejected_with_exact_classes(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "t.spt"
@@ -932,7 +980,7 @@ def test_whole_and_streamed_loads_match_a_reference_parser(
 
     whole_entry, streamed_entry = dataclasses.replace(entry), dataclasses.replace(entry)
     whole = _outcome(lambda: load_frame(whole_entry))
-    streamed = _outcome(lambda: load_frame(streamed_entry, {}, stream=True))
+    streamed = _outcome(lambda: load_frame(streamed_entry, {}))
     if isinstance(expected, tuple):
         assert whole == streamed == expected
         return
@@ -944,7 +992,7 @@ def test_whole_and_streamed_loads_match_a_reference_parser(
     streamed_payload, streamed_labels = streamed
     samples, itemsize = shape[0], 4 if tag == 1 else 2
     try:
-        means = [block.tobytes() for _, block in predictive_blocks(payload, checked=True)]
+        means = [block.tobytes() for _, block in predictive_blocks(payload)]
     except NotADistribution:
         means = None  # a stack with a fault is read again whole
     streams = samples * itemsize > itemsize + 8 and means is not None
@@ -1069,25 +1117,45 @@ def test_dequantize_peak_stays_near_the_result():
     assert peak < 1.5 * out.nbytes
 
 
-@pytest.mark.parametrize("samples", [1, 2, 20])
-def test_quantized_block_means_match_the_whole_stack_rule(samples):
+def _quantized_stack_and_mean(samples, zero_rows=()):
     # 4200 points are a multiple of neither BLOCK_POINTS nor the range
     # length BLOCK_POINTS // samples, so ranges of every length are met
     points = 4200
     assert points % BLOCK_POINTS and points % (BLOCK_POINTS // samples)
     rng = np.random.default_rng(samples)
     raw = rng.integers(0, 65536, size=(samples, points, 19)).astype(np.uint16)
-    raw[samples - 1, [0, 2047, 2048, 4199]] = 0  # all-zero rows: NaN on both paths
+    raw[samples - 1, list(zero_rows)] = 0
     stack = QuantizedStack(raw)
     reference = _reference_dequantized(raw)
     mean = reference.mean(axis=0, dtype=np.float64).astype(np.float32)[None]
-    blocks = list(predictive_blocks(stack))
-    assert [lo for lo, _ in blocks] == list(range(0, points, BLOCK_POINTS))
-    streamed = np.concatenate([b for _, b in blocks], axis=1)
-    assert streamed.dtype == np.float32 and streamed.tobytes() == mean.tobytes()
-    assert np.isnan(streamed[0, [0, 2047, 2048, 4199]]).all()
     assert dequantize(stack).data.tobytes() == reference.tobytes()
     assert aggregate_samples(stack).data.tobytes() == mean.tobytes()
+    return stack, mean
+
+
+@pytest.mark.parametrize("samples", [1, 2, 20])
+def test_quantized_block_means_match_the_whole_stack_rule(samples):
+    stack, mean = _quantized_stack_and_mean(samples)
+    blocks = list(predictive_blocks(stack))
+    assert [lo for lo, _ in blocks] == list(range(0, stack.points, BLOCK_POINTS))
+    streamed = np.concatenate([b for _, b in blocks], axis=1)
+    assert streamed.dtype == np.float32 and streamed.tobytes() == mean.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 2, 20])
+def test_quantized_zero_rows_are_nan_in_the_whole_stack_and_raise_in_blocks(samples):
+    rows = [0, 2047, 2048, 4199]
+    stack, mean = _quantized_stack_and_mean(samples, rows)
+    assert np.isnan(dequantize(stack).data[samples - 1, rows]).all()
+    assert np.isnan(mean[0, rows]).all()
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(19)))
+    gt = LabelArray(np.zeros(stack.points, dtype=np.uint8))
+    with pytest.raises(NotADistribution) as whole:
+        validate_inputs(dequantize(stack), gt, catalog)
+    assert str(whole.value) == f"row sum nan at sample {samples - 1}, point 0"
+    with pytest.raises(NotADistribution) as blocked:
+        list(predictive_blocks(stack))
+    assert str(blocked.value) == str(whole.value)
 
 
 def test_quantized_zero_row_raises_like_validate_inputs_on_the_dequantized_stack(tmp_path):

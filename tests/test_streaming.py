@@ -150,8 +150,8 @@ def test_stacks_of_many_samples_are_not_loaded_whole(
     loads = []
     original = io.load_frame
 
-    def counting_load(entry, buffers=None, *, stream=False):
-        payload, labels = original(entry, buffers, stream=stream)
+    def counting_load(entry, buffers=None):
+        payload, labels = original(entry, buffers)
         if not isinstance(payload, StreamedMean):
             loads.append(entry.name)
         return payload, labels
@@ -165,7 +165,7 @@ def test_stacks_of_many_samples_are_not_loaded_whole(
 def test_a_streaming_load_returns_a_stack_of_few_samples_whole(tmp_path, dtype, samples):
     stack = _stack(np.random.default_rng(41), samples, BLOCK_POINTS + 50, 3, dtype)
     entry = read_manifest(_one_frame(tmp_path, stack)).frames[0]
-    payload, _ = io.load_frame(entry, {}, stream=True)
+    payload, _ = io.load_frame(entry, {})
     assert type(payload) is (QuantizedStack if dtype == np.uint16 else ProbabilityStack)
     assert payload.data.tobytes() == stack.tobytes()
 
@@ -174,11 +174,11 @@ def test_a_streaming_load_returns_a_stack_of_few_samples_whole(tmp_path, dtype, 
 def test_a_streaming_load_returns_a_stack_of_many_samples_as_its_mean(tmp_path, dtype, samples):
     stack = _stack(np.random.default_rng(42), samples, 2 * BLOCK_POINTS + 50, 3, dtype)
     entry = read_manifest(_one_frame(tmp_path, stack)).frames[0]
-    payload, _ = io.load_frame(entry, {}, stream=True)
+    payload, _ = io.load_frame(entry, {})
     assert isinstance(payload, StreamedMean) and payload.samples == samples
     whole = QuantizedStack(stack) if dtype == np.uint16 else ProbabilityStack(stack)
-    expected = [(lo, block.tobytes()) for lo, block in predictive_blocks(whole, checked=True)]
-    got = [(lo, block.tobytes()) for lo, block in predictive_blocks(payload, checked=True)]
+    expected = [(lo, block.tobytes()) for lo, block in predictive_blocks(whole)]
+    got = [(lo, block.tobytes()) for lo, block in predictive_blocks(payload)]
     assert got == expected
 
 
@@ -195,7 +195,7 @@ def test_a_streaming_load_reads_a_stack_with_a_fault_again_whole(tmp_path, monke
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(io, "open", counting_open, raising=False)
-    payload, _ = io.load_frame(entry, {}, stream=True)
+    payload, _ = io.load_frame(entry, {})
     assert type(payload) is QuantizedStack and payload.data.tobytes() == stack.tobytes()
     assert sorted(opened) == ["f0.labels.spt", "f0.probs.spt", "f0.probs.spt"]
     assert entry.digest() == plain.digest()
@@ -462,7 +462,7 @@ def test_streamed_frame_reduction_holds_one_sample_and_the_sum(tmp_path):
 def test_streamed_mean_yields_the_bits_of_predictive_blocks(dtype, samples):
     stack = _stack(np.random.default_rng(samples), samples, 2 * BLOCK_POINTS + 33, 7, dtype)
     payload = QuantizedStack(stack) if dtype == np.uint16 else ProbabilityStack(stack)
-    expected = [(lo, block.copy()) for lo, block in predictive_blocks(payload, checked=True)]
+    expected = [(lo, block.copy()) for lo, block in predictive_blocks(payload)]
     mean = StreamedMean({})
     for slab in stack:
         mean.add(slab)
