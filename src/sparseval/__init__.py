@@ -42,6 +42,7 @@ from .io import (
 )
 from .pipeline import (
     ArrayFrame,
+    ClassAuse,
     ClassRow,
     EvalReport,
     PooledSplit,
@@ -49,6 +50,7 @@ from .pipeline import (
     ece,
     evaluate_split,
     filter_and_aggregate,
+    per_class_ause,
     per_frame_class_ause,
     pool_split,
     scatter_export,
@@ -63,14 +65,12 @@ from .segmetrics import (
     miou_with_absent_as_zero,
 )
 from .sparsification import (
-    ClassAuse,
     CurvePair,
     FractionGrid,
     ause,
     brute_force_ause,
     curve_pair,
     oracle_curve,
-    per_class_ause,
     relevant_subset,
     sparsification_curve,
 )

@@ -313,11 +313,11 @@ class StreamedMean:
     has the bits of ``aggregate_samples``: ``blocks`` yields it divided by
     the sample count and cast to the stack's type (float32 for uint16).
 
-    A slab with a fault sets ``clean`` to False, and the mean is then not
-    to be read. The error is not raised here: which one ``validate_inputs``
-    reports depends on every sample of the range at fault, so
-    ``core.check_ranges`` over the whole stack raises it. A fault is found
-    in some slab exactly when that check finds one in the stack.
+    A slab with a fault sets ``clean`` to False, and ``blocks`` then raises
+    ``NotADistribution``. The error that names the fault is not raised:
+    it depends on every sample of the range at fault, so
+    ``core.check_ranges`` over the whole stack raises it, and finds a
+    fault exactly when some slab has one.
 
     The sum, the dequantised rows and the blocks are ``core.scratch``
     arrays of ``buffers``, so a worker that passes the same dict for every
@@ -367,7 +367,9 @@ class StreamedMean:
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The mean, ``(start, block)`` in point order as ``predictive_blocks``
         yields it; with ``buffers`` each block is overwritten by the next,
-        and ``total`` is divided in place."""
+        and ``total`` is divided in place. Not ``clean``, it raises."""
+        if not self.clean:
+            raise NotADistribution(f"a row of {self.samples} summed samples is no distribution")
         for lo in range(0, self.points, BLOCK_POINTS):
             part = self.total[lo : lo + BLOCK_POINTS]
             part /= self.samples

@@ -5,10 +5,12 @@ rare classes are judged on every point they have in the split rather than on
 frame-sized fragments. The pooled columns are allocated once, sized from
 every frame's point count, and each frame is reduced straight into its rows,
 so nothing is concatenated and the split holds about 18 bytes per kept point
-(``pool_split``). Each frame's samples are checked and summed in float64 in
-sample order, faults named in range order, by one accumulator
-(``confidence.StreamedMean``), whether io hands on the frame whole or
-already summed. Confusion counts are accumulated per frame and merged.
+(``pool_split``). One helper, ``_reduce``, checks and reduces a stack into
+columns and counts its labels, for each pooled frame and for the one stack
+of ``per_class_ause``: samples are checked and summed in float64 in sample
+order, faults named in range order, by ``confidence.StreamedMean``, whether
+io hands on the frame whole or already summed. Confusion counts are
+accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
@@ -62,7 +64,7 @@ from .segmetrics import (
     miou,
     miou_with_absent_as_zero,
 )
-from .sparsification import ause, class_curves_by_measure
+from .sparsification import CurvePair, ause, class_curves_by_measure
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,17 @@ class ScatterExport:
 
 
 @dataclass(frozen=True)
+class ClassAuse:
+    """Per-class outcome: area value, subset size, and the underlying curves."""
+
+    class_index: int
+    name: str
+    ause: float | None
+    relevant_count: int
+    curves: CurvePair | None
+
+
+@dataclass(frozen=True)
 class PooledSplit:
     """Every frame of a split reduced once into one point set, ignored points
     dropped; built by ``pool_split``. Frame ``i`` owns the points
@@ -170,33 +183,36 @@ class PooledSplit:
         return binned_ece(self.confidences["max_softmax"].scores, correct, bins)
 
 
-def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
-    """Load one frame and reduce it into the rows ``lo:hi`` of the pooled
-    columns; return its confusion, its kept point count and provenance.
+def _reduce(payload, labels, catalog, pred, scores, samples=1, seed=0) -> ConfusionMatrix:
+    """Check a frame and reduce its payload into the columns ``pred`` and
+    ``scores`` (``score_columns``) a block of ``core.BLOCK_POINTS`` points
+    at a time, each in cache; return the frame's confusion. Stack samples
+    are checked and summed in sample order by ``confidence.StreamedMean``,
+    a fault raising the error of ``validate_inputs``; logits with a stddev
+    are sampled ``samples`` times with ``seed``.
+    """
+    blocks = predictive_blocks(payload, samples, seed)
+    check_shapes(payload.points, payload.classes, labels, catalog)
+    reduce_blocks(blocks, pred, scores)
+    check_labels(labels, catalog.k, catalog.ignore_index)
+    return confusion(LabelArray(pred), labels, catalog)
 
-    The frame is reduced block by block (``core.BLOCK_POINTS`` points): each
-    block of the predictive distribution is drawn and reduced to
-    predictions and scores while it is in cache. Its samples are checked
-    and summed in float64 in sample order by ``confidence.StreamedMean``,
-    and a fault raises the error of ``validate_inputs``, naming the sample
-    and point of the earliest range at fault. Frame files are read into
-    ``buffers``, which the worker reuses from frame to frame, so nothing of
-    the frame outlives this call but its counts and its digest, and a
-    manifest frame of many samples comes back from io already summed. The
-    labels are copied into the frame's rows of ``gt`` (``_keep_rows``),
-    whose type holds a class index.
+
+def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
+    """Load one frame and reduce it (``_reduce``) into the rows ``lo:hi`` of
+    the pooled columns; return its confusion, kept point count and
+    provenance. Files are read into the worker's ``buffers``, so nothing of
+    the frame outlives this call but its counts and digest. The kept labels
+    go to the frame's rows of ``gt`` (``_keep_rows``).
     """
     try:
         payload, labels = source.load(buffers)
         if len(labels) != hi - lo:
             raise ShapeMismatch(f"loaded {len(labels)} points but declared {hi - lo}")
         seed = derive_stream_seed(config.rng_seed, index)
-        blocks = predictive_blocks(payload, source.samples, seed)
-        check_shapes(payload.points, payload.classes, labels, catalog)
         pred = columns["pred"][lo:hi]
-        reduce_blocks(blocks, pred, {m: columns[m][lo:hi] for m in MEASURES if m in columns})
-        check_labels(labels, catalog.k, catalog.ignore_index)
-        counts = confusion(LabelArray(pred), labels, catalog)
+        scores = {m: columns[m][lo:hi] for m in MEASURES if m in columns}
+        counts = _reduce(payload, labels, catalog, pred, scores, source.samples, seed)
     except SparsevalError as exc:
         raise _in_frame(exc, index, source) from exc
     kept = _keep_rows(columns, lo, labels.values, catalog.ignore_index)
@@ -414,8 +430,11 @@ def filter_and_aggregate(report: EvalReport, threshold: float | None = None) -> 
     recompute the filtered mean AUSE over the remaining rows.
 
     The unfiltered aggregates are kept untouched so both views stay available.
+    The threshold, the report's own by default, must lie in [0, 1).
     """
     thr = report.filter_threshold if threshold is None else as_real("threshold", threshold)
+    if not 0.0 <= thr < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {thr}")
     for row in report.rows:
         row.filtered = row.iou is None or row.iou < thr
     kept = [row for row in report.rows if not row.filtered]
@@ -474,13 +493,9 @@ def evaluate_split(
         iou_val = (
             float(iou_vec.values[class_index]) if iou_vec.present[class_index] else None
         )
-        pairs = curve_sets[class_index]
-        if pairs is None:
-            row_ause: dict[str, float | None] = {m: None for m in measures}
-            rel = 0
-        else:
-            row_ause = {m: ause(pairs[m]) for m in measures}
-            rel = next(iter(pairs.values())).relevant_count
+        pairs = curve_sets[class_index] or {}
+        row_ause = {m: ause(pairs[m]) if pairs else None for m in measures}
+        rel = pairs[measures[0]].relevant_count if pairs else 0
         rows.append(ClassRow(name, class_index, iou_val, row_ause, rel))
 
     report = EvalReport(
@@ -509,6 +524,36 @@ def evaluate_split(
         # the strict operation raises; the pipeline keeps the report usable
         pass
     return report
+
+
+def per_class_ause(
+    probs: ProbabilityStack,
+    gt: LabelArray,
+    catalog: ClassCatalog,
+    measure: str,
+    config: EvalConfig | None = None,
+) -> list[ClassAuse]:
+    """Per-class AUSE of one aggregated stack under one confidence measure.
+
+    The stack is checked and reduced block by block, as each frame of a
+    split is (``_reduce``), and every class is then read from the one curve
+    engine, with the counts of that reduction.
+    """
+    config = config or EvalConfig()
+    if measure not in MEASURES:
+        raise ValueError(f"unknown confidence measure {measure!r}")
+    if probs.samples != 1:
+        raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
+    pred, scores = score_columns(probs.points, (measure,))
+    counts = _reduce(probs, gt, catalog, pred, scores)
+    conf = {measure: ConfidenceVector(measure, scores[measure])}
+    curves = class_curves_by_measure(LabelArray(pred), gt, conf, catalog, config, _counts=counts)
+    pairs = [None if found is None else found[measure] for found in curves]
+    return [
+        ClassAuse(c, name, None, 0, None) if pair is None
+        else ClassAuse(c, name, ause(pair), pair.relevant_count, pair)
+        for c, (name, pair) in enumerate(zip(catalog.names, pairs))
+    ]
 
 
 def per_frame_class_ause(

@@ -28,7 +28,9 @@ sub-block plus a scan of that one sub-block. The oracle curve is
 closed-form in the class's true-positive and error counts, so it needs no
 sort. The engine reads its ranking policy (tie order, seed, domain) from
 an ``EvalConfig``, which the one-class entry points build from their
-keywords.
+keywords, and returns the public ``CurvePair`` of each class and measure.
+Curves need labels and scores only: reducing a probability stack to them
+is the pipeline's work (``pipeline.per_class_ause``).
 """
 from __future__ import annotations
 
@@ -37,18 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import predictive_blocks, reduce_blocks, score_columns
 from .core import (
     ClassCatalog,
     ConfidenceVector,
     EvalConfig,
     LabelArray,
-    MEASURES,
-    ProbabilityStack,
     SCAN_POINTS,
     as_integer,
-    check_labels,
-    check_shapes,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
 from .segmetrics import ConfusionMatrix, confusion
@@ -104,17 +101,6 @@ class CurvePair:
         object.__setattr__(self, "oracle_error", orac)
 
 
-@dataclass(frozen=True)
-class ClassAuse:
-    """Per-class outcome: area value, subset size, and the underlying curves."""
-
-    class_index: int
-    name: str
-    ause: float | None
-    relevant_count: int
-    curves: CurvePair | None
-
-
 def relevant_subset(
     pred: LabelArray, gt: LabelArray, catalog: ClassCatalog, class_index: int
 ) -> np.ndarray:
@@ -139,12 +125,26 @@ def _remaining_error(rem_tp: np.ndarray, rem_err: np.ndarray) -> np.ndarray:
     return errors
 
 
-def _oracle_error(n: int, n_tp: int, n_err: int, grid: FractionGrid) -> np.ndarray:
-    """Error curve over a domain of n points when the best order removes them."""
-    removed = grid.removal_counts(n)
+def _totals(matrix: ConfusionMatrix, classes: Sequence[int]) -> list[tuple[int, int]]:
+    """(relevant points, true positives) of each of ``classes`` in the
+    confusion ``matrix``; an index outside the catalog, negative ones
+    included, has no points, since confusion admits no label outside it."""
+    tps = np.diag(matrix.counts)
+    relevant = matrix.counts.sum(axis=0) + matrix.counts.sum(axis=1) - tps
+    return [(int(relevant[c]), int(tps[c])) if 0 <= c < matrix.k else (0, 0) for c in classes]
+
+
+def _oracle_error(
+    n_rel: int, n_tp: int, n: int, grid: FractionGrid, ranking_domain: str
+) -> np.ndarray:
+    """Error curve of a class with ``n_rel`` relevant points, ``n_tp`` of
+    them true positives, when the best order removes the points of its
+    ranking domain: its relevant points, or all ``n`` kept points."""
+    domain = n_rel if ranking_domain == "subset" else n
+    removed, n_err = grid.removal_counts(domain), n_rel - n_tp
     # errors go first, then points irrelevant to the class, then true positives
     return _remaining_error(
-        n_tp - np.maximum(0, removed - (n - n_tp)), n_err - np.minimum(removed, n_err)
+        n_tp - np.maximum(0, removed - (domain - n_tp)), n_err - np.minimum(removed, n_err)
     )
 
 
@@ -326,15 +326,15 @@ def _class_curves(
     classes: Sequence[int],
     config: EvalConfig,
     counts: ConfusionMatrix | None = None,
-) -> list[tuple[int, np.ndarray, dict[str, np.ndarray]] | None]:
-    """(relevant count, oracle error, {measure: sparsification error}) per class.
+) -> list[dict[str, CurvePair] | None]:
+    """{measure: CurvePair} per entry of ``classes``, None for a class with
+    no relevant point: the single curve engine behind every public entry.
 
-    The single curve engine behind every public entry point; a class with
-    no relevant point gives None. The ranking policy is read from
-    ``config`` (tie_break, rng_seed, ranking_domain), which checked it; the
-    grid is its own argument. Labels are checked and each class counted by
-    ``confusion``, unless the caller hands in ``counts``, the confusion of
-    these very labels, which it has checked.
+    The ranking policy is read from ``config`` (tie_break, rng_seed,
+    ranking_domain), which checked it. Labels are checked and each class
+    counted by ``confusion``, unless the caller hands in ``counts``, the
+    confusion of these very labels, which it has checked. A class's oracle
+    is closed-form in its counts, computed once for all its pairs.
 
     Per measure, the kept labels are gathered into ranking order and padded
     with the label k to a whole number of sub-blocks; ``_removals`` reads
@@ -354,14 +354,14 @@ def _class_curves(
             raise DimensionMismatch(
                 f"confidence covers {len(conf)} points but labels cover {len(gt)}"
             )
-    n, tps = matrix.total, np.diag(matrix.counts)
-    relevant = matrix.counts.sum(axis=0) + matrix.counts.sum(axis=1) - tps
-    k = catalog.k
-    # (relevant points, true positives) per class; an index outside the
-    # catalog has no points, since confusion admits no label outside it
-    totals = [(int(relevant[c]), int(tps[c])) if 0 <= c < k else (0, 0) for c in classes]
+    n, k = matrix.total, catalog.k
+    totals = _totals(matrix, classes)
     if not any(n_rel for n_rel, _ in totals):
         return [None] * len(totals)
+    oracles = [
+        None if n_rel == 0 else _oracle_error(n_rel, n_tp, n, grid, config.ranking_domain)
+        for n_rel, n_tp in totals
+    ]
     keep = None if n == len(gt) else gt.values != catalog.ignore_index
     # kept labels in the smallest type holding k, the padding label: the
     # type of the pooled columns up to 255 classes
@@ -377,7 +377,7 @@ def _class_curves(
         # one shuffle of the whole ranking domain, shared by every class and
         # measure; restricted to one class it is a uniform shuffle of that class
         perm = np.random.default_rng(config.rng_seed).permutation(n)
-    spars = [{} for _ in totals]
+    out = [None if n_rel == 0 else {} for n_rel, _ in totals]
     for measure, conf in confs.items():
         scores = conf.scores if keep is None else conf.scores[keep]
         order = _stable_order(scores, perm)
@@ -392,36 +392,13 @@ def _class_curves(
             ranked_g, ranked_p, n, k, grid, classes, totals, config.ranking_domain
         )
         del ranked_g, ranked_p
-        for curves, (n_rel, n_tp), cut in zip(spars, totals, removals):
+        for c, pairs, orac, (n_rel, n_tp), cut in zip(classes, out, oracles, totals, removals):
             if cut is not None:
                 removed, removed_tp = cut
-                curves[measure] = _remaining_error(
-                    n_tp - removed_tp, (n_rel - n_tp) - (removed - removed_tp)
-                )
-    out = []
-    for curves, (n_rel, n_tp) in zip(spars, totals):
-        if n_rel == 0:
-            out.append(None)
-            continue
-        domain = n_rel if config.ranking_domain == "subset" else n
-        out.append((n_rel, _oracle_error(domain, n_tp, n_rel - n_tp, grid), curves))
+                err = (n_rel - n_tp) - (removed - removed_tp)
+                spars = _remaining_error(n_tp - removed_tp, err)
+                pairs[measure] = CurvePair(c, grid, spars, orac, n_rel)
     return out
-
-
-def _single_class(
-    pred: LabelArray,
-    gt: LabelArray,
-    confs: dict[str, ConfidenceVector],
-    catalog: ClassCatalog,
-    class_index: int,
-    grid: FractionGrid,
-    config: EvalConfig,
-) -> tuple[int, np.ndarray, dict[str, np.ndarray]]:
-    """The engine's result for one class; EmptySubset if it has no points."""
-    curves = _class_curves(pred, gt, confs, catalog, grid, (class_index,), config)[0]
-    if curves is None:
-        raise EmptySubset(f"class {class_index} has no ground-truth or predicted points")
-    return curves
 
 
 def sparsification_curve(
@@ -463,7 +440,11 @@ def oracle_curve(
 ) -> np.ndarray:
     """Error curve under the best possible order: incorrect points first."""
     config = EvalConfig(ranking_domain=ranking_domain)
-    return _single_class(pred, gt, {}, catalog, class_index, grid, config)[1]
+    matrix = confusion(pred, gt, catalog)
+    (n_rel, n_tp), = _totals(matrix, (class_index,))
+    if n_rel == 0:
+        raise EmptySubset(f"class {class_index} has no ground-truth or predicted points")
+    return _oracle_error(n_rel, n_tp, matrix.total, grid, config.ranking_domain)
 
 
 def curve_pair(
@@ -481,8 +462,10 @@ def curve_pair(
     """Both curves of one class over a shared grid."""
     config = EvalConfig(tie_break=tie_break, rng_seed=seed, ranking_domain=ranking_domain)
     confs = {conf.measure: conf}
-    relevant, orac, spars = _single_class(pred, gt, confs, catalog, class_index, grid, config)
-    return CurvePair(class_index, grid, spars[conf.measure], orac, relevant)
+    pairs, = _class_curves(pred, gt, confs, catalog, grid, (class_index,), config)
+    if pairs is None:
+        raise EmptySubset(f"class {class_index} has no ground-truth or predicted points")
+    return pairs[conf.measure]
 
 
 def ause(curves: CurvePair) -> float:
@@ -550,56 +533,9 @@ def class_curves_by_measure(
 
     Each measure is ranked once for all classes, and the oracle curve, which
     does not depend on the measure, once per class. Classes with empty
-    relevant subsets yield None. ``_counts`` is for ``evaluate_split``
-    only: the confusion its pooled split already holds of these very
-    labels, which were checked when the split was pooled.
+    relevant subsets yield None. ``_counts`` is the confusion of these very
+    labels, checked by the caller, as ``evaluate_split`` and
+    ``per_class_ause`` hold it already.
     """
     grid = FractionGrid(config.grid_steps)
-    curves = _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), config, _counts)
-    out: list[dict[str, CurvePair] | None] = []
-    for class_index, found in enumerate(curves):
-        if found is None:
-            out.append(None)
-            continue
-        relevant, orac, spars = found
-        out.append(
-            {m: CurvePair(class_index, grid, s, orac, relevant) for m, s in spars.items()}
-        )
-    return out
-
-
-def per_class_ause(
-    probs: ProbabilityStack,
-    gt: LabelArray,
-    catalog: ClassCatalog,
-    measure: str,
-    config: EvalConfig | None = None,
-) -> list[ClassAuse]:
-    """Per-class AUSE of one aggregated stack under one confidence measure.
-
-    The stack is checked and reduced block by block, as each frame of a
-    split is, and every class is then read from the one curve engine.
-    """
-    config = config or EvalConfig()
-    if measure not in MEASURES:
-        raise ValueError(f"unknown confidence measure {measure!r}")
-    if probs.samples != 1:
-        raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
-    blocks = predictive_blocks(probs)
-    check_shapes(probs.points, probs.classes, gt, catalog)
-    pred, scores = score_columns(probs.points, (measure,))
-    reduce_blocks(blocks, pred, scores)
-    check_labels(gt, catalog.k, catalog.ignore_index)
-    conf = ConfidenceVector(measure, scores[measure])
-    curves = class_curves_by_measure(LabelArray(pred), gt, {measure: conf}, catalog, config)
-    results = []
-    for class_index, name in enumerate(catalog.names):
-        pairs = curves[class_index]
-        if pairs is None:
-            results.append(ClassAuse(class_index, name, None, 0, None))
-        else:
-            pair = pairs[measure]
-            results.append(
-                ClassAuse(class_index, name, ause(pair), pair.relevant_count, pair)
-            )
-    return results
+    return _class_curves(pred, gt, confs, catalog, grid, range(catalog.k), config, _counts)

@@ -64,6 +64,32 @@ def test_no_module_imports_private_names_of_another():
     assert [hit for path in modules for hit in foreign_private_names(path)] == []
 
 
+def package_imports(path: Path) -> set[str]:
+    """The sparseval modules that a module imports, by relative or absolute
+    import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "sparseval":
+                continue
+            module = node.module if node.level else node.module.partition(".")[2]
+            # "from . import errors" names the modules themselves
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.partition(".")[2]
+                for alias in node.names
+                if alias.name.startswith("sparseval.")
+            )
+    return found
+
+
+def test_the_curve_engine_depends_on_no_confidence_or_pipeline_code():
+    # curves take labels and scores; how the scores were reduced is not
+    # their concern
+    assert package_imports(PACKAGE / "sparsification.py") == {"core", "errors", "segmetrics"}
+
+
 def test_benchmark_tracer_resolves_every_traced_name(monkeypatch):
     # the benchmark's tracer looks each traced function up by name, so a
     # renamed or removed one fails here; install may patch some names before

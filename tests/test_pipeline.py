@@ -394,6 +394,11 @@ def test_filter_marks_and_aggregates():
     for bad in ("0.5", float("nan")):
         with pytest.raises(ValueError, match="^threshold must be a finite number"):
             filter_and_aggregate(report, bad)
+    # the range EvalConfig admits: at -1.0 an IoU-0 class would not be filtered
+    for bad in (-1.0, 1.0):
+        with pytest.raises(ValueError, match=r"^threshold must lie in \[0, 1\)"):
+            filter_and_aggregate(report, bad)
+    assert report.filter_threshold == 0.03
 
 
 def test_filter_all_classes_raises():

@@ -126,10 +126,15 @@ def test_empty_subset_raises():
         curve_pair(pred, gt, conf, CAT2, 0, GRID4)
     with pytest.raises(EmptySubset):
         brute_force_ause(pred, gt, conf, CAT2, 0)
-    # a class index outside the catalog has no points either
+    # a class index outside the catalog has no points either; -1 must not
+    # wrap round to the last class, which has points
     for outside in (2, -1):
         with pytest.raises(EmptySubset):
             curve_pair(pred, gt, conf, CAT2, outside, GRID4)
+        with pytest.raises(EmptySubset):
+            oracle_curve(pred, gt, CAT2, outside, GRID4)
+        with pytest.raises(EmptySubset):
+            sparsification_curve(pred, gt, conf, CAT2, outside, GRID4)
     # the whole-catalog entry point reports the empty class as None instead
     pairs = class_curves_by_measure(pred, gt, {"max_softmax": conf}, CAT2, EvalConfig())
     assert pairs[0] is None

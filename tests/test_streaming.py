@@ -26,6 +26,7 @@ from sparseval import (
     dequantize,
     evaluate_split,
     io,
+    pool_split,
     read_manifest,
     write_manifest,
     write_tensor,
@@ -472,3 +473,37 @@ def test_streamed_mean_yields_the_bits_of_predictive_blocks(dtype, samples):
     for (_, a), (_, b) in zip(got, expected):
         assert a.dtype == b.dtype == np.float32
         assert a.tobytes() == b.tobytes()
+
+
+@dataclasses.dataclass
+class _SummedSource:
+    """A frame source whose load returns a stack already summed, as a
+    source loaded into a buffer dict may."""
+
+    slabs: tuple
+    points: int = 3
+    samples: int = 1
+    name: str = "summed"
+
+    def load(self, buffers):
+        mean = StreamedMean(buffers)
+        for slab in self.slabs:
+            mean.add(slab)
+        return mean, LabelArray(np.array([0, 1, 0]))
+
+    def digest(self):
+        return "0" * 64
+
+
+def test_a_streamed_mean_with_a_fault_raises_when_read():
+    mean, _ = _SummedSource((np.full((3, 2), 0.7),)).load(None)
+    assert not mean.clean
+    with pytest.raises(NotADistribution, match="is no distribution"):
+        next(mean.blocks())
+    catalog = ClassCatalog(("a", "b"))
+    good = np.full((3, 2), 0.5)
+    split = pool_split([_SummedSource((good, good))], catalog)
+    assert split.confidences["max_softmax"].scores.tolist() == [0.5] * 3
+    # one sample at fault spoils the mean; pooling names the frame
+    with pytest.raises(NotADistribution, match=r"^frame 0 \(summed\): a row of 2 summed samples"):
+        pool_split([_SummedSource((good, np.full((3, 2), 0.7)))], catalog)
