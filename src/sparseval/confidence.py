@@ -8,15 +8,15 @@ Every score is computed block by block, ``core.BLOCK_POINTS`` points at a
 time: ``predictive_blocks`` yields a frame's predictive distribution in
 checked blocks, and one block kernel, behind ``reduce_blocks``, writes each
 block's argmax, max-softmax and entropy into given columns while the block
-is in cache.
-``max_softmax_confidence`` and ``entropy_confidence`` are thin wrappers
-over it. Every stack of several samples or of uint16 ones is averaged by
-one accumulator, ``StreamedMean``, which checks each sample's rows and sums
-the samples in float64 in sample order, a fault being named as
-``core.check_ranges`` names it, in range order. Sampled logits are drawn
-and averaged over the ranges of ``core.sample_ranges``, and plain logits
-are softmaxed a block at a time, so no float samples x points x classes
-stack of a frame is ever built.
+is in cache; ``max_softmax_confidence`` and ``entropy_confidence`` wrap it.
+Every stack of several samples or of uint16 ones is averaged by one
+accumulator, ``StreamedMean``, which checks each sample's rows and sums the
+samples in float64 in sample order, three blocks of a sample at a time, a
+fault being named as ``core.check_ranges`` names it, in range order. The
+float64 rows of a dequantised chunk live only until the sum is complete.
+Sampled logits are drawn and averaged over the ranges of
+``core.sample_ranges``, and plain logits are softmaxed a block at a time,
+so no float samples x points x classes stack of a frame is ever built.
 
 scipy supplies only ``ndtri``, the inverse normal CDF behind the noise of
 Gaussian logits, and is imported when the first ``LogitTensor`` with a
@@ -46,7 +46,7 @@ from .core import (
     sample_ranges,
     scratch,
 )
-from .errors import MissingStddev, NonFiniteInput, NotADistribution
+from .errors import MissingStddev, NonFiniteInput, NotADistribution, ShapeMismatch
 
 # SplitMix64 finalizer constants plus one odd multiplier per index axis;
 # the noise value at (sample, point, class) depends only on the seed and
@@ -229,8 +229,9 @@ def _dequantized(raw: np.ndarray, buffers: dict | None = None) -> tuple[np.ndarr
     up to 2^21 classes every partial sum is exact in float64, the sum does
     not depend on the order of its terms, and one matrix product takes all
     of them. An all-zero row sums to 0 and comes out NaN. The results and
-    the float64 temporary are ``core.scratch`` arrays of ``buffers``, valid
-    until its next use; without ``buffers`` they are new arrays.
+    the float64 rows, 12 B a value (``StreamedMean`` drops those once its
+    ``_CHUNK_ROWS``-row chunks are summed), are ``core.scratch`` arrays of
+    ``buffers``, valid until its next use; else they are new arrays.
     """
     probs = scratch(buffers, "dequantized", raw.shape, np.float32)
     np.copyto(probs, raw)
@@ -301,27 +302,33 @@ def _checked_blocks(
         yield lo, block
 
 
+# rows of a slab that ``StreamedMean.add`` checks and sums at a time: few
+# numpy calls per slab, so pooling workers seldom wait on each other for the
+# GIL, while the dequantised rows (float32 and float64, 12 B a value) take
+# 36 B a value of one block, within five float64 blocks for any class count
+_CHUNK_ROWS = 3 * BLOCK_POINTS
+
+
 class StreamedMean:
     """The sample mean of a probability stack that is fed one sample at a time.
 
     The one accumulator of every stack of several samples or of uint16
     ones: ``predictive_blocks`` feeds it one block of each sample, and
     ``io.load_frame`` one sample of a file. ``add`` takes (points, classes)
-    slabs, float or uint16, in sample order, checks each ``BLOCK_POINTS``
-    rows at a time (a uint16 one dequantised by the rule of ``dequantize``)
-    and adds it into a float64 sum, ``total``. Summed in sample order, it
-    has the bits of ``aggregate_samples``: ``blocks`` yields it divided by
-    the sample count and cast to the stack's type (float32 for uint16).
+    slabs, float or uint16, in sample order, checks them ``_CHUNK_ROWS``
+    rows at a time (uint16 ones dequantised by ``_dequantized``) and adds
+    them into a float64 sum, ``total``. Summed in sample order, it has the
+    bits of ``aggregate_samples``: ``blocks`` yields it divided by the
+    sample count and cast to the stack's type (float32 for uint16).
 
     A slab with a fault sets ``clean`` to False, and ``blocks`` then raises
-    ``NotADistribution``. The error that names the fault is not raised:
-    it depends on every sample of the range at fault, so
-    ``core.check_ranges`` over the whole stack raises it, and finds a
-    fault exactly when some slab has one.
+    ``NotADistribution``. The error that names the fault depends on every
+    sample of the range at fault: ``core.check_ranges`` over the whole
+    stack raises it, and finds a fault exactly when some slab has one.
 
     The sum, the dequantised rows and the blocks are ``core.scratch``
-    arrays of ``buffers``, so a worker that passes the same dict for every
-    frame allocates them once; without ``buffers`` each block is new.
+    arrays of ``buffers``, kept from frame to frame of a worker but for the
+    float64 rows, dropped once the sum is complete; else each is new.
     """
 
     def __init__(self, buffers: dict | None = None):
@@ -330,21 +337,23 @@ class StreamedMean:
         self.clean = True
         self.total: np.ndarray | None = None
 
-    @property
-    def points(self) -> int:
-        return int(self.total.shape[0])
+    points = property(lambda self: self._filled().shape[0])
+    classes = property(lambda self: self._filled().shape[1])
 
-    @property
-    def classes(self) -> int:
-        return int(self.total.shape[1])
+    def _filled(self) -> np.ndarray:
+        if self.total is None:
+            raise ShapeMismatch("no sample was added to the mean")
+        return self.total
 
     def add(self, slab: np.ndarray) -> None:
-        """Check the next sample's slab and add it into ``total``."""
+        """Check the next sample's slab, of the first one's shape, and add it into ``total``."""
         if self.total is None:
             self.total = scratch(self.buffers, "sum", slab.shape, np.float64)
             self.dtype = np.float32 if slab.dtype.kind == "u" else slab.dtype
-        for lo in range(0, slab.shape[0], BLOCK_POINTS):
-            rows = slab[None, lo : lo + BLOCK_POINTS]
+        elif slab.shape != self.total.shape:
+            raise ShapeMismatch(f"a slab of {slab.shape} added to a sum of {self.total.shape}")
+        for lo in range(0, slab.shape[0], _CHUNK_ROWS):
+            rows = slab[None, lo : lo + _CHUNK_ROWS]
             if rows.dtype.kind == "u":
                 rows, sums = _dequantized(rows, self.buffers)
                 # a renormalised value lies in [0, 1], and a row sums to 1
@@ -366,16 +375,19 @@ class StreamedMean:
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The mean, ``(start, block)`` in point order as ``predictive_blocks``
-        yields it; with ``buffers`` each block is overwritten by the next,
-        and ``total`` is divided in place. Not ``clean``, it raises."""
+        yields it, as often as it is read; with ``buffers`` each block is
+        overwritten by the next. Not ``clean``, it raises."""
         if not self.clean:
             raise NotADistribution(f"a row of {self.samples} summed samples is no distribution")
+        # the sum is complete: the chunk's float64 rows are not needed while
+        # the blocks are reduced
+        (self.buffers or {}).pop("dequantized_wide", None)
         for lo in range(0, self.points, BLOCK_POINTS):
             part = self.total[lo : lo + BLOCK_POINTS]
-            part /= self.samples
             # the dequantised rows' buffer, free once every slab is in
             block = scratch(self.buffers, "dequantized", (1, *part.shape), self.dtype)
-            np.copyto(block[0], part)
+            # divided in float64 and rounded to the block's type once
+            np.divide(part, self.samples, out=block[0], casting="same_kind")
             yield lo, block
 
 

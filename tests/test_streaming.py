@@ -8,6 +8,7 @@ ways must give the same reports and the same errors.
 import dataclasses
 import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,14 @@ from sparseval import (
     ProbabilityStack,
     QuantizedStack,
     TensorContainer,
+    aggregate_samples,
     dequantize,
     evaluate_split,
     io,
     pool_split,
     read_manifest,
     write_manifest,
+    write_report,
     write_tensor,
 )
 from sparseval.cli import EXIT_INPUT, main
@@ -507,3 +510,105 @@ def test_a_streamed_mean_with_a_fault_raises_when_read():
     # one sample at fault spoils the mean; pooling names the frame
     with pytest.raises(NotADistribution, match=r"^frame 0 \(summed\): a row of 2 summed samples"):
         pool_split([_SummedSource((good, np.full((3, 2), 0.7)))], catalog)
+
+
+def test_an_empty_streamed_mean_raises_shape_mismatch_naming_the_frame():
+    catalog = ClassCatalog(("a", "b"))
+    with pytest.raises(ShapeMismatch, match=r"^frame 0 \(summed\): no sample was added"):
+        pool_split([_SummedSource(())], catalog)
+
+
+def test_a_slab_of_another_shape_raises_shape_mismatch_naming_the_frame():
+    catalog = ClassCatalog(("a", "b"))
+    # the short slab would leave the last row with half the sum of the others
+    source = _SummedSource((np.full((3, 2), 0.5), np.full((2, 2), 0.5)))
+    with pytest.raises(ShapeMismatch, match=r"^frame 0 \(summed\): a slab of \(2, 2\) added"):
+        pool_split([source], catalog)
+
+
+def test_a_filled_streamed_mean_yields_the_same_blocks_each_time_it_is_read():
+    mean, labels = _SummedSource((np.full((3, 2), 0.5),) * 2).load({})
+    # a source that hands out the one filled mean at every load
+    source = types.SimpleNamespace(
+        points=3, samples=1, name="shared", digest=lambda: "0" * 64,
+        load=lambda buffers: (mean, labels),
+    )
+    catalog = ClassCatalog(("a", "b"))
+    for _ in range(2):
+        split = pool_split([source], catalog)
+        assert split.confidences["max_softmax"].scores.tolist() == [0.5] * 3
+
+
+# StreamedMean.add sums a slab three blocks at a time: frames of this size
+# cross two chunk edges and end in a short chunk
+EDGE_POINTS = 2 * 3 * BLOCK_POINTS + 77
+EDGES = [(np.uint16, 6), (np.float32, 4)]
+EDGE_IDS = [f"{d.__name__}-{s}" for d, s in EDGES]
+
+
+def _whole(stack):
+    return QuantizedStack(stack) if stack.dtype == np.uint16 else ProbabilityStack(stack)
+
+
+@dataclasses.dataclass(frozen=True)
+class _NamedFrame(ArrayFrame):
+    """An in-memory frame under the name and digest of a manifest frame."""
+
+    file_digest: str = ""
+
+    def digest(self):
+        return self.file_digest
+
+
+@pytest.mark.parametrize("dtype, samples", EDGES, ids=EDGE_IDS)
+def test_frames_across_chunk_edges_write_the_reports_of_in_memory_frames(
+    tmp_path, dtype, samples
+):
+    rng = np.random.default_rng(44)
+    catalog = ClassCatalog(("a", "b", "c"))
+    sizes = (EDGE_POINTS, 3 * BLOCK_POINTS)
+    stacks = [_stack(rng, samples, n, 3, dtype) for n in sizes]
+    labels = [rng.integers(0, 3, n).astype(np.uint8) for n in sizes]
+    labels[0][::13] = 255
+    path = _write(tmp_path, catalog, stacks, labels)
+    frames = [
+        _NamedFrame(
+            LabelArray(lab), _whole(stack), samples=samples, name=e.name, file_digest=e.digest()
+        )
+        for stack, lab, e in zip(stacks, labels, read_manifest(path).frames)
+    ]
+
+    def files(dataset, threads, out):
+        write_report(evaluate_split(dataset, catalog, threads=threads), out)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    expected = files(frames, 1, tmp_path / "memory")
+    assert sorted(expected) == ["report.csv", "report.json"]
+    for threads in (1, 2, 3):
+        assert files(read_manifest(path), threads, tmp_path / f"t{threads}") == expected
+
+
+@pytest.mark.parametrize("dtype, samples", EDGES, ids=EDGE_IDS)
+def test_a_mean_across_chunk_edges_has_the_bits_of_aggregate_samples(dtype, samples):
+    stack = _stack(np.random.default_rng(45), samples, EDGE_POINTS, 3, dtype)
+    expected = aggregate_samples(_whole(stack)).data[0]
+    mean = StreamedMean({})
+    for slab in stack:
+        mean.add(slab)
+    for _ in range(2):
+        got = np.concatenate([block[0].copy() for _, block in mean.blocks()])
+        assert got.dtype == expected.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_a_fault_in_the_second_chunk_raises_the_error_of_a_whole_read(
+    tmp_path, monkeypatch, capsys
+):
+    stack = _stack(np.random.default_rng(46), 4, EDGE_POINTS, 3, np.float32)
+    point = 3 * BLOCK_POINTS + 500
+    stack[2, point] *= np.float32(1.1)
+    manifest = _one_frame(tmp_path, stack)
+    error, message, streamed = _errors_both_ways(manifest, monkeypatch, capsys)
+    assert error is NotADistribution and streamed
+    expected = rf"frame 0 \(f0\.probs\.spt\): row sum \S+ at sample 2, point {point}"
+    assert re.fullmatch(expected, message)
