@@ -520,58 +520,135 @@ def test_engine_equals_brute_force_on_small_subsets(instance):
             )
 
 
-def assert_ranks_like_stable_argsort(arr):
+def scored_instance(columns, k=3, seed=0, ignored=0.1):
+    """Labels for the score columns (max-softmax, then neg-entropy): k
+    classes, uint16 labels above 255 classes, a share of ignored points."""
+    n = len(columns[0])
+    rng = np.random.default_rng(seed)
+    ignore, dtype = (255, np.uint8) if k <= 255 else (65535, np.uint16)
+    gt = rng.integers(0, k, size=n).astype(dtype)
+    pred = np.where(rng.random(n) < 0.6, gt, rng.integers(0, k, size=n)).astype(dtype)
+    gt[rng.random(n) < ignored] = ignore
+    confs = {
+        m: ConfidenceVector(m, np.asarray(col, dtype=np.float64))
+        for m, col in zip(("max_softmax", "neg_entropy"), columns)
+    }
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)), ignore_index=ignore)
+    return LabelArray(pred), LabelArray(gt), confs, catalog
+
+
+def assert_engine_equals_reference_everywhere(instance, grid_steps=7, rng_seed=5):
+    for tie_break, ranking_domain in itertools.product(TIE_BREAKS, RANKING_DOMAINS):
+        config = EvalConfig(
+            grid_steps=grid_steps,
+            tie_break=tie_break,
+            rng_seed=rng_seed,
+            ranking_domain=ranking_domain,
+        )
+        assert_engine_equals_reference(*instance, config)
+
+
+def score_column(rng, n, mode, scale):
+    """n scores in [0, 1]. "free": uniform; "levels": 1-4 values; "edges":
+    half uniform, half exact edges j / 2^scale of value buckets, their
+    neighbouring floats on either side, 0, -0.0 and 1; "spacing":
+    neighbouring floats above a base, subnormals when the base is 0."""
+    if mode == "free":
+        return rng.random(n)
+    if mode == "spacing":
+        base = rng.choice([0.5, 0.25, 1.0 - 2.0**-20, 0.0])
+        return base + rng.integers(0, 41, size=n) * np.spacing(base)
+    edges = rng.integers(0, (1 << scale) + 1, size=4) / float(1 << scale)
+    pool = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, -0.0, 1.0]]
+    )
+    if mode == "levels":
+        pool = np.concatenate([pool, rng.random(4)])
+        pool = pool[rng.integers(0, pool.size, size=rng.integers(1, 5))]
+        return pool[rng.integers(0, pool.size, size=n)]
+    return np.where(rng.random(n) < 0.5, rng.random(n), pool[rng.integers(0, pool.size, size=n)])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    k=st.integers(2, 8).map(lambda k: 300 if k == 8 else k),
+    ignored=st.sampled_from([0.0, 0.05, 0.3]),
+    modes=st.tuples(*[st.sampled_from(["free", "levels", "edges", "spacing"])] * 2),
+    scale=st.integers(0, 13),
+    grid_steps=st.integers(2, 100),
+    ranking_domain=st.sampled_from(RANKING_DOMAINS),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    rng_seed=st.integers(0, 3),
+)
+def test_engine_equals_reference_on_drawn_splits(
+    seed, n, k, ignored, modes, scale, grid_steps, ranking_domain, tie_break, rng_seed
+):
+    # thousands of points, so the counts span many value buckets and the
+    # cuts land on bucket edges, inside exact ties and between neighbours
+    rng = np.random.default_rng(seed)
+    columns = [score_column(rng, n, mode, scale) for mode in modes]
+    pred, gt, confs, catalog = scored_instance(columns, k, seed, ignored)
+    config = EvalConfig(
+        grid_steps=grid_steps, ranking_domain=ranking_domain, tie_break=tie_break, rng_seed=rng_seed
+    )
+    assert_engine_equals_reference(pred, gt, confs, catalog, config)
+
+
+def assert_engine_ranks_column(arr):
+    # the column ranks both measures, once as given and once reversed, over
+    # labels of three classes with ignored points
     before = arr.tobytes()
-    assert np.array_equal(_stable_order(arr), np.argsort(arr, kind="stable"))
-    # seeded_random's ranking: ties in the order of a permutation
-    perm = np.random.default_rng(arr.size).permutation(arr.size)
-    assert np.array_equal(_stable_order(arr, perm), perm[np.argsort(arr[perm], kind="stable")])
+    instance = scored_instance([arr, arr[::-1]], k=3, seed=arr.size)
+    assert_engine_equals_reference_everywhere(instance, grid_steps=min(max(arr.size, 2), 50))
     # the scores, the sign bit of -0.0 included, are left as they were
     assert arr.tobytes() == before
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(scores=st.lists(_scores, min_size=1, max_size=60))
-def test_stable_order_equals_stable_argsort(scores):
-    assert_ranks_like_stable_argsort(np.array(scores))
+def test_engine_on_drawn_score_lists(scores):
+    assert_engine_ranks_column(np.array(scores))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     levels=st.lists(
         st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0, width=32), min_size=1, max_size=5
     ),
-    picks=st.lists(st.integers(0, 4), max_size=300),
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=300),
 )
-def test_stable_order_on_float32_ties_and_signed_zeros(levels, picks):
+def test_engine_on_float32_ties_and_signed_zeros(levels, picks):
     # a few float32-exact levels: nearly every score ties exactly
-    assert_ranks_like_stable_argsort(np.array([levels[i % len(levels)] for i in picks]))
+    assert_engine_ranks_column(np.array([levels[i % len(levels)] for i in picks]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    steps=st.lists(st.integers(0, 40), max_size=300),
+    steps=st.lists(st.integers(0, 40), min_size=1, max_size=300),
     base=st.sampled_from([0.5, 0.25, 1.0 - 2.0**-20, 0.0]),
 )
-def test_stable_order_on_distinct_scores_sharing_a_key_prefix(steps, base):
-    # neighbouring float64 values, subnormals when the base is 0: from
-    # n = 5 on a key drops their low bits, and the runs need the re-sort
-    assert_ranks_like_stable_argsort(base + np.array(steps, dtype=np.float64) * np.spacing(base))
+def test_engine_on_neighbouring_floats(steps, base):
+    # distinct scores one or a few ulps apart, subnormals when the base is 0
+    assert_engine_ranks_column(base + np.array(steps, dtype=np.float64) * np.spacing(base))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
-def test_stable_order_edge_shapes(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
+def test_engine_edge_shapes(n):
     rng = np.random.default_rng(n)
-    # all equal, and runs crossing the blocks in which keys are compared
-    for arr in (
+    # all equal, signed zeros, a few levels, free and float32 scores, and
+    # neighbouring floats, over chunk edges of the counting passes
+    columns = [
         np.full(n, 0.5),
         np.where(rng.random(n) < 0.5, -0.0, 0.0),
         rng.integers(0, 4, size=n) / 4.0,
         rng.random(n),
         rng.random(n).astype(np.float32).astype(np.float64),
         0.5 + rng.integers(0, 64, size=n) * 2.0**-53,
-    ):
-        assert_ranks_like_stable_argsort(arr)
+    ]
+    for pair in zip(columns[::2], columns[1::2]):
+        assert_engine_equals_reference_everywhere(scored_instance(pair, k=3, seed=n))
 
 
 def tie_heavy_instance(seed=3, n=400, k=4):
