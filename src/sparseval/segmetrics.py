@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassCatalog, LabelArray
+from .core import SCAN_POINTS, ClassCatalog, LabelArray
 from .errors import DimensionMismatch, LabelOutOfRange, NoPresentClasses
 
 
@@ -51,27 +51,39 @@ class IoUVector:
 def confusion(pred: LabelArray, gt: LabelArray, catalog: ClassCatalog) -> ConfusionMatrix:
     """Accumulate counts[gt][pred] over points whose ground truth is not ignored.
 
-    Labels keep their type and are copied only to drop ignored points.
+    Points are counted ``SCAN_POINTS`` at a time, so the keep mask, the
+    copies of the kept labels and the bin index ``g * k + p`` are the size
+    of a chunk. Labels are checked in whole-array order, all ground truth
+    before any prediction.
     """
     if len(pred) != len(gt):
         raise DimensionMismatch(
             f"predictions cover {len(pred)} points but labels cover {len(gt)}"
         )
     k = catalog.k
-    g, p = gt.values, pred.values
-    keep = g != catalog.ignore_index
-    if not keep.all():
-        g, p = g[keep], p[keep]
-    if g.size == 0:
-        return ConfusionMatrix(np.zeros((k, k), dtype=np.int64))
-    for name, arr in (("ground-truth", g), ("prediction", p)):
-        if int(arr.min()) < 0 or int(arr.max()) >= k:
-            i = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
-            raise LabelOutOfRange(f"{name} label {int(arr[i])} is outside 0..{k - 1}")
-    # g * k + p, the one full-length temporary
-    index = np.multiply(g, k, dtype=np.intp)
-    np.add(index, p, out=index, dtype=np.intp)
-    return ConfusionMatrix(np.bincount(index, minlength=k * k).reshape(k, k))
+    counts = np.zeros(k * k, dtype=np.int64)
+    index = np.empty(min(SCAN_POINTS, len(gt)), dtype=np.intp)
+    wrong = None  # the first bad prediction, raised once all ground truth passed
+    for lo in range(0, len(gt), SCAN_POINTS):
+        g, p = gt.values[lo : lo + SCAN_POINTS], pred.values[lo : lo + SCAN_POINTS]
+        keep = g != catalog.ignore_index
+        if not keep.all():
+            g, p = g[keep], p[keep]
+        for name, arr in (("ground-truth", g), ("prediction", p)):
+            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= k):
+                i = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
+                error = LabelOutOfRange(f"{name} label {int(arr[i])} is outside 0..{k - 1}")
+                if name == "ground-truth":
+                    raise error
+                wrong = wrong or error
+        if wrong is None:
+            at = index[: g.size]
+            np.multiply(g, k, out=at, dtype=np.intp)
+            np.add(at, p, out=at, dtype=np.intp)
+            counts += np.bincount(at, minlength=k * k)
+    if wrong is not None:
+        raise wrong
+    return ConfusionMatrix(counts.reshape(k, k))
 
 
 def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:

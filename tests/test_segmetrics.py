@@ -15,6 +15,7 @@ from sparseval import (
     miou,
     miou_with_absent_as_zero,
 )
+from sparseval.core import SCAN_POINTS
 from sparseval.errors import DimensionMismatch, LabelOutOfRange, NoPresentClasses
 
 CAT2 = ClassCatalog(("a", "b"))
@@ -52,11 +53,10 @@ def test_confusion_rejects_out_of_range_prediction():
 
 
 @pytest.mark.parametrize("ignored", [0.0, 0.1])
-def test_confusion_allocates_at_most_11_bytes_per_point(ignored):
-    # one-byte labels are neither widened nor copied when nothing is
-    # ignored: the only full-length temporaries are the ignore mask, the
-    # kept labels, and the 8-byte index g * k + p
-    n = 1_000_000
+def test_confusion_allocates_at_most_one_byte_per_point(ignored):
+    # points are counted SCAN_POINTS at a time: the ignore mask, the kept
+    # labels and the 8-byte index g * k + p are the size of a chunk
+    n = 1 << 20
     rng = np.random.default_rng(0)
     gt = rng.integers(0, 4, size=n, dtype=np.uint8)
     gt[rng.random(n) < ignored] = 255
@@ -70,7 +70,26 @@ def test_confusion_allocates_at_most_11_bytes_per_point(ignored):
     finally:
         tracemalloc.stop()
     assert m.total == int((gt.values != 255).sum())
-    assert peak <= 11 * n
+    assert peak <= n
+
+
+def test_confusion_names_ground_truth_before_predictions_across_chunks():
+    # a bad prediction in the first chunk, a bad ground-truth label in the
+    # second: the ground truth is named, as a whole-array check names it
+    n = 3 * SCAN_POINTS
+    gt, pred = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    pred[5], gt[SCAN_POINTS + 9], gt[0] = 7, -3, 255
+    catalog = ClassCatalog(("a", "b"))
+    with pytest.raises(LabelOutOfRange, match="^ground-truth label -3 is outside 0..1$"):
+        confusion(LabelArray(pred), LabelArray(gt), catalog)
+    gt[SCAN_POINTS + 9] = 1
+    pred[2 * SCAN_POINTS] = -1
+    with pytest.raises(LabelOutOfRange, match="^prediction label 7 is outside 0..1$"):
+        confusion(LabelArray(pred), LabelArray(gt), catalog)
+    # an ignored point's prediction is not checked
+    pred[5], pred[2 * SCAN_POINTS], pred[0] = 0, 0, 9
+    assert confusion(LabelArray(pred), LabelArray(gt), catalog).total == n - 1
+
 
 def test_confusion_total_plus_ignored_is_n():
     rng = np.random.default_rng(3)
