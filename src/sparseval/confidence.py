@@ -346,8 +346,11 @@ class StreamedMean:
         return self.total
 
     def add(self, slab: np.ndarray) -> None:
-        """Check the next sample's slab, of the first one's shape, and add it into ``total``."""
+        """Check the next sample's slab, (points, classes) as the first one,
+        and add it into ``total``."""
         if self.total is None:
+            if slab.ndim != 2:
+                raise ShapeMismatch(f"a slab of {slab.shape} is not (points, classes)")
             self.total = scratch(self.buffers, "sum", slab.shape, np.float64)
             self.dtype = np.float32 if slab.dtype.kind == "u" else slab.dtype
         elif slab.shape != self.total.shape:

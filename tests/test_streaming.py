@@ -526,6 +526,14 @@ def test_a_slab_of_another_shape_raises_shape_mismatch_naming_the_frame():
         pool_split([source], catalog)
 
 
+def test_a_first_slab_of_another_rank_raises_shape_mismatch_naming_the_frame():
+    catalog = ClassCatalog(("a", "b"))
+    # a first slab that is not (points, classes) would reach the row check
+    source = _SummedSource((np.full(3, 0.5),))
+    with pytest.raises(ShapeMismatch, match=r"^frame 0 \(summed\): a slab of \(3,\) is not"):
+        pool_split([source], catalog)
+
+
 def test_a_filled_streamed_mean_yields_the_same_blocks_each_time_it_is_read():
     mean, labels = _SummedSource((np.full((3, 2), 0.5),) * 2).load({})
     # a source that hands out the one filled mean at every load
