@@ -7,30 +7,16 @@ IoU_c error (1 - IoU_c) is recorded. The oracle curve removes the incorrect
 points first, which is the best possible order, so the area between the two
 curves measures how close the confidence ranking comes to ground truth.
 
-One engine computes every curve. It drops ignored points once and ranks
-each confidence measure once, stably, over all remaining points, with one
-sort of unique 64-bit keys. Scores lie in [0, 1], and such float64 values
-order as their bit patterns, which stay below 2^62 but for the sign bit of
--0.0. A key holds bits 61 down to b - 2 of the pattern above a b-bit point
-index, b = max(bit length of n - 1, 2), so exact ties keep index order with
-no repair. Only distinct scores that share a key prefix (never float32-exact
-ones while n <= 2^31) need a second, stable sort, of the runs of equal
-prefixes where they are misranked.
-
-Restricting the one order to a class is the same as sorting the class on
-its own, and a curve needs only counts: at each grid cut, how many of the
-class's relevant points and true positives the ranking has removed. So the
-labels are gathered into ranking order once per measure, cut into
-sub-blocks of a few hundred points, and counted per sub-block and class in
-one pass; a running sum over the sub-blocks then gives each class's counts
-at every sub-block edge. A cut is resolved from the counts before its
-sub-block plus a scan of that one sub-block. The oracle curve is
-closed-form in the class's true-positive and error counts, so it needs no
-sort. The engine reads its ranking policy (tie order, seed, domain) from
-an ``EvalConfig``, which the one-class entry points build from their
-keywords, and returns the public ``CurvePair`` of each class and measure.
-Curves need labels and scores only: reducing a probability stack to them
-is the pipeline's work (``pipeline.per_class_ause``).
+One engine computes every curve, with no sort of the split. A curve is read
+only at the grid's cuts, and each cut needs two counts: how many of the
+class's relevant points and true positives the ranking removes. Per
+measure, one pass counts them per class and value bucket, min(floor(s * B),
+B - 1), which places each cut in a bucket; further passes select the cut
+inside its bucket (Floyd and Rivest, CACM 1975): small buckets are gathered
+and sorted, large ones split into finer value ranges, exact ties counted in
+tie order. Beyond its inputs the engine holds the count tables (at most
+1 B/pt), the gathered members (at most n / 8) and chunk temporaries, under
+4 B/pt in all. The oracle is closed-form in the class's counts.
 """
 from __future__ import annotations
 
@@ -52,9 +38,10 @@ from .segmetrics import ConfusionMatrix, confusion
 
 BRUTE_FORCE_MAX_POINTS = 20
 
-# ranked points counted per chunk of the engine's counting pass: a chunk's
-# one intp bin index takes 64 KiB
-COUNT_POINTS = 1 << 13
+# kept points per chunk of the engine's passes; children of a split window
+CHUNK_POINTS = SCAN_POINTS >> 1
+_FANOUT = 16
+_GATHER, _SPLIT, _TIE, _INNER, _DONE = range(5)
 
 
 @dataclass(frozen=True)
@@ -148,173 +135,265 @@ def _oracle_error(
     )
 
 
-def _stable_order(scores: np.ndarray, perm: np.ndarray | None = None) -> np.ndarray:
-    """``np.argsort(scores, kind="stable")`` for scores in [0, 1], bit for bit.
-
-    One sort of unique keys, bits 61 to b - 2 of the score's float64 pattern
-    over a b-bit index, b = max(bit length of n - 1, 2), then a stable
-    re-sort of each run of equal prefixes that it misranks.
-
-    With a permutation ``perm`` of the points it returns
-    ``perm[_stable_order(scores[perm])]``, ties in ``perm`` order, without
-    a permuted copy of the scores or a second order array: the keys are
-    filled from ``scores[perm]`` a chunk at a time, and the sorted indices
-    are mapped through ``perm`` in place before any run is re-sorted. A
-    re-sort is stable, so it keeps that order among equal scores.
-    """
-    n = scores.size
-    b = max((n - 1).bit_length(), 2)
-    if perm is None:
-        keys = scores.astype(np.float64).view(np.uint64)  # a copy: scores stay as they are
-    else:
-        keys = np.empty(n, dtype=np.uint64)
-        for lo in range(0, n, SCAN_POINTS):
-            keys[lo : lo + SCAN_POINTS].view(np.float64)[:] = scores[perm[lo : lo + SCAN_POINTS]]
-    keys >>= np.uint64(b - 2)
-    keys <<= np.uint64(b)  # shifts out the sign bit: -0.0 keys as +0.0
-    for lo in range(0, n, SCAN_POINTS):
-        keys[lo : lo + SCAN_POINTS] |= np.arange(lo, min(lo + SCAN_POINTS, n), dtype=np.uint64)
-    keys.sort()
-    tie = np.zeros(n + 1, dtype=bool)  # tie[i]: positions i - 1 and i share a prefix
-    for lo in range(1, n, SCAN_POINTS):
-        hi = min(lo + SCAN_POINTS, n)
-        np.less(keys[lo:hi] ^ keys[lo - 1 : hi - 1], np.uint64(1 << b), out=tie[lo:hi])
-    order = np.bitwise_and(keys, np.uint64((1 << b) - 1), out=keys).view(np.int64)
-    if perm is not None:
-        for lo in range(0, n, SCAN_POINTS):
-            order[lo : lo + SCAN_POINTS] = perm[order[lo : lo + SCAN_POINTS]]
-    pos = np.flatnonzero(tie[:-1] | tie[1:])
-    # scores rise from run to run, so every descent lies inside one run
-    down = np.zeros(pos.size, dtype=bool)
-    for lo in range(0, pos.size, SCAN_POINTS):
-        ranked = scores[order[pos[lo : lo + SCAN_POINTS + 1]]]
-        np.less(ranked[1:], ranked[:-1], out=down[lo + 1 : lo + SCAN_POINTS + 1])
-    if down.any():
-        run = (~tie[pos]).astype(np.intp)
-        np.cumsum(run, out=run)  # numbers the runs of equal prefixes
-        bad = np.zeros(run[-1] + 1, dtype=bool)
-        bad[run[down]] = True
-        pos = pos[bad[run]]
-        del run
-        index = order[pos]
-        order[pos] = index[np.argsort(scores[index], kind="stable")]
-    return order
+def _buckets(k: int, n: int) -> int:
+    """Value buckets per class: the largest power of two up to 2^12 whose
+    (class, bucket) table of two int32 counts takes at most 1 B per point."""
+    return 1 << min(12, max(0, (n // (8 * k)).bit_length() - 1))
 
 
-def _sub_block(k: int) -> int:
-    """Ranked points per sub-block for a k-class catalog: 2^8, or 8 times
-    the power of two at or above k when that is more, so that the running
-    counts (two int64 per class and sub-block) take at most 2 B per point."""
-    return max(1 << 8, 8 << (k - 1).bit_length())
+def _bucket(sc: np.ndarray, buckets: int) -> np.ndarray:
+    """min(floor(s * B), B - 1) of each score, a monotone bucket in [0, B)."""
+    b = np.multiply(sc, buckets, out=np.empty(sc.size, dtype=np.intp), casting="unsafe")
+    return np.minimum(b, buckets - 1, out=b)
 
 
-def _running_counts(g: np.ndarray, p: np.ndarray, k: int, width: int):
-    """Running (relevant, true-positive) counts of each class over the runs
-    of ``width`` points of the labels ``g``, ``p``.
-
-    The length of ``g`` and ``p`` is a whole number of runs; the label k
-    pads and is counted for no class. Row i of each (runs + 1, k) int64
-    array counts the points of the first i runs. Per chunk of runs, the
-    bin index ``run * (k + 1) + label`` is counted for the ground truth,
-    the prediction and the true positives (the ground truth where it
-    equals the prediction, else k); a class's relevant points are its
-    ground-truth plus its predicted points less its true positives.
-    """
-    rows = g.size // width
-    relevant = np.zeros((rows + 1, k), dtype=np.int64)
-    hits = np.zeros((rows + 1, k), dtype=np.int64)
-    step = max(COUNT_POINTS, width)
-    # the first bin of each run of a chunk, and the bin of each point
-    offset = np.arange(0, step // width * (k + 1), k + 1, dtype=np.intp)[:, None]
-    index = np.empty((step // width, width), dtype=np.intp)
-    missed = np.empty(step, dtype=bool)
-    tp = np.empty(step, dtype=g.dtype)
-    pad = np.array(k, dtype=g.dtype)
-    for lo in range(0, g.size, step):
-        gc, pc = g[lo : lo + step], p[lo : lo + step]
-        size, runs, row = gc.size, gc.size // width, lo // width + 1
-        # k where the labels differ, the label where they agree, as labels <= k
-        np.not_equal(gc, pc, out=missed[:size])
-        np.multiply(missed[:size], pad, out=tp[:size])
-        np.maximum(tp[:size], gc, out=tp[:size])
-        counts = []
-        for labels in (gc, pc, tp[:size]):
-            np.add(offset[:runs], labels.reshape(runs, width), out=index[:runs])
-            counts.append(np.bincount(index[:runs].ravel(), minlength=runs * (k + 1)))
-        n_g, n_p, n_tp = (c.reshape(runs, k + 1)[:, :k] for c in counts)
-        hits[row : row + runs] = n_tp
-        relevant[row : row + runs] = n_g + n_p - n_tp
-    np.cumsum(relevant, axis=0, out=relevant)
-    np.cumsum(hits, axis=0, out=hits)
-    return relevant, hits
-
-
-def _removals(
-    ranked_g: np.ndarray,
-    ranked_p: np.ndarray,
-    n: int,
-    k: int,
-    grid: FractionGrid,
-    classes: Sequence[int],
-    totals: list[tuple[int, int]],
-    ranking_domain: str,
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """(removed relevant points, removed true positives) at each grid cut,
-    per class; None for a class with no relevant point.
-
-    ``ranked_g`` and ``ranked_p`` hold the n kept labels in ranking order,
-    padded with k to a whole number of ``_sub_block(k)``-point sub-blocks;
-    ``totals`` holds each class's (relevant points, true positives). One
-    counting pass gives each class's running counts at every sub-block
-    edge (``_running_counts``); a cut adds to the counts before its
-    sub-block those of a prefix of it:
-
-    * subset domain: the cut after a class's m-th relevant point lies in
-      the sub-block where the class's running relevant count passes m (a
-      ``searchsorted``); each sub-block that a cut of the class falls in
-      is scanned once for the class's relevant points, whose running
-      true-positive count gives every cut's prefix;
-    * global domain: a cut after r ranked points takes the first
-      r % width points of sub-block r // width, counted like whole
-      sub-blocks, once for all classes.
-    """
-    width = _sub_block(k)
-    seen, hits = _running_counts(ranked_g, ranked_p, k, width)
-    runs_g, runs_p = ranked_g.reshape(-1, width), ranked_p.reshape(-1, width)
-    if ranking_domain == "global":
-        # a cut after r ranked points: the sub-blocks before r // width and
-        # the first r % width points of the next, counted as a sub-block
-        run, head = np.divmod(grid.removal_counts(n), width)
-        cut_g, cut_p = runs_g[run], runs_p[run]
-        past = np.arange(width) >= head[:, None]
-        cut_g[past] = k
-        cut_p[past] = k
-        head_seen, head_hits = _running_counts(cut_g.ravel(), cut_p.ravel(), k, width)
-        seen_at_cut = seen[run] + np.diff(head_seen, axis=0)
-        hits_at_cut = hits[run] + np.diff(head_hits, axis=0)
-    out = []
-    for c, (n_rel, _) in zip(classes, totals):
-        if n_rel == 0:
-            out.append(None)
-        elif ranking_domain == "global":
-            out.append((seen_at_cut[:, c], hits_at_cut[:, c]))
+def _members(g, p, s, perm, buckets, k, root, subset, step):
+    """Per ``step`` kept points in tie order (point order, or ``perm``'s):
+    window (``root`` maps cells to them), value bits, position and codes of
+    each member. A subset member is a point's entry for its class, and for
+    its prediction if wrong, in cell class * B + bucket, coded 1 if a true
+    positive; a global member is a point in cell bucket, coded 2 * class +
+    (1 if right) and 2 * prediction (2 * k if right)."""
+    for lo in range(0, s.size, step):
+        at = slice(lo, lo + step) if perm is None else perm[lo : lo + step]
+        gc, pc, sc = g[at], p[at], s[at]
+        b, hit = _bucket(sc, buckets), gc == pc
+        if subset:
+            cell = np.stack((gc, pc), axis=1).astype(np.intp)
+            cell[hit, 1] = k  # row k of root holds no window
+            cell *= buckets
+            cell += b[:, None]
+        w = root.take(cell if subset else b, mode="clip").ravel()
+        e = np.flatnonzero(w >= 0)
+        pt = e >> 1 if subset else e
+        hit = hit.take(pt)
+        if subset:
+            codes = [hit & (e & 1 == 0)]
         else:
-            removed = grid.removal_counts(n_rel)
-            # the sub-block holding the class's (removed + 1)-th relevant
-            # point, whose first removed - seen[run, c] relevant points go
-            run = np.searchsorted(seen[:, c], removed, side="right") - 1
-            blocks, which = np.unique(run, return_inverse=True)
-            # each such sub-block scanned once: tp[i] counts the true
-            # positives among the first i of their relevant points
-            cut_g, cut_p = runs_g[blocks].ravel(), runs_p[blocks].ravel()
-            at = np.flatnonzero((cut_g == c) | (cut_p == c))
-            tp = np.zeros(at.size + 1, dtype=np.int64)
-            np.cumsum(cut_g[at] == cut_p[at], out=tp[1:])
-            size = seen[blocks + 1, c] - seen[blocks, c]
-            first = (np.cumsum(size) - size)[which]
-            head = tp[first + (removed - seen[run, c])] - tp[first]
-            out.append((removed, hits[run, c] + head))
-    return out
+            codes = [np.multiply(gc.take(pt), 2, dtype=np.intp) + hit]
+            codes.append(np.where(hit, 2 * k, np.multiply(pc.take(pt), 2, dtype=np.intp)))
+        bits = sc.take(pt) + 0.0
+        yield w.take(e), bits.view(np.int64), lo + pt, codes
+
+
+def _child(v, low, extent):
+    """The child of a window from ``low`` over ``extent`` holding value v,
+    monotone in v: children hold consecutive values."""
+    c = v - low
+    c /= extent
+    c *= _FANOUT
+    return np.minimum(c.astype(np.intp), _FANOUT - 1, out=c.view(np.intp))
+
+
+def _contribute(tally, keys, at, ends, codes, width):
+    """Count members' ``codes`` for their window's cuts with a head past
+    their rank: ``keys`` are the cuts' sorted window * (n + 1) + head,
+    ``at`` the members', with their rank, ``ends`` past their window's last
+    cut; ``tally`` is summed along the cuts."""
+    first = np.searchsorted(keys, at, side="right")
+    for c in codes:
+        tally += np.bincount(first * width + c, minlength=tally.size)
+        tally -= np.bincount(ends * width + c, minlength=tally.size)
+
+
+def _count_gathered(packed, codes, wide, gather, keys, ends, tally, span, width):
+    """Count the gathered members, ``packed`` as (rank in ``gather``) <<
+    wide | value key in tie order, which it overwrites, for their cuts."""
+    m, step = packed.size, CHUNK_POINTS >> 2
+    order = np.argsort(packed)
+    packed.sort()
+    starts = np.searchsorted(packed, np.arange(gather.size) << wide)
+    tied = packed[1:] == packed[:-1]
+    if tied.any():
+        # equal keys are exact ties: back into tie order, the gather's
+        packed[0] = 0
+        np.cumsum(~tied, out=packed[1:])
+        packed *= m
+        packed += order
+        packed.sort()
+        np.remainder(packed, m, out=order)
+    del tied
+    for lo in range(0, m, step):
+        at = np.arange(lo, min(lo + step, m))
+        which = np.searchsorted(starts, at, side="right") - 1
+        w, mine = gather[which], order[lo : lo + step]
+        _contribute(tally, keys, w * span + at - starts[which], ends[w], [c[mine] for c in codes], width)
+        del at, which, w, mine
+
+
+def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
+    """Add to ``acc[t]`` the payload counts of the first ``head[t]`` members,
+    in ranking order, of cell ``units[t]``, which holds ``sizes[t]``.
+
+    A cut lies in a window, a range of its cell's value bits, at first its
+    bucket. Each round is one pass in tie order: the smallest windows, n / 8
+    members in all, are gathered and sorted; a window of one value, an exact
+    tie, is counted in tie order as the pass goes; any other window is split
+    into ``_FANOUT`` children of consecutive values, each counted with its
+    payload and value range, and a cut moves into the child holding its
+    head-th member, a window of the next round.
+    """
+    n, width, span = s.size, acc.shape[1], s.size + 1
+    budget = max(n >> 3, 1 << 6)
+    live = np.flatnonzero(head > 0)
+    cells, one, at = np.unique(units[live], return_index=True, return_inverse=True)
+    win = np.full(head.size, -1, dtype=np.intp)
+    win[live] = at
+    j = cells % buckets
+    edges = (np.arange(buckets + 1) / buckets).view(np.int64)
+    lo, hi, size = edges[j], edges[j + 1] - (j < buckets - 1), sizes[live[one]]
+    root = np.full((k + 1 if subset else 1) * buckets, -1, dtype=np.intp)
+    root[cells] = np.arange(cells.size)
+    state = np.full(cells.size, _GATHER, dtype=np.int8)
+    first, child = np.zeros(cells.size, dtype=np.intp), np.empty(0, dtype=np.intp)
+    while live.size:
+        active = np.unique(win[live])
+        wide = 62 - lo.size.bit_length()
+        ranged = active[state[active] != _TIE]
+        ranged = ranged[np.argsort(size[ranged], kind="stable")]
+        fits = (hi[ranged] - lo[ranged] < 1 << wide) & (size[ranged] <= budget >> 3)
+        fits &= np.cumsum(np.where(fits, size[ranged], 0)) <= budget
+        state[ranged] = np.where(fits, _GATHER, _SPLIT)
+        gather, split = ranged[fits], np.sort(ranged[~fits])
+        counted = live[state[win[live]] != _SPLIT]
+        by_key = np.argsort(win[counted] * span + head[counted])
+        keys = (win[counted] * span + head[counted])[by_key]
+        ends = np.searchsorted(keys, (np.arange(lo.size) + 1) * span)
+        tally = np.zeros((counted.size + 1) * width, dtype=np.int64)
+        passed, rank = np.zeros(lo.size, dtype=np.int64), np.zeros(lo.size, dtype=np.int64)
+        rank[gather] = np.arange(gather.size)
+        low, extent = lo.view(np.float64), hi.view(np.float64) - lo.view(np.float64)
+        base, slots = child.size, split.size * _FANOUT
+        first[split] = base + _FANOUT * np.arange(split.size)
+        child = np.concatenate((child, np.full(slots, -1, dtype=np.intp)))
+        members, payload = np.zeros(slots, np.int64), np.zeros(slots * width, np.int64)
+        key_min, key_max = np.full(slots, 1 << 62), np.full(slots, -1)
+        packed = np.empty(int(size[gather].sum()), dtype=np.int64)
+        kept = [np.empty(packed.size, dtype=np.min_scalar_type(2 * k)) for _ in range(2 - subset)]
+        filled, inner = 0, (state == _INNER).any()
+        # chunks a quarter the size when most points are members, or when
+        # a chunk's labels and scores are copies, gathered through perm
+        step = CHUNK_POINTS >> 2 * (perm is not None or size[active].sum() > n >> 2)
+        for at, bits, pos, codes in _members(g, p, s, perm, buckets, k, root, subset, step):
+            while inner:
+                down = np.flatnonzero(state.take(at) == _INNER)
+                if not down.size:
+                    break
+                w = at[down]
+                at[down] = child[first[w] + _child(bits[down].view(np.float64), low[w], extent[w])]
+                keep = np.flatnonzero(at >= 0)
+                at, bits, pos, codes = at[keep], bits[keep], pos[keep], [c[keep] for c in codes]
+            st = state.take(at)
+            mine = np.flatnonzero(st == _SPLIT)
+            w, v = at[mine], bits[mine]
+            slot = first[w] - base + _child(v.view(np.float64), low[w], extent[w])
+            members += np.bincount(slot, minlength=slots)
+            for c in codes:
+                payload += np.bincount(slot * width + c[mine], minlength=payload.size)
+            np.minimum.at(key_min, slot, v)
+            np.maximum.at(key_max, slot, v)
+            mine = np.flatnonzero(st == _TIE)
+            if mine.size:
+                # each tie's members in tie order, ranked after those passed
+                order = np.argsort(at[mine], kind="stable")
+                w, i = at[mine][order], np.arange(mine.size)
+                new = np.concatenate(([True], w[1:] != w[:-1]))
+                rank_in = passed[w] + i - np.maximum.accumulate(np.where(new, i, 0))
+                passed += np.bincount(w, minlength=lo.size)
+                tied = [c[mine][order] for c in codes]
+                _contribute(tally, keys, w * span + rank_in, ends[w], tied, width)
+            mine = np.flatnonzero(st == _GATHER)
+            end = filled + mine.size
+            packed[filled:end] = (rank[at[mine]] << wide) | (bits[mine] - lo[at[mine]])
+            for out, c in zip(kept, codes):
+                out[filled:end] = c[mine]
+            filled = end
+            del at, bits, pos, codes, st, mine, w, v, slot
+        if packed.size:
+            _count_gathered(packed, kept, wide, gather, keys, ends, tally, span, width)
+        del packed, kept
+        acc[counted[by_key]] += np.cumsum(tally.reshape(-1, width), axis=0)[:-1]
+        cuts = live[state[win[live]] == _SPLIT]
+        if cuts.size:
+            # members and payload of the children before each child
+            members = members.reshape(split.size, _FANOUT)
+            seen = np.cumsum(members, axis=1) - members
+            payload = payload.reshape(split.size, _FANOUT, width)
+            row = np.searchsorted(split, win[cuts])
+            pick = (seen[row] < head[cuts, None]).sum(axis=1) - 1
+            head[cuts] -= seen[row, pick]
+            acc[cuts] += (np.cumsum(payload, axis=1) - payload)[row, pick]
+            kids, at = np.unique(row * _FANOUT + pick, return_inverse=True)
+            child[base + kids] = fresh = lo.size + np.arange(kids.size)
+            win[cuts] = fresh[at]
+            lo, hi = np.concatenate((lo, key_min[kids])), np.concatenate((hi, key_max[kids]))
+            size = np.concatenate((size, members.ravel()[kids]))
+            first = np.concatenate((first, np.zeros(kids.size, dtype=np.intp)))
+            tie = np.where(key_min[kids] == key_max[kids], _TIE, _GATHER).astype(np.int8)
+            state = np.concatenate((state, tie))
+        state[active[state[active] != _SPLIT]] = _DONE
+        state[split] = _INNER
+        live = live[state[win[live]] != _DONE]
+    return acc
+
+
+def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
+    """(removed relevant points, removed true positives) at each grid cut,
+    per class (None: no relevant point), of kept labels ``g``, predictions
+    ``p`` and scores ``s``; ``perm`` orders ties if given. One pass counts
+    each class's relevant points and true positives per value bucket, which
+    places each cut, after m of a class's relevant points (subset domain) or
+    after r points (global domain), in a bucket; ``_resolve`` does the rest.
+    """
+    n, subset = s.size, ranking_domain == "subset"
+    buckets, step = _buckets(k, n), SCAN_POINTS >> 1
+    table = np.zeros(2 * k * buckets, dtype=np.int32 if n < 1 << 31 else np.int64)
+    points = np.zeros(buckets, dtype=np.int64)
+    for lo in range(0, n, step):
+        gc, pc, b = g[lo : lo + step], p[lo : lo + step], _bucket(s[lo : lo + step], buckets)
+        points += np.bincount(b, minlength=buckets)
+        # bin 2 * (class * B + bucket) + 1 counts true positives, the bin
+        # before it other relevant points once the true positives, which
+        # the prediction's entry counts too, are taken off
+        index = np.empty(2 * b.size, dtype=np.intp)
+        np.multiply(gc, 2 * buckets, out=index[: b.size], dtype=np.intp)
+        np.multiply(pc, 2 * buckets, out=index[b.size :], dtype=np.intp)
+        b *= 2
+        index.reshape(2, -1)[:] += b
+        index[: b.size] += gc == pc
+        table += np.bincount(index, minlength=table.size)
+        del index, b
+    table = table.reshape(k, buckets, 2)
+    table[..., 0] -= table[..., 1]
+    if subset:
+        units, head, sizes, acc = [], [], [], []
+        for c, (n_rel, _) in zip(classes, totals):
+            if n_rel:
+                below = np.zeros((buckets + 1, 2), dtype=np.int64)
+                np.cumsum(table[c], axis=0, out=below[1:])
+                seen = below.sum(axis=1)
+                j = np.searchsorted(seen, grid.removal_counts(n_rel), side="right") - 1
+                units.append(c * buckets + j)
+                head.append(grid.removal_counts(n_rel) - seen[j])
+                sizes.append(seen[j + 1] - seen[j])
+                acc.append(below[j])
+        units, head, sizes, acc = map(np.concatenate, (units, head, sizes, acc))
+    else:
+        seen = np.concatenate(([0], np.cumsum(points)))
+        units = np.searchsorted(seen, grid.removal_counts(n), side="right") - 1
+        head, sizes = grid.removal_counts(n) - seen[units], points[units]
+        np.cumsum(table, axis=1, out=table)
+        acc = np.zeros((units.size, 2 * k + 1), dtype=np.int64)
+        acc[:, :-1] = table[:, units - 1].transpose(1, 0, 2).reshape(units.size, 2 * k)
+        acc[units == 0] = 0
+    del table
+    acc = _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset)
+    if subset:
+        tps = iter(acc[:, 1].reshape(-1, grid.grid_steps))
+        return [(grid.removal_counts(n_rel), next(tps)) if n_rel else None for n_rel, _ in totals]
+    hits = acc[:, 1:-1:2]
+    seen = acc[:, :-1:2] + hits
+    return [(seen[:, c], hits[:, c]) if n_rel else None for c, (n_rel, _) in zip(classes, totals)]
 
 
 def _class_curves(
@@ -333,20 +412,9 @@ def _class_curves(
     The ranking policy is read from ``config`` (tie_break, rng_seed,
     ranking_domain), which checked it. Labels are checked and each class
     counted by ``confusion``, unless the caller hands in ``counts``, the
-    confusion of these very labels, which it has checked. A class's oracle
-    is closed-form in its counts, computed once for all its pairs.
-
-    Per measure, the kept labels are gathered into ranking order and padded
-    with the label k to a whole number of sub-blocks; ``_removals`` reads
-    from them how many relevant points and true positives of each class
-    every grid cut removes. Those counts are integers, so the floats
-    ``_remaining_error`` makes of them do not depend on how they were
-    counted. Memory beyond the inputs stays near one 8-byte key per point,
-    sorted in place into the ranking, plus the two label columns (one byte
-    per point each up to 255 classes), as each ranking is dropped once its
-    labels are gathered. The running counts take at most 2 bytes per
-    point, and every other temporary is the size of a chunk or of the
-    sub-blocks the cuts fall in.
+    confusion of these very labels, which it has checked. ``_removals``
+    counts what each cut removes; those counts are integers, so the curves
+    do not depend on how they were counted.
     """
     matrix = confusion(pred, gt, catalog) if counts is None else counts
     for conf in confs.values():
@@ -363,15 +431,7 @@ def _class_curves(
         for n_rel, n_tp in totals
     ]
     keep = None if n == len(gt) else gt.values != catalog.ignore_index
-    # kept labels in the smallest type holding k, the padding label: the
-    # type of the pooled columns up to 255 classes
-    dtype = np.min_scalar_type(k)
-    g, p = (
-        (a.values if keep is None else a.values[keep]).astype(dtype, copy=False)
-        for a in (gt, pred)
-    )
-    width = _sub_block(k)
-    padded = -(-n // width) * width
+    g, p = (a.values if keep is None else a.values[keep] for a in (gt, pred))
     perm = None
     if config.tie_break == "seeded_random":
         # one shuffle of the whole ranking domain, shared by every class and
@@ -380,18 +440,8 @@ def _class_curves(
     out = [None if n_rel == 0 else {} for n_rel, _ in totals]
     for measure, conf in confs.items():
         scores = conf.scores if keep is None else conf.scores[keep]
-        order = _stable_order(scores, perm)
+        removals = _removals(g, p, scores, perm, k, grid, classes, totals, config.ranking_domain)
         del scores
-        ranked_g, ranked_p = (np.empty(padded, dtype=dtype) for _ in range(2))
-        for labels, ranked in ((g, ranked_g), (p, ranked_p)):
-            # every index is valid; "clip" only spares the copy "raise" makes
-            np.take(labels, order, out=ranked[:n], mode="clip")
-            ranked[n:] = k
-        del order
-        removals = _removals(
-            ranked_g, ranked_p, n, k, grid, classes, totals, config.ranking_domain
-        )
-        del ranked_g, ranked_p
         for c, pairs, orac, (n_rel, n_tp), cut in zip(classes, out, oracles, totals, removals):
             if cut is not None:
                 removed, removed_tp = cut
@@ -416,12 +466,10 @@ def sparsification_curve(
     """Error curve under the confidence ranking, lowest confidence removed first.
 
     Depends on the ranking only: any strictly increasing transform of the
-    scores leaves the curve unchanged. Ties keep point-index order by
-    default. "seeded_random" shuffles all non-ignored points with one
-    permutation drawn from ``seed`` (masked to 64 bits, as
-    ``EvalConfig.rng_seed`` is) before the stable sort, so tie-induced bias
-    can be measured; every class shares that permutation, which makes this
-    curve equal to the one ``class_curves_by_measure`` gives the class.
+    scores leaves the curve unchanged. Ties keep point-index order, or under
+    "seeded_random" the order of one permutation of all non-ignored points
+    drawn from ``seed`` (masked to 64 bits, as ``EvalConfig.rng_seed`` is),
+    shared by every class, as in ``class_curves_by_measure``.
     """
     return curve_pair(
         pred, gt, conf, catalog, class_index, grid,

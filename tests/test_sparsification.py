@@ -25,12 +25,8 @@ from sparseval import (
 )
 from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import DimensionMismatch, EmptySubset, LabelOutOfRange, SubsetTooLarge
-from sparseval.sparsification import (
-    COUNT_POINTS,
-    _stable_order,
-    _sub_block,
-    class_curves_by_measure,
-)
+from sparseval.segmetrics import confusion
+from sparseval.sparsification import CHUNK_POINTS, _buckets, class_curves_by_measure
 
 CAT2 = ClassCatalog(("zero", "one"))
 GRID4 = FractionGrid(4)
@@ -706,28 +702,24 @@ def sized_instance(n, k, seed):
     return LabelArray(pred), LabelArray(gt), confs, catalog
 
 
-B = _sub_block(19)
-
-
 @pytest.mark.parametrize(
     "n, k",
     [
-        (B - 1, 5),
-        (B, 5),
-        (B + 1, 5),
-        (COUNT_POINTS - 1, 19),
-        (COUNT_POINTS, 19),
-        (COUNT_POINTS + 1, 19),
-        (3 * COUNT_POINTS + 5 * B + 3, 19),
+        (159, 5),
+        (160, 5),
+        (CHUNK_POINTS - 1, 19),
+        (CHUNK_POINTS, 19),
+        (CHUNK_POINTS + 1, 19),
+        (3 * CHUNK_POINTS + 5, 19),
         ((1 << 16) + 7, 19),
-        (_sub_block(300) + 1, 300),
+        (4097, 300),
+        (4801, 300),
     ],
 )
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
-def test_engine_equals_reference_across_sub_block_and_chunk_edges(
-    n, k, tie_break, ranking_domain
-):
+def test_engine_equals_reference_across_bucket_and_chunk_edges(n, k, tie_break, ranking_domain):
+    # 159 and 160 points of 5 classes take one and two value buckets
     pred, gt, confs, catalog = sized_instance(n, k, seed=n + k)
     for grid_steps in (7, 100):
         config = EvalConfig(
@@ -739,19 +731,40 @@ def test_engine_equals_reference_across_sub_block_and_chunk_edges(
         assert got[1]["max_softmax"].relevant_count == 1
 
 
-@pytest.mark.parametrize("offset", [0, B - 1])
+def test_engine_counts_tens_of_thousands_of_windows():
+    # 300 classes of 10^5 points on a 100-step grid: some 30 000 cut
+    # windows, whose (window, rank) keys pass 2^31; the reference ranks all
+    # kept points once and reads each class off that order
+    n, k = 10**5, 300
+    rng = np.random.default_rng(30)
+    pred, gt, confs, catalog = scored_instance([rng.random(n), rng.random(n)], k, 30, 0.05)
+    got = class_curves_by_measure(pred, gt, confs, catalog, EvalConfig())
+    kept = gt.values != catalog.ignore_index
+    grid = FractionGrid(100)
+    for m, conf in confs.items():
+        order = np.argsort(conf.scores[kept], kind="stable")
+        g, p = gt.values[kept][order], pred.values[kept][order]
+        for c in range(k):
+            relevant = (g == c) | (p == c)
+            tp = (g == p)[relevant] & (g[relevant] == c)
+            want = _reference_errors(tp, ~tp, grid)
+            assert got[c][m].sparsification_error.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0, 49])
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
-def test_engine_cuts_on_sub_block_edges(offset, tie_break, ranking_domain):
-    # ranks follow point order; n = 100 sub-blocks, so every global cut of a
-    # 100-step grid falls on a sub-block edge, and class 1 has one relevant
-    # point per sub-block at the same offset, so every subset cut does too
-    grid_steps = 100
-    n = grid_steps * B
+def test_engine_cuts_on_bucket_edges(offset, tie_break, ranking_domain):
+    # 6400 points of 4 classes take 128 value buckets of 50 points each, in
+    # point order; a 128-step grid cuts every global ranking on a bucket
+    # edge, and class 1 has one relevant point per bucket at the same
+    # offset, so every subset cut falls on an edge of that class too
+    n, grid_steps = 6400, 128
+    assert _buckets(4, n) == grid_steps
     rng = np.random.default_rng(offset)
     gt = rng.integers(2, 4, size=n)
     pred = np.where(rng.random(n) < 0.7, gt, rng.integers(2, 4, size=n))
-    edges = np.arange(offset, n, B)
+    edges = np.arange(offset, n, n // grid_steps)
     gt[edges] = np.where(rng.random(edges.size) < 0.5, 1, gt[edges])
     pred[edges] = np.where(gt[edges] == 1, rng.integers(1, 3, size=edges.size), 1)
     scores = np.arange(n) / n
@@ -764,27 +777,36 @@ def test_engine_cuts_on_sub_block_edges(offset, tie_break, ranking_domain):
     assert got[1]["max_softmax"].relevant_count == edges.size
 
 
-def test_engine_memory_per_point():
-    # one 8-byte ranking key per point, two label columns and small
-    # temporaries; the counts of the running sums take under 2 B/pt
-    n, k = 1 << 18, 19
+@pytest.mark.parametrize("scores", ["random", "three levels", "all equal"])
+def test_engine_memory_per_point(scores):
+    # the count tables, the gathered members of the cut windows and chunk
+    # temporaries: nothing the size of the split but the inputs
+    n, k = 1 << 20, 19
     rng = np.random.default_rng(8)
     gt = rng.integers(0, k, size=n).astype(np.uint8)
     pred = np.where(rng.random(n) < 0.7, gt, rng.integers(0, k, size=n)).astype(np.uint8)
-    confs = {
-        m: ConfidenceVector(m, rng.random(n).astype(np.float32).astype(np.float64))
-        for m in ("max_softmax", "neg_entropy")
-    }
+    column = {
+        "random": lambda: rng.random(n).astype(np.float32).astype(np.float64),
+        "three levels": lambda: rng.integers(0, 3, size=n) / 2.0,
+        "all equal": lambda: np.full(n, 0.5),
+    }[scores]
+    confs = {m: ConfidenceVector(m, column()) for m in ("max_softmax", "neg_entropy")}
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    counts = confusion(LabelArray(pred), LabelArray(gt), catalog)
+    # numpy imports some of its modules on first use: not the engine's memory
+    small = {m: ConfidenceVector(m, c.scores[:999]) for m, c in confs.items()}
+    class_curves_by_measure(LabelArray(pred[:999]), LabelArray(gt[:999]), small, catalog, EvalConfig())
     for ranking_domain in RANKING_DOMAINS:
         config = EvalConfig(ranking_domain=ranking_domain)
         tracemalloc.start()
         try:
-            class_curves_by_measure(LabelArray(pred), LabelArray(gt), confs, catalog, config)
+            class_curves_by_measure(
+                LabelArray(pred), LabelArray(gt), confs, catalog, config, _counts=counts
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= 14
+        assert peak / n <= 4
 
 
 def test_seeded_random_adds_only_the_permutation_to_the_engine_peak():
