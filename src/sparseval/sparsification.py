@@ -149,7 +149,7 @@ def _bucket(sc: np.ndarray, buckets: int) -> np.ndarray:
 
 def _members(g, p, s, perm, buckets, k, root, subset, step):
     """Per ``step`` kept points in tie order (point order, or ``perm``'s):
-    window (``root`` maps cells to them), value bits, position and codes of
+    window (``root`` maps cells to them), value bits and payload codes of
     each member. A subset member is a point's entry for its class, and for
     its prediction if wrong, in cell class * B + bucket, coded 1 if a true
     positive; a global member is a point in cell bucket, coded 2 * class +
@@ -159,21 +159,27 @@ def _members(g, p, s, perm, buckets, k, root, subset, step):
         gc, pc, sc = g[at], p[at], s[at]
         b, hit = _bucket(sc, buckets), gc == pc
         if subset:
-            cell = np.stack((gc, pc), axis=1).astype(np.intp)
-            cell[hit, 1] = k  # row k of root holds no window
-            cell *= buckets
-            cell += b[:, None]
-        w = root.take(cell if subset else b, mode="clip").ravel()
-        e = np.flatnonzero(w >= 0)
-        pt = e >> 1 if subset else e
-        hit = hit.take(pt)
-        if subset:
-            codes = [hit & (e & 1 == 0)]
+            cell = np.multiply(gc, buckets, dtype=np.intp)
+            cell += b
+            w = root.take(cell, mode="clip")
+            np.multiply(pc, buckets, out=cell, dtype=np.intp)
+            cell += b
+            other = root.take(cell, mode="clip")
+            other[hit] = -1
+            pt = np.flatnonzero((w >= 0) | (other >= 0))
+            # a point's two entries side by side keep tie order
+            w = np.stack((w.take(pt), other.take(pt)), axis=1).ravel()
+            e = np.flatnonzero(w >= 0)
+            pt = pt.take(e >> 1)
+            codes = [hit.take(pt) & (e & 1 == 0)]
         else:
+            w = root.take(b, mode="clip")
+            e = pt = np.flatnonzero(w >= 0)
+            hit = hit.take(pt)
             codes = [np.multiply(gc.take(pt), 2, dtype=np.intp) + hit]
             codes.append(np.where(hit, 2 * k, np.multiply(pc.take(pt), 2, dtype=np.intp)))
         bits = sc.take(pt) + 0.0
-        yield w.take(e), bits.view(np.int64), lo + pt, codes
+        yield w.take(e), bits.view(np.int64), codes
 
 
 def _child(v, low, extent):
@@ -242,7 +248,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
     j = cells % buckets
     edges = (np.arange(buckets + 1) / buckets).view(np.int64)
     lo, hi, size = edges[j], edges[j + 1] - (j < buckets - 1), sizes[live[one]]
-    root = np.full((k + 1 if subset else 1) * buckets, -1, dtype=np.intp)
+    root = np.full((k if subset else 1) * buckets, -1, dtype=np.intp)
     root[cells] = np.arange(cells.size)
     state = np.full(cells.size, _GATHER, dtype=np.int8)
     first, child = np.zeros(cells.size, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -274,7 +280,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
         # chunks a quarter the size when most points are members, or when
         # a chunk's labels and scores are copies, gathered through perm
         step = CHUNK_POINTS >> 2 * (perm is not None or size[active].sum() > n >> 2)
-        for at, bits, pos, codes in _members(g, p, s, perm, buckets, k, root, subset, step):
+        for at, bits, codes in _members(g, p, s, perm, buckets, k, root, subset, step):
             while inner:
                 down = np.flatnonzero(state.take(at) == _INNER)
                 if not down.size:
@@ -282,7 +288,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
                 w = at[down]
                 at[down] = child[first[w] + _child(bits[down].view(np.float64), low[w], extent[w])]
                 keep = np.flatnonzero(at >= 0)
-                at, bits, pos, codes = at[keep], bits[keep], pos[keep], [c[keep] for c in codes]
+                at, bits, codes = at[keep], bits[keep], [c[keep] for c in codes]
             st = state.take(at)
             mine = np.flatnonzero(st == _SPLIT)
             w, v = at[mine], bits[mine]
@@ -308,7 +314,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
             for out, c in zip(kept, codes):
                 out[filled:end] = c[mine]
             filled = end
-            del at, bits, pos, codes, st, mine, w, v, slot
+            del at, bits, codes, st, mine, w, v, slot
         if packed.size:
             _count_gathered(packed, kept, wide, gather, keys, ends, tally, span, width)
         del packed, kept
@@ -347,46 +353,38 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     """
     n, subset = s.size, ranking_domain == "subset"
     buckets, step = _buckets(k, n), SCAN_POINTS >> 1
-    table = np.zeros(2 * k * buckets, dtype=np.int32 if n < 1 << 31 else np.int64)
+    table = np.zeros((k, buckets, 2), dtype=np.int32 if n < 1 << 31 else np.int64)
     points = np.zeros(buckets, dtype=np.int64)
     for lo in range(0, n, step):
         gc, pc, b = g[lo : lo + step], p[lo : lo + step], _bucket(s[lo : lo + step], buckets)
         points += np.bincount(b, minlength=buckets)
         # bin 2 * (class * B + bucket) + 1 counts true positives, the bin
-        # before it other relevant points once the true positives, which
-        # the prediction's entry counts too, are taken off
-        index = np.empty(2 * b.size, dtype=np.intp)
-        np.multiply(gc, 2 * buckets, out=index[: b.size], dtype=np.intp)
-        np.multiply(pc, 2 * buckets, out=index[b.size :], dtype=np.intp)
-        b *= 2
-        index.reshape(2, -1)[:] += b
-        index[: b.size] += gc == pc
-        table += np.bincount(index, minlength=table.size)
+        # before it other relevant points, once the true positives that the
+        # prediction's entry counts there too are taken off
+        index = np.empty((2, b.size), dtype=np.intp)
+        np.multiply(gc, 2 * buckets, out=index[0], dtype=np.intp)
+        np.multiply(pc, 2 * buckets, out=index[1], dtype=np.intp)
+        index += 2 * b
+        index[0] += gc == pc
+        table += np.bincount(index.ravel(), minlength=table.size).reshape(table.shape)
         del index, b
-    table = table.reshape(k, buckets, 2)
     table[..., 0] -= table[..., 1]
-    if subset:
-        units, head, sizes, acc = [], [], [], []
-        for c, (n_rel, _) in zip(classes, totals):
-            if n_rel:
-                below = np.zeros((buckets + 1, 2), dtype=np.int64)
-                np.cumsum(table[c], axis=0, out=below[1:])
-                seen = below.sum(axis=1)
-                j = np.searchsorted(seen, grid.removal_counts(n_rel), side="right") - 1
-                units.append(c * buckets + j)
-                head.append(grid.removal_counts(n_rel) - seen[j])
-                sizes.append(seen[j + 1] - seen[j])
-                acc.append(below[j])
-        units, head, sizes, acc = map(np.concatenate, (units, head, sizes, acc))
-    else:
-        seen = np.concatenate(([0], np.cumsum(points)))
-        units = np.searchsorted(seen, grid.removal_counts(n), side="right") - 1
-        head, sizes = grid.removal_counts(n) - seen[units], points[units]
-        np.cumsum(table, axis=1, out=table)
-        acc = np.zeros((units.size, 2 * k + 1), dtype=np.int64)
-        acc[:, :-1] = table[:, units - 1].transpose(1, 0, 2).reshape(units.size, 2 * k)
-        acc[units == 0] = 0
-    del table
+    # per ranking unit, a class or all points: each cut's bucket, its head
+    # in the bucket, the bucket's members, and the payload counts below it
+    units, head, sizes, acc = [], [], [], []
+    for c in [c for c, (n_rel, _) in zip(classes, totals) if n_rel] if subset else [0]:
+        held = table[c] if subset else table.transpose(1, 0, 2).reshape(buckets, 2 * k)
+        np.cumsum(held, axis=0, out=held)
+        seen = np.concatenate(([0], held.sum(axis=1) if subset else np.cumsum(points)))
+        removed = grid.removal_counts(seen[-1])
+        j = np.searchsorted(seen, removed, side="right") - 1
+        units.append(c * buckets + j)
+        head.append(removed - seen[j])
+        sizes.append(seen[j + 1] - seen[j])
+        acc.append(np.where(j[:, None] > 0, held[j - 1], 0))
+    del table, held
+    units, head, sizes, acc = map(np.concatenate, (units, head, sizes, acc))
+    acc = np.pad(acc.astype(np.int64), ((0, 0), (0, 1 - subset)))
     acc = _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset)
     if subset:
         tps = iter(acc[:, 1].reshape(-1, grid.grid_steps))
