@@ -38,7 +38,7 @@ from .segmetrics import ConfusionMatrix, confusion
 
 BRUTE_FORCE_MAX_POINTS = 20
 
-# kept points per chunk of the engine's passes; children of a split window
+# most kept points per chunk of the engine's passes; children of a split window
 CHUNK_POINTS = SCAN_POINTS >> 1
 _FANOUT = 16
 _GATHER, _SPLIT, _TIE, _INNER, _DONE = range(5)
@@ -141,6 +141,12 @@ def _buckets(k: int, n: int) -> int:
     return 1 << min(12, max(0, (n // (8 * k)).bit_length() - 1))
 
 
+def _chunk(n: int) -> int:
+    """Points per chunk of a pass: n / 16 rounded down to a power of two in
+    2^10 .. ``CHUNK_POINTS``, so that a small split takes small chunks."""
+    return min(CHUNK_POINTS, 1 << max(10, (n >> 4).bit_length() - 1))
+
+
 def _bucket(sc: np.ndarray, buckets: int) -> np.ndarray:
     """min(floor(s * B), B - 1) of each score, a monotone bucket in [0, B)."""
     b = np.multiply(sc, buckets, out=np.empty(sc.size, dtype=np.intp), casting="unsafe")
@@ -185,10 +191,7 @@ def _members(g, p, s, perm, buckets, k, root, subset, step):
 def _child(v, low, extent):
     """The child of a window from ``low`` over ``extent`` holding value v,
     monotone in v: children hold consecutive values."""
-    c = v - low
-    c /= extent
-    c *= _FANOUT
-    return np.minimum(c.astype(np.intp), _FANOUT - 1, out=c.view(np.intp))
+    return np.minimum(((v - low) / extent * _FANOUT).astype(np.intp), _FANOUT - 1)
 
 
 def _contribute(tally, keys, at, ends, codes, width):
@@ -279,7 +282,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
         filled, inner = 0, (state == _INNER).any()
         # chunks a quarter the size when most points are members, or when
         # a chunk's labels and scores are copies, gathered through perm
-        step = CHUNK_POINTS >> 2 * (perm is not None or size[active].sum() > n >> 2)
+        step = _chunk(n) >> 2 * (perm is not None or size[active].sum() > n >> 2)
         for at, bits, codes in _members(g, p, s, perm, buckets, k, root, subset, step):
             while inner:
                 down = np.flatnonzero(state.take(at) == _INNER)
@@ -352,7 +355,7 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     after r points (global domain), in a bucket; ``_resolve`` does the rest.
     """
     n, subset = s.size, ranking_domain == "subset"
-    buckets, step = _buckets(k, n), SCAN_POINTS >> 1
+    buckets, step = _buckets(k, n), _chunk(n)
     table = np.zeros((k, buckets, 2), dtype=np.int32 if n < 1 << 31 else np.int64)
     points = np.zeros(buckets, dtype=np.int64)
     for lo in range(0, n, step):
