@@ -38,8 +38,11 @@ from .segmetrics import ConfusionMatrix, confusion
 
 BRUTE_FORCE_MAX_POINTS = 20
 
-# most kept points per chunk of the engine's passes; children of a split window
+# most kept points per chunk of the engine's passes; fewest members one round
+# may gather, as n / 8 leaves a small split with count tables for every
+# window; children of a split window
 CHUNK_POINTS = SCAN_POINTS >> 1
+GATHER_POINTS = 1 << 16
 _FANOUT = 16
 _GATHER, _SPLIT, _TIE, _INNER, _DONE = range(5)
 
@@ -137,8 +140,9 @@ def _oracle_error(
 
 def _buckets(k: int, n: int) -> int:
     """Value buckets per class: the largest power of two up to 2^12 whose
-    (class, bucket) table of two int32 counts takes at most 1 B per point."""
-    return 1 << min(12, max(0, (n // (8 * k)).bit_length() - 1))
+    (class, bucket) table of two counts, each of the smallest unsigned type
+    that holds n, takes at most 1 B per point."""
+    return 1 << min(12, max(0, (n // (2 * k * np.min_scalar_type(n).itemsize)).bit_length() - 1))
 
 
 def _chunk(n: int) -> int:
@@ -208,7 +212,7 @@ def _contribute(tally, keys, at, ends, codes, width):
 def _count_gathered(packed, codes, wide, gather, keys, ends, tally, span, width):
     """Count the gathered members, ``packed`` as (rank in ``gather``) <<
     wide | value key in tie order, which it overwrites, for their cuts."""
-    m, step = packed.size, CHUNK_POINTS >> 2
+    m, step = packed.size, _chunk(packed.size)
     order = np.argsort(packed)
     packed.sort()
     starts = np.searchsorted(packed, np.arange(gather.size) << wide)
@@ -236,14 +240,14 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
 
     A cut lies in a window, a range of its cell's value bits, at first its
     bucket. Each round is one pass in tie order: the smallest windows, n / 8
-    members in all, are gathered and sorted; a window of one value, an exact
+    members in all (at least ``GATHER_POINTS``), are gathered and sorted; a window of one value, an exact
     tie, is counted in tie order as the pass goes; any other window is split
     into ``_FANOUT`` children of consecutive values, each counted with its
     payload and value range, and a cut moves into the child holding its
     head-th member, a window of the next round.
     """
     n, width, span = s.size, acc.shape[1], s.size + 1
-    budget = max(n >> 3, 1 << 6)
+    budget = max(n >> 3, GATHER_POINTS)
     live = np.flatnonzero(head > 0)
     cells, one, at = np.unique(units[live], return_index=True, return_inverse=True)
     win = np.full(head.size, -1, dtype=np.intp)
@@ -256,7 +260,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
     state = np.full(cells.size, _GATHER, dtype=np.int8)
     first, child = np.zeros(cells.size, dtype=np.intp), np.empty(0, dtype=np.intp)
     while live.size:
-        active = np.unique(win[live])
+        active = np.flatnonzero(np.bincount(win[live], minlength=lo.size))
         wide = 62 - lo.size.bit_length()
         ranged = active[state[active] != _TIE]
         ranged = ranged[np.argsort(size[ranged], kind="stable")]
@@ -356,7 +360,7 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     """
     n, subset = s.size, ranking_domain == "subset"
     buckets, step = _buckets(k, n), _chunk(n)
-    table = np.zeros((k, buckets, 2), dtype=np.int32 if n < 1 << 31 else np.int64)
+    table = np.zeros((k, buckets, 2), dtype=np.min_scalar_type(n))
     points = np.zeros(buckets, dtype=np.int64)
     for lo in range(0, n, step):
         gc, pc, b = g[lo : lo + step], p[lo : lo + step], _bucket(s[lo : lo + step], buckets)
@@ -369,8 +373,9 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
         np.multiply(pc, 2 * buckets, out=index[1], dtype=np.intp)
         index += 2 * b
         index[0] += gc == pc
-        table += np.bincount(index.ravel(), minlength=table.size).reshape(table.shape)
-        del index, b
+        counts = np.bincount(index.ravel(), minlength=table.size).reshape(table.shape)
+        np.add(table, counts, out=table, casting="unsafe")
+        del index, b, counts
     table[..., 0] -= table[..., 1]
     # per ranking unit, a class or all points: each cut's bucket, its head
     # in the bucket, the bucket's members, and the payload counts below it
@@ -378,7 +383,7 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     for c in [c for c, (n_rel, _) in zip(classes, totals) if n_rel] if subset else [0]:
         held = table[c] if subset else table.transpose(1, 0, 2).reshape(buckets, 2 * k)
         np.cumsum(held, axis=0, out=held)
-        seen = np.concatenate(([0], held.sum(axis=1) if subset else np.cumsum(points)))
+        seen = np.concatenate(([0], held.sum(axis=1, dtype=np.int64) if subset else np.cumsum(points)))
         removed = grid.removal_counts(seen[-1])
         j = np.searchsorted(seen, removed, side="right") - 1
         units.append(c * buckets + j)

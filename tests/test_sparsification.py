@@ -751,15 +751,15 @@ def test_engine_counts_tens_of_thousands_of_windows():
             assert got[c][m].sparsification_error.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("offset", [0, 49])
+@pytest.mark.parametrize("offset", [0, 24])
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("ranking_domain", RANKING_DOMAINS)
 def test_engine_cuts_on_bucket_edges(offset, tie_break, ranking_domain):
-    # 6400 points of 4 classes take 128 value buckets of 50 points each, in
-    # point order; a 128-step grid cuts every global ranking on a bucket
+    # 6400 points of 4 classes take 256 value buckets of 25 points each, in
+    # point order; a 256-step grid cuts every global ranking on a bucket
     # edge, and class 1 has one relevant point per bucket at the same
     # offset, so every subset cut falls on an edge of that class too
-    n, grid_steps = 6400, 128
+    n, grid_steps = 6400, 256
     assert _buckets(4, n) == grid_steps
     rng = np.random.default_rng(offset)
     gt = rng.integers(2, 4, size=n)
