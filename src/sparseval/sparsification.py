@@ -142,7 +142,8 @@ def _buckets(k: int, n: int) -> int:
     """Value buckets per class: the largest power of two up to 2^12 whose
     (class, bucket) table of two counts, each of the smallest unsigned type
     that holds n, takes at most 1 B per point."""
-    return 1 << min(12, max(0, (n // (2 * k * np.min_scalar_type(n).itemsize)).bit_length() - 1))
+    per_bucket = 2 * k * np.min_scalar_type(n).itemsize
+    return 1 << min(12, max(0, (n // per_bucket).bit_length() - 1))
 
 
 def _chunk(n: int) -> int:
@@ -198,6 +199,14 @@ def _child(v, low, extent):
     return np.minimum(((v - low) / extent * _FANOUT).astype(np.intp), _FANOUT - 1)
 
 
+def _count(out, index, sign=1):
+    """Add ``sign`` to ``out`` at each index, with a bincount over the run of
+    ``out`` that the indices span rather than all of it."""
+    if index.size:
+        lo = index.min()
+        out[lo : index.max() + 1] += sign * np.bincount(index - lo)
+
+
 def _contribute(tally, keys, at, ends, codes, width):
     """Count members' ``codes`` for their window's cuts with a head past
     their rank: ``keys`` are the cuts' sorted window * (n + 1) + head,
@@ -205,8 +214,8 @@ def _contribute(tally, keys, at, ends, codes, width):
     cut; ``tally`` is summed along the cuts."""
     first = np.searchsorted(keys, at, side="right")
     for c in codes:
-        tally += np.bincount(first * width + c, minlength=tally.size)
-        tally -= np.bincount(ends * width + c, minlength=tally.size)
+        _count(tally, first * width + c)
+        _count(tally, ends * width + c, -1)
 
 
 def _count_gathered(packed, codes, wide, gather, keys, ends, tally, span, width):
@@ -230,7 +239,8 @@ def _count_gathered(packed, codes, wide, gather, keys, ends, tally, span, width)
         at = np.arange(lo, min(lo + step, m))
         which = np.searchsorted(starts, at, side="right") - 1
         w, mine = gather[which], order[lo : lo + step]
-        _contribute(tally, keys, w * span + at - starts[which], ends[w], [c[mine] for c in codes], width)
+        at += w * span - starts[which]
+        _contribute(tally, keys, at, ends[w], [c[mine] for c in codes], width)
         del at, which, w, mine
 
 
@@ -240,11 +250,11 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
 
     A cut lies in a window, a range of its cell's value bits, at first its
     bucket. Each round is one pass in tie order: the smallest windows, n / 8
-    members in all (at least ``GATHER_POINTS``), are gathered and sorted; a window of one value, an exact
-    tie, is counted in tie order as the pass goes; any other window is split
-    into ``_FANOUT`` children of consecutive values, each counted with its
-    payload and value range, and a cut moves into the child holding its
-    head-th member, a window of the next round.
+    members in all (at least ``GATHER_POINTS``), are gathered and sorted; a
+    window of one value, an exact tie, is counted in tie order as the pass
+    goes; any other window is split into ``_FANOUT`` children of consecutive
+    values, each counted with its payload and value range, and a cut moves
+    into the child holding its head-th member, a window of the next round.
     """
     n, width, span = s.size, acc.shape[1], s.size + 1
     budget = max(n >> 3, GATHER_POINTS)
@@ -286,7 +296,7 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
         filled, inner = 0, (state == _INNER).any()
         # chunks a quarter the size when most points are members, or when
         # a chunk's labels and scores are copies, gathered through perm
-        step = _chunk(n) >> 2 * (perm is not None or size[active].sum() > n >> 2)
+        step = max(_chunk(n) >> 2 * (perm is not None or size[active].sum() > n >> 2), 1 << 12)
         for at, bits, codes in _members(g, p, s, perm, buckets, k, root, subset, step):
             while inner:
                 down = np.flatnonzero(state.take(at) == _INNER)
@@ -300,9 +310,9 @@ def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
             mine = np.flatnonzero(st == _SPLIT)
             w, v = at[mine], bits[mine]
             slot = first[w] - base + _child(v.view(np.float64), low[w], extent[w])
-            members += np.bincount(slot, minlength=slots)
+            _count(members, slot)
             for c in codes:
-                payload += np.bincount(slot * width + c[mine], minlength=payload.size)
+                _count(payload, slot * width + c[mine])
             np.minimum.at(key_min, slot, v)
             np.maximum.at(key_max, slot, v)
             mine = np.flatnonzero(st == _TIE)
@@ -383,7 +393,8 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     for c in [c for c, (n_rel, _) in zip(classes, totals) if n_rel] if subset else [0]:
         held = table[c] if subset else table.transpose(1, 0, 2).reshape(buckets, 2 * k)
         np.cumsum(held, axis=0, out=held)
-        seen = np.concatenate(([0], held.sum(axis=1, dtype=np.int64) if subset else np.cumsum(points)))
+        seen = held.sum(axis=1, dtype=np.int64) if subset else np.cumsum(points)
+        seen = np.concatenate(([0], seen))
         removed = grid.removal_counts(seen[-1])
         j = np.searchsorted(seen, removed, side="right") - 1
         units.append(c * buckets + j)

@@ -795,7 +795,9 @@ def test_engine_memory_per_point(scores):
     counts = confusion(LabelArray(pred), LabelArray(gt), catalog)
     # numpy imports some of its modules on first use: not the engine's memory
     small = {m: ConfidenceVector(m, c.scores[:999]) for m, c in confs.items()}
-    class_curves_by_measure(LabelArray(pred[:999]), LabelArray(gt[:999]), small, catalog, EvalConfig())
+    class_curves_by_measure(
+        LabelArray(pred[:999]), LabelArray(gt[:999]), small, catalog, EvalConfig()
+    )
     for ranking_domain in RANKING_DOMAINS:
         config = EvalConfig(ranking_domain=ranking_domain)
         tracemalloc.start()
