@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sparseval import (
 )
 from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import DimensionMismatch, EmptySubset, LabelOutOfRange, SubsetTooLarge
+from sparseval import sparsification
 from sparseval.segmetrics import confusion
 from sparseval.sparsification import CHUNK_POINTS, _buckets, class_curves_by_measure
 
@@ -565,10 +567,9 @@ def score_column(rng, n, mode, scale):
     return np.where(rng.random(n) < 0.5, rng.random(n), pool[rng.integers(0, pool.size, size=n)])
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 3000),
     k=st.integers(2, 8).map(lambda k: 300 if k == 8 else k),
     ignored=st.sampled_from([0.0, 0.05, 0.3]),
     modes=st.tuples(*[st.sampled_from(["free", "levels", "edges", "spacing"])] * 2),
@@ -577,19 +578,24 @@ def score_column(rng, n, mode, scale):
     ranking_domain=st.sampled_from(RANKING_DOMAINS),
     tie_break=st.sampled_from(TIE_BREAKS),
     rng_seed=st.integers(0, 3),
+    gather=st.sampled_from([sparsification.GATHER_POINTS, 64]),
 )
 def test_engine_equals_reference_on_drawn_splits(
-    seed, n, k, ignored, modes, scale, grid_steps, ranking_domain, tie_break, rng_seed
+    seed, k, ignored, modes, scale, grid_steps, ranking_domain, tie_break, rng_seed, gather
 ):
-    # thousands of points, so the counts span many value buckets and the
-    # cuts land on bucket edges, inside exact ties and between neighbours
+    # up to 3000 points (from the seed, so that sizes spread evenly), so the
+    # counts span many value buckets and the cuts land on bucket edges,
+    # inside exact ties and between neighbours; a small gather floor sends
+    # most windows through splits and tie counts
+    n = 1 + seed % 3000
     rng = np.random.default_rng(seed)
     columns = [score_column(rng, n, mode, scale) for mode in modes]
     pred, gt, confs, catalog = scored_instance(columns, k, seed, ignored)
     config = EvalConfig(
         grid_steps=grid_steps, ranking_domain=ranking_domain, tie_break=tie_break, rng_seed=rng_seed
     )
-    assert_engine_equals_reference(pred, gt, confs, catalog, config)
+    with mock.patch.object(sparsification, "GATHER_POINTS", gather):
+        assert_engine_equals_reference(pred, gt, confs, catalog, config)
 
 
 def assert_engine_ranks_column(arr):
