@@ -15,8 +15,9 @@ B - 1), which places each cut in a bucket; further passes select the cut
 inside its bucket (Floyd and Rivest, CACM 1975): small buckets are gathered
 and sorted, large ones split into finer value ranges, exact ties counted in
 tie order. Beyond its inputs the engine holds the count tables (at most
-1 B/pt), the gathered members (at most n / 8) and chunk temporaries, under
-4 B/pt in all. The oracle is closed-form in the class's counts.
+1 B/pt), the gathered members (n / 8 at most, or ``GATHER_POINTS`` in a
+small split) and chunk temporaries: 2.8 B/pt at 2^20 points and 19
+classes. The oracle is closed-form in the class's counts.
 """
 from __future__ import annotations
 
@@ -38,9 +39,10 @@ from .segmetrics import ConfusionMatrix, confusion
 
 BRUTE_FORCE_MAX_POINTS = 20
 
-# most kept points per chunk of the engine's passes; fewest members one round
-# may gather, as n / 8 leaves a small split with count tables for every
-# window; children of a split window
+# most kept points per chunk of the engine's passes; the members one round
+# may gather even when that exceeds n / 8, since in a small split nearly
+# every bucket holds a cut and splitting them all takes more memory than
+# gathering them; children of a split window
 CHUNK_POINTS = SCAN_POINTS >> 1
 GATHER_POINTS = 1 << 16
 _FANOUT = 16
