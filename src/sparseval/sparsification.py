@@ -376,14 +376,16 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     points = np.zeros(buckets, dtype=np.int64)
     for lo in range(0, n, step):
         gc, pc, b = g[lo : lo + step], p[lo : lo + step], _bucket(s[lo : lo + step], buckets)
-        points += np.bincount(b, minlength=buckets)
+        if not subset:
+            points += np.bincount(b, minlength=buckets)
         # bin 2 * (class * B + bucket) + 1 counts true positives, the bin
         # before it other relevant points, once the true positives that the
         # prediction's entry counts there too are taken off
         index = np.empty((2, b.size), dtype=np.intp)
         np.multiply(gc, 2 * buckets, out=index[0], dtype=np.intp)
         np.multiply(pc, 2 * buckets, out=index[1], dtype=np.intp)
-        index += 2 * b
+        b <<= 1
+        index += b
         index[0] += gc == pc
         counts = np.bincount(index.ravel(), minlength=table.size).reshape(table.shape)
         np.add(table, counts, out=table, casting="unsafe")
