@@ -178,13 +178,14 @@ def _members(g, p, s, perm, buckets, k, root, subset, step):
             np.multiply(pc, buckets, out=cell, dtype=np.intp)
             cell += b
             other = root.take(cell, mode="clip")
-            other[hit] = -1
             pt = np.flatnonzero((w >= 0) | (other >= 0))
-            # a point's two entries side by side keep tie order
-            w = np.stack((w.take(pt), other.take(pt)), axis=1).ravel()
+            # a point's two entries side by side keep tie order; a true
+            # positive's second entry repeats its first
+            hit = hit.take(pt)
+            w = np.stack((w.take(pt), np.where(hit, -1, other.take(pt))), axis=1).ravel()
             e = np.flatnonzero(w >= 0)
+            codes = [hit.take(e >> 1) & (e & 1 == 0)]
             pt = pt.take(e >> 1)
-            codes = [hit.take(pt) & (e & 1 == 0)]
         else:
             w = root.take(b, mode="clip")
             e = pt = np.flatnonzero(w >= 0)
