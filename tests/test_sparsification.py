@@ -24,9 +24,9 @@ from sparseval import (
     relevant_subset,
     sparsification_curve,
 )
+from sparseval import sparsification
 from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import DimensionMismatch, EmptySubset, LabelOutOfRange, SubsetTooLarge
-from sparseval import sparsification
 from sparseval.segmetrics import confusion
 from sparseval.sparsification import CHUNK_POINTS, _buckets, class_curves_by_measure
 
@@ -799,7 +799,8 @@ def test_engine_memory_per_point(scores):
     confs = {m: ConfidenceVector(m, column()) for m in ("max_softmax", "neg_entropy")}
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
     counts = confusion(LabelArray(pred), LabelArray(gt), catalog)
-    # numpy imports some of its modules on first use: not the engine's memory
+    # one-time costs of a first call (lazily imported numpy modules, say)
+    # are not the engine's memory
     small = {m: ConfidenceVector(m, c.scores[:999]) for m, c in confs.items()}
     class_curves_by_measure(
         LabelArray(pred[:999]), LabelArray(gt[:999]), small, catalog, EvalConfig()
