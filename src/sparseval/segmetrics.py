@@ -60,10 +60,8 @@ def confusion(pred: LabelArray, gt: LabelArray, catalog: ClassCatalog) -> Confus
         raise DimensionMismatch(
             f"predictions cover {len(pred)} points but labels cover {len(gt)}"
         )
-    k = catalog.k
+    k, wrong = catalog.k, []  # bad predictions wait until all ground truth passed
     counts = np.zeros(k * k, dtype=np.int64)
-    index = np.empty(min(SCAN_POINTS, len(gt)), dtype=np.intp)
-    wrong = None  # the first bad prediction, raised once all ground truth passed
     for lo in range(0, len(gt), SCAN_POINTS):
         g, p = gt.values[lo : lo + SCAN_POINTS], pred.values[lo : lo + SCAN_POINTS]
         keep = g != catalog.ignore_index
@@ -72,17 +70,16 @@ def confusion(pred: LabelArray, gt: LabelArray, catalog: ClassCatalog) -> Confus
         for name, arr in (("ground-truth", g), ("prediction", p)):
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= k):
                 i = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
-                error = LabelOutOfRange(f"{name} label {int(arr[i])} is outside 0..{k - 1}")
+                wrong.append(LabelOutOfRange(f"{name} label {int(arr[i])} is outside 0..{k - 1}"))
                 if name == "ground-truth":
-                    raise error
-                wrong = wrong or error
-        if wrong is None:
-            at = index[: g.size]
-            np.multiply(g, k, out=at, dtype=np.intp)
-            np.add(at, p, out=at, dtype=np.intp)
-            counts += np.bincount(at, minlength=k * k)
-    if wrong is not None:
-        raise wrong
+                    raise wrong[-1]
+        if not wrong:
+            index = np.multiply(g, k, dtype=np.intp)
+            index += p
+            counts += np.bincount(index, minlength=k * k)
+            del index
+    if wrong:
+        raise wrong[0]
     return ConfusionMatrix(counts.reshape(k, k))
 
 

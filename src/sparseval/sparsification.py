@@ -8,16 +8,14 @@ points first, which is the best possible order, so the area between the two
 curves measures how close the confidence ranking comes to ground truth.
 
 One engine computes every curve, with no sort of the split. A curve is read
-only at the grid's cuts, and each cut needs two counts: how many of the
-class's relevant points and true positives the ranking removes. Per
-measure, one pass counts them per class and value bucket, min(floor(s * B),
-B - 1), which places each cut in a bucket; further passes select the cut
-inside its bucket (Floyd and Rivest, CACM 1975): small buckets are gathered
-and sorted, large ones split into finer value ranges, exact ties counted in
-tie order. Beyond its inputs the engine holds the count tables (at most
-1 B/pt), the gathered members (n / 8 at most, or ``GATHER_POINTS`` in a
-small split) and chunk temporaries: 2.8 B/pt at 2^20 points and 19
-classes. The oracle is closed-form in the class's counts.
+only at the grid's cuts, and a cut needs only how many of the class's
+relevant points and true positives the ranking removes. Per measure, one
+pass counts them per class and value bucket, min(floor(s * B), B - 1),
+which places each cut in a bucket; further passes select the cut inside
+its bucket (Floyd and Rivest, CACM 1975). Beyond its inputs the engine
+holds the count table (at most 1 B/pt), the gathered members of the cut
+windows (n / 8 at most) and chunk temporaries: 3 B/pt at 2^20 points and
+19 classes. The oracle is closed-form in the class's counts.
 """
 from __future__ import annotations
 
@@ -44,9 +42,9 @@ BRUTE_FORCE_MAX_POINTS = 20
 # every bucket holds a cut and splitting them all takes more memory than
 # gathering them; children of a split window
 CHUNK_POINTS = SCAN_POINTS >> 1
-GATHER_POINTS = 1 << 16
+GATHER_POINTS = 1 << 17
 _FANOUT = 16
-_GATHER, _SPLIT, _TIE, _INNER, _DONE = range(5)
+_IDLE, _GATHER, _SPLIT, _TIE, _INNER = range(5)
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def _oracle_error(
 
 def _buckets(k: int, n: int) -> int:
     """Value buckets per class: the largest power of two up to 2^12 whose
-    (class, bucket) table of two counts, each of the smallest unsigned type
-    that holds n, takes at most 1 B per point."""
+    table of two counts per class and bucket, each of the smallest unsigned
+    type that holds n, takes at most 1 B per point."""
     per_bucket = 2 * k * np.min_scalar_type(n).itemsize
     return 1 << min(12, max(0, (n // per_bucket).bit_length() - 1))
 
@@ -156,8 +154,8 @@ def _chunk(n: int) -> int:
 
 def _bucket(sc: np.ndarray, buckets: int) -> np.ndarray:
     """min(floor(s * B), B - 1) of each score, a monotone bucket in [0, B)."""
-    b = np.multiply(sc, buckets, out=np.empty(sc.size, dtype=np.intp), casting="unsafe")
-    return np.minimum(b, buckets - 1, out=b)
+    b = sc * buckets
+    return np.minimum(b, buckets - 1, out=b).astype(np.intp)
 
 
 def _members(g, p, s, perm, buckets, k, root, subset, step):
@@ -172,65 +170,52 @@ def _members(g, p, s, perm, buckets, k, root, subset, step):
         gc, pc, sc = g[at], p[at], s[at]
         b, hit = _bucket(sc, buckets), gc == pc
         if subset:
-            cell = np.multiply(gc, buckets, dtype=np.intp)
-            cell += b
-            w = root.take(cell, mode="clip")
-            np.multiply(pc, buckets, out=cell, dtype=np.intp)
-            cell += b
-            other = root.take(cell, mode="clip")
-            pt = np.flatnonzero((w >= 0) | (other >= 0))
             # a point's two entries side by side keep tie order; a true
             # positive's second entry repeats its first
-            hit = hit.take(pt)
-            w = np.stack((w.take(pt), np.where(hit, -1, other.take(pt))), axis=1).ravel()
+            wg, wp = (root.take(np.multiply(c, buckets, dtype=np.intp) + b) for c in (gc, pc))
+            pt = np.flatnonzero((wg >= 0) | (wp >= 0))
+            hit = hit[pt]
+            w = np.stack((wg[pt], np.where(hit, -1, wp[pt])), axis=1).ravel()
             e = np.flatnonzero(w >= 0)
-            codes = [hit.take(e >> 1) & (e & 1 == 0)]
-            pt = pt.take(e >> 1)
+            codes = [hit[e >> 1] & (e & 1 == 0)]
+            pt = pt[e >> 1]
         else:
-            w = root.take(b, mode="clip")
+            w = root.take(b)
             e = pt = np.flatnonzero(w >= 0)
-            hit = hit.take(pt)
-            codes = [np.multiply(gc.take(pt), 2, dtype=np.intp) + hit]
-            codes.append(np.where(hit, 2 * k, np.multiply(pc.take(pt), 2, dtype=np.intp)))
-        bits = sc.take(pt) + 0.0
-        yield w.take(e), bits.view(np.int64), codes
+            gc, pc = (2 * c[pt].astype(np.intp) for c in (gc, pc))
+            codes = [gc + hit[pt], np.where(hit[pt], 2 * k, pc)]
+        yield w[e], (sc[pt] + 0.0).view(np.int64), codes
 
 
 def _child(v, low, extent):
-    """The child of a window from ``low`` over ``extent`` holding value v,
-    monotone in v: children hold consecutive values."""
-    return np.minimum(((v - low) / extent * _FANOUT).astype(np.intp), _FANOUT - 1)
-
-
-def _count(out, index, sign=1):
-    """Add ``sign`` to ``out`` at each index, with a bincount over the run of
-    ``out`` that the indices span rather than all of it."""
-    if index.size:
-        lo = index.min()
-        out[lo : index.max() + 1] += sign * np.bincount(index - lo)
+    """The child of a window from ``low`` over ``extent`` that holds value
+    bits v, monotone in v: children hold consecutive values."""
+    return np.minimum(((v.view(np.float64) - low) / extent * _FANOUT).astype(np.intp), _FANOUT - 1)
 
 
 def _contribute(tally, keys, at, ends, codes, width):
-    """Count members' ``codes`` for their window's cuts with a head past
-    their rank: ``keys`` are the cuts' sorted window * (n + 1) + head,
-    ``at`` the members', with their rank, ``ends`` past their window's last
-    cut; ``tally`` is summed along the cuts."""
+    """Count the members' ``codes`` for each cut of their window whose head
+    passes their rank: ``keys`` are the cuts' sorted window * (n + 1) +
+    head, ``at`` the members' window * (n + 1) + rank, ``ends`` one past
+    their window's last cut; ``tally`` is summed along the cuts."""
     first = np.searchsorted(keys, at, side="right")
     for c in codes:
-        _count(tally, first * width + c)
-        _count(tally, ends * width + c, -1)
+        np.add.at(tally, first * width + c, 1)
+        np.subtract.at(tally, ends * width + c, 1)
 
 
 def _count_gathered(packed, codes, wide, gather, keys, ends, tally, span, width):
-    """Count the gathered members, ``packed`` as (rank in ``gather``) <<
-    wide | value key in tie order, which it overwrites, for their cuts."""
-    m, step = packed.size, _chunk(packed.size)
+    """Count the gathered members for their cuts: ``packed`` holds (rank in
+    ``gather``) << wide | value offset in tie order, and is overwritten."""
+    m = packed.size
     order = np.argsort(packed)
     packed.sort()
     starts = np.searchsorted(packed, np.arange(gather.size) << wide)
     tied = packed[1:] == packed[:-1]
     if tied.any():
-        # equal keys are exact ties: back into tie order, the gather's
+        # equal keys are exact ties: back into gather order, which is tie
+        # order, by a sort of unique group * m + order, in place (a stable
+        # argsort of the keys takes about five times as long)
         packed[0] = 0
         np.cumsum(~tied, out=packed[1:])
         packed *= m
@@ -238,128 +223,116 @@ def _count_gathered(packed, codes, wide, gather, keys, ends, tally, span, width)
         packed.sort()
         np.remainder(packed, m, out=order)
     del tied
+    step = _chunk(m)
     for lo in range(0, m, step):
         at = np.arange(lo, min(lo + step, m))
         which = np.searchsorted(starts, at, side="right") - 1
         w, mine = gather[which], order[lo : lo + step]
         at += w * span - starts[which]
         _contribute(tally, keys, at, ends[w], [c[mine] for c in codes], width)
-        del at, which, w, mine
 
 
-def _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset):
+def _resolve(g, p, s, perm, buckets, k, cells, sizes, head, acc, subset):
     """Add to ``acc[t]`` the payload counts of the first ``head[t]`` members,
-    in ranking order, of cell ``units[t]``, which holds ``sizes[t]``.
+    in ranking order, of cell ``cells[t]``, which holds ``sizes[t]``.
 
-    A cut lies in a window, a range of its cell's value bits, at first its
-    bucket. Each round is one pass in tie order: the smallest windows, n / 8
-    members in all (at least ``GATHER_POINTS``), are gathered and sorted; a
-    window of one value, an exact tie, is counted in tie order as the pass
-    goes; any other window is split into ``_FANOUT`` children of consecutive
-    values, each counted with its payload and value range, and a cut moves
-    into the child holding its head-th member, a window of the next round.
+    A cut lies in a window of its cell's value bits, at first its bucket.
+    Each round is one pass in tie order: the smallest windows, n / 8 members
+    in all (or ``GATHER_POINTS``), are gathered and sorted; an exact tie is
+    counted in tie order; any other window is split into ``_FANOUT``
+    children of consecutive values, and each of its cuts moves on into the
+    child that holds its head-th member.
     """
     n, width, span = s.size, acc.shape[1], s.size + 1
     budget = max(n >> 3, GATHER_POINTS)
     live = np.flatnonzero(head > 0)
-    cells, one, at = np.unique(units[live], return_index=True, return_inverse=True)
-    win = np.full(head.size, -1, dtype=np.intp)
-    win[live] = at
-    j = cells % buckets
+    roots, one, win = np.unique(cells[live], return_index=True, return_inverse=True)
+    j = roots % buckets
     edges = (np.arange(buckets + 1) / buckets).view(np.int64)
     lo, hi, size = edges[j], edges[j + 1] - (j < buckets - 1), sizes[live[one]]
     root = np.full((k if subset else 1) * buckets, -1, dtype=np.intp)
-    root[cells] = np.arange(cells.size)
-    state = np.full(cells.size, _GATHER, dtype=np.int8)
-    first, child = np.zeros(cells.size, dtype=np.intp), np.empty(0, dtype=np.intp)
+    root[roots] = np.arange(roots.size)
+    # the first of a split window's children, which take consecutive ids
+    first = np.full(roots.size, -1, dtype=np.intp)
     while live.size:
-        active = np.flatnonzero(np.bincount(win[live], minlength=lo.size))
-        wide = 62 - lo.size.bit_length()
-        ranged = active[state[active] != _TIE]
+        active = np.unique(win)
+        ranged = active[lo[active] < hi[active]]
         ranged = ranged[np.argsort(size[ranged], kind="stable")]
-        fits = (hi[ranged] - lo[ranged] < 1 << wide) & (size[ranged] <= budget >> 3)
+        wide = 63 - (ranged.size - 1).bit_length()
+        fits = ((hi[ranged] - lo[ranged]) >> wide == 0) & (size[ranged] <= budget >> 3)
         fits &= np.cumsum(np.where(fits, size[ranged], 0)) <= budget
-        state[ranged] = np.where(fits, _GATHER, _SPLIT)
         gather, split = ranged[fits], np.sort(ranged[~fits])
-        counted = live[state[win[live]] != _SPLIT]
-        by_key = np.argsort(win[counted] * span + head[counted])
-        keys = (win[counted] * span + head[counted])[by_key]
+        # what a member of each window does in this pass: windows split in
+        # an earlier one send it on to a child
+        role = np.where(first >= 0, _INNER, _IDLE).astype(np.int8)
+        role[active], role[gather], role[split] = _TIE, _GATHER, _SPLIT
+        done = role[win] != _SPLIT
+        keys = win[done] * span + head[live[done]]
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
         ends = np.searchsorted(keys, (np.arange(lo.size) + 1) * span)
-        tally = np.zeros((counted.size + 1) * width, dtype=np.int64)
-        passed, rank = np.zeros(lo.size, dtype=np.int64), np.zeros(lo.size, dtype=np.int64)
+        tally, passed = np.zeros((keys.size + 1) * width, np.int64), np.zeros(lo.size, np.int64)
+        rank = np.zeros(lo.size, dtype=np.int64)
         rank[gather] = np.arange(gather.size)
         low, extent = lo.view(np.float64), hi.view(np.float64) - lo.view(np.float64)
-        base, slots = child.size, split.size * _FANOUT
+        base = lo.size
         first[split] = base + _FANOUT * np.arange(split.size)
-        child = np.concatenate((child, np.full(slots, -1, dtype=np.intp)))
-        members, payload = np.zeros(slots, np.int64), np.zeros(slots * width, np.int64)
-        key_min, key_max = np.full(slots, 1 << 62), np.full(slots, -1)
+        payload = np.zeros(split.size * _FANOUT * width, np.int64)
+        key_min, key_max = np.full(split.size * _FANOUT, 1 << 62), np.full(payload.size // width, -1)
         packed = np.empty(int(size[gather].sum()), dtype=np.int64)
         kept = [np.empty(packed.size, dtype=np.min_scalar_type(2 * k)) for _ in range(2 - subset)]
-        filled, inner = 0, (state == _INNER).any()
+        filled, inner = 0, (role == _INNER).any()
         # chunks a quarter the size when most points are members, or when
         # a chunk's labels and scores are copies, gathered through perm
         step = max(_chunk(n) >> 2 * (perm is not None or size[active].sum() > n >> 2), 1 << 12)
         for at, bits, codes in _members(g, p, s, perm, buckets, k, root, subset, step):
             while inner:
-                down = np.flatnonzero(state.take(at) == _INNER)
+                down = np.flatnonzero(role.take(at) == _INNER)
                 if not down.size:
                     break
                 w = at[down]
-                at[down] = child[first[w] + _child(bits[down].view(np.float64), low[w], extent[w])]
-                keep = np.flatnonzero(at >= 0)
-                at, bits, codes = at[keep], bits[keep], [c[keep] for c in codes]
-            st = state.take(at)
-            mine = np.flatnonzero(st == _SPLIT)
+                at[down] = first[w] + _child(bits[down], low[w], extent[w])
+            r = role.take(at)
+            mine = np.flatnonzero(r == _SPLIT)
             w, v = at[mine], bits[mine]
-            slot = first[w] - base + _child(v.view(np.float64), low[w], extent[w])
-            _count(members, slot)
+            slot = first[w] - base + _child(v, low[w], extent[w])
             for c in codes:
-                _count(payload, slot * width + c[mine])
+                np.add.at(payload, slot * width + c[mine], 1)
             np.minimum.at(key_min, slot, v)
             np.maximum.at(key_max, slot, v)
-            mine = np.flatnonzero(st == _TIE)
+            mine = np.flatnonzero(r == _TIE)
             if mine.size:
                 # each tie's members in tie order, ranked after those passed
-                order = np.argsort(at[mine], kind="stable")
-                w, i = at[mine][order], np.arange(mine.size)
+                mine = mine[np.argsort(at[mine], kind="stable")]
+                w, i = at[mine], np.arange(mine.size)
                 new = np.concatenate(([True], w[1:] != w[:-1]))
-                rank_in = passed[w] + i - np.maximum.accumulate(np.where(new, i, 0))
-                passed += np.bincount(w, minlength=lo.size)
-                tied = [c[mine][order] for c in codes]
-                _contribute(tally, keys, w * span + rank_in, ends[w], tied, width)
-            mine = np.flatnonzero(st == _GATHER)
-            end = filled + mine.size
-            packed[filled:end] = (rank[at[mine]] << wide) | (bits[mine] - lo[at[mine]])
+                ranks = passed[w] + i - np.maximum.accumulate(np.where(new, i, 0))
+                np.add.at(passed, w, 1)
+                _contribute(tally, keys, w * span + ranks, ends[w], [c[mine] for c in codes], width)
+            mine = np.flatnonzero(r == _GATHER)
+            end, w = filled + mine.size, at[mine]
+            packed[filled:end] = (rank[w] << wide) | (bits[mine] - lo[w])
             for out, c in zip(kept, codes):
                 out[filled:end] = c[mine]
             filled = end
-            del at, bits, codes, st, mine, w, v, slot
+            del at, bits, codes, r, mine, w, v, slot
         if packed.size:
             _count_gathered(packed, kept, wide, gather, keys, ends, tally, span, width)
         del packed, kept
-        acc[counted[by_key]] += np.cumsum(tally.reshape(-1, width), axis=0)[:-1]
-        cuts = live[state[win[live]] == _SPLIT]
-        if cuts.size:
-            # members and payload of the children before each child
-            members = members.reshape(split.size, _FANOUT)
-            seen = np.cumsum(members, axis=1) - members
-            payload = payload.reshape(split.size, _FANOUT, width)
-            row = np.searchsorted(split, win[cuts])
-            pick = (seen[row] < head[cuts, None]).sum(axis=1) - 1
-            head[cuts] -= seen[row, pick]
-            acc[cuts] += (np.cumsum(payload, axis=1) - payload)[row, pick]
-            kids, at = np.unique(row * _FANOUT + pick, return_inverse=True)
-            child[base + kids] = fresh = lo.size + np.arange(kids.size)
-            win[cuts] = fresh[at]
-            lo, hi = np.concatenate((lo, key_min[kids])), np.concatenate((hi, key_max[kids]))
-            size = np.concatenate((size, members.ravel()[kids]))
-            first = np.concatenate((first, np.zeros(kids.size, dtype=np.intp)))
-            tie = np.where(key_min[kids] == key_max[kids], _TIE, _GATHER).astype(np.int8)
-            state = np.concatenate((state, tie))
-        state[active[state[active] != _SPLIT]] = _DONE
-        state[split] = _INNER
-        live = live[state[win[live]] != _DONE]
+        acc[live[done][by_key]] += np.cumsum(tally.reshape(-1, width), axis=0)[:-1]
+        live, win = live[~done], win[~done]
+        # every member adds one to its payload codes, a global member two
+        payload = payload.reshape(split.size, _FANOUT, width)
+        members = payload.sum(axis=2) // (2 - subset)
+        seen = np.cumsum(members, axis=1) - members
+        row = np.searchsorted(split, win)
+        pick = (seen[row] < head[live, None]).sum(axis=1) - 1
+        head[live] -= seen[row, pick]
+        acc[live] += (np.cumsum(payload, axis=1) - payload)[row, pick]
+        win = first[split[row]] + pick
+        lo, hi = np.concatenate((lo, key_min)), np.concatenate((hi, key_max))
+        size = np.concatenate((size, members.ravel()))
+        first = np.concatenate((first, np.full(key_min.size, -1, dtype=np.intp)))
     return acc
 
 
@@ -374,11 +347,8 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     n, subset = s.size, ranking_domain == "subset"
     buckets, step = _buckets(k, n), _chunk(n)
     table = np.zeros((k, buckets, 2), dtype=np.min_scalar_type(n))
-    points = np.zeros(buckets, dtype=np.int64)
     for lo in range(0, n, step):
         gc, pc, b = g[lo : lo + step], p[lo : lo + step], _bucket(s[lo : lo + step], buckets)
-        if not subset:
-            points += np.bincount(b, minlength=buckets)
         # bin 2 * (class * B + bucket) + 1 counts true positives, the bin
         # before it other relevant points, once the true positives that the
         # prediction's entry counts there too are taken off
@@ -394,22 +364,24 @@ def _removals(g, p, s, perm, k, grid, classes, totals, ranking_domain):
     table[..., 0] -= table[..., 1]
     # per ranking unit, a class or all points: each cut's bucket, its head
     # in the bucket, the bucket's members, and the payload counts below it
-    units, head, sizes, acc = [], [], [], []
-    for c in [c for c, (n_rel, _) in zip(classes, totals) if n_rel] if subset else [0]:
-        held = table[c] if subset else table.transpose(1, 0, 2).reshape(buckets, 2 * k)
-        np.cumsum(held, axis=0, out=held)
-        seen = held.sum(axis=1, dtype=np.int64) if subset else np.cumsum(points)
-        seen = np.concatenate(([0], seen))
-        removed = grid.removal_counts(seen[-1])
-        j = np.searchsorted(seen, removed, side="right") - 1
-        units.append(c * buckets + j)
-        head.append(removed - seen[j])
-        sizes.append(seen[j + 1] - seen[j])
-        acc.append(np.where(j[:, None] > 0, held[j - 1], 0))
-    del table, held
-    units, head, sizes, acc = map(np.concatenate, (units, head, sizes, acc))
+    units = np.array([c for c, (n_rel, _) in zip(classes, totals) if n_rel] if subset else [0])
+    held = table[units] if subset else table.transpose(1, 0, 2).reshape(1, buckets, 2 * k)
+    del table
+    np.cumsum(held, axis=1, out=held)
+    seen = held.sum(axis=2, dtype=np.int64)
+    if not subset:
+        # a point is one true positive, or two other relevant entries
+        seen -= held[..., ::2].sum(axis=2, dtype=np.int64) // 2
+    seen = np.pad(seen, ((0, 0), (1, 0)))
+    removed, u = grid.removal_counts(seen[:, -1:]), np.arange(units.size)[:, None]
+    j = np.searchsorted((seen + u * (n + 1)).ravel(), removed + u * (n + 1), side="right")
+    j -= u * (buckets + 1) + 1
+    head, sizes = (removed - seen[u, j]).ravel(), (seen[u, j + 1] - seen[u, j]).ravel()
+    acc = np.where(j[..., None] > 0, held[u, j - 1], 0).reshape(head.size, -1)
+    cells = (units[:, None] * buckets + j).ravel()
+    del held, seen
     acc = np.pad(acc.astype(np.int64), ((0, 0), (0, 1 - subset)))
-    acc = _resolve(g, p, s, perm, buckets, k, units, sizes, head, acc, subset)
+    acc = _resolve(g, p, s, perm, buckets, k, cells, sizes, head, acc, subset)
     if subset:
         tps = iter(acc[:, 1].reshape(-1, grid.grid_steps))
         return [(grid.removal_counts(n_rel), next(tps)) if n_rel else None for n_rel, _ in totals]
@@ -453,7 +425,10 @@ def _class_curves(
         for n_rel, n_tp in totals
     ]
     keep = None if n == len(gt) else gt.values != catalog.ignore_index
-    g, p = (a.values if keep is None else a.values[keep] for a in (gt, pred))
+    # kept labels in the smallest type that holds k: a pooled column's type
+    g, p = (a.values.astype(np.min_scalar_type(k), copy=False) for a in (gt, pred))
+    if keep is not None:
+        g, p = g[keep], p[keep]
     perm = None
     if config.tie_break == "seeded_random":
         # one shuffle of the whole ranking domain, shared by every class and
