@@ -365,22 +365,29 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
     starting from the running per-bin sums, so every bin's float sum is
     added in point order, as in one pass over all points; the integer
     counts of ``2 * bin + correct`` give each bin's occupancy and correct
-    points exactly. Temporaries take about 24 bytes per point of a chunk.
+    points exactly. Temporaries take about 17 bytes per point of a chunk.
     """
     bins = as_integer("bins", bins, 1)
     if scores.size == 0:
         raise EmptySplit("no evaluable points for the calibration error")
     correct = np.asarray(correct, dtype=bool)
     conf_sum, split_counts = np.zeros(bins), np.zeros(2 * bins, dtype=np.int64)
-    for lo in range(0, scores.size, SCAN_POINTS):
-        chunk = scores[lo : lo + SCAN_POINTS]
+    step = min(SCAN_POINTS, scores.size)
+    index, weights = np.empty(bins + step, dtype=np.intp), np.empty(bins + step)
+    index[:bins] = np.arange(bins)
+    for lo in range(0, scores.size, step):
+        chunk = scores[lo : lo + step]
+        end = bins + chunk.size
+        block = index[bins:end]
         # the cast to intp truncates, as astype does
-        index = np.multiply(chunk, bins, out=np.empty(chunk.size, np.intp), casting="unsafe")
-        np.minimum(index, bins - 1, out=index)
-        conf_sum = np.bincount(np.r_[:bins, index], np.r_[conf_sum, chunk], bins)
-        index <<= 1
-        index |= correct[lo : lo + SCAN_POINTS]
-        split_counts += np.bincount(index, minlength=2 * bins)
+        np.multiply(chunk, bins, out=block, casting="unsafe")
+        np.minimum(block, bins - 1, out=block)
+        # the running sums go ahead of the chunk's scores
+        weights[:bins], weights[bins:end] = conf_sum, chunk
+        conf_sum = np.bincount(index[:end], weights[:end], bins)
+        block <<= 1
+        block |= correct[lo : lo + step]
+        split_counts += np.bincount(block, minlength=2 * bins)
     split_counts = split_counts.astype(np.float64)
     acc_sum = split_counts[1::2]
     count = split_counts[0::2] + acc_sum

@@ -154,8 +154,8 @@ def _chunk(n: int) -> int:
 
 def _bucket(sc: np.ndarray, buckets: int) -> np.ndarray:
     """min(floor(s * B), B - 1) of each score, a monotone bucket in [0, B)."""
-    b = sc * buckets
-    return np.minimum(b, buckets - 1, out=b).astype(np.intp)
+    b = np.multiply(sc, buckets, out=np.empty(sc.size, dtype=np.intp), casting="unsafe")
+    return np.minimum(b, buckets - 1, out=b)
 
 
 def _members(g, p, s, perm, buckets, k, root, subset, step):
