@@ -87,15 +87,9 @@ def _manifest_and_config(args) -> tuple[container_io.Manifest, EvalConfig]:
     return manifest, replace(manifest.apply_overrides(EvalConfig()), **flags)
 
 
-def _selected_measures(flag: str) -> tuple[str, ...]:
-    if flag == "both":
-        return MEASURES
-    return (_MEASURE_FLAGS[flag],)
-
-
 def _cmd_evaluate(args) -> int:
     manifest, config = _manifest_and_config(args)
-    measures = _selected_measures(args.measure)
+    measures = MEASURES if args.measure == "both" else (_MEASURE_FLAGS[args.measure],)
     split = pool_split(manifest, config=config, measures=measures, threads=args.threads)
     report = evaluate_split(split, config=config, measures=measures)
     if args.per_frame:

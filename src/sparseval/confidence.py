@@ -470,13 +470,14 @@ def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarr
 
 
 def score_columns(
-    points: int, measures: tuple[str, ...] = ("max_softmax",), label_dtype=np.intp
+    points: int, measures: tuple[str, ...] = ("max_softmax",), label_dtype=np.intp, top=np.float64
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Empty columns for ``reduce_blocks``: ``points`` predictions as
-    ``label_dtype`` and a float64 score column per measure, max-softmax
-    always, which the predictions come with, then the other ``measures``."""
+    ``label_dtype``, max-softmax (always) as ``top``, exact as float32 only
+    if every block is float32, then a float64 column per other measure."""
     pred = np.empty(points, dtype=label_dtype)
-    return pred, {m: np.empty(points) for m in MEASURES if m == "max_softmax" or m in measures}
+    others = {m: np.empty(points) for m in MEASURES if m != "max_softmax" and m in measures}
+    return pred, {"max_softmax": np.empty(points, top), **others}
 
 
 def reduce_blocks(

@@ -186,7 +186,11 @@ class QuantizedStack(_Stack):
 
 @dataclass(frozen=True)
 class ConfidenceVector:
-    """Per-point scores in [0, 1] under one measure; higher means more trusted."""
+    """Per-point scores in [0, 1] under one measure; higher means more trusted.
+
+    float32 scores are kept as given, without a copy; anything else is held
+    as float64. The curves and ECE of float32 scores are those of the same
+    scores cast to float64."""
 
     measure: str
     scores: np.ndarray
@@ -194,7 +198,9 @@ class ConfidenceVector:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown confidence measure {self.measure!r}")
-        arr = np.asarray(self.scores, dtype=np.float64)
+        arr = np.asarray(self.scores)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 1:
             raise ValueError("confidence scores must be one-dimensional")
         if arr.size:

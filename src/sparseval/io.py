@@ -133,13 +133,10 @@ def write_tensor(container: TensorContainer, path: str | Path) -> None:
     payload = arr.reshape(-1).view(np.uint8)
     header = MAGIC + struct.pack("<II", container.dtype_tag, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    try:
-        with _replacing(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-            fh.write(hashlib.blake2b(payload, digest_size=8).digest())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _failing("write", path), _replacing(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+        fh.write(hashlib.blake2b(payload, digest_size=8).digest())
 
 
 def _field(raw: np.ndarray | bytes, start: int, size: int, what: str) -> int:
@@ -173,12 +170,18 @@ def _parse_header(raw: np.ndarray, path: str | Path) -> tuple[int, tuple[int, ..
 
 
 @contextlib.contextmanager
-def reading(path: str | Path):
-    """Raise an ``OSError`` of the block as ``IoFailure``, naming ``path``."""
+def _failing(verb: str, path: str | Path, error=IoFailure):
+    """Raise an ``OSError`` of the block as ``error``: cannot ``verb``
+    ``path``, then the OS error's text."""
     try:
         yield
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot {verb} {path}: {exc}") from exc
+
+
+def reading(path: str | Path):
+    """Raise an ``OSError`` of the block as ``IoFailure``, naming ``path``."""
+    return _failing("read", path)
 
 
 def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
@@ -280,6 +283,10 @@ class FrameEntry:
     def name(self) -> str:
         source = self.probs_path or self.logits_path
         return Path(source).name
+
+    # whether every predictive block is float32: probability files hold
+    # float32 or uint16 values
+    float32_blocks = property(lambda self: self.probs_path is not None)
 
     @property
     def points(self) -> int:
@@ -428,10 +435,8 @@ def _manifest_int(path: Path, key: str, text: str) -> int:
 def read_manifest(path: str | Path) -> Manifest:
     """Parse a manifest and check that every referenced file exists."""
     path = Path(path)
-    try:
+    with _failing("read", path, ManifestError):
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ManifestError(f"cannot read {path}: {exc}") from exc
     base = path.parent
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -517,11 +522,8 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
         if any(" " in p for p in parts[1:]):
             raise ManifestError("manifest paths cannot contain spaces")
         lines.append(line)
-    try:
-        with _replacing(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _failing("write", path), _replacing(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _fmt(value) -> str:
@@ -574,7 +576,7 @@ def write_report(
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown report format {fmt!r}")
     out_dir = Path(out_dir)
-    try:
+    with _failing("write report files under", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         written: dict[str, Path] = {}
         if "json" in formats:
@@ -613,8 +615,6 @@ def write_report(
                 )
             written["csv"] = csv_path
         return written
-    except OSError as exc:
-        raise IoFailure(f"cannot write report files under {out_dir}: {exc}") from exc
 
 
 def write_scatter_csv(report: EvalReport, path: str | Path) -> Path:
@@ -622,17 +622,14 @@ def write_scatter_csv(report: EvalReport, path: str | Path) -> Path:
     written as ``write_report`` writes, so a failed write changes nothing."""
     scatter = scatter_export(report)
     path = Path(path)
-    try:
-        with _replacing(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["measure", "class", "iou", "ause", "filter_threshold"])
-            for m, pairs in scatter.points.items():
-                for name, iou_val, ause_val in pairs:
-                    writer.writerow(
-                        [m, name, _fmt(iou_val), _fmt(ause_val), _fmt(scatter.threshold)]
-                    )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _failing("write", path), _replacing(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["measure", "class", "iou", "ause", "filter_threshold"])
+        for m, pairs in scatter.points.items():
+            for name, iou_val, ause_val in pairs:
+                writer.writerow(
+                    [m, name, _fmt(iou_val), _fmt(ause_val), _fmt(scatter.threshold)]
+                )
     return path
 
 
@@ -640,12 +637,10 @@ def write_text(text: str, path: str | Path) -> Path:
     """Write ``text`` to ``path`` as UTF-8, its directory made if missing;
     written as ``write_report`` writes, so a failed write changes nothing."""
     path = Path(path)
-    try:
+    with _failing("write", path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with _replacing(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
 
 

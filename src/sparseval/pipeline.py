@@ -4,13 +4,13 @@ Frames are pooled into one logical point set before any per-class ranking, so
 rare classes are judged on every point they have in the split rather than on
 frame-sized fragments. The pooled columns are allocated once, sized from
 every frame's point count, and each frame is reduced straight into its rows,
-so nothing is concatenated and the split holds about 18 bytes per kept point
-(``pool_split``). One helper, ``_reduce``, checks and reduces a stack into
-columns and counts its labels, for each pooled frame and for the one stack
-of ``per_class_ause``: samples are checked and summed in float64 in sample
-order, faults named in range order, by ``confidence.StreamedMean``, whether
-io hands on the frame whole or already summed. Confusion counts are
-accumulated per frame and merged.
+so nothing is concatenated and the split holds about 14 bytes per kept point
+if every frame's blocks are float32, else 18 (``pool_split``). One helper,
+``_reduce``, checks and reduces a stack into columns and counts its labels,
+for each pooled frame and for the one stack of ``per_class_ause``: samples
+are checked and summed in float64 in sample order, faults named in range
+order, by ``confidence.StreamedMean``, whether io hands on the frame whole
+or already summed. Confusion counts are accumulated per frame and merged.
 For probability stacks and plain logits the result does not depend on how
 the split is partitioned. Logits with a stddev are the exception: their
 noise is seeded by frame index and addressed by position within the frame,
@@ -88,6 +88,11 @@ class ArrayFrame:
     @property
     def points(self) -> int:
         return len(self.labels)
+
+    # whether every predictive block is float32: float32 or uint16 probabilities
+    float32_blocks = property(
+        lambda self: self.probs is not None and self.probs.data.dtype in (np.float32, np.uint16)
+    )
 
     def load(
         self, buffers: dict | None = None
@@ -276,15 +281,18 @@ def pool_split(
     ``digest()``, as ``ArrayFrame`` and ``io.FrameEntry`` have; ``buffers``
     is a dict that a file-backed source may read its files into, reused by
     the worker for its next frame, and a source loaded into it may return
-    a stack already summed, as a ``confidence.StreamedMean``. Frames are
+    a stack already summed, as a ``confidence.StreamedMean``. A source
+    whose ``float32_blocks`` is true yields only float32 blocks. Frames are
     reduced on ``threads`` workers; the result does not depend on the
     count. ``config`` supplies the seed of logit sampling.
 
     Every frame's ``points`` is read first (a file header, for a manifest
     frame), and the pooled columns are allocated once: ``gt`` and ``pred``
     in the smallest unsigned type that holds a class index (one byte each
-    up to 256 classes), and a float64 score per measure, about 18 bytes
-    per point. Each frame is then checked and reduced block by block,
+    up to 256 classes), and a score per measure: max-softmax as float32
+    if every source says its blocks are float32, which holds each value
+    exactly, else float64, and entropy as float64. That is about 14 bytes
+    per point, or 18. Each frame is then checked and reduced block by block,
     ``core.BLOCK_POINTS`` points at a time, straight into its rows, and
     moves its kept points to the front of them; nothing is concatenated.
     If points were ignored, the frames' kept rows are closed up once all
@@ -317,7 +325,8 @@ def pool_split(
         except SparsevalError as exc:
             raise _in_frame(exc, index, source) from exc
     label_dtype = np.min_scalar_type(catalog.k - 1)
-    pred, scores = score_columns(starts[-1], measures, label_dtype)
+    top = np.float32 if all(getattr(s, "float32_blocks", False) for s in sources) else np.float64
+    pred, scores = score_columns(starts[-1], measures, label_dtype, top)
     columns = {"gt": np.empty(starts[-1], dtype=label_dtype), "pred": pred, **scores}
     # the dict holds the only references, so the columns can shrink in place
     del pred, scores
@@ -379,8 +388,9 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
         chunk = scores[lo : lo + step]
         end = bins + chunk.size
         block = index[bins:end]
-        # the cast to intp truncates, as astype does
-        np.multiply(chunk, bins, out=block, casting="unsafe")
+        # in float64, so that float32 scores meet the edges of their float64
+        # casts; the cast to intp truncates, as astype does
+        np.multiply(chunk, bins, out=block, casting="unsafe", dtype=np.float64)
         np.minimum(block, bins - 1, out=block)
         # the running sums go ahead of the chunk's scores
         weights[:bins], weights[bins:end] = conf_sum, chunk

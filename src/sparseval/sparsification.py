@@ -153,7 +153,8 @@ def _chunk(n: int) -> int:
 
 
 def _bucket(sc: np.ndarray, buckets: int) -> np.ndarray:
-    """min(floor(s * B), B - 1) of each score, a monotone bucket in [0, B)."""
+    """min(floor(s * B), B - 1) of each score, a monotone bucket in [0, B);
+    B is a power of two, so s * B is exact in float32 too."""
     b = np.multiply(sc, buckets, out=np.empty(sc.size, dtype=np.intp), casting="unsafe")
     return np.minimum(b, buckets - 1, out=b)
 
@@ -184,7 +185,8 @@ def _members(g, p, s, perm, buckets, k, root, subset, step):
             e = pt = np.flatnonzero(w >= 0)
             gc, pc = (2 * c[pt].astype(np.intp) for c in (gc, pc))
             codes = [gc + hit[pt], np.where(hit[pt], 2 * k, pc)]
-        yield w[e], (sc[pt] + 0.0).view(np.int64), codes
+        # float64 value bits, of float32 scores too; -0.0 becomes 0.0
+        yield w[e], np.add(sc[pt], 0.0, dtype=np.float64).view(np.int64), codes
 
 
 def _child(v, low, extent):

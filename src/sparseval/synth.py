@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import SCAN_POINTS
 from .core import ClassCatalog, LabelArray, ProbabilityStack, as_integer, as_real, validate_inputs
 from .errors import SpecInvalid
 
@@ -126,12 +127,6 @@ def _sequence(name: str, value) -> tuple:
     raise SpecInvalid(f"{name} must be a sequence, got {value!r}")
 
 
-def _default_profile(k: int) -> np.ndarray:
-    prof = np.full((k, k), 1.0 / (k - 1))
-    np.fill_diagonal(prof, 0.0)
-    return prof
-
-
 def _power_sharpen(q: np.ndarray, gamma: float, k: int) -> np.ndarray:
     """New row maximum after renormalizing (q, uniform tail) raised to gamma."""
     top = np.power(q, gamma)
@@ -158,14 +153,15 @@ def _swap_extremes(conf: np.ndarray, correct: np.ndarray) -> np.ndarray:
 def _rows_from_confidence(conf: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
     # the row is a function of its stored float32 maximum: points that tie in
     # max-softmax then tie in entropy as well, and the maximum stays strictly
-    # above the uniform tail so argmax lands on the prediction
-    conf32 = conf.astype(np.float32)
+    # above the uniform tail so argmax lands on the prediction; filled
+    # SCAN_POINTS rows at a time, so that nothing but the rows is full-length
     floor = np.nextafter(np.float32(1.0 / k), np.float32(1.0))
-    conf32 = np.maximum(conf32, floor)
-    tail = ((1.0 - conf32.astype(np.float64)) / (k - 1)).astype(np.float32)
-    rows = np.empty((conf32.size, k), dtype=np.float32)
-    rows[:] = tail[:, None]
-    rows[np.arange(conf32.size), pred] = conf32
+    rows = np.empty((conf.size, k), dtype=np.float32)
+    for lo in range(0, conf.size, SCAN_POINTS):
+        conf32 = np.maximum(conf[lo : lo + SCAN_POINTS].astype(np.float32), floor)
+        part = rows[lo : lo + SCAN_POINTS]
+        part[:] = ((1.0 - conf32.astype(np.float64)) / (k - 1)).astype(np.float32)[:, None]
+        part[np.arange(conf32.size), pred[lo : lo + SCAN_POINTS]] = conf32
     return rows
 
 
@@ -177,26 +173,35 @@ def generate(spec: ScenarioSpec) -> tuple[LabelArray, ProbabilityStack]:
     freq = freq / freq.sum()
     acc = np.asarray(spec.per_class_accuracy, dtype=np.float64)
 
-    gt = rng.choice(k, size=spec.n, p=freq).astype(np.int64)
+    gt = rng.choice(k, size=spec.n, p=freq).astype(np.int64, copy=False)
 
     halfwidth = np.minimum(
         np.minimum(acc - 1.0 / k, 1.0 - acc), spec.confidence_spread
     )
     halfwidth = np.maximum(halfwidth, 0.0)
-    q = acc[gt] + halfwidth[gt] * (2.0 * rng.random(spec.n) - 1.0)
+    # acc[gt] + halfwidth[gt] * (2 r - 1), in place (numpy reuses the
+    # temporaries of the first line)
+    q = 2.0 * rng.random(spec.n) - 1.0
+    q *= halfwidth[gt]
+    q += acc[gt]
 
     correct = rng.random(spec.n) < q
-    pred = gt.copy()
-    wrong = np.flatnonzero(~correct)
-    if wrong.size:
-        profile = (
-            spec.confusion_profile
-            if spec.confusion_profile is not None
-            else _default_profile(k)
-        )
-        cdf = np.cumsum(profile, axis=1)
-        draws = rng.random(wrong.size)
-        pred[wrong] = (draws[:, None] < cdf[gt[wrong]]).argmax(axis=1)
+    # predictions only index the rows: the smallest type that holds a class
+    pred = gt.astype(np.min_scalar_type(k - 1))
+    # by default a wrong prediction is any other class, evenly
+    even = (1.0 - np.eye(k)) / (k - 1)
+    profile = spec.confusion_profile if spec.confusion_profile is not None else even
+    cdf = np.cumsum(profile, axis=1)
+    # one draw per wrong point in point order, SCAN_POINTS points at a time
+    # (the draws of one call, cut into pieces)
+    for lo in range(0, spec.n, SCAN_POINTS):
+        wrong = lo + np.flatnonzero(~correct[lo : lo + SCAN_POINTS])
+        draws, truth = rng.random(wrong.size), gt[wrong]
+        for c in range(k):
+            mine = np.flatnonzero(truth == c)
+            # the first column whose cumulative share exceeds the draw; none
+            # (a row summing to just under 1) gives column 0, as argmax does
+            pred[wrong[mine]] = np.searchsorted(cdf[c], draws[mine], side="right") % k
 
     conf = q
     if spec.calibration_mode in ("overconfident", "underconfident"):

@@ -380,7 +380,10 @@ def test_block_kernel_matches_whole_frame_reference(seed, n, k, dtype, levels, z
         return
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
     split = pool_split([ArrayFrame(LabelArray(labels), probs)], catalog)
-    assert split.confidences["max_softmax"].scores.tobytes() == ref_scores[keep].tobytes()
+    # max-softmax is pooled as float32 when the blocks are, as the same values
+    top = split.confidences["max_softmax"].scores
+    assert top.dtype == dtype
+    assert top.astype(np.float64).tobytes() == ref_scores[keep].tobytes()
     assert split.confidences["neg_entropy"].scores.tobytes() == ref_entropy[keep].tobytes()
     assert np.array_equal(split.pred.values, ref_pred[keep])
 

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sparseval import (
     LabelArray,
     LogitTensor,
     ProbabilityStack,
+    QuantizedStack,
     ScenarioSpec,
     aggregate_samples,
     ece,
@@ -225,8 +228,13 @@ def test_pool_split_equals_per_frame_reduction_for_every_thread_count(
         for key, values in (("gt", split.gt.values), ("pred", split.pred.values)):
             assert values.dtype == np.min_scalar_type(k - 1)
             assert np.array_equal(values, reference[key])
-        for m in MEASURES:
-            assert split.confidences[m].scores.tobytes() == reference[m].tobytes()
+        # every block is float32, so max-softmax is pooled as float32: the
+        # reference's values, and entropy's float64 bits
+        top = split.confidences["max_softmax"].scores
+        assert top.dtype == np.float32
+        assert top.astype(np.float64).tobytes() == reference["max_softmax"].tobytes()
+        entropy = split.confidences["neg_entropy"].scores
+        assert entropy.tobytes() == reference["neg_entropy"].tobytes()
         assert np.array_equal(split.counts.counts, sum(counts))
         assert split.offsets == tuple(offsets)
         assert list(split.frames) == digests
@@ -535,6 +543,23 @@ def test_binned_ece_matches_the_whole_array_formula(seed):
     assert binned_ece(scores, correct, bins) == reference_binned_ece(scores, correct, bins)
 
 
+@pytest.mark.parametrize("bins", [7, 15, 100])
+def test_binned_ece_reads_float32_scores_as_their_float64_casts(bins):
+    # every bin edge j / bins in float32 and two float32 neighbours on either
+    # side, tied many times over, among uniform float32 scores past a chunk edge
+    rng = np.random.default_rng(bins)
+    below = above = [(np.arange(bins + 1) / bins).astype(np.float32)]
+    for _ in range(2):
+        below = below + [np.nextafter(below[-1], np.float32(0))]
+        above = above + [np.nextafter(above[-1], np.float32(1))]
+    edges = np.concatenate(below + above[1:])
+    scores = np.concatenate([np.repeat(edges, 3), rng.random(SCAN_POINTS).astype(np.float32)])
+    for order in (scores, rng.permutation(scores)):
+        correct = rng.random(order.size) < 0.6
+        wide = order.astype(np.float64)
+        assert binned_ece(order, correct, bins) == binned_ece(wide, correct, bins)
+
+
 def test_binned_ece_holds_only_chunk_sized_temporaries():
     # the bin index and the weights of one chunk, not of every point
     n = 10**6
@@ -649,6 +674,56 @@ def test_pooled_labels_use_the_narrowest_type():
         assert split.ece(15) == binned_ece(scores, correct, 15)
         assert evaluate_split(split) == evaluate_split(wide)
         assert per_frame_class_ause(split) == per_frame_class_ause(wide)
+
+
+def test_max_softmax_is_pooled_as_float32_only_when_every_frame_says_so(tmp_path):
+    rng = np.random.default_rng(8)
+    k, n = 5, BLOCK_POINTS + 300
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    # rows of a few levels, so that maxima tie within and across frames
+    rows = rng.integers(1, 4, size=(3, n, k)).astype(np.float64)
+    rows /= rows.sum(axis=2, keepdims=True)
+    labels = rng.integers(0, k, size=(3, n)).astype(np.uint8)
+    labels[:, ::9] = 255
+
+    def frame(i, probs=None, logits=None):
+        return ArrayFrame(LabelArray(labels[i]), probs, logits, name=f"f{i}")
+
+    def entry(key, array):
+        paths = {"labels": tmp_path / f"{key}.labels.spt", key: tmp_path / f"{key}.{key}.spt"}
+        sparseval.write_tensor(sparseval.TensorContainer.from_array(labels[2]), paths["labels"])
+        sparseval.write_tensor(sparseval.TensorContainer.from_array(array), paths[key])
+        return sparseval.FrameEntry(**{f"{name}_path": path for name, path in paths.items()})
+
+    thin = [frame(i, ProbabilityStack(rows[i][None].astype(np.float32))) for i in range(3)]
+    # a custom source that does not say what its blocks are: thin[2] as float64
+    unsaid = types.SimpleNamespace(
+        points=n, samples=1, name="f2", load=thin[2].load, digest=thin[2].digest
+    )
+    logits = np.log(rows[2]).astype(np.float32)
+    last_frames = {
+        np.float32: [
+            thin[2],
+            frame(2, QuantizedStack(np.rint(rows[2] * 65535).astype(np.uint16)[None])),
+            entry("probs", rows[2][None].astype(np.float32)),
+        ],
+        np.float64: [
+            frame(2, ProbabilityStack(rows[2][None])),
+            frame(2, logits=LogitTensor(logits)),
+            entry("logits", logits),
+            unsaid,
+        ],
+    }
+    for dtype, lasts in last_frames.items():
+        for last in lasts:
+            split = pool_split(thin[:2] + [last], catalog)
+            assert split.confidences["max_softmax"].scores.dtype == dtype
+            assert split.confidences["neg_entropy"].scores.dtype == np.float64
+    # the same blocks pooled as float32 and as float64 give the same report
+    for tie_break, domain, bins in itertools.product(TIE_BREAKS, RANKING_DOMAINS, (7, 15, 100)):
+        config = EvalConfig(tie_break=tie_break, ranking_domain=domain, ece_bins=bins, rng_seed=3)
+        report = evaluate_split(thin, catalog, config)
+        assert report == evaluate_split(thin[:2] + [unsaid], catalog, config)
 
 
 # frame 1 of three carries the fault at a point past its first block

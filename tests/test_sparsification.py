@@ -27,6 +27,7 @@ from sparseval import (
 from sparseval import sparsification
 from sparseval.core import RANKING_DOMAINS, TIE_BREAKS
 from sparseval.errors import DimensionMismatch, EmptySubset, LabelOutOfRange, SubsetTooLarge
+from sparseval.pipeline import binned_ece
 from sparseval.segmetrics import confusion
 from sparseval.sparsification import CHUNK_POINTS, _buckets, class_curves_by_measure
 
@@ -567,7 +568,25 @@ def score_column(rng, n, mode, scale):
     return np.where(rng.random(n) < 0.5, rng.random(n), pool[rng.integers(0, pool.size, size=n)])
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+def float32_column(rng, n, mode, scale, bins):
+    """n float32 scores in [0, 1]. "free": uniform; "levels": 1-4 values;
+    otherwise half uniform, half edges j / 2^scale of value buckets and
+    j / bins of ECE bins, their float32 neighbours on either side, 0, -0.0
+    and 1."""
+    free = rng.random(n).astype(np.float32)
+    if mode == "free":
+        return free
+    buckets = rng.integers(0, (1 << scale) + 1, size=4) / float(1 << scale)
+    edges = np.concatenate([buckets, rng.integers(0, bins + 1, size=4) / bins]).astype(np.float32)
+    below, above = np.nextafter(edges, np.float32(0)), np.nextafter(edges, np.float32(1))
+    pool = np.concatenate([edges, below, above, np.float32([0, -0.0, 1])])
+    if mode == "levels":
+        pool = pool[rng.integers(0, pool.size, size=rng.integers(1, 5))]
+        return pool[rng.integers(0, pool.size, size=n)]
+    return np.where(rng.random(n) < 0.5, free, pool[rng.integers(0, pool.size, size=n)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(2, 8).map(lambda k: 300 if k == 8 else k),
@@ -579,9 +598,12 @@ def score_column(rng, n, mode, scale):
     tie_break=st.sampled_from(TIE_BREAKS),
     rng_seed=st.integers(0, 3),
     gather=st.sampled_from([sparsification.GATHER_POINTS, 64]),
+    float32=st.booleans(),
+    bins=st.sampled_from([7, 15, 100]),
 )
 def test_engine_equals_reference_on_drawn_splits(
-    seed, k, ignored, modes, scale, grid_steps, ranking_domain, tie_break, rng_seed, gather
+    seed, k, ignored, modes, scale, grid_steps, ranking_domain, tie_break, rng_seed, gather,
+    float32, bins,
 ):
     # up to 3000 points (from the seed, so that sizes spread evenly), so the
     # counts span many value buckets and the cuts land on bucket edges,
@@ -589,13 +611,35 @@ def test_engine_equals_reference_on_drawn_splits(
     # most windows through splits and tie counts
     n = 1 + seed % 3000
     rng = np.random.default_rng(seed)
-    columns = [score_column(rng, n, mode, scale) for mode in modes]
+    if float32:
+        columns = [float32_column(rng, n, mode, scale, bins) for mode in modes]
+    else:
+        columns = [score_column(rng, n, mode, scale) for mode in modes]
     pred, gt, confs, catalog = scored_instance(columns, k, seed, ignored)
     config = EvalConfig(
         grid_steps=grid_steps, ranking_domain=ranking_domain, tie_break=tie_break, rng_seed=rng_seed
     )
     with mock.patch.object(sparsification, "GATHER_POINTS", gather):
-        assert_engine_equals_reference(pred, gt, confs, catalog, config)
+        wide = assert_engine_equals_reference(pred, gt, confs, catalog, config)
+        if not float32:
+            return
+        # float32 scores, kept without a copy, have the curves, AUSE and
+        # ECE of their float64 casts
+        narrow = {m: ConfidenceVector(m, col) for m, col in zip(confs, columns)}
+        assert all(narrow[m].scores is col for m, col in zip(confs, columns))
+        thin = assert_engine_equals_reference(pred, gt, narrow, catalog, config)
+    assert [c is None for c in thin] == [c is None for c in wide]
+    for pairs, ref in zip(thin, wide):
+        for m, pair in (pairs or {}).items():
+            assert pair.sparsification_error.tobytes() == ref[m].sparsification_error.tobytes()
+            assert ause(pair) == ause(ref[m])
+    keep = gt.values != catalog.ignore_index
+    if keep.any():
+        correct = (pred.values == gt.values)[keep]
+        for m in confs:
+            assert binned_ece(narrow[m].scores[keep], correct, bins) == binned_ece(
+                confs[m].scores[keep], correct, bins
+            )
 
 
 def assert_engine_ranks_column(arr):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from sparseval import (
     validate_inputs,
     write_dataset,
 )
+from sparseval import synth
 from sparseval.errors import LabelOutOfRange, SpecInvalid
 
 
@@ -245,3 +247,102 @@ def test_write_dataset_stores_only_labels_it_can_read_back(tmp_path, label, igno
     stored, direct = evaluate_split(manifest), evaluate_split([ArrayFrame(gt, probs)], catalog)
     stored.provenance = direct.provenance = {}
     assert stored == direct
+
+
+def output_digest(gt, probs):
+    h = hashlib.sha256()
+    for arr in (gt.values, probs.data):
+        h.update(f"{arr.dtype.str} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def reference_generate(spec):
+    """generate in whole-array steps: each wrong prediction is the argmax of
+    its draw against a gathered row of cumulative shares, and the rows are
+    filled at once."""
+    rng = np.random.default_rng(spec.seed)
+    k = spec.k
+    freq = np.asarray(spec.class_frequencies, dtype=np.float64)
+    acc = np.asarray(spec.per_class_accuracy, dtype=np.float64)
+    gt = rng.choice(k, size=spec.n, p=freq / freq.sum()).astype(np.int64)
+    halfwidth = np.minimum(np.minimum(acc - 1.0 / k, 1.0 - acc), spec.confidence_spread)
+    halfwidth = np.maximum(halfwidth, 0.0)
+    q = acc[gt] + halfwidth[gt] * (2.0 * rng.random(spec.n) - 1.0)
+    correct = rng.random(spec.n) < q
+    profile = spec.confusion_profile
+    if profile is None:
+        profile = np.full((k, k), 1.0 / (k - 1))
+        np.fill_diagonal(profile, 0.0)
+    pred, wrong = gt.copy(), np.flatnonzero(~correct)
+    draws = rng.random(wrong.size)
+    pred[wrong] = (draws[:, None] < np.cumsum(profile, axis=1)[gt[wrong]]).argmax(axis=1)
+    conf = q
+    if spec.calibration_mode in ("overconfident", "underconfident"):
+        conf = synth._power_sharpen(q, spec.gamma, k)
+        if spec.calibration_mode == "overconfident":
+            conf = np.maximum(conf, float(np.quantile(conf, 1.0 - 1.0 / spec.gamma)))
+    elif spec.calibration_mode == "anticorrelated":
+        conf = synth._swap_extremes(conf, correct)
+    top = np.maximum(conf.astype(np.float32), np.nextafter(np.float32(1.0 / k), np.float32(1.0)))
+    rows = np.empty((spec.n, k), dtype=np.float32)
+    rows[:] = ((1.0 - top.astype(np.float64)) / (k - 1)).astype(np.float32)[:, None]
+    rows[np.arange(spec.n), pred] = top
+    return gt, rows
+
+
+PROFILE_SPEC = dict(
+    n=70_000,
+    class_frequencies=(0.4, 0.3, 0.2, 0.1),
+    per_class_accuracy=(0.9, 0.5, 0.6, 0.25),
+    seed=9,
+    confidence_spread=0.15,
+    # a class whose only confusion is one column, and one with accuracy 1/k
+    confusion_profile=[[0, 0.5, 0.5, 0], [1, 0, 0, 0], [0.25, 0.25, 0, 0.5], [0, 0, 1, 0]],
+)
+
+
+# 70 000 points: past one SCAN_POINTS piece of the row fill and of the
+# wrong-prediction draws
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(calibration_mode="calibrated"),
+        dict(calibration_mode="overconfident", gamma=3.0),
+        dict(calibration_mode="underconfident", gamma=0.5),
+        dict(calibration_mode="anticorrelated"),
+        dict(calibration_mode="calibrated", class_frequencies=(0.5, 0.5), per_class_accuracy=(0.9, 0.6)),
+        PROFILE_SPEC,
+    ],
+    ids=["calibrated", "overconfident", "underconfident", "anticorrelated", "two-classes", "profile"],
+)
+def test_generate_equals_the_whole_array_reference(overrides):
+    spec = small_spec(**{"n": 70_000, **overrides})
+    gt, probs = generate(spec)
+    ref_gt, ref_rows = reference_generate(spec)
+    assert gt.values.dtype == ref_gt.dtype and gt.values.tobytes() == ref_gt.tobytes()
+    assert probs.data.shape == (1, *ref_rows.shape)
+    assert probs.data[0].tobytes() == ref_rows.tobytes()
+
+
+# generate's bytes, on which the benchmark inputs and every recorded report
+# digest rest; only for modes of exact arithmetic, since the power transform
+# of the over- and underconfident modes rounds by the CPU's SIMD path
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        (
+            dict(calibration_mode="calibrated"),
+            "147a145be2ea36d3f11472d0a58caef1c47da606797ac7fd37588e2aa282e323",
+        ),
+        (
+            dict(calibration_mode="anticorrelated"),
+            "9c3dfcad9dfcc7827855ba7f4c94f4837dc8c9729276e771b27ea49d03d30bb2",
+        ),
+        (PROFILE_SPEC, "899fd34e829506bd6d80e6c91ec7d7a769183132530179ea485a109433de7e03"),
+    ],
+    ids=["calibrated", "anticorrelated", "profile"],
+)
+def test_generate_output_is_pinned(overrides, digest):
+    spec = small_spec(**{"n": 70_000, **overrides})
+    assert output_digest(*generate(spec)) == digest
