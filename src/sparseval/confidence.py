@@ -43,6 +43,7 @@ from .core import (
     as_integer,
     check_distribution,
     check_ranges,
+    label_dtype,
     sample_ranges,
     scratch,
 )
@@ -458,7 +459,8 @@ def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarr
     """
     top = rows.argmax(axis=1)
     pred[:] = top
-    scores["max_softmax"][:] = rows[np.arange(rows.shape[0]), top]
+    if "max_softmax" in scores:
+        scores["max_softmax"][:] = rows[np.arange(rows.shape[0]), top]
     if "neg_entropy" in scores:
         p = rows.astype(np.float64, copy=False)  # only read
         logs = np.where(p > 0.0, p, 1.0)
@@ -470,14 +472,15 @@ def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarr
 
 
 def score_columns(
-    points: int, measures: tuple[str, ...] = ("max_softmax",), label_dtype=np.intp, top=np.float64
+    points: int, measures: tuple[str, ...] = ("max_softmax",), classes=None, float32=False
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Empty columns for ``reduce_blocks``: ``points`` predictions as
-    ``label_dtype``, max-softmax (always) as ``top``, exact as float32 only
-    if every block is float32, then a float64 column per other measure."""
-    pred = np.empty(points, dtype=label_dtype)
-    others = {m: np.empty(points) for m in MEASURES if m != "max_softmax" and m in measures}
-    return pred, {"max_softmax": np.empty(points, top), **others}
+    ``core.label_dtype(classes)``, or intp without ``classes``, and a score
+    column per measure, in ``MEASURES`` order: float64, but max-softmax as
+    float32 if ``float32``, exact only if every block is float32."""
+    pred = np.empty(points, dtype=np.intp if classes is None else label_dtype(classes))
+    dtypes = {"max_softmax": np.float32 if float32 else np.float64, "neg_entropy": np.float64}
+    return pred, {m: np.empty(points, dtypes[m]) for m in MEASURES if m in measures}
 
 
 def reduce_blocks(
@@ -497,9 +500,17 @@ def reduce_blocks(
         _reduce_block(block[0], pred[lo:hi], {m: col[lo:hi] for m, col in scores.items()})
 
 
-def _require_aggregated(probs: ProbabilityStack) -> None:
+def _aggregated(probs: ProbabilityStack | QuantizedStack, measure: str):
+    """The confidence under ``measure`` and the argmax predictions of an
+    aggregated stack, as float64 scores and intp predictions; the rows are
+    checked as ``validate_inputs`` checks them (``predictive_blocks``)."""
     if probs.samples != 1:
         raise ValueError("confidence expects an aggregated stack (samples == 1)")
+    if measure == "neg_entropy" and probs.classes < 2:
+        raise ValueError("entropy confidence needs at least two classes")
+    preds, columns = score_columns(probs.points, (measure,))
+    reduce_blocks(predictive_blocks(probs), preds, columns)
+    return ConfidenceVector(measure, columns[measure]), LabelArray(preds)
 
 
 def max_softmax_confidence(
@@ -507,26 +518,15 @@ def max_softmax_confidence(
 ) -> tuple[ConfidenceVector, LabelArray]:
     """Highest class probability per point, plus the argmax predictions.
 
-    Ties break to the lowest class index so reports are reproducible. The
-    rows are checked as ``validate_inputs`` checks them (``predictive_blocks``).
+    Ties break to the lowest class index so reports are reproducible.
     """
-    _require_aggregated(probs)
-    preds, columns = score_columns(probs.points)
-    reduce_blocks(predictive_blocks(probs), preds, columns)
-    return ConfidenceVector("max_softmax", columns["max_softmax"]), LabelArray(preds)
+    return _aggregated(probs, "max_softmax")
 
 
 def entropy_confidence(probs: ProbabilityStack | QuantizedStack) -> ConfidenceVector:
     """1 - H(p) / log(k): normalized Shannon entropy flipped into a confidence.
 
     The normalization by the maximum entropy makes the logarithm base cancel;
-    0 * log 0 counts as 0. The rows are checked as ``max_softmax_confidence``
-    checks them.
+    0 * log 0 counts as 0.
     """
-    _require_aggregated(probs)
-    if probs.classes < 2:
-        raise ValueError("entropy confidence needs at least two classes")
-    preds, columns = score_columns(probs.points, ("neg_entropy",))
-    reduce_blocks(predictive_blocks(probs), preds, columns)
-    return ConfidenceVector("neg_entropy", columns["neg_entropy"])
-
+    return _aggregated(probs, "neg_entropy")[0]

@@ -131,8 +131,31 @@ class LabelArray:
         return int(self.values.shape[0])
 
 
+def label_dtype(classes: int) -> np.dtype:
+    """The type of every reduced label or prediction column: the smallest
+    unsigned one that holds each of ``classes`` class indices."""
+    return np.min_scalar_type(classes - 1)
+
+
+def check_measure(measure: str) -> None:
+    """Raise ValueError unless ``measure`` is one of ``MEASURES``."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown confidence measure {measure!r}")
+
+
 class _Stack:
-    """The sizes of a stack's ``data``, a (samples, points, classes) array."""
+    """The shape check and sizes of a stack's (samples, points, classes) ``data``."""
+
+    def _hold(self, arr: np.ndarray, kind: str) -> None:
+        if arr.ndim != 3:
+            raise ValueError(f"a {kind} stack is samples x points x classes")
+        if min(arr.shape) < 1:
+            raise ValueError(f"degenerate stack shape {arr.shape}")
+        object.__setattr__(self, "data", arr)
+
+    # whether every predictive block of the stack is float32: float32 data,
+    # or uint16 data, which dequantises to float32
+    float32_blocks = property(lambda self: self.data.dtype in (np.float32, np.uint16))
 
     @property
     def samples(self) -> int:
@@ -157,11 +180,7 @@ class ProbabilityStack(_Stack):
         arr = np.asarray(self.data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
-        if arr.ndim != 3:
-            raise ValueError("a probability stack is samples x points x classes")
-        if min(arr.shape) < 1:
-            raise ValueError(f"degenerate stack shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        self._hold(arr, "probability")
 
 
 @dataclass(frozen=True)
@@ -177,11 +196,7 @@ class QuantizedStack(_Stack):
         arr = np.asarray(self.data)
         if arr.dtype.kind != "u" or arr.dtype.itemsize != 2:
             raise ValueError(f"a quantised stack holds uint16 values, not {arr.dtype}")
-        if arr.ndim != 3:
-            raise ValueError("a quantised stack is samples x points x classes")
-        if min(arr.shape) < 1:
-            raise ValueError(f"degenerate stack shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        self._hold(arr, "quantised")
 
 
 @dataclass(frozen=True)
@@ -196,8 +211,7 @@ class ConfidenceVector:
     scores: np.ndarray
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown confidence measure {self.measure!r}")
+        check_measure(self.measure)
         arr = np.asarray(self.scores)
         if arr.dtype != np.float32:
             arr = arr.astype(np.float64, copy=False)
@@ -284,21 +298,19 @@ def validate_inputs(probs: ProbabilityStack, gt: LabelArray, catalog: ClassCatal
     by range (``check_ranges``), as the pipeline checks a faulty block, so
     both raise the same error.
     """
-    check_shapes(probs.points, probs.classes, gt, catalog)
+    check_shapes(probs.points, probs.classes, gt, catalog.k)
     check_ranges(0, probs.data)
     check_labels(gt, catalog.k, catalog.ignore_index)
 
 
-def check_shapes(points: int, classes: int, gt: LabelArray, catalog: ClassCatalog) -> None:
-    """The shape checks of ``validate_inputs``, for a stack of ``points`` x ``classes``."""
+def check_shapes(points: int, classes: int, gt: LabelArray, k: int) -> None:
+    """The shape checks of ``validate_inputs``: a ``points`` x ``classes`` stack, ``k`` classes."""
     if len(gt) != points:
         raise DimensionMismatch(
             f"probabilities cover {points} points but labels cover {len(gt)}"
         )
-    if classes != catalog.k:
-        raise DimensionMismatch(
-            f"probabilities have {classes} classes but the catalog has {catalog.k}"
-        )
+    if classes != k:
+        raise DimensionMismatch(f"probabilities have {classes} classes but the catalog has {k}")
 
 
 def check_distribution(start: int, block: np.ndarray) -> None:

@@ -425,15 +425,19 @@ class Manifest:
         return replace(config, **self.overrides) if self.overrides else config
 
 
-def _manifest_int(path: Path, key: str, text: str) -> int:
+def _manifest_value(path: Path, key: str, text: str):
+    """``text`` read as manifest key ``key``: as EvalConfig reads and checks
+    its field ``key``, any other key as an int; else ``ManifestError``."""
     try:
-        return int(text)
-    except ValueError:
-        raise ManifestError(f"{path}: {key}: invalid int value: {text!r}") from None
+        return EvalConfig.parse_field(key, text) if key in _CONFIG_KEYS else int(text)
+    except ValueError as exc:
+        detail = exc if key in _CONFIG_KEYS else f"invalid int value: {text!r}"
+        raise ManifestError(f"{path}: {key}: {detail}") from None
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    """Parse a manifest and check that every referenced file exists."""
+    """Parse a manifest and check that every referenced file exists. A key
+    other than ``frame``, or a key of one frame line, given twice is an error."""
     path = Path(path)
     with _failing("read", path, ManifestError):
         text = path.read_text(encoding="utf-8")
@@ -443,35 +447,33 @@ def read_manifest(path: str | Path) -> Manifest:
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ManifestError(f"{path} does not start with {MANIFEST_HEADER!r}")
 
-    names: tuple[str, ...] | None = None
-    ignore_index = 255
-    overrides: dict = {}
+    # the value of each key but frame, so that a repeated key is found
+    settings: dict = {}
     entries: list[FrameEntry] = []
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         rest = rest.strip()
+        if key in settings:
+            raise ManifestError(f"repeated manifest key {key!r} in {path}")
         if key == "classes":
-            names = tuple(part.strip() for part in rest.split(","))
-        elif key == "ignore_index":
-            ignore_index = _manifest_int(path, key, rest)
-        elif key in _CONFIG_KEYS:
-            try:
-                overrides[key] = EvalConfig.parse_field(key, rest)
-            except ValueError as exc:
-                raise ManifestError(f"{path}: {key}: {exc}") from None
+            settings[key] = tuple(part.strip() for part in rest.split(","))
+        elif key == "ignore_index" or key in _CONFIG_KEYS:
+            settings[key] = _manifest_value(path, key, rest)
         elif key == "frame":
             tokens: dict[str, str] = {}
             for token in rest.split():
                 tk, eq, tv = token.partition("=")
                 if not eq:
                     raise ManifestError(f"malformed frame token {token!r} in {path}")
+                if tk in tokens:
+                    raise ManifestError(f"repeated frame key {tk!r} in {path}")
                 tokens[tk] = tv
             unknown = set(tokens) - {*_FRAME_FILES, "samples"}
             if unknown:
                 raise ManifestError(f"unknown frame keys {sorted(unknown)} in {path}")
             if "labels" not in tokens:
                 raise ManifestError(f"frame without labels in {path}")
-            samples = _manifest_int(path, "samples", tokens.get("samples", "1"))
+            samples = _manifest_value(path, "samples", tokens.get("samples", "1"))
             files = {
                 f"{key}_path": (base / tokens[key]).resolve()
                 for key in _FRAME_FILES
@@ -484,23 +486,22 @@ def read_manifest(path: str | Path) -> Manifest:
         else:
             raise ManifestError(f"unknown manifest key {key!r} in {path}")
 
-    if names is None:
+    if "classes" not in settings:
         raise ManifestError(f"{path} declares no classes")
     try:
-        catalog = ClassCatalog(names, ignore_index)
+        catalog = ClassCatalog(settings.pop("classes"), settings.pop("ignore_index", 255))
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
-    missing = [
-        str(p) for entry in entries for p in entry.paths() if not p.is_file()
-    ]
+    missing = [str(p) for entry in entries for p in entry.paths() if not p.is_file()]
     if missing:
         raise ManifestError(f"{path} references missing files: {', '.join(missing)}")
-    return Manifest(catalog, tuple(entries), overrides)
+    return Manifest(catalog, tuple(entries), settings)
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
     """Emit the manifest with paths relative to its own directory; written
-    as ``write_report`` writes, so a failed write changes nothing."""
+    as ``write_report`` writes, so a failed write changes nothing. Each
+    override value is checked as ``read_manifest`` will read it."""
     path = Path(path)
     base = path.parent.resolve()
     for name in manifest.catalog.names:
@@ -512,16 +513,16 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
     for key, value in manifest.overrides.items():
         if key not in _CONFIG_KEYS:
             raise ManifestError(f"unknown config override {key!r}")
+        _manifest_value(path, key, str(value))
         lines.append(f"{key} {value}")
     for entry in manifest.frames:
         parts = ["frame"]
         parts += [f"{key}={os.path.relpath(p, base)}" for key, p in entry._files().items()]
         if entry.samples != 1:
             parts.append(f"samples={entry.samples}")
-        line = " ".join(parts)
         if any(" " in p for p in parts[1:]):
             raise ManifestError("manifest paths cannot contain spaces")
-        lines.append(line)
+        lines.append(" ".join(parts))
     with _failing("write", path), _replacing(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -47,11 +47,11 @@ from .core import (
     as_integer,
     as_real,
     check_labels,
+    check_measure,
     check_shapes,
 )
 from .errors import (
     AllClassesFiltered,
-    DimensionMismatch,
     EmptySplit,
     ShapeMismatch,
     SparsevalError,
@@ -89,10 +89,8 @@ class ArrayFrame:
     def points(self) -> int:
         return len(self.labels)
 
-    # whether every predictive block is float32: float32 or uint16 probabilities
-    float32_blocks = property(
-        lambda self: self.probs is not None and self.probs.data.dtype in (np.float32, np.uint16)
-    )
+    # whether every predictive block is float32, as the stack's type says
+    float32_blocks = property(lambda self: self.probs is not None and self.probs.float32_blocks)
 
     def load(
         self, buffers: dict | None = None
@@ -197,7 +195,7 @@ def _reduce(payload, labels, catalog, pred, scores, samples=1, seed=0) -> Confus
     are sampled ``samples`` times with ``seed``.
     """
     blocks = predictive_blocks(payload, samples, seed)
-    check_shapes(payload.points, payload.classes, labels, catalog)
+    check_shapes(payload.points, payload.classes, labels, catalog.k)
     reduce_blocks(blocks, pred, scores)
     check_labels(labels, catalog.k, catalog.ignore_index)
     return confusion(LabelArray(pred), labels, catalog)
@@ -288,8 +286,8 @@ def pool_split(
 
     Every frame's ``points`` is read first (a file header, for a manifest
     frame), and the pooled columns are allocated once: ``gt`` and ``pred``
-    in the smallest unsigned type that holds a class index (one byte each
-    up to 256 classes), and a score per measure: max-softmax as float32
+    as ``core.label_dtype`` types them (one byte each up to 256 classes),
+    and a score per measure, max-softmax always: max-softmax as float32
     if every source says its blocks are float32, which holds each value
     exactly, else float64, and entropy as float64. That is about 14 bytes
     per point, or 18. Each frame is then checked and reduced block by block,
@@ -301,8 +299,7 @@ def pool_split(
     """
     threads = as_integer("threads", threads, 1)
     for m in measures:
-        if m not in MEASURES:
-            raise ValueError(f"unknown confidence measure {m!r}")
+        check_measure(m)
     if not measures or len(set(measures)) != len(measures):
         raise ValueError(f"measures must name at least one measure, each once: {measures!r}")
     if isinstance(dataset, PooledSplit):
@@ -324,10 +321,10 @@ def pool_split(
             starts.append(starts[-1] + source.points)
         except SparsevalError as exc:
             raise _in_frame(exc, index, source) from exc
-    label_dtype = np.min_scalar_type(catalog.k - 1)
-    top = np.float32 if all(getattr(s, "float32_blocks", False) for s in sources) else np.float64
-    pred, scores = score_columns(starts[-1], measures, label_dtype, top)
-    columns = {"gt": np.empty(starts[-1], dtype=label_dtype), "pred": pred, **scores}
+    float32 = all(getattr(s, "float32_blocks", False) for s in sources)
+    # max-softmax always, which the ECE bins
+    pred, scores = score_columns(starts[-1], ("max_softmax", *measures), catalog.k, float32)
+    columns = {"gt": np.empty_like(pred), "pred": pred, **scores}
     # the dict holds the only references, so the columns can shrink in place
     del pred, scores
     local = threading.local()
@@ -423,10 +420,8 @@ def ece(
     ``max_softmax_confidence``), and every label must be a class index of
     the stack or ``ignore_index``.
     """
-    if len(gt) != probs.points:
-        raise DimensionMismatch(
-            f"probabilities cover {probs.points} points but labels cover {len(gt)}"
-        )
+    # the stack's classes are the catalog's
+    check_shapes(probs.points, probs.classes, gt, probs.classes)
     conf, pred = max_softmax_confidence(probs)
     check_labels(gt, probs.classes, ignore_index)
     scores = conf.scores
@@ -555,15 +550,15 @@ def per_class_ause(
     """Per-class AUSE of one aggregated stack under one confidence measure.
 
     The stack is checked and reduced block by block, as each frame of a
-    split is (``_reduce``), and every class is then read from the one curve
-    engine, with the counts of that reduction.
+    split is (``_reduce``), into the pooled split's layout (``pool_split``)
+    but for the one measure's column; every class is then read from the one
+    curve engine, with the counts of that reduction.
     """
     config = config or EvalConfig()
-    if measure not in MEASURES:
-        raise ValueError(f"unknown confidence measure {measure!r}")
+    check_measure(measure)
     if probs.samples != 1:
         raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
-    pred, scores = score_columns(probs.points, (measure,))
+    pred, scores = score_columns(probs.points, (measure,), catalog.k, probs.float32_blocks)
     counts = _reduce(probs, gt, catalog, pred, scores)
     conf = {measure: ConfidenceVector(measure, scores[measure])}
     curves = class_curves_by_measure(LabelArray(pred), gt, conf, catalog, config, _counts=counts)

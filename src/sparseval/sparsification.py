@@ -31,6 +31,7 @@ from .core import (
     LabelArray,
     SCAN_POINTS,
     as_integer,
+    label_dtype,
 )
 from .errors import DimensionMismatch, EmptySubset, SubsetTooLarge
 from .segmetrics import ConfusionMatrix, confusion
@@ -427,8 +428,8 @@ def _class_curves(
         for n_rel, n_tp in totals
     ]
     keep = None if n == len(gt) else gt.values != catalog.ignore_index
-    # kept labels in the smallest type that holds k: a pooled column's type
-    g, p = (a.values.astype(np.min_scalar_type(k), copy=False) for a in (gt, pred))
+    # kept labels as a pooled column holds them, so that it is not copied
+    g, p = (a.values.astype(label_dtype(k), copy=False) for a in (gt, pred))
     if keep is not None:
         g, p = g[keep], p[keep]
     perm = None

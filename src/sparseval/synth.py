@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SCAN_POINTS
-from .core import ClassCatalog, LabelArray, ProbabilityStack, as_integer, as_real, validate_inputs
+from .core import SCAN_POINTS, ClassCatalog, LabelArray, ProbabilityStack
+from .core import as_integer, as_real, label_dtype, validate_inputs
 from .errors import SpecInvalid
 
 CALIBRATION_MODES = ("calibrated", "overconfident", "underconfident", "anticorrelated")
@@ -186,8 +186,8 @@ def generate(spec: ScenarioSpec) -> tuple[LabelArray, ProbabilityStack]:
     q += acc[gt]
 
     correct = rng.random(spec.n) < q
-    # predictions only index the rows: the smallest type that holds a class
-    pred = gt.astype(np.min_scalar_type(k - 1))
+    # predictions only index the rows; typed as the pooled columns are
+    pred = gt.astype(label_dtype(k))
     # by default a wrong prediction is any other class, evenly
     even = (1.0 - np.eye(k)) / (k - 1)
     profile = spec.confusion_profile if spec.confusion_profile is not None else even

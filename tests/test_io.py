@@ -1079,6 +1079,81 @@ def test_bad_manifest_value_raises_manifest_error(tmp_path, line, key):
     assert str(path) in str(caught.value) and key in str(caught.value)
 
 
+def _manifest_with(tmp_path, overrides, names=("a", "b"), labels="l.spt"):
+    frame = FrameEntry(labels_path=tmp_path / labels, probs_path=tmp_path / "p.spt")
+    return Manifest(ClassCatalog(names), (frame,), overrides)
+
+
+@pytest.mark.parametrize(
+    "names, overrides, labels, message",
+    [
+        (("a,b", "c"), {}, "l.spt", "class name 'a,b' cannot be stored in a manifest"),
+        (("a", "b"), {"bogus": 1}, "l.spt", "unknown config override 'bogus'"),
+        (("a", "b"), {}, "my l.spt", "manifest paths cannot contain spaces"),
+        (
+            ("a", "b"),
+            {"tie_break": "stable_index\nframe labels=l.spt probs=p.spt"},
+            "l.spt",
+            "{path}: tie_break: tie_break must be one of ('stable_index', 'seeded_random')",
+        ),
+        (("a", "b"), {"grid_steps": 1}, "l.spt", "{path}: grid_steps: grid_steps must be at least 2"),
+        (("a", "b"), {"grid_steps": 50.0}, "l.spt", "{path}: grid_steps: invalid int value: '50.0'"),
+    ],
+    ids=["comma", "unknown key", "space", "two lines", "grid_steps 1", "float grid_steps"],
+)
+def test_write_manifest_rejects_what_the_reader_would_read_otherwise(
+    tmp_path, names, overrides, labels, message
+):
+    # an override is checked as read_manifest will read it, so no value
+    # writes a manifest that fails to read or that adds a frame
+    path = tmp_path / "m.txt"
+    with pytest.raises(ManifestError) as caught:
+        write_manifest(_manifest_with(tmp_path, overrides, names, labels), path)
+    assert str(caught.value) == message.format(path=path)
+    assert not path.exists()
+
+
+def test_manifest_overrides_survive_a_write_and_a_read(tmp_path):
+    overrides = {
+        "grid_steps": 50,
+        "iou_filter_threshold": 0.125,
+        "ece_bins": 7,
+        "tie_break": "seeded_random",
+        "rng_seed": 3,
+        "ranking_domain": "global",
+    }
+    manifest = _manifest_with(tmp_path, overrides)
+    for name in ("l.spt", "p.spt"):
+        (tmp_path / name).write_bytes(b"")
+    write_manifest(manifest, tmp_path / "m.txt")
+    again = read_manifest(tmp_path / "m.txt")
+    assert again.overrides == overrides
+    assert list(again.overrides) == list(overrides)
+    assert again.apply_overrides(EvalConfig()) == EvalConfig(**overrides)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["classes c,d"], "repeated manifest key 'classes' in {path}"),
+        (["ignore_index 7"], "repeated manifest key 'ignore_index' in {path}"),
+        (["grid_steps 20", "grid_steps 30"], "repeated manifest key 'grid_steps' in {path}"),
+        (["frame labels=l.spt probs=p.spt labels=m.spt"], "repeated frame key 'labels' in {path}"),
+    ],
+    ids=["classes", "ignore_index", "override", "frame token"],
+)
+def test_read_manifest_rejects_a_repeated_key(tmp_path, lines, message):
+    # the last copy used to win silently
+    path = tmp_path / "m.txt"
+    for name in ("l.spt", "m.spt", "p.spt"):
+        (tmp_path / name).write_bytes(b"")
+    body = "\n".join(["classes a,b", "ignore_index 255", *lines])
+    path.write_text(f"sparseval-manifest v1\n{body}\n")
+    with pytest.raises(ManifestError) as caught:
+        read_manifest(path)
+    assert str(caught.value) == message.format(path=path)
+
+
 def _reference_dequantized(raw):
     # the whole-stack float32 copy, float64 quotient and float32 cast that
     # the block-wise dequantisation replaces
@@ -1189,7 +1264,7 @@ def test_quantized_frame_reduction_holds_the_file_and_one_block(tmp_path):
     del raw
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
     file_bytes = sum(p.stat().st_size for p in entry.paths())
-    pred, scores = score_columns(n, MEASURES, np.uint8)
+    pred, scores = score_columns(n, MEASURES, k)
     columns = {"gt": np.empty(n, dtype=np.uint8), "pred": pred, **scores}
     tracemalloc.start()
     try:

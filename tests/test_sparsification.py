@@ -16,9 +16,14 @@ from sparseval import (
     FractionGrid,
     LabelArray,
     ProbabilityStack,
+    QuantizedStack,
+    ScenarioSpec,
     ause,
     brute_force_ause,
     curve_pair,
+    entropy_confidence,
+    generate,
+    max_softmax_confidence,
     oracle_curve,
     per_class_ause,
     relevant_subset,
@@ -341,6 +346,71 @@ def test_per_class_ause_requires_single_sample():
     probs = ProbabilityStack(np.full((2, 2, 2), 0.5))
     with pytest.raises(ValueError):
         per_class_ause(probs, LabelArray(np.array([0, 1])), CAT2, "max_softmax")
+
+
+@pytest.mark.parametrize("kind", ["float32", "uint16", "float64"])
+@pytest.mark.parametrize("measure", ["max_softmax", "neg_entropy"])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_per_class_ause_equals_the_intp_and_float64_layout(kind, measure, tie_break):
+    # per_class_ause holds labels as the pooled split does and max-softmax as
+    # float32 for float32 blocks; its values and curves are those of intp
+    # predictions and float64 scores, as the confidence functions return them
+    rng = np.random.default_rng(31)
+    n, k = 3000, 5
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    # rows of a few levels each, so that scores tie often
+    raw = np.round(rng.random((1, n, k)) * 8) + 1
+    raw /= raw.sum(axis=2, keepdims=True)
+    if kind == "uint16":
+        probs = QuantizedStack(np.rint(raw * 65535).astype(np.uint16))
+    else:
+        probs = ProbabilityStack(raw.astype(kind))
+    labels = rng.integers(0, k, size=n)
+    labels[::9] = catalog.ignore_index
+    gt = LabelArray(labels)
+    config = EvalConfig(grid_steps=40, tie_break=tie_break, rng_seed=2)
+    got = per_class_ause(probs, gt, catalog, measure, config)
+    conf, pred = max_softmax_confidence(probs)
+    if measure == "neg_entropy":
+        conf = entropy_confidence(probs)
+    assert pred.values.dtype == np.intp and conf.scores.dtype == np.float64
+    want = class_curves_by_measure(pred, gt, {measure: conf}, catalog, config)
+    for row, pairs in zip(got, want, strict=True):
+        assert row.ause == ause(pairs[measure])
+        for name in ("sparsification_error", "oracle_error"):
+            mine, theirs = getattr(row.curves, name), getattr(pairs[measure], name)
+            assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("measure, bound", [("max_softmax", 11), ("neg_entropy", 14)])
+def test_per_class_ause_holds_the_pooled_layout(measure, bound):
+    # above a float32 stack and int64 labels: one-byte predictions, the
+    # measure's column (max-softmax as float32 from float32 blocks, entropy
+    # as float64 and no max-softmax beside it), the engine's one-byte copy of
+    # the labels and its ~3 B/pt; the scores are criterion 10's scenario
+    n, k = 1 << 20, 19
+    rng = np.random.default_rng(0)
+    freq = (np.arange(k, dtype=np.float64) + 1.0) ** 2
+    spec = ScenarioSpec(
+        n=n,
+        class_frequencies=tuple(freq / freq.sum()),
+        per_class_accuracy=tuple(0.55 + 0.4 * rng.random(k)),
+        seed=1,
+        confidence_spread=0.2,
+    )
+    gt, probs = generate(spec)
+    assert probs.data.dtype == np.float32 and gt.values.dtype == np.int64
+    catalog = spec.catalog()
+    # one-time costs of a first call are not the function's memory
+    small = ProbabilityStack(probs.data[:, :999])
+    per_class_ause(small, LabelArray(gt.values[:999]), catalog, measure)
+    tracemalloc.start()
+    try:
+        per_class_ause(probs, gt, catalog, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound
 
 
 def test_curve_inputs_are_checked():
@@ -867,6 +937,33 @@ def test_engine_memory_per_point(scores, ignored):
         finally:
             tracemalloc.stop()
         assert peak / n <= 4 + ignored * (1 + 2 + 8)
+
+
+def test_engine_copies_no_label_column_at_256_classes():
+    # one byte holds every class index up to 256 classes, so the engine keeps
+    # the pooled uint8 columns at 256 classes as at 255
+    n = 1 << 21
+    rng = np.random.default_rng(6)
+    peaks = {}
+    for k in (255, 256):
+        gt = rng.integers(0, k, size=n).astype(np.uint8)
+        pred = np.where(rng.random(n) < 0.7, gt, rng.integers(0, k, size=n)).astype(np.uint8)
+        confs = {"max_softmax": ConfidenceVector("max_softmax", rng.random(n))}
+        catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)), ignore_index=-1)
+        counts = confusion(LabelArray(pred), LabelArray(gt), catalog)
+        small = {"max_softmax": ConfidenceVector("max_softmax", confs["max_softmax"].scores[:999])}
+        class_curves_by_measure(
+            LabelArray(pred[:999]), LabelArray(gt[:999]), small, catalog, EvalConfig()
+        )
+        tracemalloc.start()
+        try:
+            class_curves_by_measure(
+                LabelArray(pred), LabelArray(gt), confs, catalog, EvalConfig(), _counts=counts
+            )
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] <= 1.1 * peaks[255]
 
 
 def test_seeded_random_adds_only_the_permutation_to_the_engine_peak():

@@ -449,7 +449,7 @@ def test_streamed_frame_reduction_holds_one_sample_and_the_sum(tmp_path):
     write_tensor(TensorContainer.from_array(labels), entry.labels_path)
     del raw
     catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
-    pred, scores = score_columns(n, MEASURES, np.uint8)
+    pred, scores = score_columns(n, MEASURES, k)
     columns = {"gt": np.empty(n, dtype=np.uint8), "pred": pred, **scores}
     tracemalloc.start()
     try:
