@@ -2,21 +2,10 @@
 
 Confidence is always computed on an aggregated stack (samples == 1): multi
 sample stacks are averaged into one predictive distribution first, matching
-how ensembles of stochastic forward passes are consumed.
-
-Every score is computed block by block, ``core.BLOCK_POINTS`` points at a
-time: ``predictive_blocks`` yields a frame's predictive distribution in
-checked blocks, and one block kernel, behind ``reduce_blocks``, writes each
-block's argmax, max-softmax and entropy into given columns while the block
-is in cache; ``max_softmax_confidence`` and ``entropy_confidence`` wrap it.
-Every stack of several samples or of uint16 ones is averaged by one
-accumulator, ``StreamedMean``, which checks each sample's rows and sums the
-samples in float64 in sample order, three blocks of a sample at a time, a
-fault being named as ``core.check_ranges`` names it, in range order. The
-float64 rows of a dequantised chunk live only until the sum is complete.
-Sampled logits are drawn and averaged over the ranges of
-``core.sample_ranges``, and plain logits are softmaxed a block at a time,
-so no float samples x points x classes stack of a frame is ever built.
+how ensembles of stochastic forward passes are consumed. Every score is
+computed ``core.BLOCK_POINTS`` points at a time (``predictive_blocks``,
+``reduce_blocks``), so no float samples x points x classes stack of a frame
+is ever built.
 
 scipy supplies only ``ndtri``, the inverse normal CDF behind the noise of
 Gaussian logits, and is imported when the first ``LogitTensor`` with a
@@ -40,6 +29,7 @@ from .core import (
     LabelArray,
     ProbabilityStack,
     QuantizedStack,
+    as_float,
     as_integer,
     check_distribution,
     check_ranges,
@@ -68,16 +58,12 @@ class LogitTensor:
     stddev: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
+        arr = as_float(self.values)
         if arr.ndim != 2:
             raise ValueError("logits are points x classes")
         object.__setattr__(self, "values", arr)
         if self.stddev is not None:
-            sd = np.asarray(self.stddev)
-            if sd.dtype.kind != "f":
-                sd = sd.astype(np.float64)
+            sd = as_float(self.stddev)
             if sd.shape != arr.shape:
                 raise ValueError("stddev must match the logit shape")
             if sd.size and float(sd.min()) < 0.0:
@@ -323,13 +309,9 @@ class StreamedMean:
     sample count and cast to the stack's type (float32 for uint16).
 
     A slab with a fault sets ``clean`` to False, and ``blocks`` then raises
-    ``NotADistribution``. The error that names the fault depends on every
-    sample of the range at fault: ``core.check_ranges`` over the whole
-    stack raises it, and finds a fault exactly when some slab has one.
-
-    The sum, the dequantised rows and the blocks are ``core.scratch``
-    arrays of ``buffers``, kept from frame to frame of a worker but for the
-    float64 rows, dropped once the sum is complete; else each is new.
+    ``NotADistribution``; ``core.check_ranges`` over the whole stack finds
+    a fault exactly when some slab has one, and names it. The sum and the
+    blocks are ``core.scratch`` arrays of ``buffers``; else each is new.
     """
 
     def __init__(self, buffers: dict | None = None):
@@ -423,22 +405,14 @@ def predictive_blocks(
     at a time.
 
     Yields ``(start, block)`` in point order, each block a (1, r, classes)
-    array. A single-sample float stack is yielded as views, and any other
-    stack is averaged a block at a time by a ``StreamedMean``, with the
-    bits of ``aggregate_samples``; a filled one, as ``io.load_frame``
-    returns it, yields its blocks, checked as it was filled. Plain logits
-    are softmaxed a block at a time, as ``softmax`` does. Logits with a
-    stddev are sampled ``samples`` times with ``seed`` and averaged a range
-    at a time (``_mean_blocks``), which gives the bits of
-    ``aggregate_samples(sample_probabilistic_logits(...))``. Plain logits
-    admit only ``samples`` 1, since they have no noise to sample
+    array: of a stack (``_stack_blocks``), or of a filled ``StreamedMean``,
+    as ``io.load_frame`` returns it, checked as it was filled; of plain
+    logits softmaxed as ``softmax`` does; of logits with a stddev sampled
+    ``samples`` times with ``seed`` and averaged (``_mean_blocks``). Plain
+    logits admit only ``samples`` 1, since they have no noise to sample
     (``MissingStddev``). Logit errors raise when this is called, before any
-    block is drawn.
-
-    Every sample of a stack is checked before the samples are averaged,
-    and a fault raises the error ``validate_inputs`` raises, naming the
-    sample and point; the blocks drawn from logits are checked as they are
-    yielded.
+    block is drawn, and the blocks drawn from logits are checked as they
+    are yielded.
     """
     if isinstance(payload, StreamedMean):
         return payload.blocks()

@@ -77,6 +77,12 @@ def as_real(name: str, value, error=ValueError) -> float:
     return float(value)
 
 
+def as_float(values) -> np.ndarray:
+    """``values`` as an array: floating point as given, anything else as float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class ClassCatalog:
     """Ordered class names plus the label value excluded from all metrics.
@@ -177,10 +183,7 @@ class ProbabilityStack(_Stack):
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self._hold(arr, "probability")
+        self._hold(as_float(self.data), "probability")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,7 @@ docs/tensor_format.md):
     tail       8 bytes   BLAKE2b-64 digest of the payload
 
 Readers reject malformed files instead of guessing; partial results are
-never produced. One reader (``_read_container``) reads every container,
-whole or, given a sink for a probability stack of many samples, one sample
-slab at a time, and raises the same errors in the same order either way.
-``load_frame`` reads each of a manifest frame's files once, unless a
-streamed stack has a fault, and decides alone which stacks stream when it
-reads into a buffer dict. Writers write beside the target and move the
-file into place, so a failed write leaves no partial file.
+never produced, and no failed write leaves a partial file (``_replacing``).
 """
 from __future__ import annotations
 
@@ -338,23 +332,18 @@ def load_frame(
     Each file is read once, and each array is a view of the bytes read.
     float32 probabilities come as a ``ProbabilityStack``; uint16
     probabilities come as a ``QuantizedStack``, dequantised only when they
-    are evaluated, a block at a time (``confidence.dequantize`` converts a
-    whole stack). The digest of the bytes read is kept on the entry, where
+    are evaluated. The digest of the bytes read is kept on the entry, where
     ``FrameEntry.digest`` finds it.
 
     Without ``buffers`` every file is read whole into bytes of its own.
     With a dict, as a pooling worker passes one, each file is read into
-    the dict's buffer for its manifest key, which is kept and reused by the
-    next load with the same dict (and replaced by a larger one when a file
-    does not fit), so the arrays returned stay valid only until then. A
-    stack that takes more bytes per point than one of its samples plus a
-    float64 sum (``_streams``: 6 or more uint16 samples, 4 or more float32
-    ones) is then read a sample at a time into a ``StreamedMean`` over
-    ``buffers``, which comes back in its place, with the errors of a whole
-    read in the same order. A stack with a fault in its values is read
-    again whole and returned as a whole read returns it, so that
-    ``predictive_blocks`` names the fault; the digest is that of the
-    second read.
+    the dict's ``core.scratch`` buffer for its manifest key, so the arrays
+    returned stay valid only until the next load with the same dict, and a
+    stack that ``_streams`` admits comes back as a ``StreamedMean`` over
+    ``buffers``, read a sample at a time. A stack with a fault in its
+    values is then read again whole and returned as a whole read returns
+    it, so that ``predictive_blocks`` names the fault; the digest is that
+    of the second read.
     """
     paths = entry._files()
     # the digest takes the files in _FRAME_FILES order, which puts the
@@ -505,7 +494,8 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
     path = Path(path)
     base = path.parent.resolve()
     for name in manifest.catalog.names:
-        if "," in name or "\n" in name:
+        # the reader splits lines, then names at commas, and strips each name
+        if "," in name or name != name.strip() or len(name.splitlines()) > 1:
             raise ManifestError(f"class name {name!r} cannot be stored in a manifest")
     lines = [MANIFEST_HEADER]
     lines.append("classes " + ",".join(manifest.catalog.names))
@@ -520,8 +510,10 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
         parts += [f"{key}={os.path.relpath(p, base)}" for key, p in entry._files().items()]
         if entry.samples != 1:
             parts.append(f"samples={entry.samples}")
-        if any(" " in p for p in parts[1:]):
-            raise ManifestError("manifest paths cannot contain spaces")
+        # the reader splits lines, then tokens at any whitespace
+        if any(c.isspace() for p in parts[1:] for c in p):
+            what = "spaces" if any(" " in p for p in parts[1:]) else "whitespace"
+            raise ManifestError(f"manifest paths cannot contain {what}")
         lines.append(" ".join(parts))
     with _failing("write", path), _replacing(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -594,26 +586,22 @@ def write_report(
                 header += [f"ause_{m}" for m in report.measures]
                 header += ["filtered", "relevant_count"]
                 writer.writerow(header)
-                for row in report.rows:
-                    writer.writerow(
-                        [row.name, _fmt(row.iou)]
-                        + [_fmt(row.ause[m]) for m in report.measures]
-                        + [_fmt(row.filtered), row.relevant_count]
-                    )
                 kept = [r for r in report.rows if not r.filtered]
                 kept_iou = (
                     float(np.mean([r.iou for r in kept])) if kept else None
                 )
-                writer.writerow(
-                    ["all", _fmt(report.miou_all_classes)]
-                    + [_fmt(report.overall_ause[m]) for m in report.measures]
-                    + ["", sum(r.relevant_count for r in report.rows)]
-                )
-                writer.writerow(
-                    ["all (filtered)", _fmt(kept_iou)]
-                    + [_fmt(report.filtered_ause[m]) for m in report.measures]
-                    + ["", sum(r.relevant_count for r in kept)]
-                )
+                # a row per class, then one for all classes and one for the
+                # kept ones, with an empty filtered column, each counting the
+                # relevant points of its classes
+                rows = [(r.name, r.iou, r.ause, r.filtered, [r]) for r in report.rows]
+                rows.append(("all", report.miou_all_classes, report.overall_ause, None, report.rows))
+                rows.append(("all (filtered)", kept_iou, report.filtered_ause, None, kept))
+                for name, iou_val, ause_vals, filtered, counted in rows:
+                    writer.writerow(
+                        [name, _fmt(iou_val)]
+                        + [_fmt(ause_vals[m]) for m in report.measures]
+                        + [_fmt(filtered), sum(r.relevant_count for r in counted)]
+                    )
             written["csv"] = csv_path
         return written
 

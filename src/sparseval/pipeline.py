@@ -2,20 +2,11 @@
 
 Frames are pooled into one logical point set before any per-class ranking, so
 rare classes are judged on every point they have in the split rather than on
-frame-sized fragments. The pooled columns are allocated once, sized from
-every frame's point count, and each frame is reduced straight into its rows,
-so nothing is concatenated and the split holds about 14 bytes per kept point
-if every frame's blocks are float32, else 18 (``pool_split``). One helper,
-``_reduce``, checks and reduces a stack into columns and counts its labels,
-for each pooled frame and for the one stack of ``per_class_ause``: samples
-are checked and summed in float64 in sample order, faults named in range
-order, by ``confidence.StreamedMean``, whether io hands on the frame whole
-or already summed. Confusion counts are accumulated per frame and merged.
-For probability stacks and plain logits the result does not depend on how
-the split is partitioned. Logits with a stddev are the exception: their
-noise is seeded by frame index and addressed by position within the frame,
-so other cut points draw other samples (an open item of ROADMAP.md keys the
-noise by split position instead).
+frame-sized fragments. For probability stacks and plain logits the result
+does not depend on how the split is partitioned. Logits with a stddev are
+the exception: their noise is seeded by frame index and addressed by
+position within the frame, so other cut points draw other samples (an open
+item of ROADMAP.md keys the noise by split position instead).
 """
 from __future__ import annotations
 
@@ -285,17 +276,11 @@ def pool_split(
     count. ``config`` supplies the seed of logit sampling.
 
     Every frame's ``points`` is read first (a file header, for a manifest
-    frame), and the pooled columns are allocated once: ``gt`` and ``pred``
-    as ``core.label_dtype`` types them (one byte each up to 256 classes),
-    and a score per measure, max-softmax always: max-softmax as float32
-    if every source says its blocks are float32, which holds each value
-    exactly, else float64, and entropy as float64. That is about 14 bytes
-    per point, or 18. Each frame is then checked and reduced block by block,
-    ``core.BLOCK_POINTS`` points at a time, straight into its rows, and
-    moves its kept points to the front of them; nothing is concatenated.
-    If points were ignored, the frames' kept rows are closed up once all
-    frames are in, by a forward copy ``SCAN_POINTS`` rows at a time, and
-    the columns are shrunk to the kept points.
+    frame), and the pooled columns are allocated once, as ``score_columns``
+    lays them out, and each frame is reduced straight into its rows
+    (``_reduce_frame``); if points were ignored, the frames' kept rows are
+    then closed up (``_close_up``) and the columns shrunk to them. Nothing
+    is concatenated.
     """
     threads = as_integer("threads", threads, 1)
     for m in measures:
@@ -350,8 +335,14 @@ def pool_split(
     if offsets[-1] < starts[-1]:
         for key in columns:
             _close_up(columns[key], starts, offsets, kept)
-            # the workers' views are gone: resize's reference check passes
-            columns[key].resize(offsets[-1])
+            try:
+                # the workers' views are gone: resize's reference check passes
+                columns[key].resize(offsets[-1])
+            except ValueError:
+                # under a trace or profile function (a debugger's, cProfile's)
+                # resize is called through a bound method, which holds one
+                # reference more than the check allows
+                columns[key] = columns[key][: offsets[-1]].copy()
     return PooledSplit(
         catalog=catalog,
         gt=LabelArray(columns.pop("gt")),
@@ -424,13 +415,8 @@ def ece(
     check_shapes(probs.points, probs.classes, gt, probs.classes)
     conf, pred = max_softmax_confidence(probs)
     check_labels(gt, probs.classes, ignore_index)
-    scores = conf.scores
-    correct = pred.values == gt.values
-    if ignore_index is not None:
-        keep = gt.values != ignore_index
-        scores = scores[keep]
-        correct = correct[keep]
-    return binned_ece(scores, correct, bins)
+    keep = slice(None) if ignore_index is None else gt.values != ignore_index
+    return binned_ece(conf.scores[keep], (pred.values == gt.values)[keep], bins)
 
 
 def _mean_ause(rows: list[ClassRow], measures: tuple[str, ...]) -> dict[str, float | None]:

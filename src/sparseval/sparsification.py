@@ -7,15 +7,9 @@ IoU_c error (1 - IoU_c) is recorded. The oracle curve removes the incorrect
 points first, which is the best possible order, so the area between the two
 curves measures how close the confidence ranking comes to ground truth.
 
-One engine computes every curve, with no sort of the split. A curve is read
-only at the grid's cuts, and a cut needs only how many of the class's
-relevant points and true positives the ranking removes. Per measure, one
-pass counts them per class and value bucket, min(floor(s * B), B - 1),
-which places each cut in a bucket; further passes select the cut inside
-its bucket (Floyd and Rivest, CACM 1975). Beyond its inputs the engine
-holds the count table (at most 1 B/pt), the gathered members of the cut
-windows (n / 8 at most) and chunk temporaries: 3 B/pt at 2^20 points and
-19 classes. The oracle is closed-form in the class's counts.
+One engine, ``_class_curves``, computes every curve without sorting the
+split: it selects each grid cut inside a value bucket (Floyd and Rivest,
+CACM 1975), and the oracle is closed-form in the class's counts.
 """
 from __future__ import annotations
 

@@ -240,8 +240,8 @@ def write_dataset(
     if n < frames:
         raise SpecInvalid("cannot split fewer points than frames")
     validate_inputs(probs, gt, catalog)
-    label_dtype = np.uint8 if catalog.k <= 255 and catalog.ignore_index <= 255 else np.uint16
-    held = np.iinfo(label_dtype)
+    stored = np.uint8 if catalog.k <= 255 and catalog.ignore_index <= 255 else np.uint16
+    held = np.iinfo(stored)
     for label in (int(gt.values.min()), int(gt.values.max())):
         if not held.min <= label <= held.max:
             raise SpecInvalid(f"label {label} cannot be stored as {held.dtype} labels")
@@ -249,25 +249,17 @@ def write_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds = [(n * i) // frames for i in range(frames + 1)]
     entries = []
-    for i in range(frames):
-        lo, hi = bounds[i], bounds[i + 1]
-        probs_path = out_dir / f"frame_{i:04d}.probs.spt"
-        labels_path = out_dir / f"frame_{i:04d}.labels.spt"
-        container_io.write_tensor(
-            container_io.TensorContainer.from_array(
-                probs.data[:, lo:hi, :].astype(np.float32)
-            ),
-            probs_path,
-        )
-        container_io.write_tensor(
-            container_io.TensorContainer.from_array(gt.values[lo:hi].astype(label_dtype)),
-            labels_path,
-        )
-        entries.append(
-            container_io.FrameEntry(
-                labels_path=labels_path.resolve(), probs_path=probs_path.resolve()
-            )
-        )
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        # the frame's containers by manifest key, written in this order
+        arrays = {
+            "probs": probs.data[:, lo:hi].astype(np.float32),
+            "labels": gt.values[lo:hi].astype(stored),
+        }
+        paths = {}
+        for key, arr in arrays.items():
+            path = paths[f"{key}_path"] = (out_dir / f"frame_{i:04d}.{key}.spt").resolve()
+            container_io.write_tensor(container_io.TensorContainer.from_array(arr), path)
+        entries.append(container_io.FrameEntry(**paths))
     manifest = container_io.Manifest(catalog, tuple(entries), {})
     manifest_path = out_dir / "manifest.txt"
     container_io.write_manifest(manifest, manifest_path)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -347,10 +347,14 @@ def leveled_rows(rng, n, k, dtype, levels, zero_share):
     return rows
 
 
+# a failure of the block-sized property tests below is reported as found:
+# shrinking examples of up to 3 * 2^11 + 7 points takes many minutes
+NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
+
 BLOCK_EDGES = [1, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 3 * BLOCK_POINTS + 7]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from(BLOCK_EDGES),
@@ -388,7 +392,7 @@ def test_block_kernel_matches_whole_frame_reference(seed, n, k, dtype, levels, z
     assert np.array_equal(split.pred.values, ref_pred[keep])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(
     seed=st.integers(0, 2**63 - 1),
     samples=st.sampled_from([1, 2, 30]),

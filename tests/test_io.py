@@ -1090,6 +1090,14 @@ def _manifest_with(tmp_path, overrides, names=("a", "b"), labels="l.spt"):
         (("a,b", "c"), {}, "l.spt", "class name 'a,b' cannot be stored in a manifest"),
         (("a", "b"), {"bogus": 1}, "l.spt", "unknown config override 'bogus'"),
         (("a", "b"), {}, "my l.spt", "manifest paths cannot contain spaces"),
+        (("a", "b"), {}, "l\n#.spt", "manifest paths cannot contain whitespace"),
+        (("a", "b"), {}, "l\r#.spt", "manifest paths cannot contain whitespace"),
+        (("a", "b"), {}, "l\t.spt", "manifest paths cannot contain whitespace"),
+        ((" a", "b"), {}, "l.spt", "class name ' a' cannot be stored in a manifest"),
+        (("a ", "b"), {}, "l.spt", "class name 'a ' cannot be stored in a manifest"),
+        (("a\r", "b"), {}, "l.spt", "class name 'a\\r' cannot be stored in a manifest"),
+        (("a\nb", "c"), {}, "l.spt", "class name 'a\\nb' cannot be stored in a manifest"),
+        (("a\x1cb", "c"), {}, "l.spt", "class name 'a\\x1cb' cannot be stored in a manifest"),
         (
             ("a", "b"),
             {"tie_break": "stable_index\nframe labels=l.spt probs=p.spt"},
@@ -1099,7 +1107,11 @@ def _manifest_with(tmp_path, overrides, names=("a", "b"), labels="l.spt"):
         (("a", "b"), {"grid_steps": 1}, "l.spt", "{path}: grid_steps: grid_steps must be at least 2"),
         (("a", "b"), {"grid_steps": 50.0}, "l.spt", "{path}: grid_steps: invalid int value: '50.0'"),
     ],
-    ids=["comma", "unknown key", "space", "two lines", "grid_steps 1", "float grid_steps"],
+    ids=[
+        "comma", "unknown key", "space", "newline path", "carriage return path", "tab path",
+        "leading space", "trailing space", "carriage return", "newline", "file separator",
+        "two lines", "grid_steps 1", "float grid_steps",
+    ],
 )
 def test_write_manifest_rejects_what_the_reader_would_read_otherwise(
     tmp_path, names, overrides, labels, message
@@ -1130,6 +1142,15 @@ def test_manifest_overrides_survive_a_write_and_a_read(tmp_path):
     assert again.overrides == overrides
     assert list(again.overrides) == list(overrides)
     assert again.apply_overrides(EvalConfig()) == EvalConfig(**overrides)
+
+
+def test_class_names_with_inner_whitespace_survive_a_write_and_a_read(tmp_path):
+    # only a name's ends are stripped, and only line breaks split a line
+    names = ("terrain low", "a\tb", "c")
+    for name in ("l.spt", "p.spt"):
+        (tmp_path / name).write_bytes(b"")
+    write_manifest(_manifest_with(tmp_path, {}, names), tmp_path / "m.txt")
+    assert read_manifest(tmp_path / "m.txt").catalog.names == names
 
 
 @pytest.mark.parametrize(

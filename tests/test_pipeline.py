@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 import tracemalloc
 import types
 
@@ -644,6 +645,30 @@ def test_pooled_columns_are_copies_of_the_kept_points(ignored):
     )
     for lab in labels:
         assert not np.shares_memory(split.gt.values, lab.values)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pool_split_under_a_trace_function_pools_the_same_columns(threads):
+    # a debugger or coverage tracer installs a trace function; the columns
+    # are then shrunk by a copy, with the bytes of the in-place shrink
+    frames, catalog, _, _ = scenario_frames(parts=3)
+    for f in frames:
+        f.labels.values[::7] = catalog.ignore_index
+    untraced = pool_split(frames, catalog, threads=threads)
+    sys.settrace(lambda *args: None)
+    try:
+        traced = pool_split(frames, catalog, threads=threads)
+    finally:
+        sys.settrace(None)
+    assert traced.offsets == untraced.offsets
+    assert np.array_equal(traced.counts.counts, untraced.counts.counts)
+    assert list(traced.confidences) == list(untraced.confidences)
+    columns = [
+        [split.gt.values, split.pred.values, *(c.scores for c in split.confidences.values())]
+        for split in (traced, untraced)
+    ]
+    for a, b in zip(*columns):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_pooled_labels_use_the_narrowest_type():

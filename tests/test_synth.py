@@ -249,6 +249,38 @@ def test_write_dataset_stores_only_labels_it_can_read_back(tmp_path, label, igno
     assert stored == direct
 
 
+# the bytes write_dataset wrote for this spec before its writer was last
+# rewritten: the three frames' containers and the manifest
+WRITTEN_DATASET = {
+    "frame_0000.labels.spt": "5059f6c0f00fdab132f8911cc21451ae052e329820843e4ae9a84c4af8db2bb5",
+    "frame_0000.probs.spt": "79ec6fd33f11759188dc28355f57f0433818a9f82cdc47345bd53b4652f8b9f5",
+    "frame_0001.labels.spt": "e826008e620da6913da32182b73ba8eb0edf043e407426d35c59106173986717",
+    "frame_0001.probs.spt": "510a832995c33588e1ce2d2e18c3071d16e19e7f3aa1ae52ffd3e680ce1206d7",
+    "frame_0002.labels.spt": "11994343352294cd5bea2fad728cb43144203a1ca0be26d3059150bd4f66c26a",
+    "frame_0002.probs.spt": "553dab461bbd96c6db53739ea321b54b615122c9fbf6c2d8ba9689188b21a46d",
+    "manifest.txt": "6c0b12df57255bb8250689ce6d4ca4ac9a3f7b1d5ef4996ce7bc15dff1f3489a",
+}
+WRITTEN_MANIFEST = (
+    "sparseval-manifest v1\n"
+    "classes class_00,class_01,class_02\n"
+    "ignore_index 255\n"
+    "frame probs=frame_0000.probs.spt labels=frame_0000.labels.spt\n"
+    "frame probs=frame_0001.probs.spt labels=frame_0001.labels.spt\n"
+    "frame probs=frame_0002.probs.spt labels=frame_0002.labels.spt\n"
+)
+
+
+def test_write_dataset_writes_pinned_bytes(tmp_path):
+    spec = small_spec(n=3001)
+    manifest = write_dataset(*generate(spec), spec.catalog(), tmp_path, frames=3)
+    assert manifest == tmp_path / "manifest.txt"
+    assert manifest.read_text(encoding="utf-8") == WRITTEN_MANIFEST
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+    }
+    assert written == WRITTEN_DATASET
+
+
 def output_digest(gt, probs):
     h = hashlib.sha256()
     for arr in (gt.values, probs.data):
