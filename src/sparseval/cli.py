@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as container_io
 from .core import MEASURES, RANKING_DOMAINS, TIE_BREAKS, ClassCatalog, EvalConfig
-from .errors import SparsevalError, SpecInvalid
+from .errors import IoFailure, SparsevalError, SpecInvalid
 from .pipeline import evaluate_split, per_frame_class_ause, pool_split
 from .sparsification import FractionGrid, curve_pair
 from .synth import ScenarioSpec, degenerate_class_scenario, generate, write_dataset
@@ -112,6 +113,9 @@ def _cmd_curves(args) -> int:
     manifest, config = _manifest_and_config(args)
     measure = _MEASURE_FLAGS[args.measure]
     class_index = manifest.catalog.index_of(args.class_name)
+    # the name is part of a file name under --out-dir, which it must not leave
+    if args.out_dir and {os.sep, os.altsep} & set(args.class_name):
+        raise IoFailure(f"class name {args.class_name!r} cannot name a file under {args.out_dir}")
     split = pool_split(manifest, config=config, measures=(measure,), threads=args.threads)
     pair = curve_pair(
         split.pred,
@@ -139,7 +143,10 @@ def _cmd_curves(args) -> int:
 
 def _spec_from_json(path: str, seed_override: int | None) -> tuple[ScenarioSpec, int]:
     with container_io.reading(path), open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecInvalid(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecInvalid("a scenario spec file must hold one JSON object")
     frames = raw.pop("frames", 1)
@@ -182,8 +189,6 @@ def _cmd_ece(args) -> int:
 
 def _cmd_inspect(args) -> int:
     path = Path(args.path)
-    if not path.exists():
-        raise FileNotFoundError(f"{path} does not exist")
     with container_io.reading(path), open(path, "rb") as fh:
         head = fh.read(len(container_io.MAGIC))
     if head == container_io.MAGIC:
@@ -266,8 +271,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # every failure is reported as one line
         detail = " ".join(str(exc).split())
         print(f"sparseval: error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        bad_input = (SparsevalError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError)
-        return EXIT_INPUT if isinstance(exc, bad_input) else EXIT_INTERNAL
+        # exit 2 means a SparsevalError, whatever its kind; anything else is a bug
+        return EXIT_INPUT if isinstance(exc, SparsevalError) else EXIT_INTERNAL
 
 
 if __name__ == "__main__":

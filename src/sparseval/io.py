@@ -69,8 +69,9 @@ MANIFEST_HEADER = "sparseval-manifest v1"
 # a manifest may override every EvalConfig field under the field's name
 _CONFIG_KEYS = frozenset(f.name for f in fields(EvalConfig))
 
-# the file keys of a manifest frame line, in the order a line lists them and
-# a digest takes them; FrameEntry holds the file of key x as x_path
+# the file keys of a manifest frame line, in the order a line lists them,
+# load_frame reads them and a digest takes them; FrameEntry holds the file
+# of key x as x_path
 _FRAME_FILES = ("probs", "logits", "stddev", "labels")
 
 
@@ -165,16 +166,16 @@ def _parse_header(raw: np.ndarray, path: str | Path) -> tuple[int, tuple[int, ..
 
 @contextlib.contextmanager
 def _failing(verb: str, path: str | Path, error=IoFailure):
-    """Raise an ``OSError`` of the block as ``error``: cannot ``verb``
-    ``path``, then the OS error's text."""
+    """Raise an ``OSError`` or ``UnicodeDecodeError`` of the block as
+    ``error``: cannot ``verb`` ``path``, then the error's text."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot {verb} {path}: {exc}") from exc
 
 
 def reading(path: str | Path):
-    """Raise an ``OSError`` of the block as ``IoFailure``, naming ``path``."""
+    """Raise a read error of the block (``_failing``) as ``IoFailure`` naming ``path``."""
     return _failing("read", path)
 
 
@@ -196,7 +197,7 @@ def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
 
 
 class _Parts(list):
-    """Byte strings fed to it as to a hash, kept to be hashed later."""
+    """Keeps the byte strings fed to it as to a hash: ``read_tensor``'s digest."""
 
     update = list.append
 
@@ -303,20 +304,14 @@ class FrameEntry:
         return load_frame(self, buffers)
 
     def digest(self) -> str:
-        """SHA-256 over each file's name and bytes, in ``paths()`` order.
+        """SHA-256 over each file's name and bytes, in ``_FRAME_FILES`` order.
 
-        After a load it describes the bytes that load read, even if a file
-        has been replaced since; before any load the files are read for it.
+        It describes the bytes that the last load read, even if a file has
+        been replaced since; before any load, the frame is loaded for it.
         """
-        loaded = self.__dict__.get("_loaded_digest")
-        if loaded is not None:
-            return loaded
-        h = hashlib.sha256()
-        for path in self.paths():
-            h.update(path.name.encode())
-            with reading(path):
-                h.update(path.read_bytes())
-        return h.hexdigest()
+        if "_loaded_digest" not in self.__dict__:
+            load_frame(self)
+        return self._loaded_digest
 
 
 def _check_label_header(path: Path, dtype_tag: int, dims: tuple[int, ...]) -> None:
@@ -329,11 +324,11 @@ def load_frame(
 ) -> tuple[ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean, LabelArray]:
     """Materialize a manifest frame into validated-shape in-memory types.
 
-    Each file is read once, and each array is a view of the bytes read.
-    float32 probabilities come as a ``ProbabilityStack``; uint16
-    probabilities come as a ``QuantizedStack``, dequantised only when they
-    are evaluated. The digest of the bytes read is kept on the entry, where
-    ``FrameEntry.digest`` finds it.
+    Each file is read once, in ``_FRAME_FILES`` order, straight into one
+    SHA-256, and each array is a view of the bytes read. float32
+    probabilities come as a ``ProbabilityStack``; uint16 probabilities come
+    as a ``QuantizedStack``, dequantised only when they are evaluated. The
+    digest is kept on the entry, where ``FrameEntry.digest`` finds it.
 
     Without ``buffers`` every file is read whole into bytes of its own.
     With a dict, as a pooling worker passes one, each file is read into
@@ -345,21 +340,14 @@ def load_frame(
     it, so that ``predictive_blocks`` names the fault; the digest is that
     of the second read.
     """
-    paths = entry._files()
-    # the digest takes the files in _FRAME_FILES order, which puts the
-    # labels, read first, last
-    digest, labels_bytes = hashlib.sha256(), _Parts()
-    tag, dims, data = _read_container(paths["labels"], buffers, "labels", labels_bytes)
-    _check_label_header(entry.labels_path, tag, dims)
-    labels = LabelArray(data)
-
+    digest = hashlib.sha256()
     if entry.probs_path is not None:
         mean = StreamedMean(buffers)
         add = None if buffers is None else mean.add
-        tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest, add)
+        tag, dims, data = _read_container(entry.probs_path, buffers, "probs", digest, add)
         if data is None and not mean.clean:
             digest = hashlib.sha256()
-            tag, dims, data = _read_container(paths["probs"], buffers, "probs", digest)
+            tag, dims, data = _read_container(entry.probs_path, buffers, "probs", digest)
         if data is None:
             payload = mean
         elif len(dims) != 3:
@@ -379,25 +367,29 @@ def load_frame(
                 f"{entry.probs_path} holds {samples}"
             )
     else:
-        tag, dims, logits = _read_container(paths["logits"], buffers, "logits", digest)
+        tag, dims, logits = _read_container(entry.logits_path, buffers, "logits", digest)
         if tag != DTYPE_FLOAT32 or len(dims) != 2:
             raise ShapeMismatch(f"{entry.logits_path} must hold a rank-2 float32 tensor")
         stddev = None
         if entry.stddev_path is not None:
-            tag, sd_dims, stddev = _read_container(paths["stddev"], buffers, "stddev", digest)
+            tag, sd_dims, stddev = _read_container(entry.stddev_path, buffers, "stddev", digest)
             if tag != DTYPE_FLOAT32 or sd_dims != dims:
                 raise ShapeMismatch(
                     f"{entry.stddev_path} must match the logits shape {dims} as float32"
                 )
-        payload = LogitTensor(logits, stddev)
+        try:
+            payload = LogitTensor(logits, stddev)
+        except ValueError as exc:  # the one fault left: a negative stddev entry
+            raise ShapeMismatch(f"{entry.stddev_path}: {exc}") from None
         points = payload.points
+    tag, dims, data = _read_container(entry.labels_path, buffers, "labels", digest)
+    _check_label_header(entry.labels_path, tag, dims)
+    labels = LabelArray(data)
     if points != len(labels):
         raise ShapeMismatch(
             f"{entry.probs_path or entry.logits_path} covers {points} points but "
             f"{entry.labels_path} covers {len(labels)}"
         )
-    for part in labels_bytes:
-        digest.update(part)
     object.__setattr__(entry, "_loaded_digest", digest.hexdigest())
     return payload, labels
 

@@ -273,7 +273,7 @@ def degenerate_class_scenario(seed: int = 0) -> tuple[LabelArray, ProbabilitySta
     the class shows up as a perfectly calibrated outlier that the IoU filter
     must catch.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer("seed", seed, 0, SpecInvalid))
     k = 3
     n = 4000
     gt = rng.choice(k, size=n, p=(0.45, 0.45, 0.10)).astype(np.int64)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sparseval import (
+    ClassCatalog,
     EvalConfig,
     ScenarioSpec,
     TensorContainer,
@@ -17,7 +18,7 @@ from sparseval import (
     read_manifest,
     write_tensor,
 )
-from sparseval import cli
+from sparseval import cli, errors
 from sparseval.cli import main
 
 
@@ -358,6 +359,82 @@ def test_synth_from_an_unreadable_spec_is_input_error(tmp_path, monkeypatch, cap
         f"[Errno 13] Permission denied: '{spec}'\n"
     )
     assert not (tmp_path / "data").exists()
+
+
+def _negative_stddev_manifest(tmp_path):
+    """A manifest of one logits frame whose stddev file holds a negative entry."""
+    rng = np.random.default_rng(3)
+    arrays = {
+        "logits": rng.normal(size=(20, 3)).astype(np.float32),
+        "stddev": rng.random((20, 3)).astype(np.float32),
+        "labels": rng.integers(0, 3, 20).astype(np.uint8),
+    }
+    arrays["stddev"][7, 1] = -0.5
+    paths = {key: tmp_path / f"f.{key}.spt" for key in arrays}
+    for key, arr in arrays.items():
+        write_tensor(TensorContainer.from_array(arr), paths[key])
+    entry = io.FrameEntry(**{f"{key}_path": p for key, p in paths.items()}, samples=5)
+    manifest = tmp_path / "manifest.txt"
+    io.write_manifest(io.Manifest(ClassCatalog(("a", "b", "c")), (entry,), {}), manifest)
+    return manifest, paths["stddev"]
+
+
+def _input_error_case(case, tmp_path):
+    """The argv of ``case``, and the kind and the start of the detail it
+    must fail with; every output would go under ``tmp_path / "out"``."""
+    out, bad = tmp_path / "out", tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not text\n")
+    not_utf8 = f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+    evaluate = ["evaluate", "--out-dir", str(out), "--manifest"]
+    synth = ["synth", "--out-dir", str(out)]
+    if case == "manifest-not-utf8-inspect":
+        return ["inspect", "--path", str(bad)], "ManifestError", not_utf8
+    if case == "manifest-not-utf8-evaluate":
+        return evaluate + [str(bad)], "ManifestError", not_utf8
+    if case == "spec-not-utf8":
+        return synth + ["--spec", str(bad)], "IoFailure", not_utf8
+    if case == "spec-not-json":
+        bad.write_text('{"n": 100,')
+        return synth + ["--spec", str(bad)], "SpecInvalid", f"{bad} is not valid JSON: "
+    if case == "inspect-missing":
+        missing = tmp_path / "missing.spt"
+        detail = f"cannot read {missing}: [Errno 2] "
+        return ["inspect", "--path", str(missing)], "IoFailure", detail
+    if case == "negative-stddev":
+        manifest, stddev = _negative_stddev_manifest(tmp_path)
+        detail = f"frame 0 (f.logits.spt): {stddev}: stddev entries must be non-negative"
+        return evaluate + [str(manifest)], "ShapeMismatch", detail
+    if case == "preset-negative-seed":
+        argv = synth + ["--preset", "degenerate-class", "--seed", "-1"]
+        return argv, "SpecInvalid", "seed must be at least 0"
+    assert case == "class-leaves-out-dir"
+    manifest, name, curves = make_dataset(tmp_path), "x/../../../escaped", out / "curves"
+    manifest.write_text(manifest.read_text().replace("person", name))
+    argv = ["curves", "--manifest", str(manifest), "--class", name, "--out-dir", str(curves)]
+    return argv, "IoFailure", f"class name {name!r} cannot name a file under {curves}"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "manifest-not-utf8-inspect",
+        "manifest-not-utf8-evaluate",
+        "spec-not-utf8",
+        "spec-not-json",
+        "inspect-missing",
+        "negative-stddev",
+        "preset-negative-seed",
+        "class-leaves-out-dir",
+    ],
+)
+def test_every_input_error_is_a_sparseval_error_and_exits_two(tmp_path, capsys, case):
+    argv, kind, detail = _input_error_case(case, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparseval: error: {kind}: {detail}")
+    assert issubclass(getattr(errors, kind), errors.SparsevalError)
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def _no_space(src, dst):

@@ -1052,12 +1052,39 @@ def test_an_unreadable_file_fails_the_digest_as_io_failure(tmp_path, monkeypatch
     raw = rng.random((1, 5, 3)) + 1e-3
     entry = _write_frame(tmp_path, raw / raw.sum(axis=2, keepdims=True), np.zeros(5))
 
-    def failing(self):
-        raise OSError(errno.EIO, "Input/output error", str(self))
+    def failing(file, *args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error", str(file))
 
-    monkeypatch.setattr(Path, "read_bytes", failing)
+    monkeypatch.setattr(sparseval.io, "open", failing, raising=False)
     with pytest.raises(IoFailure, match=f"^cannot read {entry.probs_path}: "):
         entry.digest()
+
+
+def test_a_digest_before_a_load_verifies_the_files(tmp_path):
+    rng = np.random.default_rng(13)
+    raw = rng.random((1, 5, 3)) + 1e-3
+    entry = _write_frame(tmp_path, raw / raw.sum(axis=2, keepdims=True), np.zeros(5))
+    blob = bytearray(entry.probs_path.read_bytes())
+    blob[-9] ^= 0xFF
+    entry.probs_path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumMismatch, match=f"^payload checksum of {entry.probs_path} "):
+        entry.digest()
+
+
+def test_a_logits_frame_digest_is_the_same_before_and_after_a_load(tmp_path):
+    rng = np.random.default_rng(14)
+    arrays = {
+        "logits": rng.normal(size=(10, 4)).astype(np.float32),
+        "stddev": rng.random((10, 4)).astype(np.float32),
+        "labels": rng.integers(0, 4, 10).astype(np.uint8),
+    }
+    paths = {f"{key}_path": tmp_path / f"f.{key}.spt" for key in arrays}
+    for key, arr in arrays.items():
+        write_tensor(TensorContainer.from_array(arr), paths[f"{key}_path"])
+    before = FrameEntry(**paths).digest()
+    loaded = FrameEntry(**paths)
+    loaded.load()
+    assert before == loaded.digest() == _file_digest(loaded)
 
 
 @pytest.mark.parametrize(
