@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as container_io
-from .core import MEASURES, RANKING_DOMAINS, TIE_BREAKS, ClassCatalog, EvalConfig
+from .core import MEASURES, ClassCatalog, EvalConfig
 from .errors import IoFailure, SparsevalError, SpecInvalid
 from .pipeline import evaluate_split, per_frame_class_ause, pool_split
 from .sparsification import FractionGrid, curve_pair
@@ -65,16 +65,8 @@ def _add_common_flags(p: argparse.ArgumentParser, *, with_measure: bool = True):
         )
     _config_flag(p, "--grid-steps", "grid_steps", "sparsification grid resolution")
     _config_flag(p, "--filter-threshold", "iou_filter_threshold", "IoU outlier threshold")
-    p.add_argument(
-        "--ranking-domain",
-        choices=RANKING_DOMAINS,
-        help="rank within the class-relevant subset or the whole point set",
-    )
-    p.add_argument(
-        "--tie-break",
-        choices=TIE_BREAKS,
-        help="how equal confidences are ordered",
-    )
+    _config_flag(p, "--ranking-domain", "ranking_domain", "ranking scope: subset or global")
+    _config_flag(p, "--tie-break", "tie_break", "tie order: stable_index or seeded_random")
     _config_flag(p, "--seed", "rng_seed", "seed for sampling and tie shuffling")
     p.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
 
@@ -163,7 +155,6 @@ def _spec_from_json(path: str, seed_override: int | None) -> tuple[ScenarioSpec,
 
 
 def _cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
     if args.preset == "degenerate-class":
         gt, probs = degenerate_class_scenario(seed=args.seed or 0)
         catalog = ClassCatalog(("class_00", "class_01", "class_02"))
@@ -173,7 +164,7 @@ def _cmd_synth(args) -> int:
         frames = spec_frames if args.frames is None else args.frames
         gt, probs = generate(spec)
         catalog = spec.catalog()
-    manifest_path = write_dataset(gt, probs, catalog, out_dir, frames=frames)
+    manifest_path = write_dataset(gt, probs, catalog, args.out_dir, frames=frames)
     print(f"manifest: {manifest_path}")
     return EXIT_OK
 

@@ -361,16 +361,18 @@ def check_ranges(start: int, block: np.ndarray) -> None:
 def check_labels(gt: LabelArray, classes: int, ignore_index: int | None) -> None:
     """The label check of ``validate_inputs``, which runs after every row is
     checked: each label is a class index below ``classes`` or, if one is
-    given, ``ignore_index``."""
-    vals = gt.values
-    bad = (vals < 0) | (vals >= classes)
-    if ignore_index is not None:
-        bad &= vals != ignore_index
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        index = f"a class index below {classes}"
-        what = (
-            f"not {index}" if ignore_index is None
-            else f"neither {index} nor the ignore index {ignore_index}"
-        )
-        raise LabelOutOfRange(f"label {int(vals[i])} at point {i} is {what}")
+    given, ``ignore_index``; checked ``SCAN_POINTS`` labels at a time, it
+    names the point of the first bad one."""
+    for lo in range(0, len(gt), SCAN_POINTS):
+        vals = gt.values[lo : lo + SCAN_POINTS]
+        bad = (vals < 0) | (vals >= classes)
+        if ignore_index is not None:
+            bad &= vals != ignore_index
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            index = f"a class index below {classes}"
+            what = (
+                f"not {index}" if ignore_index is None
+                else f"neither {index} nor the ignore index {ignore_index}"
+            )
+            raise LabelOutOfRange(f"label {int(vals[i])} at point {lo + i} is {what}")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .confidence import LogitTensor, StreamedMean
 from .core import (
+    DEFAULT_IGNORE_INDEX,
     ClassCatalog,
     EvalConfig,
     LabelArray,
@@ -65,6 +66,12 @@ _MAX_ELEMENTS = 1 << 40
 _HEADER_BYTES = 16 + 4 * _MAX_RANK
 
 MANIFEST_HEADER = "sparseval-manifest v1"
+REPORT_FORMAT = "sparseval-report-v1"
+
+# the EvalReport fields that a report stores under "aggregates", in order
+_AGGREGATES = (
+    "overall_ause", "filtered_ause", "miou_present", "miou_all_classes", "ece", "filter_threshold"
+)
 
 # a manifest may override every EvalConfig field under the field's name
 _CONFIG_KEYS = frozenset(f.name for f in fields(EvalConfig))
@@ -105,8 +112,10 @@ class TensorContainer:
 def _replacing(path: Path, mode: str, **kwargs):
     """A file opened for writing beside ``path``, which replaces ``path``
     once it is written; if anything fails, it is removed and ``path`` is
-    left as it was, so no reader ever sees a partial file."""
+    left as it was, so no reader ever sees a partial file. A missing
+    parent directory is made first, inside the caller's ``_failing``."""
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
@@ -469,8 +478,9 @@ def read_manifest(path: str | Path) -> Manifest:
 
     if "classes" not in settings:
         raise ManifestError(f"{path} declares no classes")
+    names, ignore = settings.pop("classes"), settings.pop("ignore_index", DEFAULT_IGNORE_INDEX)
     try:
-        catalog = ClassCatalog(settings.pop("classes"), settings.pop("ignore_index", 255))
+        catalog = ClassCatalog(names, ignore)
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
     missing = [str(p) for entry in entries for p in entry.paths() if not p.is_file()]
@@ -480,9 +490,9 @@ def read_manifest(path: str | Path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Emit the manifest with paths relative to its own directory; written
-    as ``write_report`` writes, so a failed write changes nothing. Each
-    override value is checked as ``read_manifest`` will read it."""
+    """Emit the manifest with paths relative to its own directory, by
+    ``_replacing``; each override value is checked as ``read_manifest``
+    will read it."""
     path = Path(path)
     base = path.parent.resolve()
     for name in manifest.catalog.names:
@@ -523,21 +533,14 @@ def _fmt(value) -> str:
 
 def _report_payload(report: EvalReport) -> dict:
     return {
-        "format": "sparseval-report-v1",
+        "format": REPORT_FORMAT,
         "catalog": {
             "names": list(report.class_names),
             "ignore_index": report.ignore_index,
         },
         "measures": list(report.measures),
         "classes": [asdict(row) for row in report.rows],
-        "aggregates": {
-            "overall_ause": dict(report.overall_ause),
-            "filtered_ause": dict(report.filtered_ause),
-            "miou_present": report.miou_present,
-            "miou_all_classes": report.miou_all_classes,
-            "ece": report.ece,
-            "filter_threshold": report.filter_threshold,
-        },
+        "aggregates": {key: getattr(report, key) for key in _AGGREGATES},
         "confusion_counts": report.confusion_counts,
         # JSON writes the (name, iou, ause) tuples as arrays
         "scatter": asdict(scatter_export(report)),
@@ -550,11 +553,8 @@ def write_report(
     out_dir: str | Path,
     formats: tuple[str, ...] = ("json", "csv"),
 ) -> dict[str, Path]:
-    """Write ``report.json`` and/or ``report.csv``; never emits an empty file.
-
-    Each file is written beside its place and then moved there, so a write
-    that fails leaves no partial file and any earlier report as it was.
-    """
+    """Write ``report.json`` and/or ``report.csv``, each by ``_replacing``;
+    never emits an empty file."""
     if not report.rows:
         raise ValueError("refusing to write an empty report")
     for fmt in formats:
@@ -562,7 +562,6 @@ def write_report(
             raise ValueError(f"unknown report format {fmt!r}")
     out_dir = Path(out_dir)
     with _failing("write report files under", out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
         written: dict[str, Path] = {}
         if "json" in formats:
             json_path = out_dir / "report.json"
@@ -599,8 +598,7 @@ def write_report(
 
 
 def write_scatter_csv(report: EvalReport, path: str | Path) -> Path:
-    """One row per defined class per measure, with the outlier threshold;
-    written as ``write_report`` writes, so a failed write changes nothing."""
+    """One row per defined class and measure, with the outlier threshold, by ``_replacing``."""
     scatter = scatter_export(report)
     path = Path(path)
     with _failing("write", path), _replacing(path, "w", encoding="utf-8", newline="") as fh:
@@ -615,13 +613,10 @@ def write_scatter_csv(report: EvalReport, path: str | Path) -> Path:
 
 
 def write_text(text: str, path: str | Path) -> Path:
-    """Write ``text`` to ``path`` as UTF-8, its directory made if missing;
-    written as ``write_report`` writes, so a failed write changes nothing."""
+    """Write ``text`` to ``path`` as UTF-8, by ``_replacing``; return ``path``."""
     path = Path(path)
-    with _failing("write", path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with _replacing(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _failing("write", path), _replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return path
 
 
@@ -629,22 +624,14 @@ def read_report(path: str | Path) -> EvalReport:
     """Parse a JSON report back into the in-memory form."""
     with reading(path), open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "sparseval-report-v1":
+    if payload.get("format") != REPORT_FORMAT:
         raise ValueError(f"{path} is not a sparseval report")
-    measures = tuple(payload["measures"])
-    rows = [ClassRow(**entry) for entry in payload["classes"]]
-    agg = payload["aggregates"]
     return EvalReport(
         class_names=tuple(payload["catalog"]["names"]),
         ignore_index=payload["catalog"]["ignore_index"],
-        measures=measures,
-        rows=rows,
-        overall_ause={m: agg["overall_ause"][m] for m in measures},
-        filtered_ause={m: agg["filtered_ause"][m] for m in measures},
-        miou_present=agg["miou_present"],
-        miou_all_classes=agg["miou_all_classes"],
-        ece=agg["ece"],
-        filter_threshold=agg["filter_threshold"],
+        measures=tuple(payload["measures"]),
+        rows=[ClassRow(**entry) for entry in payload["classes"]],
+        **{key: payload["aggregates"][key] for key in _AGGREGATES},
         confusion_counts=[[int(v) for v in row] for row in payload["confusion_counts"]],
         provenance=payload["provenance"],
     )

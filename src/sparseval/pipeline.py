@@ -188,7 +188,7 @@ def _reduce(payload, labels, catalog, pred, scores, samples=1, seed=0) -> Confus
     blocks = predictive_blocks(payload, samples, seed)
     check_shapes(payload.points, payload.classes, labels, catalog.k)
     reduce_blocks(blocks, pred, scores)
-    check_labels(labels, catalog.k, catalog.ignore_index)
+    # confusion checks the labels (check_labels), after every row
     return confusion(LabelArray(pred), labels, catalog)
 
 

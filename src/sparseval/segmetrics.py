@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCAN_POINTS, ClassCatalog, LabelArray
+from .core import SCAN_POINTS, ClassCatalog, LabelArray, check_labels
 from .errors import DimensionMismatch, LabelOutOfRange, NoPresentClasses
 
 
@@ -51,35 +51,29 @@ class IoUVector:
 def confusion(pred: LabelArray, gt: LabelArray, catalog: ClassCatalog) -> ConfusionMatrix:
     """Accumulate counts[gt][pred] over points whose ground truth is not ignored.
 
-    Points are counted ``SCAN_POINTS`` at a time, so the keep mask, the
-    copies of the kept labels and the bin index ``g * k + p`` are the size
-    of a chunk. Labels are checked in whole-array order, all ground truth
-    before any prediction.
+    The ground truth is checked first (``check_labels``), then points are
+    counted ``SCAN_POINTS`` at a time, so the keep mask, the kept labels
+    and the bin index ``g * k + p`` are the size of a chunk.
     """
     if len(pred) != len(gt):
         raise DimensionMismatch(
             f"predictions cover {len(pred)} points but labels cover {len(gt)}"
         )
-    k, wrong = catalog.k, []  # bad predictions wait until all ground truth passed
+    k = catalog.k
+    check_labels(gt, k, catalog.ignore_index)
     counts = np.zeros(k * k, dtype=np.int64)
     for lo in range(0, len(gt), SCAN_POINTS):
         g, p = gt.values[lo : lo + SCAN_POINTS], pred.values[lo : lo + SCAN_POINTS]
         keep = g != catalog.ignore_index
         if not keep.all():
             g, p = g[keep], p[keep]
-        for name, arr in (("ground-truth", g), ("prediction", p)):
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= k):
-                i = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
-                wrong.append(LabelOutOfRange(f"{name} label {int(arr[i])} is outside 0..{k - 1}"))
-                if name == "ground-truth":
-                    raise wrong[-1]
-        if not wrong:
-            index = np.multiply(g, k, dtype=np.intp)
-            index += p
-            counts += np.bincount(index, minlength=k * k)
-            del index
-    if wrong:
-        raise wrong[0]
+        if p.size and (int(p.min()) < 0 or int(p.max()) >= k):
+            i = int(np.flatnonzero((p < 0) | (p >= k))[0])
+            raise LabelOutOfRange(f"prediction label {int(p[i])} is outside 0..{k - 1}")
+        index = np.multiply(g, k, dtype=np.intp)
+        index += p
+        counts += np.bincount(index, minlength=k * k)
+        del index
     return ConfusionMatrix(counts.reshape(k, k))
 
 

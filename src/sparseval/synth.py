@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SCAN_POINTS, ClassCatalog, LabelArray, ProbabilityStack
+from .core import DEFAULT_IGNORE_INDEX, SCAN_POINTS, ClassCatalog, LabelArray, ProbabilityStack
 from .core import as_integer, as_real, label_dtype, validate_inputs
 from .errors import SpecInvalid
 
@@ -112,7 +112,7 @@ class ScenarioSpec:
     def k(self) -> int:
         return len(self.class_frequencies)
 
-    def catalog(self, ignore_index: int = 255) -> ClassCatalog:
+    def catalog(self, ignore_index: int = DEFAULT_IGNORE_INDEX) -> ClassCatalog:
         names = self.class_names or tuple(f"class_{c:02d}" for c in range(self.k))
         return ClassCatalog(names, ignore_index)
 
@@ -246,7 +246,6 @@ def write_dataset(
         if not held.min <= label <= held.max:
             raise SpecInvalid(f"label {label} cannot be stored as {held.dtype} labels")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bounds = [(n * i) // frames for i in range(frames + 1)]
     entries = []
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):

@@ -328,6 +328,16 @@ def test_inspect_tensor_and_manifest(tmp_path, capsys):
     assert "checksum: ok" in out
 
 
+def test_inspect_prints_manifest_overrides(tmp_path, capsys):
+    manifest = make_dataset(tmp_path)
+    overrides = "ignore_index 255\ngrid_steps 50\ntie_break seeded_random\n"
+    manifest.write_text(manifest.read_text().replace("ignore_index 255\n", overrides))
+    capsys.readouterr()
+    assert run_cli("inspect", "--path", str(manifest)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "overrides: {'grid_steps': 50, 'tie_break': 'seeded_random'}" in lines
+
+
 def _denying(path):
     """An ``open`` that refuses ``path`` as its file mode would; file modes
     do not stop root, so the refusal is simulated."""
@@ -407,6 +417,16 @@ def _input_error_case(case, tmp_path):
     if case == "preset-negative-seed":
         argv = synth + ["--preset", "degenerate-class", "--seed", "-1"]
         return argv, "SpecInvalid", "seed must be at least 0"
+    if case in ("synth-out-dir-is-a-file", "synth-out-dir-below-a-file"):
+        afile = (tmp_path / "afile").resolve()
+        afile.write_text("a file\n")
+        target, errno_text = (
+            (afile, "[Errno 17] File exists") if case == "synth-out-dir-is-a-file"
+            else (afile / "x", "[Errno 20] Not a directory")
+        )
+        argv = ["synth", "--preset", "degenerate-class", "--out-dir", str(target)]
+        detail = f"cannot write {target / 'frame_0000.probs.spt'}: {errno_text}: '{target}'"
+        return argv, "IoFailure", detail
     assert case == "class-leaves-out-dir"
     manifest, name, curves = make_dataset(tmp_path), "x/../../../escaped", out / "curves"
     manifest.write_text(manifest.read_text().replace("person", name))
@@ -424,6 +444,8 @@ def _input_error_case(case, tmp_path):
         "inspect-missing",
         "negative-stddev",
         "preset-negative-seed",
+        "synth-out-dir-is-a-file",
+        "synth-out-dir-below-a-file",
         "class-leaves-out-dir",
     ],
 )
@@ -528,6 +550,11 @@ def test_module_entry_point(tmp_path):
             "argument --filter-threshold: iou_filter_threshold must",
         ),
         (["curves", "--class", "a", "--grid-steps", "ten"], "invalid int value: 'ten'"),
+        (["evaluate", "--tie-break", "bogus"], "argument --tie-break: tie_break must be one of"),
+        (
+            ["curves", "--class", "a", "--ranking-domain", "bogus"],
+            "argument --ranking-domain: ranking_domain must be one of",
+        ),
     ],
 )
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, message):

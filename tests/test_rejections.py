@@ -2,6 +2,7 @@
 asserts the error's type and its whole message."""
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -19,17 +20,24 @@ from sparseval import (
     ProbabilityStack,
     ScenarioSpec,
     TensorContainer,
+    brute_force_ause,
     entropy_confidence,
+    evaluate_split,
     generate,
     load_frame,
     pool_split,
     read_manifest,
+    read_report,
     read_tensor,
     sample_probabilistic_logits,
+    write_dataset,
+    write_report,
     write_tensor,
 )
 from sparseval.cli import main
 from sparseval.errors import (
+    BadHeader,
+    DimensionMismatch,
     EmptySplit,
     ManifestError,
     NonFiniteInput,
@@ -57,6 +65,13 @@ def raises(error, message):
 def test_tensor_container_rejects(tag, data, message):
     with raises(ValueError, message):
         TensorContainer(tag, data)
+
+
+def test_read_tensor_rejects_an_implausible_element_count(tmp_path):
+    path = tmp_path / "huge.spt"
+    path.write_bytes(b"SPARSEV1" + struct.pack("<4I", 2, 2, 1 << 21, 1 << 20))
+    with raises(BadHeader, "element count 2199023255552 is implausibly large"):
+        read_tensor(path)
 
 
 @pytest.mark.parametrize(
@@ -108,11 +123,35 @@ def test_scenario_spec_rejects(fields, message):
         ("frame labels", "malformed frame token 'labels' in {path}"),
         ("frame labels=l.spt bogus=x", "unknown frame keys ['bogus'] in {path}"),
         ("frame probs=p.spt", "frame without labels in {path}"),
+        (
+            "frame probs=p.spt logits=x.spt labels=l.spt",
+            "{path}: a frame needs exactly one of probs or logits",
+        ),
+        ("frame labels=l.spt", "{path}: a frame needs exactly one of probs or logits"),
+        ("frame probs=p.spt stddev=s.spt labels=l.spt", "{path}: stddev only accompanies logits"),
     ],
 )
 def test_manifest_frame_line_rejects(tmp_path, line, message):
     path = tmp_path / "m.txt"
     path.write_text(f"sparseval-manifest v1\nclasses a,b\n{line}\n")
+    with raises(ManifestError, message.format(path=path)):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("classes a,a", "{path}: class names must be unique"),
+        ("classes a", "{path}: a catalog needs at least two classes"),
+        (
+            "classes a,b\nignore_index 0",
+            "{path}: ignore_index 0 collides with an evaluated class",
+        ),
+    ],
+)
+def test_manifest_catalog_rejects(tmp_path, lines, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"sparseval-manifest v1\n{lines}\n")
     with raises(ManifestError, message.format(path=path)):
         read_manifest(path)
 
@@ -172,6 +211,42 @@ def _frame():
 def test_pool_split_rejects(call, message):
     with raises(ValueError, message):
         call()
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_array_frame_rejects_other_than_one_payload(both):
+    frame = _frame()
+    payloads = {"probs": frame.probs, "logits": LogitTensor(np.zeros((2, 2)))} if both else {}
+    with raises(ValueError, "provide exactly one of probs or logits"):
+        ArrayFrame(frame.labels, **payloads)
+
+
+def test_write_report_rejects_an_unknown_format(tmp_path):
+    report = evaluate_split([_frame()], CAT2)
+    with raises(ValueError, "unknown report format 'xml'"):
+        write_report(report, tmp_path / "out", ("xml",))
+    assert not (tmp_path / "out").exists()
+
+
+def test_read_report_rejects_a_foreign_json(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("{}")
+    with raises(ValueError, f"{path} is not a sparseval report"):
+        read_report(path)
+
+
+def test_brute_force_ause_rejects_short_scores():
+    labels = LabelArray(np.array([0, 1, 1]))
+    scores = ConfidenceVector("max_softmax", np.array([0.5, 0.5]))
+    with raises(DimensionMismatch, "labels, predictions, and confidence must align"):
+        brute_force_ause(labels, labels, scores, CAT2, 0)
+
+
+def test_write_dataset_rejects_more_frames_than_points(tmp_path):
+    probs = ProbabilityStack(np.array([[[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]]]))
+    with raises(SpecInvalid, "cannot split fewer points than frames"):
+        write_dataset(LabelArray(np.array([0, 1, 1])), probs, CAT2, tmp_path / "out", frames=5)
+    assert not (tmp_path / "out").exists()
 
 
 def test_binned_ece_rejects_no_points():

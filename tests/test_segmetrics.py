@@ -75,12 +75,14 @@ def test_confusion_allocates_at_most_one_byte_per_point(ignored):
 
 def test_confusion_names_ground_truth_before_predictions_across_chunks():
     # a bad prediction in the first chunk, a bad ground-truth label in the
-    # second: the ground truth is named, as a whole-array check names it
+    # second: the ground truth is named first, in validate_inputs' words and
+    # by its point
     n = 3 * SCAN_POINTS
     gt, pred = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     pred[5], gt[SCAN_POINTS + 9], gt[0] = 7, -3, 255
     catalog = ClassCatalog(("a", "b"))
-    with pytest.raises(LabelOutOfRange, match="^ground-truth label -3 is outside 0..1$"):
+    message = "^label -3 at point 65545 is neither a class index below 2 nor the ignore index 255$"
+    with pytest.raises(LabelOutOfRange, match=message):
         confusion(LabelArray(pred), LabelArray(gt), catalog)
     gt[SCAN_POINTS + 9] = 1
     pred[2 * SCAN_POINTS] = -1

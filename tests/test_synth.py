@@ -107,6 +107,16 @@ def test_anticorrelated_never_beats_calibrated():
     assert worse > 0
 
 
+def test_anticorrelated_with_every_point_correct_is_calibrated():
+    # no wrong point to swap with: the calibrated rows, bit for bit
+    (gt_c, probs_c), (gt_a, probs_a) = (
+        generate(small_spec(per_class_accuracy=(1.0, 1.0, 1.0), calibration_mode=mode))
+        for mode in ("calibrated", "anticorrelated")
+    )
+    assert np.array_equal(gt_c.values, gt_a.values)
+    assert np.array_equal(probs_c.data, probs_a.data)
+
+
 def test_determinism_per_seed():
     spec = small_spec(seed=31)
     gt_a, probs_a = generate(spec)
