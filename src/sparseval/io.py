@@ -188,14 +188,6 @@ def reading(path: str | Path):
     return _failing("read", path)
 
 
-def _read_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
-    """The dtype tag and dimensions of a container file, read from its
-    header alone; the payload is neither read nor verified."""
-    with reading(path), open(path, "rb") as fh:
-        head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
-    return _parse_header(head, path)[:2]
-
-
 def _streams(dtype_tag: int, dims: tuple[int, ...]) -> bool:
     """Whether a probability file with this header is read a sample at a
     time: a rank-3 float32 or uint16 stack whose samples take more bytes
@@ -295,7 +287,9 @@ class FrameEntry:
     @property
     def points(self) -> int:
         """The point count of the labels file, read from its header alone."""
-        tag, dims = _read_header(self.labels_path)
+        with reading(self.labels_path), open(self.labels_path, "rb") as fh:
+            head = np.frombuffer(fh.read(_HEADER_BYTES), dtype=np.uint8)
+        tag, dims, _ = _parse_header(head, self.labels_path)
         _check_label_header(self.labels_path, tag, dims)
         return dims[0]
 
@@ -526,8 +520,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -624,14 +616,18 @@ def read_report(path: str | Path) -> EvalReport:
     """Parse a JSON report back into the in-memory form."""
     with reading(path), open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != REPORT_FORMAT:
-        raise ValueError(f"{path} is not a sparseval report")
-    return EvalReport(
-        class_names=tuple(payload["catalog"]["names"]),
-        ignore_index=payload["catalog"]["ignore_index"],
-        measures=tuple(payload["measures"]),
-        rows=[ClassRow(**entry) for entry in payload["classes"]],
-        **{key: payload["aggregates"][key] for key in _AGGREGATES},
-        confusion_counts=[[int(v) for v in row] for row in payload["confusion_counts"]],
-        provenance=payload["provenance"],
-    )
+    # any JSON that lacks a field, or holds one of another shape, is foreign
+    try:
+        if payload["format"] == REPORT_FORMAT:
+            return EvalReport(
+                class_names=tuple(payload["catalog"]["names"]),
+                ignore_index=payload["catalog"]["ignore_index"],
+                measures=tuple(payload["measures"]),
+                rows=[ClassRow(**entry) for entry in payload["classes"]],
+                **{key: payload["aggregates"][key] for key in _AGGREGATES},
+                confusion_counts=[[int(v) for v in row] for row in payload["confusion_counts"]],
+                provenance=payload["provenance"],
+            )
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{path} is not a sparseval report")

@@ -257,7 +257,7 @@ def _close_up(column, starts, offsets, kept):
 def pool_split(
     dataset,
     catalog: ClassCatalog | None = None,
-    config: EvalConfig | None = None,
+    config: EvalConfig = EvalConfig(),
     *,
     measures: tuple[str, ...] = MEASURES,
     threads: int = 1,
@@ -298,7 +298,6 @@ def pool_split(
     catalog = catalog or getattr(dataset, "catalog", None)
     if catalog is None:
         raise ValueError("a class catalog is required")
-    config = config or EvalConfig()
 
     starts = [0]
     for index, source in enumerate(sources):
@@ -439,12 +438,11 @@ def filter_and_aggregate(report: EvalReport, threshold: float | None = None) -> 
         row.filtered = row.iou is None or row.iou < thr
     kept = [row for row in report.rows if not row.filtered]
     report.filter_threshold = thr
+    report.filtered_ause = _mean_ause(kept, report.measures)
     if not kept:
-        report.filtered_ause = {m: None for m in report.measures}
         raise AllClassesFiltered(
             f"every class falls below the IoU threshold {thr}"
         )
-    report.filtered_ause = _mean_ause(kept, report.measures)
     return report
 
 
@@ -464,7 +462,7 @@ def scatter_export(report: EvalReport) -> ScatterExport:
 def evaluate_split(
     dataset,
     catalog: ClassCatalog | None = None,
-    config: EvalConfig | None = None,
+    config: EvalConfig = EvalConfig(),
     *,
     measures: tuple[str, ...] = MEASURES,
     threads: int = 1,
@@ -480,7 +478,6 @@ def evaluate_split(
     """
     split = pool_split(dataset, catalog, config, measures=measures, threads=threads)
     catalog = split.catalog
-    config = config or EvalConfig()
     confs = {m: split.confidences[m] for m in measures}
     iou_vec = iou(split.counts)
     # the split's counts spare the engine a second count of every point
@@ -519,7 +516,7 @@ def evaluate_split(
         },
     )
     try:
-        filter_and_aggregate(report, config.iou_filter_threshold)
+        filter_and_aggregate(report)
     except AllClassesFiltered:
         # the strict operation raises; the pipeline keeps the report usable
         pass
@@ -531,7 +528,7 @@ def per_class_ause(
     gt: LabelArray,
     catalog: ClassCatalog,
     measure: str,
-    config: EvalConfig | None = None,
+    config: EvalConfig = EvalConfig(),
 ) -> list[ClassAuse]:
     """Per-class AUSE of one aggregated stack under one confidence measure.
 
@@ -540,7 +537,6 @@ def per_class_ause(
     but for the one measure's column; every class is then read from the one
     curve engine, with the counts of that reduction.
     """
-    config = config or EvalConfig()
     check_measure(measure)
     if probs.samples != 1:
         raise ValueError("per_class_ause expects an aggregated stack (samples == 1)")
@@ -559,14 +555,13 @@ def per_class_ause(
 def per_frame_class_ause(
     dataset,
     catalog: ClassCatalog | None = None,
-    config: EvalConfig | None = None,
+    config: EvalConfig = EvalConfig(),
     *,
     measures: tuple[str, ...] = MEASURES,
 ) -> list[dict]:
     """Diagnostic per-frame AUSE values, each frame ranked on its own slice of
     the pooled split; not part of the headline numbers."""
     split = pool_split(dataset, catalog, config, measures=measures)
-    config = config or EvalConfig()
     out = []
     for info, lo, hi in zip(split.frames, split.offsets, split.offsets[1:]):
         per_measure: dict[str, dict[str, float | None]] = {m: {} for m in measures}

@@ -445,30 +445,9 @@ def _class_curves(
     return out
 
 
-def sparsification_curve(
-    pred: LabelArray,
-    gt: LabelArray,
-    conf: ConfidenceVector,
-    catalog: ClassCatalog,
-    class_index: int,
-    grid: FractionGrid,
-    *,
-    tie_break: str = "stable_index",
-    seed: int = 0,
-    ranking_domain: str = "subset",
-) -> np.ndarray:
-    """Error curve under the confidence ranking, lowest confidence removed first.
-
-    Depends on the ranking only: any strictly increasing transform of the
-    scores leaves the curve unchanged. Ties keep point-index order, or under
-    "seeded_random" the order of one permutation of all non-ignored points
-    drawn from ``seed`` (masked to 64 bits, as ``EvalConfig.rng_seed`` is),
-    shared by every class, as in ``class_curves_by_measure``.
-    """
-    return curve_pair(
-        pred, gt, conf, catalog, class_index, grid,
-        tie_break=tie_break, seed=seed, ranking_domain=ranking_domain,
-    ).sparsification_error
+def sparsification_curve(*args, **kwargs) -> np.ndarray:
+    """``curve_pair(...).sparsification_error`` for the same arguments."""
+    return curve_pair(*args, **kwargs).sparsification_error
 
 
 def oracle_curve(
@@ -501,7 +480,12 @@ def curve_pair(
     seed: int = 0,
     ranking_domain: str = "subset",
 ) -> CurvePair:
-    """Both curves of one class over a shared grid."""
+    """Both curves of one class over a shared grid. The ranking removes the
+    lowest confidence first, so no strictly increasing transform of the
+    scores changes a curve; ties keep point-index order, or under
+    "seeded_random" that of one permutation of all non-ignored points drawn
+    from ``seed`` (masked to 64 bits, as ``EvalConfig.rng_seed`` is), the
+    one ``class_curves_by_measure`` shares among every class."""
     config = EvalConfig(tie_break=tie_break, rng_seed=seed, ranking_domain=ranking_domain)
     confs = {conf.measure: conf}
     pairs, = _class_curves(pred, gt, confs, catalog, grid, (class_index,), config)

@@ -530,14 +530,30 @@ def test_corrupt_tensor_is_input_error(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    """``python -m sparseval inspect`` runs ``__main__.py`` in a new
+    interpreter, with this package first on its path: exit 0 for a manifest
+    and a tensor, exit 2 for a missing file."""
     manifest = make_dataset(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "sparseval", "inspect", "--path", str(manifest)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+
+    def inspect(target):
+        return subprocess.run(
+            [sys.executable, "-m", "sparseval", "inspect", "--path", str(target)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            timeout=300,
+        )
+
+    proc = inspect(manifest)
+    assert proc.returncode == 0, proc.stderr
     assert "manifest:" in proc.stdout
+    proc = inspect(manifest.parent / "frame_0000.probs.spt")
+    assert proc.returncode == 0, proc.stderr
+    assert "checksum: ok" in proc.stdout.splitlines()
+    proc = inspect(tmp_path / "missing.spt")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("sparseval: error: IoFailure: ")
 
 
 @pytest.mark.parametrize(

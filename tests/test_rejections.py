@@ -235,6 +235,25 @@ def test_read_report_rejects_a_foreign_json(tmp_path):
         read_report(path)
 
 
+def _row_without_index(tmp_path):
+    written = write_report(evaluate_split([_frame()], CAT2), tmp_path)["json"]
+    payload = json.loads(written.read_text())
+    del payload["classes"][0]["index"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [lambda _: {"format": "sparseval-report-v1"}, lambda _: [], _row_without_index],
+    ids=["format-alone", "array", "row-without-index"],
+)
+def test_read_report_rejects_a_json_that_is_not_a_report(tmp_path, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload(tmp_path)))
+    with raises(ValueError, f"{path} is not a sparseval report"):
+        read_report(path)
+
+
 def test_brute_force_ause_rejects_short_scores():
     labels = LabelArray(np.array([0, 1, 1]))
     scores = ConfidenceVector("max_softmax", np.array([0.5, 0.5]))
