@@ -84,63 +84,10 @@ from . import errors
 
 __version__ = "0.2.0"
 
+# the names imported above and the errors module, but no other submodule,
+# so that a star import binds neither io nor core
 __all__ = [
-    "ArrayFrame",
-    "ClassAuse",
-    "ClassCatalog",
-    "ClassRow",
-    "ConfidenceVector",
-    "ConfusionMatrix",
-    "CurvePair",
-    "EvalConfig",
-    "EvalReport",
-    "FractionGrid",
-    "FrameEntry",
-    "IoUVector",
-    "LabelArray",
-    "LogitTensor",
-    "MEASURES",
-    "Manifest",
-    "PooledSplit",
-    "ProbabilityStack",
-    "QuantizedStack",
-    "ScatterExport",
-    "ScenarioSpec",
-    "TensorContainer",
-    "aggregate_samples",
-    "ause",
-    "brute_force_ause",
-    "confusion",
-    "curve_pair",
-    "degenerate_class_scenario",
-    "dequantize",
-    "ece",
-    "entropy_confidence",
-    "errors",
-    "evaluate_split",
-    "filter_and_aggregate",
-    "generate",
-    "iou",
-    "load_frame",
-    "max_softmax_confidence",
-    "merge",
-    "miou",
-    "miou_with_absent_as_zero",
-    "oracle_curve",
-    "per_class_ause",
-    "per_frame_class_ause",
-    "pool_split",
-    "read_manifest",
-    "read_report",
-    "read_tensor",
-    "relevant_subset",
-    "sample_probabilistic_logits",
-    "scatter_export",
-    "softmax",
-    "sparsification_curve",
-    "validate_inputs",
-    "write_dataset",
-    "write_manifest",
-    "write_report",
-    "write_tensor",
+    s
+    for s in dir()
+    if not s.startswith("_") and (s == "errors" or not isinstance(globals()[s], type(errors)))
 ]

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import io as container_io
@@ -40,34 +41,35 @@ def _thread_count(text: str) -> int:
     return count
 
 
-def _config_flag(p: argparse.ArgumentParser, flag: str, name: str, help: str):
-    """Add ``flag``, which sets EvalConfig field ``name`` and stores under it.
-    A value the field rejects is a usage error, found before any file is read."""
+# the flag and help of each EvalConfig field; each subcommand adds the flags
+# of the fields it reads
+_CONFIG_FLAGS = {
+    "grid_steps": ("--grid-steps", "sparsification grid resolution"),
+    "iou_filter_threshold": ("--filter-threshold", "IoU outlier threshold"),
+    "ranking_domain": ("--ranking-domain", "ranking scope: subset or global"),
+    "tie_break": ("--tie-break", "tie order: stable_index or seeded_random"),
+    "rng_seed": ("--seed", "seed for sampling and tie shuffling"),
+    "ece_bins": ("--ece-bins", "bins for the ECE baseline"),
+}
 
-    def parse(text: str):
-        try:
-            return EvalConfig.parse_field(name, text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    p.add_argument(flag, dest=name, type=parse, help=help)
+def _setting(name: str, text: str):
+    """``text`` as EvalConfig field ``name`` takes it. A value the field
+    rejects is a usage error, found before any file is read."""
+    try:
+        return EvalConfig.parse_field(name, text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common_flags(p: argparse.ArgumentParser, *, with_measure: bool = True):
+def _add_split_flags(p: argparse.ArgumentParser, *names: str, **renamed: str):
+    """Add ``--manifest``, the flag of each EvalConfig field in ``names`` (its
+    ``_CONFIG_FLAGS`` one, or the one ``renamed`` gives it), which stores
+    under the field's name, and ``--threads``."""
     p.add_argument("--manifest", required=True, help="dataset manifest path")
-    p.add_argument("--out-dir", help="directory for output files")
-    if with_measure:
-        p.add_argument(
-            "--measure",
-            choices=("softmax", "entropy", "both"),
-            default="both",
-            help="confidence measure(s) to evaluate",
-        )
-    _config_flag(p, "--grid-steps", "grid_steps", "sparsification grid resolution")
-    _config_flag(p, "--filter-threshold", "iou_filter_threshold", "IoU outlier threshold")
-    _config_flag(p, "--ranking-domain", "ranking_domain", "ranking scope: subset or global")
-    _config_flag(p, "--tie-break", "tie_break", "tie order: stable_index or seeded_random")
-    _config_flag(p, "--seed", "rng_seed", "seed for sampling and tie shuffling")
+    for name in names:
+        flag, help = _CONFIG_FLAGS[name]
+        p.add_argument(renamed.get(name, flag), dest=name, type=partial(_setting, name), help=help)
     p.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
 
 
@@ -85,12 +87,12 @@ def _cmd_evaluate(args) -> int:
     measures = MEASURES if args.measure == "both" else (_MEASURE_FLAGS[args.measure],)
     split = pool_split(manifest, config=config, measures=measures, threads=args.threads)
     report = evaluate_split(split, config=config, measures=measures)
-    if args.per_frame:
+    formats = ("json", "csv") if args.format == "both" else (args.format,)
+    if args.per_frame and "json" in formats:
         report.provenance["per_frame_ause"] = per_frame_class_ause(
             split, config=config, measures=measures
         )
     out_dir = Path(args.out_dir or ".")
-    formats = ("json", "csv") if args.format == "both" else (args.format,)
     written = container_io.write_report(report, out_dir, formats)
     if "csv" in formats:
         written["scatter"] = container_io.write_scatter_csv(
@@ -209,18 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evaluate", help="full-split report with both aggregates")
-    _add_common_flags(p)
+    _add_split_flags(p, *_CONFIG_FLAGS)
+    p.add_argument("--out-dir", help="directory for output files")
+    p.add_argument(
+        "--measure",
+        choices=("softmax", "entropy", "both"),
+        default="both",
+        help="confidence measure(s) to evaluate",
+    )
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    _config_flag(p, "--ece-bins", "ece_bins", "bins for the ECE baseline")
     p.add_argument(
         "--per-frame",
         action="store_true",
-        help="embed diagnostic per-frame AUSE values in the JSON report",
+        help="embed diagnostic per-frame AUSE values in report.json (computed only for it)",
     )
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("curves", help="per-fraction curve data for one class")
-    _add_common_flags(p, with_measure=False)
+    _add_split_flags(p, "grid_steps", "ranking_domain", "tie_break", "rng_seed")
+    p.add_argument("--out-dir", help="directory for output files")
     p.add_argument("--class", dest="class_name", required=True, help="class name")
     p.add_argument(
         "--measure",
@@ -240,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ece", help="expected calibration error of the split")
-    _add_common_flags(p, with_measure=False)
-    _config_flag(p, "--bins", "ece_bins", "bin count")
+    _add_split_flags(p, "rng_seed", "ece_bins", ece_bins="--bins")
     p.set_defaults(func=_cmd_ece)
 
     p = sub.add_parser("inspect", help="describe a tensor container or manifest")

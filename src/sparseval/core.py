@@ -60,8 +60,11 @@ def scratch(buffers: dict | None, key: str, shape, dtype=np.uint8) -> np.ndarray
 
 def as_integer(name: str, value, minimum: int | None = None, error=ValueError) -> int:
     """``value`` as an int of at least ``minimum``, else ``error`` naming the
-    setting; an integer is taken as it is, never truncated from a float."""
+    setting; an integer is taken as it is, never truncated from a float, and
+    a bool is not one."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
@@ -71,8 +74,10 @@ def as_integer(name: str, value, minimum: int | None = None, error=ValueError) -
 
 
 def as_real(name: str, value, error=ValueError) -> float:
-    """``value`` as a finite float, else ``error``; never parsed from a string."""
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """``value`` as a finite float, else ``error``; never parsed from a string
+    or taken from a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
         raise error(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -75,15 +75,17 @@ class CurvePair:
         orac = np.asarray(self.oracle_error, dtype=np.float64)
         if spars.shape != (self.grid.grid_steps,) or orac.shape != spars.shape:
             raise ValueError("curve arrays must match the fraction grid")
-        for arr in (spars, orac):
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValueError("curve errors must lie in [0, 1]")
+        if not ((spars >= 0.0) & (spars <= 1.0) & (orac >= 0.0) & (orac <= 1.0)).all():
+            raise ValueError("curve errors must lie in [0, 1]")
         if (orac > spars).any():
             raise ValueError("oracle error may never exceed the sparsification error")
         if (np.diff(orac) > 0).any():
             raise ValueError("oracle error must be non-increasing")
         object.__setattr__(self, "sparsification_error", spars)
         object.__setattr__(self, "oracle_error", orac)
+        object.__setattr__(
+            self, "relevant_count", as_integer("relevant_count", self.relevant_count, 1)
+        )
 
 
 def relevant_subset(

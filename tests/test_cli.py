@@ -195,6 +195,20 @@ def test_evaluate_per_frame_diagnostics(tmp_path, monkeypatch):
     assert sorted(loads) == [f"frame_{i:04d}.probs.spt" for i in range(3)]
 
 
+def test_evaluate_per_frame_without_a_json_report_computes_nothing(tmp_path, monkeypatch):
+    # per-frame AUSE is kept only in report.json
+    manifest = make_dataset(tmp_path)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("per-frame AUSE computed for no report")
+
+    monkeypatch.setattr(cli, "per_frame_class_ause", unexpected)
+    out = tmp_path / "out"
+    argv = ["--manifest", str(manifest), "--out-dir", str(out), "--per-frame", "--format", "csv"]
+    assert run_cli("evaluate", *argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "scatter.csv"]
+
+
 def hand_instance_manifest(tmp_path):
     rows = np.array(
         [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]], dtype=np.float32
@@ -489,6 +503,31 @@ def test_curves_that_cannot_be_written_are_input_error(tmp_path, monkeypatch, ca
 def test_usage_error_exits_one():
     assert run_cli("evaluate", "--no-such-flag") == 1
     assert run_cli() == 1
+    # a flag whose setting the subcommand does not read
+    assert run_cli("ece", "--out-dir", "d", "--manifest", "m") == 1
+    assert run_cli("curves", "--class", "a", "--filter-threshold", ".5", "--manifest", "m") == 1
+
+
+def option_strings(command: str) -> set[str]:
+    """The option strings of a subcommand, without ``-h`` and ``--help``."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    actions = sub.choices[command]._actions
+    return {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    split = {"--manifest", "--seed", "--threads"}
+    ranking = {"--grid-steps", "--ranking-domain", "--tie-break"}
+    assert option_strings("evaluate") == split | ranking | {
+        "--out-dir",
+        "--measure",
+        "--filter-threshold",
+        "--ece-bins",
+        "--format",
+        "--per-frame",
+    }
+    assert option_strings("curves") == split | ranking | {"--out-dir", "--class", "--measure"}
+    assert option_strings("ece") == {"--manifest", "--seed", "--bins", "--threads"}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "curves", "ece"])
@@ -608,6 +647,8 @@ def test_bad_manifest_value_is_input_error(tmp_path, capsys, line, key):
         ({"n": 20.5}, "n must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"frames": 2.5}, "frames must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"gamma": True}, "gamma must be a finite number"),
     ],
 )
 def test_non_integer_spec_field_is_input_error(tmp_path, capsys, overrides, message):

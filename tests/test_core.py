@@ -9,9 +9,11 @@ from sparseval import (
     ClassCatalog,
     ConfidenceVector,
     EvalConfig,
+    FractionGrid,
     LabelArray,
     ProbabilityStack,
     QuantizedStack,
+    pool_split,
     validate_inputs,
 )
 from sparseval.core import ROW_SUM_TOL, check_distribution
@@ -208,11 +210,13 @@ def test_config_invariants():
         with pytest.raises(ValueError):
             EvalConfig(**bad)
     # an integer is never truncated from a float or parsed from a string,
-    # and a real must be a finite number
+    # a real must be a finite number, and a bool is neither
     for name, bad in (
         ("grid_steps", 2.5),
         ("grid_steps", math.nan),
         ("ece_bins", 2.5),
+        ("ece_bins", True),
+        ("iou_filter_threshold", False),
         ("rng_seed", 1.7),
         ("rng_seed", "5"),
         ("iou_filter_threshold", "0.5"),
@@ -220,6 +224,14 @@ def test_config_invariants():
     ):
         with pytest.raises(ValueError, match=f"^{name} must be an? (integer|finite number), got"):
             EvalConfig(**{name: bad})
+
+
+def test_a_bool_is_no_integer_setting():
+    # True would pass operator.index as 1
+    with pytest.raises(ValueError, match="^grid_steps must be an integer, got True$"):
+        FractionGrid(True)
+    with pytest.raises(ValueError, match="^threads must be an integer, got True$"):
+        pool_split([], ClassCatalog(("a", "b")), threads=True)
 
 
 def test_config_seed_masked_to_64_bits():

@@ -64,6 +64,14 @@ def test_no_module_imports_private_names_of_another():
     assert [hit for path in modules for hit in foreign_private_names(path)] == []
 
 
+def test_star_import_binds_the_public_names_and_errors_but_no_other_submodule():
+    namespace = {}
+    exec("from sparseval import *", namespace)
+    assert "evaluate_split" in namespace and namespace["errors"] is sparseval.errors
+    assert "io" not in namespace and "core" not in namespace
+    assert set(namespace) - {"__builtins__"} == set(sparseval.__all__)
+
+
 def package_imports(path: Path) -> set[str]:
     """The sparseval modules that a module imports, by relative or absolute
     import."""

@@ -97,6 +97,18 @@ def test_curve_pair_rejects_curves_off_the_grid():
         CurvePair(0, FractionGrid(4), np.zeros(3), np.zeros(3), 1)
 
 
+def test_curve_pair_rejects_nan_curve_entries():
+    with raises(ValueError, "curve errors must lie in [0, 1]"):
+        CurvePair(0, FractionGrid(2), [np.nan, np.nan], [np.nan, np.nan], 1)
+    with raises(ValueError, "curve errors must lie in [0, 1]"):
+        CurvePair(0, FractionGrid(2), [0.5, 0.5], [0.5, np.nan], 1)
+
+
+def test_curve_pair_rejects_a_relevant_count_below_one():
+    with raises(ValueError, "relevant_count must be at least 1"):
+        CurvePair(0, FractionGrid(2), np.zeros(2), np.zeros(2), -5)
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
