@@ -256,13 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True)
     p.set_defaults(func=_cmd_inspect)
 
+    # each subcommand reports the flags it does not take under its own name
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

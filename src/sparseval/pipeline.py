@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -213,6 +212,44 @@ def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
     return counts, kept, {"name": _frame_name(source, index), "digest": source.digest()}
 
 
+def _run(work, count: int, threads: int) -> list:
+    """``[work(i, buffers) for i in range(count)]`` on the calling thread
+    and ``threads - 1`` helpers, each taking the next index under one lock
+    and keeping its own ``buffers``. Once a failure is recorded no thread
+    takes another index, and the lowest index's failure is raised: the
+    first in order, as every lower index was taken before it. An interrupt
+    of the calling thread propagates once the helpers are joined.
+    """
+    lock, results, failures = threading.Lock(), [None] * count, {}
+    todo = list(range(count - 1, -1, -1))
+
+    def pull():
+        buffers = {}
+        while True:
+            with lock:
+                if failures or not todo:
+                    return
+                index = todo.pop()
+            try:
+                results[index] = work(index, buffers)
+            except Exception as exc:
+                failures[index] = exc
+
+    helpers = [threading.Thread(target=pull) for _ in range(min(threads, count) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        pull()
+    finally:
+        with lock:
+            todo.clear()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _frame_name(source, index: int) -> str:
     return source.name or f"frame_{index:04d}"
 
@@ -272,8 +309,9 @@ def pool_split(
     the worker for its next frame, and a source loaded into it may return
     a stack already summed, as a ``confidence.StreamedMean``. A source
     whose ``float32_blocks`` is true yields only float32 blocks. Frames are
-    reduced on ``threads`` workers; the result does not depend on the
-    count. ``config`` supplies the seed of logit sampling.
+    reduced on ``threads`` workers, the calling thread one of them
+    (``_run``); the result, errors included, does not depend on the count.
+    ``config`` supplies the seed of logit sampling.
 
     Every frame's ``points`` is read first (a file header, for a manifest
     frame), and the pooled columns are allocated once, as ``score_columns``
@@ -311,23 +349,14 @@ def pool_split(
     columns = {"gt": np.empty_like(pred), "pred": pred, **scores}
     # the dict holds the only references, so the columns can shrink in place
     del pred, scores
-    local = threading.local()
 
-    def reduce_one(index):
-        if not hasattr(local, "buffers"):
-            local.buffers = {}
+    def reduce_one(index, buffers):
         return _reduce_frame(
             sources[index], index, catalog, config, columns,
-            starts[index], starts[index + 1], local.buffers,
+            starts[index], starts[index + 1], buffers,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reduced = list(pool.map(reduce_one, range(len(sources))))
-    else:
-        reduced = [reduce_one(i) for i in range(len(sources))]
-
-    counts, kept, infos = zip(*reduced)
+    counts, kept, infos = zip(*_run(reduce_one, len(sources), threads))
     offsets = np.cumsum((0,) + kept).tolist()
     if offsets[-1] == 0:
         raise EmptySplit("all points in the split carry the ignore label")

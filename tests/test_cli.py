@@ -610,6 +610,7 @@ def test_module_entry_point(tmp_path):
             ["curves", "--class", "a", "--ranking-domain", "bogus"],
             "argument --ranking-domain: ranking_domain must be one of",
         ),
+        (["ece", "--out-dir", "x"], "unrecognized arguments: --out-dir x"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, message):

@@ -164,6 +164,16 @@ def test_importing_the_package_and_its_cli_leaves_scipy_unloaded():
     )
 
 
+def test_importing_the_package_and_its_cli_loads_no_executor_and_no_logging():
+    # pooling runs on plain threads; concurrent.futures would also load logging
+    run_fresh(
+        "import sys\n"
+        "import sparseval.cli\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'logging' not in sys.modules\n"
+    )
+
+
 CLI_COMMANDS_WITHOUT_SCIPY = """
 import sys
 from sparseval.cli import main

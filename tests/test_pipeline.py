@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import sys
+import threading
+import time
 import tracemalloc
 import types
 
@@ -42,8 +44,9 @@ from sparseval.errors import (
     LabelOutOfRange,
     MissingStddev,
     NotADistribution,
+    SparsevalError,
 )
-from sparseval.pipeline import binned_ece
+from sparseval.pipeline import _run, binned_ece
 from sparseval.segmetrics import confusion
 
 
@@ -239,6 +242,86 @@ def test_pool_split_equals_per_frame_reduction_for_every_thread_count(
         assert np.array_equal(split.counts.counts, sum(counts))
         assert split.offsets == tuple(offsets)
         assert list(split.frames) == digests
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_pool_split_raises_the_first_fault_in_frame_order_for_every_thread_count(threads):
+    catalog = ClassCatalog(tuple("abcdef"))
+    n = 3 * BLOCK_POINTS + 5
+
+    def raised(fault):
+        rng = np.random.default_rng(9)
+        stacks = rng.dirichlet(np.ones(6), size=(3, 1, n)).astype(np.float32)
+        labels = list(rng.integers(0, 6, size=(3, n)))
+        fault(stacks, labels)
+        frames = [
+            ArrayFrame(LabelArray(labels[i]), ProbabilityStack(stacks[i]), name=f"f{i}")
+            for i in range(3)
+        ]
+        with pytest.raises(SparsevalError) as pooled:
+            pool_split(frames, catalog, threads=threads)
+        # the message of the frame at fault checked on its own
+        index = int(str(pooled.value).split()[1])
+        with pytest.raises(SparsevalError) as whole:
+            validate_inputs(ProbabilityStack(stacks[index]), LabelArray(labels[index]), catalog)
+        assert type(pooled.value) is type(whole.value)
+        assert str(pooled.value) == f"frame {index} (f{index}): {whole.value}"
+        return index, str(whole.value)
+
+    def rows_of_frames_two_and_one(stacks, labels):
+        stacks[2, 0, 5, 1] = 1.5
+        stacks[1, 0, n - 1] *= np.float32(0.9)
+
+    def label_of_frame_zero_and_row_of_frame_one(stacks, labels):
+        labels[0][n - 1] = 9
+        stacks[1, 0, 7, 2] = 2.0
+
+    index, message = raised(rows_of_frames_two_and_one)
+    assert index == 1 and message.startswith("row sum ") and message.endswith(f"point {n - 1}")
+    index, message = raised(label_of_frame_zero_and_row_of_frame_one)
+    assert index == 0 and message.startswith(f"label 9 at point {n - 1} ")
+
+
+def test_the_pool_raises_the_first_failure_in_order_and_stops_taking_work():
+    # the third index fails while the first still runs; the first then fails
+    # too, and its failure is raised, as a serial run would raise it
+    third_failed, ran = threading.Event(), []
+
+    def work(index, buffers):
+        if index == 0:
+            assert third_failed.wait(60)
+            raise ValueError("first")
+        if index == 2:
+            third_failed.set()
+            raise KeyError("third")
+        return index
+
+    with pytest.raises(ValueError, match="^first$"):
+        _run(work, 4, 3)
+    assert _run(lambda index, buffers: index, 5, 3) == [0, 1, 2, 3, 4]
+
+    # after a failure no worker takes another index
+    def fail_then_record(index, buffers):
+        if index == 0:
+            raise KeyError("first")
+        ran.append(index)
+
+    with pytest.raises(KeyError):
+        _run(fail_then_record, 2, 1)
+    assert ran == []
+    # an interrupt of the calling thread leaves the helpers no further work
+    # and propagates once they are joined
+    threads = threading.active_count()
+
+    def interrupted(index, buffers):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        time.sleep(0.001)
+        ran.append(index)
+
+    with pytest.raises(KeyboardInterrupt):
+        _run(interrupted, 200, 2)
+    assert threading.active_count() == threads and len(ran) < 199
 
 
 def test_report_is_deterministic():
