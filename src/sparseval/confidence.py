@@ -213,23 +213,20 @@ def _dequantized(raw: np.ndarray, buffers: dict | None = None) -> tuple[np.ndarr
     and each row is then divided in float64 by its float64 sum and rounded
     to float32 once. Each of the 65536 scaled values is a multiple of 2^-32
     in [0, 1], so a row of k of them sums to at most k in steps of 2^-32:
-    up to 2^21 classes every partial sum is exact in float64, the sum does
-    not depend on the order of its terms, and one matrix product takes all
-    of them. An all-zero row sums to 0 and comes out NaN. The results and
-    the float64 rows, 12 B a value (``StreamedMean`` drops those once its
-    ``_CHUNK_ROWS``-row chunks are summed), are ``core.scratch`` arrays of
-    ``buffers``, valid until its next use; else they are new arrays.
+    up to 2^21 classes every partial sum is exact in float64, and the sum
+    does not depend on the order of its terms, so ``einsum`` takes it from
+    the float32 values, cast as it reads them. An all-zero row sums to 0
+    and comes out NaN. The results, 4 B a value, are ``core.scratch``
+    arrays of ``buffers``, valid until its next use; else they are new
+    arrays.
     """
     probs = scratch(buffers, "dequantized", raw.shape, np.float32)
     np.copyto(probs, raw)
     probs /= np.float32(65535.0)
-    wide = scratch(buffers, "dequantized_wide", raw.shape, np.float64)
-    np.copyto(wide, probs)
     sums = scratch(buffers, "dequantized_sums", raw.shape[:2], np.float64)
-    np.matmul(wide, np.ones(raw.shape[2]), out=sums)
+    np.einsum("sij->si", probs, out=sums, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        wide /= sums[..., None]
-    np.copyto(probs, wide)
+        np.divide(probs, sums[..., None], out=probs, dtype=np.float64, casting="same_kind")
     return probs, sums
 
 
@@ -291,8 +288,8 @@ def _checked_blocks(
 
 # rows of a slab that ``StreamedMean.add`` checks and sums at a time: few
 # numpy calls per slab, so pooling workers seldom wait on each other for the
-# GIL, while the dequantised rows (float32 and float64, 12 B a value) take
-# 36 B a value of one block, within five float64 blocks for any class count
+# GIL, while the dequantised float32 rows (4 B a value) take 12 B a value
+# of one block, within two float64 blocks for any class count
 _CHUNK_ROWS = 3 * BLOCK_POINTS
 
 
@@ -365,9 +362,6 @@ class StreamedMean:
         overwritten by the next. Not ``clean``, it raises."""
         if not self.clean:
             raise NotADistribution(f"a row of {self.samples} summed samples is no distribution")
-        # the sum is complete: the chunk's float64 rows are not needed while
-        # the blocks are reduced
-        (self.buffers or {}).pop("dequantized_wide", None)
         for lo in range(0, self.points, BLOCK_POINTS):
             part = self.total[lo : lo + BLOCK_POINTS]
             # the dequantised rows' buffer, free once every slab is in
@@ -377,17 +371,19 @@ class StreamedMean:
             yield lo, block
 
 
-def _stack_blocks(stack: ProbabilityStack | QuantizedStack) -> Iterator[tuple[int, np.ndarray]]:
-    """``predictive_blocks`` of a stack. A range never straddles a block, so
-    ``core.check_ranges`` on the first block with a fault raises the error
-    of ``validate_inputs``."""
+def _stack_blocks(
+    stack: ProbabilityStack | QuantizedStack, buffers: dict | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``predictive_blocks`` of a stack, summed over ``buffers``. A range
+    never straddles a block, so ``core.check_ranges`` on the first block
+    with a fault raises the error of ``validate_inputs``."""
     for lo in range(0, stack.points, BLOCK_POINTS):
         rows = stack.data[:, lo : lo + BLOCK_POINTS]
         if rows.shape[0] == 1 and rows.dtype.kind == "f":
             check_ranges(lo, rows)
             yield lo, rows
             continue
-        mean = StreamedMean()
+        mean = StreamedMean(buffers)
         for slab in rows:
             mean.add(slab)
         if not mean.clean:
@@ -400,6 +396,7 @@ def predictive_blocks(
     payload: ProbabilityStack | QuantizedStack | LogitTensor | StreamedMean,
     samples: int = 1,
     seed: int = 0,
+    buffers: dict | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """A frame's predictive distribution, checked, ``BLOCK_POINTS`` points
     at a time.
@@ -412,7 +409,7 @@ def predictive_blocks(
     logits admit only ``samples`` 1, since they have no noise to sample
     (``MissingStddev``). Logit errors raise when this is called, before any
     block is drawn, and the blocks drawn from logits are checked as they
-    are yielded.
+    are yielded. A stack's blocks are summed over ``buffers``.
     """
     if isinstance(payload, StreamedMean):
         return payload.blocks()
@@ -420,28 +417,32 @@ def predictive_blocks(
         if payload.stddev is None and samples == 1:
             return _checked_blocks(_softmax_blocks(payload))
         return _checked_blocks(_mean_blocks(*_gaussian_logits(payload, samples), seed))
-    return _stack_blocks(payload)
+    return _stack_blocks(payload, buffers)
 
 
-def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict[str, np.ndarray]) -> None:
+def _reduce_block(rows: np.ndarray, pred: np.ndarray, scores: dict, buffers=None) -> None:
     """Write one block's argmax into ``pred`` and its confidences into ``scores``.
 
     The kernel of every confidence score. The argmax takes the first
     maximum, so ties break to the lowest class index, and max-softmax is
     read at it. Entropy treats 0 * log 0 as 0 by taking the log of 1 there,
-    which is exactly 0.
+    which is exactly 0. Temporaries are ``core.scratch`` arrays of ``buffers``.
     """
-    top = rows.argmax(axis=1)
+    top = np.argmax(rows, axis=1, out=scratch(buffers, "argmax", len(rows), np.intp))
     pred[:] = top
     if "max_softmax" in scores:
         scores["max_softmax"][:] = rows[np.arange(rows.shape[0]), top]
     if "neg_entropy" in scores:
-        p = rows.astype(np.float64, copy=False)  # only read
-        logs = np.where(p > 0.0, p, 1.0)
-        np.log(logs, out=logs)
-        entropy = -np.einsum("ij,ij->i", p, logs)
-        out = scores["neg_entropy"]
-        np.subtract(1.0, entropy * (1.0 / math.log(rows.shape[1])), out=out)
+        empty = np.less_equal(rows, 0.0, out=scratch(buffers, "empty", rows.shape, np.bool_))
+        logs = scratch(buffers, "logs", rows.shape, np.float64)
+        # the log of 1 where a value is not above 0, without a branch: a log
+        # masked by where= is three times slower when zeros are scattered;
+        # float32 rows are cast as they are read, here and in the sum
+        np.log(np.maximum(rows, empty, out=logs, dtype=np.float64), out=logs)
+        out = np.einsum("ij,ij->i", rows, logs, out=scores["neg_entropy"], dtype=np.float64)
+        # 1 - entropy / log(k), the entropy being the negated sum
+        out *= -1.0 / math.log(rows.shape[1])
+        np.subtract(1.0, out, out=out)
         np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -461,17 +462,18 @@ def reduce_blocks(
     blocks: Iterable[tuple[int, np.ndarray]],
     pred: np.ndarray,
     scores: dict[str, np.ndarray],
+    buffers: dict | None = None,
 ) -> None:
     """Write the argmax predictions and confidences of a blocked stack into
     the columns ``pred`` and ``scores`` (as ``score_columns`` makes them).
 
     ``blocks`` yields ``(start, block)`` as ``predictive_blocks`` does, for
     a stack of ``len(pred)`` points; the block at ``start`` is written to
-    the columns' entries from ``start`` on.
+    the columns' entries from ``start`` on, with ``buffers``' temporaries.
     """
     for lo, block in blocks:
         hi = lo + block.shape[1]
-        _reduce_block(block[0], pred[lo:hi], {m: col[lo:hi] for m, col in scores.items()})
+        _reduce_block(block[0], pred[lo:hi], {m: c[lo:hi] for m, c in scores.items()}, buffers)
 
 
 def _aggregated(probs: ProbabilityStack | QuantizedStack, measure: str):

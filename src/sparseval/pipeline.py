@@ -176,17 +176,17 @@ class PooledSplit:
         return binned_ece(self.confidences["max_softmax"].scores, correct, bins)
 
 
-def _reduce(payload, labels, catalog, pred, scores, samples=1, seed=0) -> ConfusionMatrix:
+def _reduce(payload, labels, catalog, pred, scores, samples=1, seed=0, buffers=None):
     """Check a frame and reduce its payload into the columns ``pred`` and
     ``scores`` (``score_columns``) a block of ``core.BLOCK_POINTS`` points
     at a time, each in cache; return the frame's confusion. Stack samples
     are checked and summed in sample order by ``confidence.StreamedMean``,
     a fault raising the error of ``validate_inputs``; logits with a stddev
-    are sampled ``samples`` times with ``seed``.
+    are sampled ``samples`` times with ``seed``. Temporaries are ``buffers``'.
     """
-    blocks = predictive_blocks(payload, samples, seed)
+    blocks = predictive_blocks(payload, samples, seed, buffers)
     check_shapes(payload.points, payload.classes, labels, catalog.k)
-    reduce_blocks(blocks, pred, scores)
+    reduce_blocks(blocks, pred, scores, buffers)
     # confusion checks the labels (check_labels), after every row
     return confusion(LabelArray(pred), labels, catalog)
 
@@ -194,9 +194,9 @@ def _reduce(payload, labels, catalog, pred, scores, samples=1, seed=0) -> Confus
 def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
     """Load one frame and reduce it (``_reduce``) into the rows ``lo:hi`` of
     the pooled columns; return its confusion, kept point count and
-    provenance. Files are read into the worker's ``buffers``, so nothing of
-    the frame outlives this call but its counts and digest. The kept labels
-    go to the frame's rows of ``gt`` (``_keep_rows``).
+    provenance. Files are read and blocks reduced in the worker's
+    ``buffers``, so nothing of the frame outlives this call but its counts
+    and digest. The kept labels go to the frame's rows of ``gt`` (``_keep_rows``).
     """
     try:
         payload, labels = source.load(buffers)
@@ -205,7 +205,7 @@ def _reduce_frame(source, index, catalog, config, columns, lo, hi, buffers):
         seed = derive_stream_seed(config.rng_seed, index)
         pred = columns["pred"][lo:hi]
         scores = {m: columns[m][lo:hi] for m in MEASURES if m in columns}
-        counts = _reduce(payload, labels, catalog, pred, scores, source.samples, seed)
+        counts = _reduce(payload, labels, catalog, pred, scores, source.samples, seed, buffers)
     except SparsevalError as exc:
         raise _in_frame(exc, index, source) from exc
     kept = _keep_rows(columns, lo, labels.values, catalog.ignore_index)

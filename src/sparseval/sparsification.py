@@ -254,7 +254,9 @@ def _resolve(g, p, s, perm, buckets, k, cells, sizes, head, acc, subset):
     # the first of a split window's children, which take consecutive ids
     first = np.full(roots.size, -1, dtype=np.intp)
     while live.size:
-        active = np.unique(win)
+        # the windows that hold a cut, in id order; np.unique would import
+        # numpy.ma to ask whether the ids are masked
+        active = np.flatnonzero(np.bincount(win, minlength=lo.size))
         ranged = active[lo[active] < hi[active]]
         ranged = ranged[np.argsort(size[ranged], kind="stable")]
         wide = 63 - (ranged.size - 1).bit_length()

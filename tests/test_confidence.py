@@ -27,8 +27,14 @@ from sparseval import (
     softmax,
     validate_inputs,
 )
-from sparseval.confidence import _normal_field, predictive_blocks
-from sparseval.core import BLOCK_POINTS
+from sparseval.confidence import (
+    _dequantized,
+    _normal_field,
+    _reduce_block,
+    predictive_blocks,
+    score_columns,
+)
+from sparseval.core import BLOCK_POINTS, MEASURES
 from sparseval.errors import MissingStddev, NonFiniteInput, NotADistribution
 from sparseval.sparsification import class_curves_by_measure
 
@@ -488,3 +494,82 @@ def test_plain_logit_pooling_builds_no_full_frame_copy():
     finally:
         tracemalloc.stop()
     assert peak / n <= 30
+
+
+# The block kernel and the dequantisation once copied each float32 block to
+# float64, and the dequantisation summed its rows by a matrix product; they
+# now work in a worker's buffers. The copying formulas are kept here as the
+# oracles the buffered ones must match bit for bit, with NaN where they have
+# NaN.
+
+
+def same_bits(a, b):
+    """Equal dtypes, NaN at the same positions, and equal bits elsewhere."""
+    nan = np.isnan(a)
+    return a.dtype == b.dtype and np.array_equal(nan, np.isnan(b)) and (
+        a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def copying_reduce_block(rows):
+    """The argmax, max-softmax and entropy confidence of a block, from a
+    float64 copy of it and a fresh array of logarithms."""
+    top = rows.argmax(axis=1)
+    p = rows.astype(np.float64, copy=False)
+    logs = np.where(p > 0.0, p, 1.0)
+    np.log(logs, out=logs)
+    entropy = -np.einsum("ij,ij->i", p, logs)
+    confidence = np.clip(1.0 - entropy * (1.0 / math.log(rows.shape[1])), 0.0, 1.0)
+    return top, rows[np.arange(rows.shape[0]), top], confidence
+
+
+def copying_dequantized(raw):
+    """Dequantised rows and their sums, through float64 rows and a matrix
+    product."""
+    probs = raw.astype(np.float32)
+    probs /= np.float32(65535.0)
+    wide = probs.astype(np.float64)
+    sums = np.matmul(wide, np.ones(raw.shape[2]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wide /= sums[..., None]
+    return wide.astype(np.float32), sums
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 19, 64, 300])
+@pytest.mark.parametrize("n", [1, BLOCK_POINTS])
+def test_buffered_block_kernel_keeps_the_bits_of_the_copying_one(dtype, k, n):
+    rng = np.random.default_rng(k * n)
+    # two levels and many zeros: exact ties, zeros and -0.0 in most rows
+    rows = leveled_rows(rng, n, k, dtype, 2, 0.5)
+    rows[n // 2, k // 2] = np.nan
+    top, top_values, confidence = copying_reduce_block(rows)
+    # the buffers first hold a whole block of other values, none of them 0,
+    # so a logarithm left over from it would change the entropy
+    buffers = {}
+    for block in (leveled_rows(rng, BLOCK_POINTS, k, dtype, 4, 0.0), rows):
+        pred, scores = score_columns(len(block), MEASURES, k, dtype == np.float32)
+        _reduce_block(block, pred, scores, buffers)
+    assert np.array_equal(pred, top)
+    assert same_bits(scores["max_softmax"], top_values)
+    assert same_bits(scores["neg_entropy"], confidence)
+    assert np.isnan(scores["neg_entropy"][n // 2])
+    # and without buffers, on new arrays
+    pred, scores = score_columns(n, MEASURES, k, dtype == np.float32)
+    _reduce_block(rows, pred, scores)
+    assert same_bits(scores["neg_entropy"], confidence)
+
+
+@pytest.mark.parametrize("k", [2, 3, 19, 300])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3 * BLOCK_POINTS), (3, 700)])
+def test_buffered_dequantisation_keeps_the_bits_of_the_copying_one(k, shape):
+    rng = np.random.default_rng(k)
+    raw = rng.integers(0, 65536, size=(*shape, k)).astype(np.uint16)
+    raw[0, -1, : k // 2 + 1] = 65535  # a row of ties at the top code
+    raw[-1, shape[1] // 2] = 0  # an all-zero row: 0 / 0 gives NaN
+    probs, sums = copying_dequantized(raw)
+    buffers = {}
+    _dequantized(rng.integers(1, 65536, (3, BLOCK_POINTS, k)).astype(np.uint16), buffers)
+    for got in (_dequantized(raw, buffers), _dequantized(raw)):
+        assert same_bits(got[0], probs) and same_bits(got[1], sums)
+    assert np.isnan(probs[-1, shape[1] // 2]).all() and sums[-1, shape[1] // 2] == 0.0

@@ -209,6 +209,38 @@ def test_cli_commands_over_probabilities_or_plain_logits_leave_scipy_unloaded(
     assert (tmp_path / "out" / "report" / "report.json").is_file()
 
 
+EVALUATIONS_WITHOUT_NUMPY_MA = """
+import sys
+import numpy as np
+# numpy 1.x imports numpy.ma with itself, 2.x only when it is first used
+loaded = "numpy.ma" in sys.modules
+from sparseval import ArrayFrame, ClassCatalog, LabelArray, ProbabilityStack, evaluate_split
+from sparseval.cli import main
+
+rng = np.random.default_rng(5)
+frames = [
+    ArrayFrame(
+        LabelArray(rng.integers(0, 3, n).astype(np.uint8)),
+        ProbabilityStack(rng.dirichlet(np.ones(3), n).astype(np.float32)[None]),
+    )
+    for n in (3000, 1700)
+]
+evaluate_split(frames, ClassCatalog(("a", "b", "c")), threads=2)
+assert ("numpy.ma" in sys.modules) == loaded
+manifest, out = sys.argv[1:]
+assert main(["evaluate", "--manifest", manifest, "--out-dir", out, "--threads", "2"]) == 0
+assert ("numpy.ma" in sys.modules) == loaded
+"""
+
+
+def test_evaluations_over_probabilities_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique of a plain array asks numpy.ma whether it is masked under
+    # numpy 2.x, and importing numpy.ma adds about a MiB to a run's peak
+    main(["synth", "--preset", "degenerate-class", "--out-dir", str(tmp_path / "data")])
+    run_fresh(EVALUATIONS_WITHOUT_NUMPY_MA, tmp_path / "data" / "manifest.txt", tmp_path / "out")
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
 def test_a_gaussian_logit_tensor_loads_scipy():
     run_fresh(
         "import sys\n"

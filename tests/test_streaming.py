@@ -457,8 +457,40 @@ def test_streamed_frame_reduction_holds_one_sample_and_the_sum(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab, total, blocks = n * k * 2, n * k * 8, 5 * BLOCK_POINTS * k * 8
+    slab, total, blocks = n * k * 2, n * k * 8, 3 * BLOCK_POINTS * k * 8
     assert peak < slab + total + blocks
+
+
+@pytest.mark.parametrize("source", ["float32", "float32-3-samples", "streamed-uint16"])
+def test_a_workers_second_frame_allocates_less_than_a_block(tmp_path, source):
+    # a frame's block temporaries live in the worker's buffers, so once its
+    # first frame has sized them, an equal frame allocates no block at all
+    rng = np.random.default_rng(29)
+    n, k = 3 * BLOCK_POINTS + 7, 19
+    labels = rng.integers(0, k, n).astype(np.uint8)
+    if source.startswith("float32"):
+        samples = 3 if source.endswith("samples") else 1
+        stack = ProbabilityStack(_stack(rng, samples, n, k, np.float32))
+        frame = ArrayFrame(LabelArray(labels), stack, samples=samples)
+    else:
+        frame = FrameEntry(labels_path=tmp_path / "l.spt", probs_path=tmp_path / "p.spt", samples=8)
+        write_tensor(TensorContainer.from_array(_stack(rng, 8, n, k, np.uint16)), frame.probs_path)
+        write_tensor(TensorContainer.from_array(labels), frame.labels_path)
+    catalog = ClassCatalog(tuple(f"c{i}" for i in range(k)))
+    pred, scores = score_columns(n, MEASURES, k)
+    columns = {"gt": np.empty(n, dtype=np.uint8), "pred": pred, **scores}
+    buffers = {}
+    _reduce_frame(frame, 0, catalog, EvalConfig(), columns, 0, n, buffers)
+    if source == "streamed-uint16":
+        assert isinstance(frame.load(buffers)[0], StreamedMean)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _reduce_frame(frame, 1, catalog, EvalConfig(), columns, 0, n, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < BLOCK_POINTS * k * 8
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
