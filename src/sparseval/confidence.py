@@ -130,7 +130,10 @@ def _normal_field(
 
 def _stabilized_softmax(values: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a float64 array, computed in place."""
-    values -= values.max(axis=-1, keepdims=True)
+    # a finite value further below its row's maximum than float64 reaches
+    # becomes -inf, so 0; a row holding inf comes out NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        values -= values.max(axis=-1, keepdims=True)
     np.exp(values, out=values)
     values /= values.sum(axis=-1, keepdims=True)
     return values
@@ -185,7 +188,9 @@ def _sampled_rows(
     """softmax(mean + stddev * noise) of the points ``lo .. hi - 1``, as a
     (samples, hi - lo, classes) float64 array."""
     noise = _normal_field(seed, samples, hi - lo, mean.shape[1], lo)
-    noise *= scale[lo:hi]
+    # a product that overflows gives inf, and its row NaN
+    with np.errstate(over="ignore"):
+        noise *= scale[lo:hi]
     noise += mean[lo:hi]
     return _stabilized_softmax(noise)
 
@@ -264,7 +269,7 @@ def _mean_blocks(
     The samples of each range of ``core.sample_ranges`` are drawn together
     (``_sampled_rows``), summed in float64 in sample order and divided by
     ``samples`` into their block: the bits of ``aggregate_samples``. Yields
-    ``(start, block)`` in point order, each block (1, r, classes).
+    ``(start, block)`` in point order, each (1, r, classes) and checked.
     """
     points, classes = mean.shape
     for lo, hi in sample_ranges(points, samples):
@@ -274,16 +279,9 @@ def _mean_blocks(
         total /= samples
         out[0, lo - start : hi - start] = total
         if hi - start == out.shape[1]:
+            # mean + stddev * noise can overflow to inf, whose row is NaN
+            check_distribution(start, out)
             yield start, out
-
-
-def _checked_blocks(
-    blocks: Iterable[tuple[int, np.ndarray]],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``blocks``, each checked by ``core.check_distribution`` as it is drawn."""
-    for lo, block in blocks:
-        check_distribution(lo, block)
-        yield lo, block
 
 
 # rows of a slab that ``StreamedMean.add`` checks and sums at a time: few
@@ -404,19 +402,19 @@ def predictive_blocks(
     Yields ``(start, block)`` in point order, each block a (1, r, classes)
     array: of a stack (``_stack_blocks``), or of a filled ``StreamedMean``,
     as ``io.load_frame`` returns it, checked as it was filled; of plain
-    logits softmaxed as ``softmax`` does; of logits with a stddev sampled
-    ``samples`` times with ``seed`` and averaged (``_mean_blocks``). Plain
-    logits admit only ``samples`` 1, since they have no noise to sample
-    (``MissingStddev``). Logit errors raise when this is called, before any
-    block is drawn, and the blocks drawn from logits are checked as they
-    are yielded. A stack's blocks are summed over ``buffers``.
+    logits softmaxed as ``softmax`` does, a distribution by construction;
+    of logits with a stddev sampled ``samples`` times with ``seed``,
+    averaged and checked (``_mean_blocks``). Plain logits admit only
+    ``samples`` 1, since they have no noise to sample (``MissingStddev``).
+    Logit errors raise when this is called, before any block is drawn. A
+    stack's blocks are summed over ``buffers``.
     """
     if isinstance(payload, StreamedMean):
         return payload.blocks()
     if isinstance(payload, LogitTensor):
         if payload.stddev is None and samples == 1:
-            return _checked_blocks(_softmax_blocks(payload))
-        return _checked_blocks(_mean_blocks(*_gaussian_logits(payload, samples), seed))
+            return _softmax_blocks(payload)
+        return _mean_blocks(*_gaussian_logits(payload, samples), seed)
     return _stack_blocks(payload, buffers)
 
 

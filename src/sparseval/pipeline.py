@@ -386,33 +386,28 @@ def binned_ece(scores: np.ndarray, correct: np.ndarray, bins: int) -> float:
     """Occupancy-weighted mean |accuracy - confidence| over equal-width bins.
 
     ``correct`` flags the points whose prediction is right. Points are
-    binned ``SCAN_POINTS`` at a time, each chunk's weighted ``bincount``
-    starting from the running per-bin sums, so every bin's float sum is
-    added in point order, as in one pass over all points; the integer
-    counts of ``2 * bin + correct`` give each bin's occupancy and correct
-    points exactly. Temporaries take about 17 bytes per point of a chunk.
+    binned ``SCAN_POINTS`` at a time as float64, and ``np.add.at`` adds
+    them into their bins' sums strictly in point order: the bits of one
+    ``bincount`` over all points. Integer counts of ``2 * bin + correct``
+    give each bin's occupancy and correct points. Temporaries take 8 bytes
+    per point of a chunk, 16 for float32 scores, which are cast.
     """
     bins = as_integer("bins", bins, 1)
     if scores.size == 0:
         raise EmptySplit("no evaluable points for the calibration error")
     correct = np.asarray(correct, dtype=bool)
     conf_sum, split_counts = np.zeros(bins), np.zeros(2 * bins, dtype=np.int64)
-    step = min(SCAN_POINTS, scores.size)
-    index, weights = np.empty(bins + step, dtype=np.intp), np.empty(bins + step)
-    index[:bins] = np.arange(bins)
-    for lo in range(0, scores.size, step):
-        chunk = scores[lo : lo + step]
-        end = bins + chunk.size
-        block = index[bins:end]
-        # in float64, so that float32 scores meet the edges of their float64
-        # casts; the cast to intp truncates, as astype does
+    index = np.empty(min(SCAN_POINTS, scores.size), dtype=np.intp)
+    for lo in range(0, scores.size, index.size):
+        # a float32 chunk is cast first: a mixed-type add.at is far slower
+        chunk = scores[lo : lo + index.size].astype(np.float64, copy=False)
+        block = index[: chunk.size]
+        # the cast to intp truncates, as astype does
         np.multiply(chunk, bins, out=block, casting="unsafe", dtype=np.float64)
         np.minimum(block, bins - 1, out=block)
-        # the running sums go ahead of the chunk's scores
-        weights[:bins], weights[bins:end] = conf_sum, chunk
-        conf_sum = np.bincount(index[:end], weights[:end], bins)
+        np.add.at(conf_sum, block, chunk)
         block <<= 1
-        block |= correct[lo : lo + step]
+        block |= correct[lo : lo + chunk.size]
         split_counts += np.bincount(block, minlength=2 * bins)
     split_counts = split_counts.astype(np.float64)
     acc_sum = split_counts[1::2]

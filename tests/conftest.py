@@ -1,6 +1,12 @@
 import numpy as np
+from hypothesis import Phase
 
 from sparseval import ClassCatalog, ConfidenceVector, LabelArray
+
+# the phases of property tests over block-sized inputs: a failure is
+# reported as found, since shrinking examples of thousands of points takes
+# many minutes
+NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
 
 
 def pattern_instance(pattern, confidences):

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from conftest import NO_SHRINK
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -352,10 +353,6 @@ def leveled_rows(rng, n, k, dtype, levels, zero_share):
     rows[(rows == 0.0) & (rng.random((n, k)) < 0.5)] = -0.0
     return rows
 
-
-# a failure of the block-sized property tests below is reported as found:
-# shrinking examples of up to 3 * 2^11 + 7 points takes many minutes
-NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
 
 BLOCK_EDGES = [1, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 3 * BLOCK_POINTS + 7]
 
